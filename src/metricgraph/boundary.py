@@ -23,6 +23,7 @@ import numpy as np
 from .graph import MetricGraph, VertexId, VertexStar, Violation
 
 DEFAULT_MATRIX_TOL = 1e-10
+KERNEL_EIGENVALUE_SPLIT = 0.5  # eigenvalues of P below this count as kernel
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,11 @@ class BoundaryCondition:
 
     def P(self, v: VertexId) -> np.ndarray:
         return self.conditions[v][1]
+
+    def ker_ran(self, v: VertexId) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal bases of ker P_v and ran P_v, from one ``eigh`` of P_v."""
+        w, vecs = np.linalg.eigh(self.P(v))
+        return vecs[:, w < KERNEL_EIGENVALUE_SPLIT], vecs[:, w >= KERNEL_EIGENVALUE_SPLIT]
 
     def vertices(self):
         return self.conditions.keys()

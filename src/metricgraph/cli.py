@@ -99,7 +99,7 @@ def _parse_base_point(g: MetricGraph, spec: str | None) -> Point:
 def _scan_range(cfg: RunConfig, const: boundary.CoercivityConstant) -> tuple[float, float]:
     lam_min = cfg.lam_min
     if lam_min is None:
-        lam_min = -((2.0 * const.C) ** 2)  # safely below the proven form lower bound
+        lam_min = 0.5 - const.C - 1.0  # the form bound gives lambda >= 1/2 - C
     return lam_min, cfg.lam_max
 
 
@@ -383,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="graph description JSON")
         p.add_argument("--bc", required=True, help="boundary-condition JSON")
         p.add_argument("--mesh", type=float, default=0.02, help="grid width h_max")
-        p.add_argument("--lambda-min", type=float, default=None)
+        p.add_argument(
+            "--lambda-min", type=float, default=None,
+            help="scan start (default 1/2 - C - 1, below the proven spectral bound 1/2 - C)",
+        )
         p.add_argument("--lambda-max", type=float, default=50.0)
         p.add_argument("--modes", type=int, default=8)
         p.add_argument("--tol", type=float, default=1e-6)
@@ -444,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except fem.ResidualCheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

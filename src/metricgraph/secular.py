@@ -13,7 +13,10 @@ is used near zero to avoid cancellation.
 
 Stacking the vertex conditions over all per-edge coefficient pairs yields a
 square matrix M(lambda) of order 2|E|; eigenvalues are exactly the energies
-where M drops rank, detected by scanning its smallest singular value.
+where M drops rank, detected by scanning its smallest singular value.  Only
+the per-edge (c, s) depend on lambda: :class:`SecularSystem` validates the
+input and builds the constant condition rows once, and every evaluation
+writes (c, s) into their columns.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
+import scipy.linalg
 
 from .boundary import BoundaryCondition, require_valid_bc
 from .functions import GridFunction
@@ -66,11 +70,6 @@ def basis_at(lam: float, t: float) -> tuple[float, float, float, float]:
     return float(c[0]), float(s[0]), float(-lam * s[0]), float(c[0])
 
 
-def wronskian(lam: float, t: float) -> float:
-    c, s, dc, ds = basis_at(lam, t)
-    return c * ds - dc * s
-
-
 def basis_gram(lam: float, length: float) -> np.ndarray:
     """Exact 2x2 Gram matrix of (c, s) on (0, length)."""
     l = float(length)
@@ -105,31 +104,38 @@ def basis_gram(lam: float, length: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _trace_maps(g: MetricGraph, lam: float) -> tuple[dict[VertexId, np.ndarray], dict[VertexId, np.ndarray]]:
-    """Per vertex: matrices sending stacked (alpha_e, beta_e) to f(v), f'(v)."""
-    col = {e.id: 2 * i for i, e in enumerate(g.edges)}
-    n = 2 * len(g.edges)
-    F: dict[VertexId, np.ndarray] = {}
-    Fp: dict[VertexId, np.ndarray] = {}
+def _edge_ends(g: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge lengths and the slot index of each edge's initial and terminal end.
+
+    Slots number the edge ends vertex by vertex, in vertex-star order.
+    """
+    slot = {}
     for v in g.vertices:
-        star = g.star(v)
-        Mv = np.zeros((star.degree, n), dtype=complex)
-        Mp = np.zeros((star.degree, n), dtype=complex)
-        for k, (eid, end) in enumerate(star.slots):
-            e = g.edge(eid)
-            j = col[eid]
-            if end == INIT:
-                Mv[k, j] = 1.0  # f(0) = alpha
-                Mp[k, j + 1] = 1.0  # f'(0) = beta
-            else:
-                c, s, dc, ds = basis_at(lam, e.length)
-                Mv[k, j] = c
-                Mv[k, j + 1] = s
-                Mp[k, j] = -dc  # inward derivative at the far end
-                Mp[k, j + 1] = -ds
-        F[v] = Mv
-        Fp[v] = Mp
-    return F, Fp
+        for end in g.star(v).slots:
+            slot[end] = len(slot)
+    lengths = np.array([e.length for e in g.edges], dtype=float)
+    init = np.array([slot[(e.id, INIT)] for e in g.edges], dtype=int)
+    term = np.array([slot[(e.id, TERM)] for e in g.edges], dtype=int)
+    return lengths, init, term
+
+
+def _edge_columns(a: np.ndarray, b: np.ndarray, init: np.ndarray, term: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows ``a f + b f'`` over the slot traces, regrouped by edge and end."""
+    return a[:, init], b[:, init], a[:, term], b[:, term]
+
+
+def _fill(cols: tuple[np.ndarray, ...], lam: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Evaluate compiled rows on the coefficients (alpha_e, beta_e) at lambda.
+
+    The initial end of edge e has traces (alpha, beta) = (f(0), f'(0)); the
+    terminal end has value ``c alpha + s beta`` and inward derivative
+    ``lam s alpha - c beta``, with (c, s) at the edge length.
+    """
+    ia, ib, ta, tb = cols
+    out = np.empty((ia.shape[0], 2 * c.size), dtype=complex)
+    out[:, 0::2] = ia + ta * c + tb * (lam * s)
+    out[:, 1::2] = ib + ta * s - tb * c
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,38 +157,64 @@ class SecularMatrix:
     row_vertices: tuple[VertexId, ...]
 
 
+class SecularSystem:
+    """The vertex-condition system of (g, bc), compiled once for every lambda.
+
+    Building it validates the graph and the (L, P) data, splits each P_v into
+    ker/ran bases and stores the constant row blocks ``[ran^H ; ker^H L]``
+    (on the slot values) and ``[0 ; ker^H]`` (on the inward derivatives),
+    regrouped by edge end.  M(lambda) is then those blocks combined with the
+    per-edge (c, s) at lambda, from one vectorized :func:`basis_values` call.
+    """
+
+    def __init__(self, g: MetricGraph, bc: BoundaryCondition) -> None:
+        g.require_valid()
+        g.require_compact("the secular system")
+        require_valid_bc(g, bc)
+        self.lengths, init, term = _edge_ends(g)
+        val: list[np.ndarray] = []
+        der: list[np.ndarray] = []
+        anom: list[np.ndarray] = []
+        row_vs: list[VertexId] = []
+        anom_vs: list[VertexId] = []
+        for v in g.vertices:
+            L, P = bc.L(v), bc.P(v)
+            d = g.degree(v)
+            ker, ran = bc.ker_ran(v)
+            val.append(np.vstack([ran.conj().T, ker.conj().T @ L]))
+            der.append(np.vstack([np.zeros((ran.shape[1], d)), ker.conj().T]))
+            row_vs += [v] * d
+            mix = P @ L @ (np.eye(d) - P)
+            if np.linalg.norm(mix) > 1e-12 * max(1.0, float(np.linalg.norm(L))):
+                anom.append(ran.conj().T @ L)
+                anom_vs += [v] * ran.shape[1]
+            else:
+                anom.append(np.zeros((0, d)))
+        blocks = scipy.linalg.block_diag
+        self._rows = _edge_columns(blocks(*val), blocks(*der), init, term)
+        A = blocks(*anom)
+        self._anomaly = _edge_columns(A, np.zeros_like(A), init, term)
+        self.row_vertices = tuple(row_vs)
+        self.anomaly_vertices = tuple(dict.fromkeys(anom_vs))
+
+    def matrix(self, lam: float) -> np.ndarray:
+        """The square matrix M(lambda)."""
+        return _fill(self._rows, lam, *basis_values(lam, self.lengths))
+
+    def at(self, lam: float) -> SecularMatrix:
+        c, s = basis_values(lam, self.lengths)
+        return SecularMatrix(
+            lam, _fill(self._rows, lam, c, s), _fill(self._anomaly, lam, c, s),
+            self.anomaly_vertices, self.row_vertices,
+        )
+
+    def singular_values(self, lam: float) -> np.ndarray:
+        """Singular values of the row-normalized M(lambda), descending."""
+        return np.linalg.svd(_row_normalized(self.matrix(lam)), compute_uv=False)
+
+
 def secular_matrix(g: MetricGraph, bc: BoundaryCondition, lam: float) -> SecularMatrix:
-    g.require_valid()
-    g.require_compact("the secular system")
-    require_valid_bc(g, bc)
-    F, Fp = _trace_maps(g, lam)
-    rows: list[np.ndarray] = []
-    row_vs: list[VertexId] = []
-    anom_rows: list[np.ndarray] = []
-    anom_vs: list[VertexId] = []
-    for v in g.vertices:
-        L, P = bc.L(v), bc.P(v)
-        d = g.degree(v)
-        wvals, vecs = np.linalg.eigh(P)
-        ker = vecs[:, wvals < 0.5]
-        ran = vecs[:, wvals >= 0.5]
-        block_val = ran.conj().T @ F[v]
-        block_der = ker.conj().T @ (L @ F[v] + Fp[v])
-        for r in range(block_val.shape[0]):
-            rows.append(block_val[r])
-            row_vs.append(v)
-        for r in range(block_der.shape[0]):
-            rows.append(block_der[r])
-            row_vs.append(v)
-        mix = P @ L @ (np.eye(d) - P)
-        if np.linalg.norm(mix) > 1e-12 * max(1.0, float(np.linalg.norm(L))):
-            extra = ran.conj().T @ (L @ F[v])
-            for r in range(extra.shape[0]):
-                anom_rows.append(extra[r])
-                anom_vs.append(v)
-    M = np.array(rows) if rows else np.zeros((0, 2 * len(g.edges)), dtype=complex)
-    A = np.array(anom_rows) if anom_rows else np.zeros((0, 2 * len(g.edges)), dtype=complex)
-    return SecularMatrix(lam, M, A, tuple(dict.fromkeys(anom_vs)), tuple(row_vs))
+    return SecularSystem(g, bc).at(lam)
 
 
 def _row_normalized(M: np.ndarray) -> np.ndarray:
@@ -193,9 +225,11 @@ def _row_normalized(M: np.ndarray) -> np.ndarray:
     return M / norms[:, None]
 
 
-def smallest_singular_value(g: MetricGraph, bc: BoundaryCondition, lam: float) -> float:
-    M = _row_normalized(secular_matrix(g, bc, lam).matrix)
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+def smallest_singular_value(
+    g: MetricGraph, bc: BoundaryCondition, lam: float, system: SecularSystem | None = None
+) -> float:
+    """sigma_min of the row-normalized M(lambda); ``system`` is (g, bc) compiled."""
+    return float((system or SecularSystem(g, bc)).singular_values(lam)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +274,21 @@ def eigenvalue_scan(
 ) -> list[SecularEigenvalue]:
     """Eigenvalues in [lam_min, lam_max] from the rank drops of M(lambda).
 
-    The scan samples sigma_min on a uniform grid, refines every local minimum
-    by golden-section search, and accepts energies where sigma_min falls
-    below ``tol * sigma_max``.  Roots separated by more than two grid steps
-    are guaranteed to show up as distinct local minima; choose ``num``
-    accordingly.  Multiplicity is the number of singular values under the
-    same threshold.
+    The system is compiled once (:class:`SecularSystem`), so each evaluation
+    only writes the per-edge (c, s) at lambda into M and takes one SVD.  The
+    scan samples sigma_min on a uniform grid, one lambda at a time, refines
+    every local minimum by golden-section search, and accepts energies where
+    sigma_min falls below ``tol * sigma_max``.  Roots separated by more than
+    two grid steps are guaranteed to show up as distinct local minima; choose
+    ``num`` accordingly.  Multiplicity is the number of singular values under
+    the same threshold.
     """
     if not (lam_max > lam_min):
         raise ValueError("empty scan range")
-    g.require_valid()
-    g.require_compact("eigenvalue scans")
-    require_valid_bc(g, bc)
+    system = SecularSystem(g, bc)
 
     def sv(lam: float) -> float:
-        return smallest_singular_value(g, bc, lam)
+        return smallest_singular_value(g, bc, lam, system)
 
     grid = np.linspace(lam_min, lam_max, num)
     vals = np.array([sv(x) for x in grid])
@@ -269,8 +303,7 @@ def eigenvalue_scan(
         b = grid[min(i + 1, num - 1)]
         xtol = 1e-12 * max(1.0, abs(a), abs(b))
         lam_star, s_star = _golden_minimize(sv, a, b, xtol)
-        M = _row_normalized(secular_matrix(g, bc, lam_star).matrix)
-        svs = np.linalg.svd(M, compute_uv=False)
+        svs = system.singular_values(lam_star)
         smax = float(svs[0]) if svs.size else 0.0
         threshold = tol * max(smax, 1e-300)
         if s_star >= threshold:
@@ -400,9 +433,8 @@ def eigenfunction(
     ker P into ran P) are discarded with a rank-anomaly error rather than
     projected away.
     """
-    sm = secular_matrix(g, bc, lam)
-    M = _row_normalized(sm.matrix)
-    _, svs, Vh = np.linalg.svd(M)
+    system = SecularSystem(g, bc)
+    _, svs, Vh = np.linalg.svd(_row_normalized(system.matrix(lam)))
     smax = float(svs[0]) if svs.size else 0.0
     threshold = tol * max(smax, 1e-300)
     null = Vh[svs < threshold].conj().T
@@ -414,7 +446,7 @@ def eigenfunction(
     if len(kept) < len(sols):
         raise ValueError(
             f"rank anomaly at lambda={lam}: {len(sols) - len(kept)} null vector(s) violate the "
-            f"full vertex conditions at vertices {sm.anomaly_vertices!r}"
+            f"full vertex conditions at vertices {system.anomaly_vertices!r}"
         )
     return kept
 
@@ -443,20 +475,21 @@ def solve_at_energy(
     unknown = free - known
     if unknown:
         raise ValueError(f"free ends {sorted(map(str, unknown))} are not edge-ends of the graph")
-    F, Fp = _trace_maps(g, lam)
-    rows = []
+    lengths, init, term = _edge_ends(g)
+    val: list[np.ndarray] = []
+    der: list[np.ndarray] = []
+    kept: list[bool] = []
     for v in g.vertices:
         L, P = bc.L(v), bc.P(v)
-        eye = np.eye(P.shape[0])
-        val_rows = P @ F[v]
-        der_rows = L @ F[v] + (eye - P) @ Fp[v]
-        for k, slot in enumerate(g.star(v).slots):
-            if slot in free:
-                continue
-            rows.append(val_rows[k])
-            rows.append(der_rows[k])
-    n = 2 * len(g.edges)
-    M = np.array(rows) if rows else np.zeros((0, n), dtype=complex)
+        d = P.shape[0]
+        # per slot, a value row of P and a derivative row of (L, 1 - P)
+        val.append(np.stack([P, L], axis=1).reshape(2 * d, d))
+        der.append(np.stack([np.zeros((d, d)), np.eye(d) - P], axis=1).reshape(2 * d, d))
+        kept += [slot not in free for slot in g.star(v).slots for _ in range(2)]
+    keep = np.array(kept, dtype=bool)
+    val_all, der_all = scipy.linalg.block_diag(*val)[keep], scipy.linalg.block_diag(*der)[keep]
+    M = _fill(_edge_columns(val_all, der_all, init, term), lam, *basis_values(lam, lengths))
+    n = M.shape[1]
     if M.shape[0] == 0:
         null = np.eye(n, dtype=complex)
     else:

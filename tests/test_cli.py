@@ -138,6 +138,45 @@ def test_spectrum_rejects_infinite_edges(tmp_path, capsys):
     assert main(["spectrum", "--graph", str(gpath), "--bc", str(bpath)]) == 2
 
 
+def test_spectrum_residual_gate_is_check_failure(tmp_path, capsys, monkeypatch):
+    from metricgraph import fem
+
+    def failing_gate(fa, k):
+        raise fem.ResidualCheckFailed("eigen residual 1.000e+00 exceeds 1e-08 * ||M||")
+
+    monkeypatch.setattr(fem, "eigensystem", failing_gate)
+    g, b = write_interval(tmp_path)
+    code = main(["spectrum", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "3",
+                 "--lambda-min", "0.5", "--lambda-max", "20"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: eigen residual") and "Traceback" not in err
+
+
+def write_strong_delta_star(tmp_path):
+    """5-ray star, attractive delta(-12.5) at the centre: S = 2.5, C = 100.5."""
+    gpath = tmp_path / "g.json"
+    bpath = tmp_path / "bc.json"
+    lengths = [1.0, 1.1, 1.2, 1.3, 1.4]
+    gpath.write_text(json.dumps({
+        "u": 1.0,
+        "vertices": ["c"] + [f"t{i}" for i in range(5)],
+        "edges": [{"id": f"e{i}", "length": l, "from": "c", "to": f"t{i}"} for i, l in enumerate(lengths)],
+    }))
+    bpath.write_text(json.dumps({"c": {"delta": -12.5}, **{f"t{i}": "dirichlet" for i in range(5)}}))
+    return str(gpath), str(bpath)
+
+
+def test_default_window_resolves_large_s_star(tmp_path, capsys):
+    # the default scan starts at 1/2 - C - 1, just below the proven bound,
+    # so its 600 points stay fine enough to separate the roots below 50
+    g, b = write_strong_delta_star(tmp_path)
+    code, report = run_and_parse(capsys, ["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "4"])
+    assert code == 0
+    lams = [m["lambda"] for m in report["per_mode"]]
+    assert report["modes"] == 4 and lams[0] < 0 < lams[1]
+
+
 # ---------------------------------------------------------------------------
 # expansion
 # ---------------------------------------------------------------------------

@@ -304,3 +304,100 @@ def test_weyl_count_on_fixtures():
         count = sum(h.multiplicity for h in hits)
         slack = len(g.vertices) + 2 * len(g.edges)
         assert abs(count - weyl_count_estimate(g, lam_max)) <= slack, name
+
+
+# ---------------------------------------------------------------------------
+# compiled system against a per-vertex builder
+# ---------------------------------------------------------------------------
+
+
+def _per_vertex_secular(g, bc, lam):
+    """Independent builder: per-vertex trace maps and an eigh split of each P."""
+    col = {e.id: 2 * i for i, e in enumerate(g.edges)}
+    n = 2 * len(g.edges)
+    rows, anom_rows = [], []
+    for v in g.vertices:
+        star = g.star(v)
+        F = np.zeros((star.degree, n), dtype=complex)
+        Fp = np.zeros((star.degree, n), dtype=complex)
+        for k, (eid, end) in enumerate(star.slots):
+            j = col[eid]
+            if end == "init":
+                F[k, j] = 1.0
+                Fp[k, j + 1] = 1.0
+            else:
+                c, s, dc, ds = basis_at(lam, g.edge(eid).length)
+                F[k, j], F[k, j + 1] = c, s
+                Fp[k, j], Fp[k, j + 1] = -dc, -ds
+        L, P = bc.L(v), bc.P(v)
+        w, vecs = np.linalg.eigh(P)
+        ker, ran = vecs[:, w < 0.5], vecs[:, w >= 0.5]
+        rows += list(ran.conj().T @ F) + list(ker.conj().T @ (L @ F + Fp))
+        mix = P @ L @ (np.eye(star.degree) - P)
+        if np.linalg.norm(mix) > 1e-12 * max(1.0, float(np.linalg.norm(L))):
+            anom_rows += list(ran.conj().T @ (L @ F))
+    return np.array(rows), np.array(anom_rows).reshape(-1, n)
+
+
+def _random_lp(rng, d, rank, mixing):
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    ran = Q[:, :rank]
+    P = ran @ ran.conj().T
+    H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    L = 0.5 * (H + H.conj().T)
+    if not mixing:
+        K = np.eye(d) - P
+        L = K @ L @ K
+    return L, P
+
+
+def _general_lp_cases():
+    rng = np.random.default_rng(7)
+    star = star_graph(4, length=1.3)
+    loop = loop_edge_graph(loop_len=1.5, edge_len=2.0)
+    tips = {f"t{i}": preset("delta", star.star(f"t{i}"), 0.7) for i in range(1, 5)}
+    return [
+        ("general-star", star, BoundaryCondition({"c": _random_lp(rng, 4, 2, False), **tips})),
+        ("self-loop", loop, BoundaryCondition(
+            {"a": _random_lp(rng, 3, 1, False), "b": preset("neumann", loop.star("b"))}
+        )),
+        ("lp-mixing", star, BoundaryCondition({"c": _random_lp(rng, 4, 2, True), **tips})),
+    ]
+
+
+def _row_normalize(M):
+    return M / np.linalg.norm(M, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("name,g,bc", _general_lp_cases())
+def test_compiled_system_matches_per_vertex_builder(name, g, bc):
+    for lam in (-9.0, -1e-7, 0.0, 1e-7, 2.5, 40.0):
+        sm = secular_matrix(g, bc, lam)
+        M_ref, A_ref = _per_vertex_secular(g, bc, lam)
+        scale = max(1.0, float(np.max(np.abs(M_ref))))
+        assert np.allclose(sm.matrix, M_ref, rtol=0, atol=1e-13 * scale), (name, lam)
+        sv = np.linalg.svd(_row_normalize(sm.matrix), compute_uv=False)
+        sv_ref = np.linalg.svd(_row_normalize(M_ref), compute_uv=False)
+        assert np.max(np.abs(sv - sv_ref)) <= 1e-13, (name, lam)
+        assert smallest_singular_value(g, bc, lam) == pytest.approx(sv_ref[-1], rel=0, abs=1e-13)
+        assert sm.anomaly.shape == A_ref.shape
+        a_scale = max(1.0, float(np.max(np.abs(A_ref), initial=0.0)))
+        assert np.allclose(sm.anomaly, A_ref, rtol=0, atol=1e-13 * a_scale), (name, lam)
+    assert (sm.anomaly.shape[0] > 0) == (name == "lp-mixing")
+    assert sm.anomaly_vertices == (("c",) if name == "lp-mixing" else ())
+
+
+def test_scan_validates_once(monkeypatch):
+    import metricgraph.boundary as boundary_mod
+
+    calls = []
+    original = boundary_mod.validate_bc
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(boundary_mod, "validate_bc", counting)
+    name, g, bc = _general_lp_cases()[0]
+    hits = eigenvalue_scan(g, bc, -5.0, 30.0, num=200)
+    assert hits and len(calls) == 1
