@@ -38,7 +38,7 @@ from .graph import (
     is_connected,
     vertex_distances,
 )
-from .secular import SecularEigenvalue, SecularSolution, eigenfunction
+from .secular import SecularEigenvalue, SecularSolution, SecularSystem, eigenfunction
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -238,8 +238,9 @@ class DiscreteSpectralRep:
     ) -> "DiscreteSpectralRep":
         eigenvalues = []
         modes: list[SpectralMode] = []
+        system = SecularSystem(g, bc)
         for hit in hits:
-            sols = eigenfunction(g, bc, hit.lam)
+            sols = eigenfunction(g, bc, hit.lam, system=system)
             eigenvalues.append((hit.lam, len(sols)))
             for j, sol in enumerate(sols, start=1):
                 modes.append(SpectralMode(j, hit.lam, sol.to_grid(h_max), sol))

@@ -14,6 +14,15 @@ stiffness form is the exact Dirichlet integral, the mass form the exact L2
 inner product, and vertex traces are nodal values.  The inequality checks in
 this module therefore hold up to floating-point roundoff, not quadrature
 error.
+
+All matrices are sparse (about three nonzeros per row), assembled from
+per-cell triplets.  The lowest eigenpairs come from shift-invert Lanczos
+(ARPACK) at ``sigma_0 = 1/2 - C + min V - 1``, with C the coercivity shift of
+the conditions and ``min V`` the potential's minimum (0 without one).  The P1
+space lies inside the form domain, so the coercivity inequality bounds every
+discrete eigenvalue below by ``1/2 - C + min V``: the k eigenvalues nearest
+sigma_0 are the k lowest.  ARPACK cannot return ``k >= dim - 1`` pairs; only
+then are the matrices made dense and handed to ``scipy.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .boundary import BoundaryCondition, CoercivityConstant, require_valid_bc
+from .boundary import BoundaryCondition, CoercivityConstant, coercivity_constant, require_valid_bc
 from .functions import GridFunction, edge_grid
 from .graph import INIT, EdgeId, MetricGraph, VertexId
 
@@ -36,43 +45,86 @@ class ResidualCheckFailed(RuntimeError):
     """The computed eigenpairs miss the residual gate: a failed check, not bad input."""
 
 
+class SparseMatrix(scipy.sparse.csr_matrix):
+    """CSR matrix whose ``nbytes`` is its storage: data, indices and indptr."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def _triplets(shape: tuple[int, int], rows, cols, vals) -> scipy.sparse.csr_matrix:
+    """CSR matrix from (row, col, value) triplets; repeated entries are summed."""
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
+
+
+def element_matrix(n_nodes: int, left: np.ndarray, diag0, off, diag1) -> scipy.sparse.csr_matrix:
+    """Nodal matrix summing the 2x2 cell blocks ``[[diag0, off], [off, diag1]]``."""
+    right = left + 1
+    rows, cols = [left, left, right, right], [left, right, left, right]
+    return _triplets((n_nodes, n_nodes), rows, cols, [diag0, off, off, diag1])
+
+
 @dataclass(frozen=True)
 class FormAssembly:
     """Constrained matrices of the form: stiffness A, boundary R, mass B.
 
     The quadratic form of a constrained coefficient vector x is
-    ``x* (A - R) x``; adding a potential contributes ``x* Q x``.  ``C`` maps
-    constrained coefficients to the full nodal vector (edge by edge, nodes in
-    grid order).
+    ``x* (A - R) x``; adding a potential V contributes ``x* Q x``, which is
+    at least ``potential_min x* B x``.  ``C`` maps constrained coefficients
+    to the full nodal vector (edge by edge, nodes in grid order).
     """
 
     graph: MetricGraph
     bc: BoundaryCondition
     h_max: float
-    stiffness: np.ndarray
-    boundary: np.ndarray
-    mass: np.ndarray
+    stiffness: SparseMatrix
+    boundary: SparseMatrix
+    mass: SparseMatrix
     constraint: scipy.sparse.csr_matrix
     edge_offsets: Mapping[EdgeId, int]
     vertex_slices: Mapping[VertexId, slice]
-    potential_term: np.ndarray | None = None
+    potential_term: SparseMatrix | None = None
     S_bound: float = 0.0
+    potential_min: float = 0.0
 
     @property
     def dim(self) -> int:
         return self.stiffness.shape[0]
 
     @property
-    def operator_matrix(self) -> np.ndarray:
+    def operator_matrix(self) -> scipy.sparse.csr_matrix:
         M = self.stiffness - self.boundary
         if self.potential_term is not None:
             M = M + self.potential_term
         return M
 
-    def with_potential(self, Q: np.ndarray) -> "FormAssembly":
-        return replace(self, potential_term=Q)
+    @property
+    def spectrum_floor(self) -> float:
+        """Proven lower bound ``1/2 - C + min V`` of every discrete eigenvalue."""
+        return 0.5 - coercivity_constant(self.S_bound, self.graph.u).C + self.potential_min
 
-    # -- expansion to nodal data ----------------------------------------
+    def with_potential(self, Q: SparseMatrix, potential_min: float) -> "FormAssembly":
+        """The assembly plus ``x* Q x``, a term bounded below by ``potential_min x* B x``."""
+        return replace(self, potential_term=Q, potential_min=float(potential_min))
+
+    # -- mesh and nodal data ---------------------------------------------
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left node (in the full nodal layout) and width of every mesh cell."""
+        left, width = [], []
+        for e in self.graph.edges:
+            ts = edge_grid(self.graph, e.id, self.h_max)
+            left.append(self.edge_offsets[e.id] + np.arange(ts.size - 1))
+            width.append(np.full(ts.size - 1, ts[1] - ts[0]))
+        return np.concatenate(left), np.concatenate(width)
+
+    def constrain(self, F: scipy.sparse.spmatrix) -> SparseMatrix:
+        """``C* F C`` for a Hermitian nodal matrix F, symmetrized against roundoff."""
+        M = (self.constraint.conj().T @ F @ self.constraint).tocsr()
+        return SparseMatrix(0.5 * (M + M.conj().T))
 
     def nodal_vector(self, x: np.ndarray) -> np.ndarray:
         return self.constraint @ x
@@ -105,78 +157,54 @@ def assemble(g: MetricGraph, bc: BoundaryCondition, h_max: float) -> FormAssembl
     g.require_compact("finite-element assembly")
     S = require_valid_bc(g, bc)
 
-    # full nodal layout: per edge, nodes 0..n_e
+    # full nodal layout: per edge, nodes 0..n_e; constrained layout: interior
+    # nodes edge by edge, then per-vertex kernel coordinates
     edge_offsets: dict[EdgeId, int] = {}
     n_nodes = 0
-    for e in g.edges:
-        edge_offsets[e.id] = n_nodes
-        n_nodes += edge_grid(g, e.id, h_max).size
-
-    # constrained layout: interior nodes, then per-vertex kernel coordinates
-    interior_cols: dict[tuple[EdgeId, int], int] = {}
-    col = 0
+    c_rows: list[np.ndarray] = []
+    c_cols: list[np.ndarray] = []
+    c_vals: list[np.ndarray] = []
     for e in g.edges:
         n = edge_grid(g, e.id, h_max).size
-        for i in range(1, n - 1):
-            interior_cols[(e.id, i)] = col
-            col += 1
+        edge_offsets[e.id] = n_nodes
+        c_rows.append(n_nodes + np.arange(1, n - 1))
+        n_nodes += n
+    n_interior = n_nodes - 2 * len(g.edges)
+    c_cols.append(np.arange(n_interior))
+    c_vals.append(np.ones(n_interior))
+
     vertex_slices: dict[VertexId, slice] = {}
-    kernels: dict[VertexId, np.ndarray] = {}
+    r_rows: list[np.ndarray] = []
+    r_cols: list[np.ndarray] = []
+    r_vals: list[np.ndarray] = []
+    col = n_interior
     for v in g.vertices:
         K = bc.ker_ran(v)[0]
-        kernels[v] = K
-        vertex_slices[v] = slice(col, col + K.shape[1])
-        col += K.shape[1]
-    dim = col
-
-    C = scipy.sparse.lil_matrix((n_nodes, dim), dtype=complex)
-    for (eid, i), c in interior_cols.items():
-        C[edge_offsets[eid] + i, c] = 1.0
-    for v in g.vertices:
-        K = kernels[v]
-        sl = vertex_slices[v]
-        star = g.star(v)
-        for k, (eid, end) in enumerate(star.slots):
+        m = K.shape[1]
+        sl = vertex_slices[v] = slice(col, col + m)
+        for k, (eid, end) in enumerate(g.star(v).slots):
             n = edge_grid(g, eid, h_max).size
-            row = edge_offsets[eid] + (0 if end == INIT else n - 1)
-            for j in range(K.shape[1]):
-                C[row, sl.start + j] = K[k, j]
-    C = C.tocsr()
+            c_rows.append(np.full(m, edge_offsets[eid] + (0 if end == INIT else n - 1)))
+            c_cols.append(np.arange(sl.start, sl.stop))
+            c_vals.append(K[k])
+        # R is block diagonal: one K* L_v K block per vertex
+        idx = np.arange(sl.start, sl.stop)
+        r_rows.append(np.repeat(idx, m))
+        r_cols.append(np.tile(idx, m))
+        r_vals.append((K.conj().T @ bc.L(v) @ K).ravel())
+        col += m
+    dim = col
+    C = _triplets((n_nodes, dim), c_rows, c_cols, c_vals)
+    R = _triplets((dim, dim), r_rows, r_cols, r_vals)
+    R = SparseMatrix(0.5 * (R + R.conj().T))
+    R.eliminate_zeros()
 
-    A_full = scipy.sparse.lil_matrix((n_nodes, n_nodes))
-    B_full = scipy.sparse.lil_matrix((n_nodes, n_nodes))
-    for e in g.edges:
-        ts = edge_grid(g, e.id, h_max)
-        h = ts[1] - ts[0]
-        off = edge_offsets[e.id]
-        n = ts.size
-        for i in range(n - 1):
-            a, b = off + i, off + i + 1
-            A_full[a, a] += 1.0 / h
-            A_full[b, b] += 1.0 / h
-            A_full[a, b] -= 1.0 / h
-            A_full[b, a] -= 1.0 / h
-            B_full[a, a] += h / 3.0
-            B_full[b, b] += h / 3.0
-            B_full[a, b] += h / 6.0
-            B_full[b, a] += h / 6.0
-    A_full = A_full.tocsr()
-    B_full = B_full.tocsr()
-
-    A = np.asarray((C.conj().T @ A_full @ C).todense())
-    B = np.asarray((C.conj().T @ B_full @ C).todense())
-    R = np.zeros((dim, dim), dtype=complex)
-    for v in g.vertices:
-        K = kernels[v]
-        if K.shape[1]:
-            sl = vertex_slices[v]
-            R[sl, sl] = K.conj().T @ bc.L(v) @ K
-
-    # symmetrize away roundoff so eigh sees exactly Hermitian data
-    A = 0.5 * (A + A.conj().T)
-    B = 0.5 * (B + B.conj().T)
-    R = 0.5 * (R + R.conj().T)
-    return FormAssembly(g, bc, h_max, A, R, B, C, edge_offsets, vertex_slices, None, S)
+    # the layout fixed so far gives the cells and the constraint for A and B
+    fa = FormAssembly(g, bc, h_max, None, R, None, C, edge_offsets, vertex_slices, None, S)
+    left, h = fa.cells()
+    A = fa.constrain(element_matrix(n_nodes, left, 1.0 / h, -1.0 / h, 1.0 / h))
+    B = fa.constrain(element_matrix(n_nodes, left, h / 3.0, h / 6.0, h / 3.0))
+    return replace(fa, stiffness=A, mass=B)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +226,40 @@ class DiscreteEigensystem:
 
 
 def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
+    """The k lowest eigenpairs of the pencil (A - R + Q, B), residual-gated.
+
+    The gate compares the worst residual ``||M x - lambda B x||`` with
+    RESIDUAL_RTOL times a scale of at most ``||M||_2``: the largest-magnitude
+    Ritz value of M, or ``||M||_2`` itself on the dense path.
+    """
+    # imported here: ARPACK and SuperLU cost about 15 ms and 2 MB to load,
+    # which runs that never solve an FEM system should not pay
+    import scipy.sparse.linalg
+
     if not (1 <= k <= fa.dim):
         raise ValueError(f"requested {k} modes but the constrained space has dimension {fa.dim}")
-    M = fa.operator_matrix
-    w, vecs = scipy.linalg.eigh(M, fa.mass, subset_by_index=[0, k - 1])
-    scale = float(np.linalg.norm(M, 2))
-    res = 0.0
-    for j in range(k):
-        r = np.linalg.norm(M @ vecs[:, j] - w[j] * (fa.mass @ vecs[:, j]))
-        res = max(res, float(r))
+    M, B = fa.operator_matrix, fa.mass
+    if not (np.any(M.data.imag) or np.any(B.data.imag)):
+        M, B = M.real.copy(), B.real.copy()  # copies: SuperLU needs contiguous data
+    if k >= fa.dim - 1:  # beyond ARPACK: dense eigh
+        Md = M.toarray()
+        w, vecs = scipy.linalg.eigh(Md, B.toarray(), subset_by_index=[0, k - 1])
+        scale = float(np.linalg.norm(Md, 2))
+    else:
+        # a random start vector: a constant one is an exact eigenvector for
+        # Kirchhoff and Neumann graphs; a fixed seed keeps reports identical
+        v0 = np.random.default_rng(0).standard_normal(fa.dim).astype(M.dtype)
+        try:
+            _, V = scipy.sparse.linalg.eigsh(M, k, M=B, sigma=fa.spectrum_floor - 1.0, which="LM", v0=v0)
+            top = scipy.sparse.linalg.eigsh(M, 1, which="LM", v0=v0, return_eigenvectors=False)
+            # Rayleigh-Ritz on the returned subspace makes the vectors
+            # B-orthonormal also inside degenerate eigenspaces
+            w, Y = scipy.linalg.eigh(V.conj().T @ (M @ V), V.conj().T @ (B @ V))
+        except (scipy.sparse.linalg.ArpackError, scipy.linalg.LinAlgError) as exc:
+            raise ResidualCheckFailed(f"sparse eigensolver failed: {exc}") from exc
+        vecs = V @ Y
+        scale = float(np.max(np.abs(top)))
+    res = float(np.max(np.linalg.norm(M @ vecs - (B @ vecs) * w, axis=0)))
     if scale > 0 and res > RESIDUAL_RTOL * scale:
         raise ResidualCheckFailed(f"eigen residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||M|| = {RESIDUAL_RTOL * scale:.3e}")
     return DiscreteEigensystem(fa, w, vecs, res)

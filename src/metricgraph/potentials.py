@@ -26,11 +26,10 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse
 
 from .boundary import BoundaryCondition
 from .expansion import generalized_eigenfunction_residual, standard_test_battery
-from .fem import DiscreteEigensystem, FormAssembly
+from .fem import DiscreteEigensystem, FormAssembly, SparseMatrix, element_matrix
 from .functions import GridFunction, edge_grid, traces, trapezoid
 from .graph import EdgeId, EdgeSegment, MetricGraph
 
@@ -65,9 +64,6 @@ class Potential:
     def evaluate(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
         ts = edge_grid(self.graph, edge_id, self.h_max)
         return np.interp(np.asarray(t, dtype=float), ts, np.asarray(self.values[edge_id], dtype=float))
-
-    def square_integrable_per_edge(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.values.values())
 
 
 # ---------------------------------------------------------------------------
@@ -133,35 +129,27 @@ def uniform_l2_norm(g: MetricGraph, V: Potential, step: float | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def potential_matrix(fa: FormAssembly, V: Potential) -> np.ndarray:
+def potential_matrix(fa: FormAssembly, V: Potential) -> SparseMatrix:
     """Constrained matrix of the form integral(V f conj(g)).
 
     Element contributions use the nodal-linear interpolant of V, which keeps
-    the matrix Hermitian and reproduces constant shifts exactly.
+    the matrix Hermitian, reproduces constant shifts exactly and bounds the
+    form below by ``min V ||f||^2``.
     """
     if V.graph != fa.graph or V.h_max != fa.h_max:
         raise ValueError("potential sampled on a different mesh than the assembly")
-    n_nodes = fa.constraint.shape[0]
-    Q_full = scipy.sparse.lil_matrix((n_nodes, n_nodes))
-    for e in fa.graph.edges:
-        ts = edge_grid(fa.graph, e.id, fa.h_max)
-        h = ts[1] - ts[0]
-        off = fa.edge_offsets[e.id]
-        vv = np.asarray(V.values[e.id], dtype=float)
-        for i in range(ts.size - 1):
-            v0, v1 = vv[i], vv[i + 1]
-            a, b = off + i, off + i + 1
-            Q_full[a, a] += h * (3.0 * v0 + v1) / 12.0
-            Q_full[b, b] += h * (v0 + 3.0 * v1) / 12.0
-            Q_full[a, b] += h * (v0 + v1) / 12.0
-            Q_full[b, a] += h * (v0 + v1) / 12.0
-    C = fa.constraint
-    Q = np.asarray((C.conj().T @ Q_full.tocsr() @ C).todense())
-    return 0.5 * (Q + Q.conj().T)
+    left, h = fa.cells()
+    vv = np.concatenate([np.asarray(V.values[e.id], dtype=float) for e in fa.graph.edges])
+    v0, v1 = vv[left], vv[left + 1]
+    Q_full = element_matrix(
+        vv.size, left, h * (3.0 * v0 + v1) / 12.0, h * (v0 + v1) / 12.0, h * (v0 + 3.0 * v1) / 12.0
+    )
+    return fa.constrain(Q_full)
 
 
 def assemble_perturbed(fa: FormAssembly, V: Potential) -> FormAssembly:
-    return fa.with_potential(potential_matrix(fa, V))
+    vmin = min(float(np.min(v)) for v in V.values.values())
+    return fa.with_potential(potential_matrix(fa, V), vmin)
 
 
 # ---------------------------------------------------------------------------

@@ -424,16 +424,20 @@ def _orthonormalize(g: MetricGraph, lam: float, X: np.ndarray) -> np.ndarray:
 
 
 def eigenfunction(
-    g: MetricGraph, bc: BoundaryCondition, lam: float, tol: float = SINGULAR_RTOL
+    g: MetricGraph,
+    bc: BoundaryCondition,
+    lam: float,
+    tol: float = SINGULAR_RTOL,
+    system: SecularSystem | None = None,
 ) -> list[SecularSolution]:
     """L2-orthonormal basis of exact eigenfunctions at an accepted energy.
 
     Raises if M(lambda) is not numerically rank deficient there.  Null
     vectors that fail the verbatim vertex conditions (possible when L maps
     ker P into ran P) are discarded with a rank-anomaly error rather than
-    projected away.
+    projected away.  ``system`` is (g, bc) compiled, to share across roots.
     """
-    system = SecularSystem(g, bc)
+    system = system or SecularSystem(g, bc)
     _, svs, Vh = np.linalg.svd(_row_normalized(system.matrix(lam)))
     smax = float(svs[0]) if svs.size else 0.0
     threshold = tol * max(smax, 1e-300)

@@ -153,6 +153,26 @@ def test_spectrum_residual_gate_is_check_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: eigen residual") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "potential"])
+def test_arpack_no_convergence_is_check_failure(tmp_path, capsys, monkeypatch, command):
+    import scipy.sparse.linalg
+
+    def not_converging(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", not_converging)
+    g, b = write_interval(tmp_path)
+    argv = [command, "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "3"]
+    if command == "spectrum":
+        argv += ["--lambda-min", "0.5", "--lambda-max", "20"]
+    else:
+        argv += ["--potential", "const:1.0"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "No convergence" in err and "Traceback" not in err
+
+
 def write_strong_delta_star(tmp_path):
     """5-ray star, attractive delta(-12.5) at the centre: S = 2.5, C = 100.5."""
     gpath = tmp_path / "g.json"

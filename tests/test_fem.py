@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from metricgraph import (
     BoundaryCondition,
+    Edge,
+    MetricGraph,
     assemble,
     check_boundary_bound,
     check_coercivity,
@@ -29,7 +32,7 @@ def test_neumann_interval_keeps_end_values():
     g = interval_graph(1.0)
     fa = assemble(g, uniform_bc(g, "neumann"), 1 / 50)
     assert fa.dim == 51
-    assert np.allclose(fa.boundary, 0.0)
+    assert np.allclose(fa.boundary.toarray(), 0.0)
 
 
 def test_star_kirchhoff_shares_one_center_value():
@@ -37,7 +40,7 @@ def test_star_kirchhoff_shares_one_center_value():
     fa = assemble(g, uniform_bc(g, "kirchhoff"), 1 / 20)
     # 3 edges x 19 interior + 1 shared center value + 3 free tips
     assert fa.dim == 3 * 19 + 1 + 3
-    assert np.allclose(fa.boundary, 0.0)
+    assert np.allclose(fa.boundary.toarray(), 0.0)
 
 
 def test_form_is_hermitian():
@@ -49,10 +52,10 @@ def test_form_is_hermitian():
         }
     )
     fa = assemble(g, bc, 0.05)
-    M = fa.stiffness - fa.boundary
+    M = (fa.stiffness - fa.boundary).toarray()
     assert np.allclose(M, M.conj().T)
-    assert np.allclose(fa.mass, fa.mass.conj().T)
-    w = np.linalg.eigvalsh(fa.mass)
+    assert np.allclose(fa.mass.toarray(), fa.mass.toarray().conj().T)
+    w = np.linalg.eigvalsh(fa.mass.toarray())
     assert w[0] > 0
 
 
@@ -108,6 +111,61 @@ def test_dirichlet_kirchhoff_neumann_ordering():
     eN = eigensystem(assemble(g, uniform_bc(g, "neumann"), 0.02), 6).eigenvalues
     assert np.all(eD >= eK - 1e-9)
     assert np.all(eK >= eN - 1e-9)
+
+
+def _general_lp_star():
+    """4-ray star; complex (L, P) at the centre with rank-2 P, deltas at the tips."""
+    rng = np.random.default_rng(3)
+    g = star_graph(4, length=1.3)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    P = Q[:, :2] @ Q[:, :2].conj().T
+    H = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    L = (np.eye(4) - P) @ (0.5 * (H + H.conj().T)) @ (np.eye(4) - P)
+    tips = {f"t{i}": preset("delta", g.star(f"t{i}"), 0.7) for i in range(1, 5)}
+    return g, BoundaryCondition({"c": (L, P), **tips})
+
+
+def _grid4_delta():
+    """4x4 lattice, lengths in [1, 1.4], Kirchhoff or delta(U[-1, 1]) at each vertex."""
+    rng = np.random.default_rng(5)
+    vid = [[f"v{r}{c}" for c in range(4)] for r in range(4)]
+    pairs = [(vid[r][c], vid[r][c + 1]) for r in range(4) for c in range(3)]
+    pairs += [(vid[r][c], vid[r + 1][c]) for r in range(3) for c in range(4)]
+    lengths = rng.uniform(1.0, 1.4, len(pairs))
+    edges = tuple(Edge(f"e{k:02d}", float(lengths[k]), a, b) for k, (a, b) in enumerate(pairs))
+    g = MetricGraph(tuple(v for row in vid for v in row), edges, 1.0)
+    conds = {}
+    for v in g.vertices:
+        delta = rng.random() < 0.5
+        conds[v] = preset("delta", g.star(v), float(rng.uniform(-1.0, 1.0))) if delta else preset("kirchhoff", g.star(v))
+    return g, BoundaryCondition(conds)
+
+
+def _oracle_cases():
+    cases = []
+    for n in (3, 5, 8):  # equal rays: eigenspaces of multiplicity up to n
+        for kind in ("kirchhoff", "dirichlet", "neumann"):
+            g = star_graph(n)
+            cases.append((f"star{n}-{kind}", g, uniform_bc(g, kind), 0.05, 12))
+    cases.append(("general-lp-star", *_general_lp_star(), 0.05, 10))
+    cases.append(("grid4-delta", *_grid4_delta(), 0.05, 12))
+    g = interval_graph(1.0)
+    cases.append(("dense-fallback", g, uniform_bc(g, "dirichlet"), 0.25, 2))  # dim 3, k = dim - 1
+    return cases
+
+
+@pytest.mark.parametrize("name,g,bc,h,k", _oracle_cases(), ids=[c[0] for c in _oracle_cases()])
+def test_sparse_eigensystem_matches_dense_eigh(name, g, bc, h, k):
+    fa = assemble(g, bc, h)
+    es = eigensystem(fa, k)
+    ref = scipy.linalg.eigh(
+        fa.operator_matrix.toarray(), fa.mass.toarray(), eigvals_only=True, subset_by_index=[0, k - 1]
+    )
+    assert np.all(np.abs(es.eigenvalues - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+    gram = es.vectors.conj().T @ (fa.mass @ es.vectors)
+    assert np.allclose(gram, np.eye(k), rtol=0, atol=1e-10)
+    assert np.array_equal(eigensystem(fa, k).eigenvalues, es.eigenvalues)
+    assert fa.stiffness.nnz <= 5 * fa.dim
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,16 @@ def test_perturbed_report_reduces_to_unperturbed():
         assert m.interior_residual == pytest.approx(plain.max_residual, abs=1e-12)
 
 
+def test_deep_potential_keeps_lowest_modes():
+    # V = -50 puts the ground state near -49, far below 1/2 - C - 1 = -1; the
+    # solver's shift must follow min V or it returns the modes nearest -1
+    g = interval_graph(math.pi)
+    fa = assemble(g, uniform_bc(g, "dirichlet"), H)
+    es0 = eigensystem(fa, 3)
+    es1 = eigensystem(assemble_perturbed(fa, Potential.constant(g, H, -50.0)), 3)
+    assert np.max(np.abs(es1.eigenvalues - (es0.eigenvalues - 50.0))) < 1e-8
+
+
 def test_perturbed_constant_exact_relation():
     # V = c leaves the discrete eigenvectors untouched; residuals against H
     # match the unperturbed ones identically

@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from metricgraph import (
     BoundaryCondition,
+    DiscreteSpectralRep,
     assemble,
     basis_at,
     basis_gram,
@@ -401,3 +402,23 @@ def test_scan_validates_once(monkeypatch):
     name, g, bc = _general_lp_cases()[0]
     hits = eigenvalue_scan(g, bc, -5.0, 30.0, num=200)
     assert hits and len(calls) == 1
+
+
+def test_spectral_rep_validates_once(monkeypatch):
+    import metricgraph.boundary as boundary_mod
+
+    name, g, bc = _general_lp_cases()[0]
+    hits = eigenvalue_scan(g, bc, -5.0, 30.0, num=200)
+    fresh = [eigenfunction(g, bc, h.lam) for h in hits]
+    calls = []
+    original = boundary_mod.validate_bc
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(boundary_mod, "validate_bc", counting)
+    rep = DiscreteSpectralRep.from_secular(g, bc, hits, 0.05)
+    assert len(hits) > 1 and len(calls) == 1
+    # the shared compiled system gives the same eigenfunctions, bit for bit
+    assert [m.exact.coefficients for m in rep.modes] == [s.coefficients for sols in fresh for s in sols]
