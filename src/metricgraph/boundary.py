@@ -43,6 +43,15 @@ class BoundaryCondition:
         w, vecs = np.linalg.eigh(self.P(v))
         return vecs[:, w < KERNEL_EIGENVALUE_SPLIT], vecs[:, w >= KERNEL_EIGENVALUE_SPLIT]
 
+    def vertex_residual(self, v: VertexId, value: np.ndarray, deriv: np.ndarray) -> float:
+        """``||P f(v)|| + ||L f(v) + (1 - P) f'(v)||`` for star-ordered traces.
+
+        ``value`` is f(v) and ``deriv`` the inward derivative f'(v); the
+        result is 0 exactly when the trace datum satisfies the condition.
+        """
+        L, P = self.conditions[v]
+        return float(np.linalg.norm(P @ value) + np.linalg.norm(L @ value + deriv - P @ deriv))
+
     def vertices(self):
         return self.conditions.keys()
 

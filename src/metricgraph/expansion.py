@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .boundary import BoundaryCondition
-from .functions import GridFunction, edge_grid, inner
+from .functions import GridFunction, _smoothstep, _smoothstep_d1, _smoothstep_d2, edge_grid, inner
 from .graph import (
     INIT,
     EdgeId,
@@ -403,45 +404,46 @@ def hs_kernel_cross_check(rep: DiscreteSpectralRep, weight: GridFunction, C: flo
 
 
 @dataclass(frozen=True)
-class TestPiece:
-    t0: float
-    t1: float
-    f: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
+class BumpTest:
+    """Interior bump ``(1 - s^2)^3`` with ``s = (t - center) / radius`` on one edge.
 
-
-@dataclass(frozen=True)
-class LocalTestFunction:
-    """Compactly supported, piecewise-smooth C^2 test function in the domain.
-
-    ``pieces`` lists smooth pieces per edge; outside them the function is 0.
-    Vertex traces are recorded so condition membership can be verified.
+    It vanishes to second order at ``center +- radius``, inside the edge, so
+    it meets every vertex condition trivially.
     """
 
     label: str
-    pieces: Mapping[EdgeId, tuple[TestPiece, ...]]
-    trace_values: Mapping[VertexId, np.ndarray]
-    trace_derivs: Mapping[VertexId, np.ndarray]
+    edge: EdgeId
+    center: float
+    radius: float
 
     def condition_residual(self, g: MetricGraph, bc: BoundaryCondition) -> float:
-        worst = 0.0
-        for v, a in self.trace_values.items():
-            L, P = bc.L(v), bc.P(v)
-            b = self.trace_derivs[v]
-            eye = np.eye(P.shape[0])
-            worst = max(
-                worst,
-                float(np.linalg.norm(P @ a) + np.linalg.norm(L @ a + (eye - P) @ b)),
-            )
-        return worst
+        return 0.0
 
-    def l2_norm(self) -> float:
-        total = 0.0
-        for pieces in self.pieces.values():
-            for p in pieces:
-                ts, ws = _gl_nodes(p.t0, p.t1)
-                total += float(np.sum(ws * np.abs(p.f(ts)) ** 2))
-        return math.sqrt(total)
+
+@dataclass(frozen=True, eq=False)
+class StarTest:
+    """Star-supported test with trace datum ``(f(v), f'(v)) = (value, deriv)``.
+
+    On slot k of the vertex star it is ``(a_k + b_k tau) chi(tau)`` in the
+    inward coordinate tau, with ``a = value``, ``b = deriv`` and chi a C^2
+    quintic ramp from 1 to 0 over ``[rho/2, rho]``.  Slots where both
+    coefficients vanish carry nothing.
+    """
+
+    label: str
+    vertex: VertexId
+    value: np.ndarray
+    deriv: np.ndarray
+    rho: float
+
+    def condition_residual(self, g: MetricGraph, bc: BoundaryCondition) -> float:
+        return bc.vertex_residual(self.vertex, self.value, self.deriv)
+
+    def active_slots(self) -> np.ndarray:
+        return np.flatnonzero((np.abs(self.value) >= 1e-15) | (np.abs(self.deriv) >= 1e-15))
+
+
+TestFunction = BumpTest | StarTest
 
 
 def _gl_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -464,135 +466,54 @@ def _gl_panels(a: float, b: float, cuts: np.ndarray | None) -> tuple[np.ndarray,
     return ts, ws
 
 
-def _bump(center: float, radius: float):
-    def f(t: np.ndarray) -> np.ndarray:
-        s = (np.asarray(t, dtype=float) - center) / radius
-        out = np.where(np.abs(s) < 1.0, (1.0 - s**2) ** 3, 0.0)
-        return out.astype(complex)
-
-    def d2(t: np.ndarray) -> np.ndarray:
-        s = (np.asarray(t, dtype=float) - center) / radius
-        inside = np.abs(s) < 1.0
-        val = (1.0 - s**2) * (30.0 * s**2 - 6.0) / radius**2
-        return np.where(inside, val, 0.0).astype(complex)
-
+def _bump_values(t: np.ndarray, center: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f, f'') of the bump at the nodes t."""
+    s = (t - center) / radius
+    inside = np.abs(s) < 1.0
+    f = np.where(inside, (1.0 - s**2) ** 3, 0.0)
+    d2 = np.where(inside, (1.0 - s**2) * (30.0 * s**2 - 6.0) / radius**2, 0.0)
     return f, d2
 
 
-def _ramp_down(a: float, b: float):
-    """C^2 quintic 1 -> 0 on [a, b] with value/derivative evaluators."""
-    w = b - a
-
-    def chi(t):
-        s = np.clip((np.asarray(t, dtype=float) - a) / w, 0.0, 1.0)
-        return 1.0 - (10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5)
-
-    def chi_d1(t):
-        t = np.asarray(t, dtype=float)
-        s = (t - a) / w
-        inside = (s > 0) & (s < 1)
-        s = np.clip(s, 0.0, 1.0)
-        return np.where(inside, -(30.0 * s**2 - 60.0 * s**3 + 30.0 * s**4) / w, 0.0)
-
-    def chi_d2(t):
-        t = np.asarray(t, dtype=float)
-        s = (t - a) / w
-        inside = (s > 0) & (s < 1)
-        s = np.clip(s, 0.0, 1.0)
-        return np.where(inside, -(60.0 * s - 180.0 * s**2 + 120.0 * s**3) / w**2, 0.0)
-
-    return chi, chi_d1, chi_d2
+def _star_values(tau: np.ndarray, a: complex, b: complex, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f, f'') of ``(a + b tau) chi(tau)`` at inward coordinates tau."""
+    w = rho - rho / 2.0
+    s = (tau - rho / 2.0) / w
+    chi = 1.0 - _smoothstep(s)
+    lin = a + b * tau
+    return lin * chi, -2.0 * b * _smoothstep_d1(s, w) - lin * _smoothstep_d2(s, w)
 
 
-def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[LocalTestFunction]:
+def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[TestFunction]:
     """One interior bump per edge plus d_v star-supported tests per vertex.
 
     The star tests realize every admissible trace datum: for each kernel
     basis vector q of P_v the pair ``(f(v), f'(v)) = (q, -(1-P) L q)`` and for
     each range basis vector p the pair ``(0, p)``; both satisfy
-    ``P f(v) = 0`` and ``L f(v) + (1-P) f'(v) = 0`` identically.  Each slot
-    carries ``(a_k + b_k tau) chi(tau)`` in the inward coordinate tau with a
-    C^2 ramp chi vanishing before the opposite end.
+    ``P f(v) = 0`` and ``L f(v) + (1-P) f'(v) = 0`` identically.
     """
-    tests: list[LocalTestFunction] = []
-    zero_traces = {
-        v: np.zeros(g.degree(v), dtype=complex) for v in g.vertices
-    }
+    tests: list[TestFunction] = []
     for e in g.edges:
-        radius = 0.4 * min(e.length, 2.0 * g.u)
-        center = 0.5 * e.length
-        f, d2 = _bump(center, radius)
-        tests.append(
-            LocalTestFunction(
-                f"bump:{e.id}",
-                {e.id: (TestPiece(center - radius, center + radius, f, d2),)},
-                zero_traces,
-                zero_traces,
-            )
-        )
+        tests.append(BumpTest(f"bump:{e.id}", e.id, 0.5 * e.length, 0.4 * min(e.length, 2.0 * g.u)))
     for v in g.vertices:
         L, P = bc.L(v), bc.P(v)
         d = g.degree(v)
-        eye = np.eye(d)
         data: list[tuple[np.ndarray, np.ndarray]] = []
         K, Rb = bc.ker_ran(v)
         for jcol in range(K.shape[1]):
             q = K[:, jcol]
-            if np.linalg.norm(P @ (L @ q)) > 1e-10 * max(1.0, float(np.linalg.norm(L))):
+            Lq = L @ q
+            if np.linalg.norm(P @ Lq) > 1e-10 * max(1.0, float(np.linalg.norm(L))):
                 continue  # rank anomaly: this trace datum is not admissible
-            data.append((q, -(eye - P) @ (L @ q)))
+            data.append((q, P @ Lq - Lq))
         for jcol in range(Rb.shape[1]):
             data.append((np.zeros(d, dtype=complex), Rb[:, jcol]))
-        rho = 0.45 * g.u
         for idx, (a_vec, b_vec) in enumerate(data):
-            pieces: dict[EdgeId, list[TestPiece]] = {}
-            star = g.star(v)
-            for k, (eid, end) in enumerate(star.slots):
-                a_k, b_k = complex(a_vec[k]), complex(b_vec[k])
-                if abs(a_k) < 1e-15 and abs(b_k) < 1e-15:
-                    continue
-                e = g.edge(eid)
-                chi, chi_d1, chi_d2 = _ramp_down(rho / 2.0, rho)
-                if end == INIT:
-                    def f(t, a=a_k, b=b_k, chi=chi):
-                        t = np.asarray(t, dtype=float)
-                        return (a + b * t) * chi(t)
-
-                    def d2f(t, a=a_k, b=b_k, chi=chi, c1=chi_d1, c2=chi_d2):
-                        t = np.asarray(t, dtype=float)
-                        return 2.0 * b * c1(t) + (a + b * t) * c2(t)
-
-                    segs = [TestPiece(0.0, rho / 2.0, f, d2f), TestPiece(rho / 2.0, rho, f, d2f)]
-                else:
-                    length = e.length
-
-                    def f(t, a=a_k, b=b_k, chi=chi, length=length):
-                        tau = length - np.asarray(t, dtype=float)
-                        return (a + b * tau) * chi(tau)
-
-                    def d2f(t, a=a_k, b=b_k, c1=chi_d1, c2=chi_d2, length=length):
-                        tau = length - np.asarray(t, dtype=float)
-                        return 2.0 * b * c1(tau) + (a + b * tau) * c2(tau)
-
-                    segs = [
-                        TestPiece(length - rho, length - rho / 2.0, f, d2f),
-                        TestPiece(length - rho / 2.0, length, f, d2f),
-                    ]
-                pieces.setdefault(eid, []).extend(segs)
-            if not pieces:
-                continue
-            tvals = dict(zero_traces)
-            tders = dict(zero_traces)
-            tvals[v] = np.asarray(a_vec, dtype=complex)
-            tders[v] = np.asarray(b_vec, dtype=complex)
-            tests.append(
-                LocalTestFunction(
-                    f"star:{v}:{idx}",
-                    {eid: tuple(ps) for eid, ps in pieces.items()},
-                    tvals,
-                    tders,
-                )
+            test = StarTest(
+                f"star:{v}:{idx}", v, np.asarray(a_vec, dtype=complex), np.asarray(b_vec, dtype=complex), 0.45 * g.u
             )
+            if test.active_slots().size:
+                tests.append(test)
     return tests
 
 
@@ -615,12 +536,164 @@ class ResidualReport:
     per_test: tuple[tuple[str, float], ...]
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledBattery:
+    """A checked test battery as quadrature data, independent of the mode.
+
+    Per edge, the Gauss nodes of every test piece on it; per node ``hf`` =
+    ``w (-f'' + V f)``, ``wf`` = ``w f`` and, in ``owner`` (tests x nodes, one
+    1 per column), the test it belongs to.  Nodes are stored edge by edge in
+    the order of ``edges``.  Storage is O(nodes).
+    """
+
+    graph: MetricGraph
+    tests: tuple[TestFunction, ...]
+    potential: object
+    edges: tuple[tuple[EdgeId, np.ndarray], ...]
+    hf: np.ndarray
+    wf: np.ndarray
+    owner: scipy.sparse.csr_matrix
+    norms: np.ndarray
+
+    def with_cuts(self, cut_meshes: Sequence[float]) -> "CompiledBattery":
+        """The same checked tests, with panels split at the nodes of other grids."""
+        return _quadrature(self.graph, self.tests, self.potential, cut_meshes)
+
+    def residual_matrix(self, phis: Sequence, lams: Sequence[float]) -> np.ndarray:
+        """|<H f, phi> - lambda <f, phi>| / ||f||, tests x modes.
+
+        One evaluation of each phi per edge, then one sparse reduction over
+        all modes at once.
+        """
+        evals = [_phi_evaluator(phi) for phi in phis]
+        lams = np.asarray(lams, dtype=float)
+        sums = np.zeros((len(self.tests), len(evals)), dtype=complex)
+        if self.edges and evals:
+            conj_phi = np.conj(
+                np.concatenate([np.stack([ev(eid, ts) for ev in evals], axis=1) for eid, ts in self.edges])
+            )
+            sums = self.owner @ ((self.hf[:, None] - self.wf[:, None] * lams[None, :]) * conj_phi)
+        positive = self.norms > 0
+        res = np.zeros(sums.shape)
+        res[positive] = np.abs(sums[positive]) / self.norms[positive, None]
+        return res
+
+    def residuals(self, phis: Sequence, lams: Sequence[float]) -> list[ResidualReport]:
+        """One :class:`ResidualReport` per mode (phi, lambda)."""
+        labels = [t.label for t in self.tests]
+        return [
+            ResidualReport(float(np.max(col, initial=0.0)), tuple(zip(labels, col.tolist())))
+            for col in self.residual_matrix(phis, lams).T
+        ]
+
+
+def _pieces(g: MetricGraph, test: TestFunction):
+    """(edge, t0, t1, shape) per smooth piece of a test.
+
+    ``shape`` is ``(center, radius)`` for a bump and ``(origin, sign, rho, a,
+    b)`` for a star slot, whose inward coordinate is ``tau = origin + sign t``.
+    """
+    if isinstance(test, BumpTest):
+        yield test.edge, test.center - test.radius, test.center + test.radius, (test.center, test.radius)
+        return
+    rho = test.rho
+    slots = g.star(test.vertex).slots
+    for k in test.active_slots():
+        eid, end = slots[k]
+        a, b = test.value[k], test.deriv[k]
+        if end == INIT:
+            yield eid, 0.0, rho / 2.0, (0.0, 1.0, rho, a, b)
+            yield eid, rho / 2.0, rho, (0.0, 1.0, rho, a, b)
+        else:
+            length = g.edge(eid).length
+            yield eid, length - rho, length - rho / 2.0, (length, -1.0, rho, a, b)
+            yield eid, length - rho / 2.0, length, (length, -1.0, rho, a, b)
+
+
+def _quadrature(
+    g: MetricGraph, tests: tuple[TestFunction, ...], potential, cut_meshes: Sequence[float]
+) -> CompiledBattery:
+    """Gauss nodes of every piece, values of all pieces of one kind at once."""
+    edge_index = {e.id: j for j, e in enumerate(g.edges)}
+    cuts: dict[EdgeId, np.ndarray | None] = {}
+    pieces: dict[bool, list] = {True: [], False: []}  # keyed by "is a bump"
+    for i, test in enumerate(tests):
+        for eid, t0, t1, shape in _pieces(g, test):
+            if eid not in cuts:
+                cuts[eid] = (
+                    np.unique(np.concatenate([edge_grid(g, eid, hm) for hm in cut_meshes]))
+                    if cut_meshes
+                    else None
+                )
+            ts, ws = _gl_panels(t0, t1, cuts[eid])
+            pieces[isinstance(test, BumpTest)].append((edge_index[eid], i, ts, ws, shape))
+    parts = []  # per kind of test, over all its nodes: edge index, owner, t, w, f, f''
+    for is_bump, group in pieces.items():
+        if not group:
+            continue
+        sizes = [p[2].size for p in group]
+        t = np.concatenate([p[2] for p in group])
+        shape = [np.repeat(np.array(col), sizes) for col in zip(*(p[4] for p in group))]
+        if is_bump:
+            f, d2 = _bump_values(t, *shape)
+        else:
+            origin, sign, rho, a, b = shape
+            f, d2 = _star_values(origin + sign * t, a, b, rho)
+        owners = [np.repeat([p[k] for p in group], sizes) for k in (0, 1)]
+        parts.append((*owners, t, np.concatenate([p[3] for p in group]), f, d2))
+    empty = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2 + (np.zeros(0, dtype=complex),) * 2
+    edge_of, owner_idx, t, w, f, d2 = (np.concatenate(col) for col in zip(empty, *parts))
+    # edge-major node order, so that each phi is evaluated once per edge
+    order = np.argsort(edge_of, kind="stable")
+    edge_of, owner_idx, t, w, f, d2 = (x[order] for x in (edge_of, owner_idx, t, w, f, d2))
+    pot_eval = getattr(potential, "evaluate", potential)
+    hf = -d2
+    bounds = np.searchsorted(edge_of, np.arange(len(g.edges) + 1))
+    edges = []
+    for j, e in enumerate(g.edges):
+        sl = slice(bounds[j], bounds[j + 1])
+        if sl.start < sl.stop:
+            edges.append((e.id, t[sl]))
+            if pot_eval is not None:
+                hf[sl] += pot_eval(e.id, t[sl]) * f[sl]
+    owner = scipy.sparse.csr_matrix((np.ones(t.size), (owner_idx, np.arange(t.size))), shape=(len(tests), t.size))
+    norms = np.sqrt(np.bincount(owner_idx, weights=w * np.abs(f) ** 2, minlength=len(tests)))
+    return CompiledBattery(g, tests, potential, tuple(edges), w * hf, w * f, owner, norms)
+
+
+def compile_battery(
+    g: MetricGraph,
+    bc: BoundaryCondition,
+    tests: Sequence[TestFunction] | None = None,
+    potential=None,
+    cut_meshes: Sequence[float] = (),
+    condition_tol: float = 1e-8,
+) -> CompiledBattery:
+    """Check a test battery once and lay out its quadrature for many modes.
+
+    ``tests`` defaults to :func:`standard_test_battery`.  Tests that do not
+    satisfy the vertex conditions are rejected with a ``ValueError``.
+    Panels split at the nodes of every grid in ``cut_meshes`` (the meshes of
+    nodal phi and potential data).  ``potential`` may be anything with an
+    ``evaluate(edge_id, ts)`` method or a bare callable
+    ``(edge_id, ts) -> values``.
+    """
+    tests = tuple(standard_test_battery(g, bc) if tests is None else tests)
+    for test in tests:
+        bad = test.condition_residual(g, bc)
+        if bad > condition_tol:
+            raise ValueError(
+                f"test {test.label!r} violates the vertex conditions (residual {bad:.3e})"
+            )
+    return _quadrature(g, tests, potential, cut_meshes)
+
+
 def generalized_eigenfunction_residual(
     g: MetricGraph,
     bc: BoundaryCondition,
     phi,
     lam: float,
-    tests: Sequence[LocalTestFunction] | None = None,
+    tests: Sequence[TestFunction] | None = None,
     potential=None,
     condition_tol: float = 1e-8,
 ) -> ResidualReport:
@@ -636,49 +709,17 @@ def generalized_eigenfunction_residual(
     through the boundary terms of integration by parts.  Tests that do not
     satisfy the vertex conditions are rejected.
 
-    ``potential`` may be anything with an ``evaluate(edge_id, ts)`` method
-    (its mesh is respected) or a bare callable ``(edge_id, ts) -> values``.
+    A one-mode call of :func:`compile_battery`; to check many modes, compile
+    once and call :meth:`CompiledBattery.residuals`.
     """
-    if tests is None:
-        tests = standard_test_battery(g, bc)
-    phi_eval = _phi_evaluator(phi)
-    pot_eval = None
-    if potential is not None:
-        pot_eval = potential.evaluate if hasattr(potential, "evaluate") else potential
-
+    _phi_evaluator(phi)
     cut_meshes = []
     if isinstance(phi, GridFunction):
         cut_meshes.append(phi.h_max)
     if potential is not None and hasattr(potential, "h_max"):
         cut_meshes.append(potential.h_max)
-
-    def cuts_for(eid: EdgeId) -> np.ndarray | None:
-        if not cut_meshes:
-            return None
-        nodes = [edge_grid(g, eid, hm) for hm in cut_meshes]
-        return np.unique(np.concatenate(nodes))
-
-    results = []
-    for test in tests:
-        bad = test.condition_residual(g, bc)
-        if bad > condition_tol:
-            raise ValueError(
-                f"test {test.label!r} violates the vertex conditions (residual {bad:.3e})"
-            )
-        acc = 0.0 + 0.0j
-        for eid, pieces in test.pieces.items():
-            cuts = cuts_for(eid)
-            for p in pieces:
-                ts, ws = _gl_panels(p.t0, p.t1, cuts)
-                pv = np.conj(phi_eval(eid, ts))
-                hf = -p.d2(ts)
-                if pot_eval is not None:
-                    hf = hf + pot_eval(eid, ts) * p.f(ts)
-                acc += np.sum(ws * (hf - lam * p.f(ts)) * pv)
-        nrm = test.l2_norm()
-        results.append((test.label, abs(acc) / nrm if nrm > 0 else 0.0))
-    worst = max((r for _, r in results), default=0.0)
-    return ResidualReport(worst, tuple(results))
+    battery = compile_battery(g, bc, tests, potential, cut_meshes, condition_tol)
+    return battery.residuals([phi], [lam])[0]
 
 
 def intertwining_gap(rep: DiscreteSpectralRep, coeffs: np.ndarray) -> float:

@@ -23,13 +23,13 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .boundary import BoundaryCondition
-from .expansion import generalized_eigenfunction_residual, standard_test_battery
-from .fem import DiscreteEigensystem, FormAssembly, SparseMatrix, element_matrix
+from .expansion import BumpTest, compile_battery
+from .fem import COLUMN_BLOCK, DiscreteEigensystem, FormAssembly, SparseMatrix, column_forms, element_matrix
 from .functions import GridFunction, edge_grid, traces, trapezoid
 from .graph import EdgeId, EdgeSegment, MetricGraph
 
@@ -176,12 +176,12 @@ def _edge_partition(length: float, a: float) -> list[tuple[float, float]]:
 def check_relative_bound(
     fa: FormAssembly,
     V: Potential,
-    a: float,
+    a: float | Sequence[float],
     coercivity_C: float,
     n_samples: int = 1000,
     seed: int = 0,
     n_window_samples: int = 10,
-) -> RelativeBoundReport:
+) -> RelativeBoundReport | list[RelativeBoundReport]:
     """Margins of the relative bound over random admissible functions.
 
     worst_margin = min over samples of
@@ -193,20 +193,24 @@ def check_relative_bound(
     the worst margin of the window inequality
         max_I |f|^2  <=  (a/2)||f'||^2_I + (4/a)||f||^2_I
     over a subset of samples and all partition windows.
+
+    ``a`` may be a sequence: the samples and everything that does not depend
+    on a are then computed once, and one report per value comes back, in
+    order, each equal to the report of a separate call with that value.
     """
-    if not (0 < a <= fa.graph.u):
-        raise ValueError(f"a={a} must lie in (0, u={fa.graph.u}]")
+    a_values = list(a) if np.ndim(a) else [a]
+    for a_k in a_values:
+        if not (0 < a_k <= fa.graph.u):
+            raise ValueError(f"a={a_k} must lie in (0, u={fa.graph.u}]")
     if V.graph != fa.graph or V.h_max != fa.h_max:
         raise ValueError("potential sampled on a different mesh than the assembly")
     M = uniform_l2_norm(fa.graph, V).M
-    C_a = M**2 * (coercivity_C + 4.0 / a)
     rng = np.random.default_rng(seed)
     X = fa.sample_constrained(rng, n_samples)
-    q_vals = np.real(np.einsum("ij,ij->j", X.conj(), (fa.stiffness - fa.boundary) @ X))
-    mass = np.real(np.einsum("ij,ij->j", X.conj(), fa.mass @ X))
-    full = fa.constraint @ X  # nodal values, all samples at once
+    q_vals = column_forms(fa.stiffness - fa.boundary, X)
+    mass = column_forms(fa.mass, X)
 
-    vf_sq = np.zeros(n_samples)
+    grids = []  # (edge, h, nodal rows, trapezoid weights times V^2) per edge
     for e in fa.graph.edges:
         ts = edge_grid(fa.graph, e.id, fa.h_max)
         h = ts[1] - ts[0]
@@ -214,36 +218,41 @@ def check_relative_bound(
         w = np.full(ts.size, h)
         w[0] *= 0.5
         w[-1] *= 0.5
-        seg = full[off : off + ts.size, :]
-        vv = np.asarray(V.values[e.id], dtype=float)
-        vf_sq += np.einsum("i,ij->j", w * vv**2, np.abs(seg) ** 2)
-
-    margins = M**2 * a * q_vals + C_a * mass - vf_sq
-    worst = float(np.min(margins))
+        grids.append((e, h, slice(off, off + ts.size), w * np.asarray(V.values[e.id], dtype=float) ** 2))
+    # nodal values a block of samples at a time, never all of them at once
+    vf_sq = np.zeros(n_samples)
+    for j in range(0, n_samples, COLUMN_BLOCK):
+        full = fa.constraint @ X[:, j : j + COLUMN_BLOCK]
+        for _, _, rows, wv2 in grids:
+            vf_sq[j : j + COLUMN_BLOCK] += np.einsum("i,ij->j", wv2, np.abs(full[rows]) ** 2)
 
     # window inequality on a handful of samples; windows snap outward to grid
     # nodes so their length stays >= a, which the estimate needs
-    worst_window = math.inf
-    for s_idx in range(min(n_window_samples, n_samples)):
-        x = full[:, s_idx]
-        for e in fa.graph.edges:
-            ts = edge_grid(fa.graph, e.id, fa.h_max)
-            h = ts[1] - ts[0]
-            off = fa.edge_offsets[e.id]
-            y = x[off : off + ts.size]
+    worst_window = [math.inf] * len(a_values)
+    head = fa.constraint @ X[:, :n_window_samples]
+    for x in head.T:
+        for e, h, rows, _ in grids:
+            y = x[rows]
             dsq_cells = np.abs(np.diff(y) / h) ** 2 * h  # exact per-cell integral of |f'|^2
             ysq = np.abs(y) ** 2
             mass_cells = h * (ysq[:-1] + ysq[1:] + np.real(y[:-1] * np.conj(y[1:]))) / 3.0
-            for (t0, t1) in _edge_partition(e.length, a):
-                i0 = int(math.floor(t0 / h + 1e-9))
-                i1 = min(int(math.ceil(t1 / h - 1e-9)), ts.size - 1)
-                i1 = max(i1, i0 + 1)
-                sup_sq = float(np.max(ysq[i0 : i1 + 1]))
-                d_int = float(np.sum(dsq_cells[i0:i1]))
-                m_int = float(np.sum(mass_cells[i0:i1]))
-                margin = (a / 2.0) * d_int + (4.0 / a) * m_int - sup_sq
-                worst_window = min(worst_window, margin)
-    return RelativeBoundReport(a, M, C_a, worst, float(worst_window))
+            for k, a_k in enumerate(a_values):
+                for (t0, t1) in _edge_partition(e.length, a_k):
+                    i0 = int(math.floor(t0 / h + 1e-9))
+                    i1 = min(int(math.ceil(t1 / h - 1e-9)), y.size - 1)
+                    i1 = max(i1, i0 + 1)
+                    sup_sq = float(np.max(ysq[i0 : i1 + 1]))
+                    d_int = float(np.sum(dsq_cells[i0:i1]))
+                    m_int = float(np.sum(mass_cells[i0:i1]))
+                    margin = (a_k / 2.0) * d_int + (4.0 / a_k) * m_int - sup_sq
+                    worst_window[k] = min(worst_window[k], margin)
+
+    reports = []
+    for a_k, window in zip(a_values, worst_window):
+        C_a = M**2 * (coercivity_C + 4.0 / a_k)
+        margins = M**2 * a_k * q_vals + C_a * mass - vf_sq
+        reports.append(RelativeBoundReport(a_k, M, C_a, float(np.min(margins)), float(window)))
+    return reports if np.ndim(a) else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +302,17 @@ def perturbed_eigen_report(
     independent of V.  When a weight grid is given, ||phi / w|| is reported
     per mode.
     """
-    battery = standard_test_battery(g, bc)
-    interior = [t for t in battery if t.label.startswith("bump")]
-    stars = [t for t in battery if t.label.startswith("star")]
     phis = es.grid_functions()
+    lams = [float(lam) for lam in es.eigenvalues]
+    battery = compile_battery(g, bc, potential=V, cut_meshes=(es.assembly.h_max, V.h_max))
+    res = battery.residual_matrix(phis, lams)
+    is_bump = np.array([isinstance(t, BumpTest) for t in battery.tests], dtype=bool)
+    interior = np.max(res[is_bump], axis=0, initial=0.0)
+    star = np.max(res[~is_bump], axis=0, initial=0.0)
     out = []
-    for k, phi in enumerate(phis):
-        lam = float(es.eigenvalues[k])
-        rep_int = generalized_eigenfunction_residual(g, bc, phi, lam, tests=interior, potential=V)
-        rep_star = generalized_eigenfunction_residual(g, bc, phi, lam, tests=stars, potential=V)
+    for k, (phi, lam) in enumerate(zip(phis, lams)):
         tr = traces(phi)
-        vres = 0.0
-        for v in g.vertices:
-            L, P = bc.L(v), bc.P(v)
-            eye = np.eye(P.shape[0])
-            vres = max(
-                vres,
-                float(
-                    np.linalg.norm(P @ tr.values[v])
-                    + np.linalg.norm(L @ tr.values[v] + (eye - P) @ tr.derivatives[v])
-                ),
-            )
+        vres = max((bc.vertex_residual(v, tr.values[v], tr.derivatives[v]) for v in g.vertices), default=0.0)
         wn = None
         if weight is not None:
             num = 0.0
@@ -322,9 +321,7 @@ def perturbed_eigen_report(
                 ratio = np.abs(np.asarray(phi.values[e.id])) ** 2 / np.asarray(weight.values[e.id]).real ** 2
                 num += float(trapezoid(ratio, dx=h))
             wn = math.sqrt(num)
-        out.append(
-            PerturbedModeReport(lam, rep_int.max_residual, rep_star.max_residual, vres, wn)
-        )
+        out.append(PerturbedModeReport(lam, float(interior[k]), float(star[k]), vres, wn))
     return PerturbedReport(tuple(out))
 
 

@@ -371,13 +371,7 @@ class SecularSolution:
     def vertex_residual(self, bc: BoundaryCondition) -> float:
         """max_v ||P f(v)|| + ||L f(v) + (1 - P) f'(v)|| for this solution."""
         vals, ders = self.trace_values()
-        worst = 0.0
-        for v in self.graph.vertices:
-            L, P = bc.L(v), bc.P(v)
-            eye = np.eye(P.shape[0])
-            r = float(np.linalg.norm(P @ vals[v]) + np.linalg.norm(L @ vals[v] + (eye - P) @ ders[v]))
-            worst = max(worst, r)
-        return worst
+        return max((bc.vertex_residual(v, vals[v], ders[v]) for v in self.graph.vertices), default=0.0)
 
     def l2_norm_sq(self) -> float:
         total = 0.0
@@ -423,6 +417,14 @@ def _orthonormalize(g: MetricGraph, lam: float, X: np.ndarray) -> np.ndarray:
     return Y
 
 
+class RankAnomaly(ValueError):
+    """Null vectors of M(lambda) violate the full vertex conditions.
+
+    A failed check on valid input, not unusable input: the command line
+    maps it to exit 1.  It stays a ``ValueError`` for library callers.
+    """
+
+
 def eigenfunction(
     g: MetricGraph,
     bc: BoundaryCondition,
@@ -448,7 +450,7 @@ def eigenfunction(
     sols = _coeff_columns_to_solutions(g, lam, X)
     kept = [s for s in sols if s.vertex_residual(bc) <= 100 * tol]
     if len(kept) < len(sols):
-        raise ValueError(
+        raise RankAnomaly(
             f"rank anomaly at lambda={lam}: {len(sols) - len(kept)} null vector(s) violate the "
             f"full vertex conditions at vertices {system.anomaly_vertices!r}"
         )

@@ -153,6 +153,20 @@ def test_spectrum_residual_gate_is_check_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: eigen residual") and "Traceback" not in err
 
 
+def test_rank_anomaly_is_check_failure(tmp_path, capsys, monkeypatch):
+    from metricgraph import secular
+
+    # every null vector now fails the verbatim vertex conditions, so the real
+    # eigenfunction code raises its rank anomaly on valid input
+    monkeypatch.setattr(secular.SecularSolution, "vertex_residual", lambda self, bc: 1.0)
+    g, b = write_interval(tmp_path)
+    code = main(["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2",
+                 "--lambda-min", "0.5", "--lambda-max", "10"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: rank anomaly") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["spectrum", "potential"])
 def test_arpack_no_convergence_is_check_failure(tmp_path, capsys, monkeypatch, command):
     import scipy.sparse.linalg

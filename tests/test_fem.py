@@ -250,3 +250,19 @@ def test_assemble_rejects_infinite_edges():
     bc = BoundaryCondition({"v": preset("neumann", g.star("v"))})
     with pytest.raises(ValueError):
         assemble(g, bc, 0.1)
+
+
+def test_blocked_sampling_matches_one_product():
+    # the samples and their forms are computed a block of columns at a time;
+    # that must not change a bit, or sampled reports would change
+    from metricgraph.fem import COLUMN_BLOCK, column_forms
+
+    fa = assemble(*_grid4_delta(), 0.05)
+    n = 3 * COLUMN_BLOCK + 5
+    X = fa.sample_constrained(np.random.default_rng(1), n)
+    rng = np.random.default_rng(1)
+    Y = rng.standard_normal((fa.dim, n)) + 1j * rng.standard_normal((fa.dim, n))
+    Y = Y / np.sqrt(np.real(np.einsum("ij,ij->j", Y.conj(), fa.mass @ Y)))
+    assert np.array_equal(X, Y)
+    K = fa.stiffness - fa.boundary
+    assert np.array_equal(column_forms(K, X), np.real(np.einsum("ij,ij->j", X.conj(), K @ X)))
