@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     graph_path: str
     bc_path: str
@@ -96,11 +97,17 @@ def _parse_base_point(g: MetricGraph, spec: str | None) -> Point:
     raise ValueError(f"unknown vertex {spec!r} in --weight-base")
 
 
-def _scan_range(cfg: RunConfig, const: boundary.CoercivityConstant) -> tuple[float, float]:
+def _scan(cfg: RunConfig, g: MetricGraph, bc: boundary.BoundaryCondition):
+    """Coercivity constant and secular roots; the window must hold ``cfg.modes`` modes."""
+    const = boundary.coercivity_constant(boundary.require_valid_bc(g, bc, cfg.bc_tol), g.u)
     lam_min = cfg.lam_min
     if lam_min is None:
         lam_min = 0.5 - const.C - 1.0  # the form bound gives lambda >= 1/2 - C
-    return lam_min, cfg.lam_max
+    hits = secular.eigenvalue_scan(g, bc, lam_min, cfg.lam_max, num=cfg.scan_points)
+    found = sum(h.multiplicity for h in hits)
+    if found < cfg.modes:
+        raise ValueError(f"scan up to lambda={cfg.lam_max} found only {found} modes; raise --lambda-max")
+    return const, hits
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +152,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def _two_solver_spectra(cfg: RunConfig, g: MetricGraph, bc: boundary.BoundaryCondition):
-    S = boundary.require_valid_bc(g, bc, cfg.bc_tol)
-    const = boundary.coercivity_constant(S, g.u)
-    lam_min, lam_max = _scan_range(cfg, const)
-    hits = secular.eigenvalue_scan(g, bc, lam_min, lam_max, num=cfg.scan_points)
+    _, hits = _scan(cfg, g, bc)
     exact = [h.lam for h in hits for _ in range(h.multiplicity)][: cfg.modes]
-    if len(exact) < cfg.modes:
-        raise ValueError(
-            f"scan up to lambda={lam_max} found only {len(exact)} modes; raise --lambda-max"
-        )
     fa = fem.assemble(g, bc, cfg.h_max)
     es = fem.eigensystem(fa, cfg.modes)
     return hits, exact, fa, es
@@ -163,9 +163,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     g, bc = _load_inputs(cfg)
     g.require_compact("spectral computation")
     hits, exact, fa, es = _two_solver_spectra(cfg, g, bc)
-    from .functions import edge_grid
-
-    h = max(float(np.diff(edge_grid(g, e.id, cfg.h_max))[0]) for e in g.edges)
+    h = float(np.max(fa.grid.widths))
     pairs = []
     worst = 0.0
     ok = True
@@ -195,28 +193,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         ["lambda", "multiplicity", "sigma_min"],
         [(hh.lam, hh.multiplicity, hh.sigma_min) for hh in hits],
     )
-    _write_csv(cfg, "fem_spectrum", ["index", "eigenvalue"], fem.spectrum_csv_rows(es))
+    _write_csv(cfg, "fem_spectrum", ["index", "eigenvalue"], list(enumerate(es.eigenvalues.tolist())))
     _emit(cfg, "spectrum", report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _expansion_core(cfg: RunConfig, g: MetricGraph, bc: boundary.BoundaryCondition):
-    S = boundary.require_valid_bc(g, bc, cfg.bc_tol)
-    const = boundary.coercivity_constant(S, g.u)
-    lam_min, lam_max = _scan_range(cfg, const)
-    hits = secular.eigenvalue_scan(g, bc, lam_min, lam_max, num=cfg.scan_points)
-    flat = [h for h in hits for _ in range(h.multiplicity)][: cfg.modes]
-    if len(flat) < cfg.modes:
-        raise ValueError(
-            f"scan up to lambda={lam_max} found only {len(flat)} modes; raise --lambda-max"
-        )
-    kept = []
-    count = 0
-    for h in hits:
-        if count >= cfg.modes:
-            break
-        kept.append(h)
-        count += h.multiplicity
+    const, hits = _scan(cfg, g, bc)
+    # the roots up to the one that completes cfg.modes modes
+    before = itertools.accumulate((h.multiplicity for h in hits), initial=0)
+    kept = [h for h, n in zip(hits, before) if n < cfg.modes]
     rep = expansion.DiscreteSpectralRep.from_secular(g, bc, kept, cfg.h_max)
     base = _parse_base_point(g, cfg.weight_base)
     wf = expansion.build_weight(g, base, cfg.weight_eps)
@@ -236,9 +222,7 @@ def cmd_expansion(cfg: RunConfig) -> int:
     coeffs = rng.standard_normal(len(rep.modes))
     span_f = expansion.reconstruct(rep, coeffs.astype(complex))
     battery["random_span"] = expansion.parseval(rep, span_f)
-    bump_f = GridFunction.from_callable(
-        g, cfg.h_max, lambda eid, ts: (ts * (g.edge(eid).length - ts)).astype(complex)
-    )
+    bump_f = GridFunction.on(rep.grid, rep.grid.sample(lambda eid, ts: ts * (g.edge(eid).length - ts)))
     battery["bridge_poly"] = expansion.parseval(rep, bump_f)
 
     compiled = expansion.compile_battery(g, bc)
@@ -311,25 +295,13 @@ def cmd_potential(cfg: RunConfig) -> int:
     fa_v = potentials.assemble_perturbed(fa, V)
     es1 = fem.eigensystem(fa_v, cfg.modes)
 
-    bound_reports = []
-    worst_margin = math.inf
     a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
-    for rb in potentials.check_relative_bound(fa, V, a_values, const.C, n_samples=cfg.samples, seed=cfg.seed):
-        worst_margin = min(worst_margin, rb.worst_margin, rb.worst_window_margin)
-        bound_reports.append(
-            {
-                "a": rb.a,
-                "M": rb.M,
-                "C_a": rb.C_a,
-                "worst_margin": rb.worst_margin,
-                "worst_window_margin": rb.worst_window_margin,
-            }
-        )
+    bounds = potentials.check_relative_bound(fa, V, a_values, const.C, n_samples=cfg.samples, seed=cfg.seed)
+    worst_margin = min(min(rb.worst_margin, rb.worst_window_margin) for rb in bounds)
 
-    vvals = np.concatenate([np.asarray(V.values[e.id], dtype=float) for e in g.edges])
     shift_check = None
-    if float(np.max(vvals) - np.min(vvals)) < 1e-12:
-        c = float(vvals[0])
+    if float(np.max(V.data) - np.min(V.data)) < 1e-12:
+        c = float(V.data[0])
         shift_check = float(np.max(np.abs(es1.eigenvalues - (es0.eigenvalues + c))))
 
     pr = potentials.perturbed_eigen_report(g, bc, V, es1)
@@ -340,7 +312,7 @@ def cmd_potential(cfg: RunConfig) -> int:
             "value": mv.M,
             "segment": {"edge": str(mv.segment.edge), "t0": mv.segment.t0, "t1": mv.segment.t1},
         },
-        "relative_bound": bound_reports,
+        "relative_bound": [dataclasses.asdict(rb) for rb in bounds],
         "spectrum": {
             "unperturbed": [float(x) for x in es0.eigenvalues],
             "perturbed": [float(x) for x in es1.eigenvalues],

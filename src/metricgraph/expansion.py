@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from .boundary import BoundaryCondition
-from .functions import GridFunction, _smoothstep, _smoothstep_d1, _smoothstep_d2, edge_grid, inner
+from .functions import GridFunction, Mesh, _smoothstep, _smoothstep_d1, _smoothstep_d2, edge_grid, inner
 from .graph import (
     INIT,
     EdgeId,
@@ -94,9 +95,7 @@ class WeightFunction:
         return float(self.value_edge(x.edge, np.array([x.t]))[0])
 
     def sample(self, h_max: float) -> GridFunction:
-        return GridFunction.from_callable(
-            self.graph, h_max, lambda eid, ts: self.value_edge(eid, ts).astype(complex)
-        )
+        return GridFunction.from_callable(self.graph, h_max, self.value_edge)
 
     @property
     def inverse_sup(self) -> float:
@@ -212,12 +211,22 @@ class DiscreteSpectralRep:
 
     The spectral measure is counting measure on the eigenvalue list; layer
     sets ``M_j = {lambda : mult(lambda) >= j}`` are nested by construction.
+    The nodal values of the modes are the rows of ``Phi`` (modes x nodes) on
+    ``grid``; the ``phi`` of each mode is a view of its row.
     """
 
-    graph: MetricGraph
-    h_max: float
+    grid: Mesh
     eigenvalues: tuple[tuple[float, int], ...]  # (lambda, multiplicity)
     modes: tuple[SpectralMode, ...]
+    Phi: np.ndarray
+
+    @property
+    def graph(self) -> MetricGraph:
+        return self.grid.graph
+
+    @property
+    def h_max(self) -> float:
+        return self.grid.h_max
 
     @property
     def n_layers(self) -> int:
@@ -230,6 +239,17 @@ class DiscreteSpectralRep:
         }
 
     @classmethod
+    def _on(cls, grid: Mesh, eigenvalues, rows, layers) -> "DiscreteSpectralRep":
+        """From the nodal rows of the modes (any iterable) and their (j, lambda, exact)."""
+        Phi = np.empty((len(layers), grid.n_nodes), dtype=complex)
+        for k, row in enumerate(rows):
+            Phi[k] = row
+        modes = tuple(
+            SpectralMode(j, lam, GridFunction.on(grid, row), exact) for (j, lam, exact), row in zip(layers, Phi)
+        )
+        return cls(grid, tuple(eigenvalues), modes, Phi)
+
+    @classmethod
     def from_secular(
         cls,
         g: MetricGraph,
@@ -237,23 +257,19 @@ class DiscreteSpectralRep:
         hits: Sequence[SecularEigenvalue],
         h_max: float,
     ) -> "DiscreteSpectralRep":
-        eigenvalues = []
-        modes: list[SpectralMode] = []
+        grid = Mesh(g, h_max)
         system = SecularSystem(g, bc)
-        for hit in hits:
-            sols = eigenfunction(g, bc, hit.lam, system=system)
-            eigenvalues.append((hit.lam, len(sols)))
-            for j, sol in enumerate(sols, start=1):
-                modes.append(SpectralMode(j, hit.lam, sol.to_grid(h_max), sol))
-        return cls(g, h_max, tuple(eigenvalues), tuple(modes))
+        found = [(hit.lam, eigenfunction(g, bc, hit.lam, system=system)) for hit in hits]
+        layers = [(j, lam, sol) for lam, sols in found for j, sol in enumerate(sols, start=1)]
+        rows = (grid.sample(sol.evaluate) for _, _, sol in layers)
+        return cls._on(grid, [(lam, len(sols)) for lam, sols in found], rows, layers)
 
     @classmethod
     def from_fem(cls, es, mult_tol: float = 1e-6) -> "DiscreteSpectralRep":
         """Group a discrete eigensystem into multiplicity clusters."""
         lams = np.asarray(es.eigenvalues, dtype=float)
-        phis = es.grid_functions()
         eigenvalues: list[tuple[float, int]] = []
-        modes: list[SpectralMode] = []
+        layers = []
         i = 0
         while i < lams.size:
             jmax = i
@@ -262,24 +278,21 @@ class DiscreteSpectralRep:
             mult = jmax - i + 1
             lam = float(np.mean(lams[i : jmax + 1]))
             eigenvalues.append((lam, mult))
-            for j in range(mult):
-                modes.append(SpectralMode(j + 1, lam, phis[i + j]))
+            layers += [(j + 1, lam, None) for j in range(mult)]
             i = jmax + 1
-        return cls(es.assembly.graph, es.assembly.h_max, tuple(eigenvalues), tuple(modes))
+        return cls._on(es.assembly.grid, eigenvalues, es.assembly.nodal_vector(es.vectors).T, layers)
 
 
 def fourier_coefficients(rep: DiscreteSpectralRep, f: GridFunction) -> np.ndarray:
-    """<f, phi_m> for every mode, by trapezoid quadrature on the shared mesh."""
-    if f.graph != rep.graph or f.h_max != rep.h_max:
+    """<f, phi_m> for every mode: conj(Phi) (w f), trapezoid weights w of the shared mesh."""
+    if f.grid != rep.grid:
         raise ValueError("function mesh does not match the spectral representation")
-    return np.array([inner(f, m.phi) for m in rep.modes])
+    return np.conj(rep.Phi @ np.conj(rep.grid.weights * f.data))
 
 
 def reconstruct(rep: DiscreteSpectralRep, coeffs: np.ndarray) -> GridFunction:
-    out = GridFunction.zeros(rep.graph, rep.h_max)
-    for c, m in zip(coeffs, rep.modes):
-        out = out + complex(c) * m.phi
-    return out
+    """sum_m c_m phi_m, as one product Phi^T c."""
+    return GridFunction.on(rep.grid, np.asarray(coeffs) @ rep.Phi)
 
 
 @dataclass(frozen=True)
@@ -338,24 +351,12 @@ def hs_norm_sq(
     lam_min = min(lam for lam, _ in rep.eigenvalues)
     if C + lam_min <= 0:
         raise ValueError(f"need C + lambda_min > 0, got C={C}, lambda_min={lam_min}")
-    if weight.graph != rep.graph or weight.h_max != rep.h_max:
+    if weight.grid != rep.grid:
         raise ValueError("weight mesh does not match the spectral representation")
-    terms = []
-    for m in rep.modes:
-        ratio = GridFunction(
-            rep.graph,
-            rep.h_max,
-            {
-                eid: np.asarray(m.phi.values[eid]) / np.asarray(weight.values[eid]).real
-                for eid in (e.id for e in rep.graph.edges)
-            },
-        )
-        wnorm_sq = float(np.real(inner(ratio, ratio)))
-        terms.append(wnorm_sq / (C + m.lam))
+    lams = np.array([m.lam for m in rep.modes])
+    terms = (np.abs(rep.Phi) ** 2 @ (rep.grid.weights / weight.data.real**2)) / (C + lams)
     if inverse_sup is None:
-        inverse_sup = max(
-            float(np.max(1.0 / np.abs(np.asarray(weight.values[e.id])))) for e in rep.graph.edges
-        )
+        inverse_sup = float(np.max(1.0 / np.abs(weight.data)))
     n_modes = len(rep.modes)
     L = rep.graph.total_length
     lam_cut = ((n_modes + 0.5) * math.pi / L) ** 2
@@ -366,36 +367,21 @@ def hs_norm_sq(
         if C > 0
         else float("inf")
     )
-    return HilbertSchmidtReport(float(sum(terms)), float(tail), tuple(terms))
+    return HilbertSchmidtReport(float(np.sum(terms)), float(tail), tuple(terms.tolist()))
 
 
 def hs_kernel_cross_check(rep: DiscreteSpectralRep, weight: GridFunction, C: float) -> float:
-    """Double-quadrature of the integral kernel of (1/w) (C + H)^-1/2 truncated
-    to the computed modes; agrees with the mode sum when the phi are
-    orthonormal.  Quadratic in the grid size; intended for small fixtures.
+    """Double quadrature of |K|^2 for the integral kernel
+    ``K(x, y) = sum_m (C + lambda_m)^-1/2 phi_m(x) / w(x) conj(phi_m(y))`` of
+    (1/w) (C + H)^-1/2 truncated to the computed modes; agrees with the mode
+    sum when the phi are orthonormal.  The double sum over nodes factors into
+    the two weighted Gram matrices of the modes, so no nodes x nodes array is
+    formed.
     """
-    g = rep.graph
     gammas = np.array([1.0 / math.sqrt(C + m.lam) for m in rep.modes])
-    total = 0.0
-    edges = [e.id for e in g.edges]
-    for ex in edges:
-        hx = rep.modes[0].phi.mesh(ex)
-        tx = rep.modes[0].phi.nodes(ex)
-        wx = np.full(tx.size, hx)
-        wx[0] *= 0.5
-        wx[-1] *= 0.5
-        winv_x = 1.0 / np.asarray(weight.values[ex]).real
-        Phi_x = np.array([np.asarray(m.phi.values[ex]) for m in rep.modes])
-        for ey in edges:
-            hy = rep.modes[0].phi.mesh(ey)
-            ty = rep.modes[0].phi.nodes(ey)
-            wy = np.full(ty.size, hy)
-            wy[0] *= 0.5
-            wy[-1] *= 0.5
-            Phi_y = np.array([np.asarray(m.phi.values[ey]) for m in rep.modes])
-            K = (gammas[:, None] * Phi_x * winv_x[None, :]).T @ np.conj(Phi_y)
-            total += float(np.real(np.einsum("i,ij,j->", wx, np.abs(K) ** 2, wy)))
-    return total
+    A = gammas[:, None] * rep.Phi / weight.data.real
+    w = rep.grid.weights
+    return float(np.real(np.sum(((A * w) @ A.conj().T) * np.conj((rep.Phi * w) @ rep.Phi.conj().T))))
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +508,6 @@ def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[TestFun
 # ---------------------------------------------------------------------------
 
 
-def _phi_evaluator(phi) -> Callable[[EdgeId, np.ndarray], np.ndarray]:
-    if isinstance(phi, SecularSolution):
-        return phi.evaluate
-    if isinstance(phi, GridFunction):
-        return phi.evaluate
-    raise TypeError("phi must be a SecularSolution or GridFunction")
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     max_residual: float
@@ -565,7 +543,7 @@ class CompiledBattery:
         One evaluation of each phi per edge, then one sparse reduction over
         all modes at once.
         """
-        evals = [_phi_evaluator(phi) for phi in phis]
+        evals = [phi.evaluate for phi in phis]
         lams = np.asarray(lams, dtype=float)
         sums = np.zeros((len(self.tests), len(evals)), dtype=complex)
         if self.edges and evals:
@@ -621,7 +599,7 @@ def _quadrature(
         for eid, t0, t1, shape in _pieces(g, test):
             if eid not in cuts:
                 cuts[eid] = (
-                    np.unique(np.concatenate([edge_grid(g, eid, hm) for hm in cut_meshes]))
+                    np.unique(np.concatenate([edge_grid(g, eid, hm) for hm in dict.fromkeys(cut_meshes)]))
                     if cut_meshes
                     else None
                 )
@@ -646,7 +624,10 @@ def _quadrature(
     # edge-major node order, so that each phi is evaluated once per edge
     order = np.argsort(edge_of, kind="stable")
     edge_of, owner_idx, t, w, f, d2 = (x[order] for x in (edge_of, owner_idx, t, w, f, d2))
-    pot_eval = getattr(potential, "evaluate", potential)
+    if isinstance(potential, GridFunction):  # nodal data, interpolated on its own mesh
+        pot_eval = partial(potential.grid.interpolate, potential.data)
+    else:
+        pot_eval = getattr(potential, "evaluate", potential)
     hf = -d2
     bounds = np.searchsorted(edge_of, np.arange(len(g.edges) + 1))
     edges = []
@@ -712,12 +693,7 @@ def generalized_eigenfunction_residual(
     A one-mode call of :func:`compile_battery`; to check many modes, compile
     once and call :meth:`CompiledBattery.residuals`.
     """
-    _phi_evaluator(phi)
-    cut_meshes = []
-    if isinstance(phi, GridFunction):
-        cut_meshes.append(phi.h_max)
-    if potential is not None and hasattr(potential, "h_max"):
-        cut_meshes.append(potential.h_max)
+    cut_meshes = [f.h_max for f in (phi, potential) if isinstance(f, GridFunction)]
     battery = compile_battery(g, bc, tests, potential, cut_meshes, condition_tol)
     return battery.residuals([phi], [lam])[0]
 

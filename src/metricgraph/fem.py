@@ -28,15 +28,14 @@ then are the matrices made dense and handed to ``scipy.linalg.eigh``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
 from .boundary import BoundaryCondition, CoercivityConstant, coercivity_constant, require_valid_bc
-from .functions import GridFunction, edge_grid
-from .graph import INIT, EdgeId, MetricGraph, VertexId
+from .functions import GridFunction, Mesh
+from .graph import MetricGraph
 
 RESIDUAL_RTOL = 1e-8
 
@@ -91,21 +90,28 @@ class FormAssembly:
     The quadratic form of a constrained coefficient vector x is
     ``x* (A - R) x``; adding a potential V contributes ``x* Q x``, which is
     at least ``potential_min x* B x``.  ``C`` maps constrained coefficients
-    to the full nodal vector (edge by edge, nodes in grid order).
+    to the full nodal vector, which is laid out as the flat node array of
+    ``grid`` (edge by edge, nodes in grid order), the layout of every
+    :class:`GridFunction` on that mesh.
     """
 
-    graph: MetricGraph
+    grid: Mesh
     bc: BoundaryCondition
-    h_max: float
     stiffness: SparseMatrix
     boundary: SparseMatrix
     mass: SparseMatrix
     constraint: scipy.sparse.csr_matrix
-    edge_offsets: Mapping[EdgeId, int]
-    vertex_slices: Mapping[VertexId, slice]
     potential_term: SparseMatrix | None = None
     S_bound: float = 0.0
     potential_min: float = 0.0
+
+    @property
+    def graph(self) -> MetricGraph:
+        return self.grid.graph
+
+    @property
+    def h_max(self) -> float:
+        return self.grid.h_max
 
     @property
     def dim(self) -> int:
@@ -127,16 +133,7 @@ class FormAssembly:
         """The assembly plus ``x* Q x``, a term bounded below by ``potential_min x* B x``."""
         return replace(self, potential_term=Q, potential_min=float(potential_min))
 
-    # -- mesh and nodal data ---------------------------------------------
-
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Left node (in the full nodal layout) and width of every mesh cell."""
-        left, width = [], []
-        for e in self.graph.edges:
-            ts = edge_grid(self.graph, e.id, self.h_max)
-            left.append(self.edge_offsets[e.id] + np.arange(ts.size - 1))
-            width.append(np.full(ts.size - 1, ts[1] - ts[0]))
-        return np.concatenate(left), np.concatenate(width)
+    # -- nodal data -------------------------------------------------------
 
     def constrain(self, F: scipy.sparse.spmatrix) -> SparseMatrix:
         """``C* F C`` for a Hermitian nodal matrix F, symmetrized against roundoff."""
@@ -145,15 +142,6 @@ class FormAssembly:
 
     def nodal_vector(self, x: np.ndarray) -> np.ndarray:
         return self.constraint @ x
-
-    def grid_function(self, x: np.ndarray) -> GridFunction:
-        full = self.nodal_vector(x)
-        vals = {}
-        for e in self.graph.edges:
-            n = edge_grid(self.graph, e.id, self.h_max).size
-            off = self.edge_offsets[e.id]
-            vals[e.id] = np.asarray(full[off : off + n], dtype=complex)
-        return GridFunction(self.graph, self.h_max, vals)
 
     # -- quadratic forms --------------------------------------------------
 
@@ -175,23 +163,14 @@ def assemble(g: MetricGraph, bc: BoundaryCondition, h_max: float) -> FormAssembl
     g.require_compact("finite-element assembly")
     S = require_valid_bc(g, bc)
 
-    # full nodal layout: per edge, nodes 0..n_e; constrained layout: interior
-    # nodes edge by edge, then per-vertex kernel coordinates
-    edge_offsets: dict[EdgeId, int] = {}
-    n_nodes = 0
-    c_rows: list[np.ndarray] = []
-    c_cols: list[np.ndarray] = []
-    c_vals: list[np.ndarray] = []
-    for e in g.edges:
-        n = edge_grid(g, e.id, h_max).size
-        edge_offsets[e.id] = n_nodes
-        c_rows.append(n_nodes + np.arange(1, n - 1))
-        n_nodes += n
-    n_interior = n_nodes - 2 * len(g.edges)
-    c_cols.append(np.arange(n_interior))
-    c_vals.append(np.ones(n_interior))
-
-    vertex_slices: dict[VertexId, slice] = {}
+    # full nodal layout: the mesh's; constrained layout: interior nodes edge
+    # by edge, then per-vertex kernel coordinates
+    grid = Mesh(g, h_max)
+    interior = np.delete(np.arange(grid.n_nodes), np.concatenate([grid.offsets[:-1], grid.offsets[1:] - 1]))
+    n_interior = interior.size
+    c_rows: list[np.ndarray] = [interior]
+    c_cols: list[np.ndarray] = [np.arange(n_interior)]
+    c_vals: list[np.ndarray] = [np.ones(n_interior)]
     r_rows: list[np.ndarray] = []
     r_cols: list[np.ndarray] = []
     r_vals: list[np.ndarray] = []
@@ -199,29 +178,27 @@ def assemble(g: MetricGraph, bc: BoundaryCondition, h_max: float) -> FormAssembl
     for v in g.vertices:
         K = bc.ker_ran(v)[0]
         m = K.shape[1]
-        sl = vertex_slices[v] = slice(col, col + m)
+        idx = np.arange(col, col + m)
         for k, (eid, end) in enumerate(g.star(v).slots):
-            n = edge_grid(g, eid, h_max).size
-            c_rows.append(np.full(m, edge_offsets[eid] + (0 if end == INIT else n - 1)))
-            c_cols.append(np.arange(sl.start, sl.stop))
+            c_rows.append(np.full(m, grid.end_node(eid, end)))
+            c_cols.append(idx)
             c_vals.append(K[k])
         # R is block diagonal: one K* L_v K block per vertex
-        idx = np.arange(sl.start, sl.stop)
         r_rows.append(np.repeat(idx, m))
         r_cols.append(np.tile(idx, m))
         r_vals.append((K.conj().T @ bc.L(v) @ K).ravel())
         col += m
     dim = col
-    C = _triplets((n_nodes, dim), c_rows, c_cols, c_vals)
+    C = _triplets((grid.n_nodes, dim), c_rows, c_cols, c_vals)
     R = _triplets((dim, dim), r_rows, r_cols, r_vals)
     R = SparseMatrix(0.5 * (R + R.conj().T))
     R.eliminate_zeros()
 
-    # the layout fixed so far gives the cells and the constraint for A and B
-    fa = FormAssembly(g, bc, h_max, None, R, None, C, edge_offsets, vertex_slices, None, S)
-    left, h = fa.cells()
-    A = fa.constrain(element_matrix(n_nodes, left, 1.0 / h, -1.0 / h, 1.0 / h))
-    B = fa.constrain(element_matrix(n_nodes, left, h / 3.0, h / 6.0, h / 3.0))
+    # the constraint fixed so far maps the mesh's cell matrices to A and B
+    fa = FormAssembly(grid, bc, None, R, None, C, None, S)
+    left, h = grid.cells()
+    A = fa.constrain(element_matrix(grid.n_nodes, left, 1.0 / h, -1.0 / h, 1.0 / h))
+    B = fa.constrain(element_matrix(grid.n_nodes, left, h / 3.0, h / 6.0, h / 3.0))
     return replace(fa, stiffness=A, mass=B)
 
 
@@ -240,7 +217,7 @@ class DiscreteEigensystem:
     residual: float
 
     def grid_functions(self) -> list[GridFunction]:
-        return [self.assembly.grid_function(self.vectors[:, k]) for k in range(self.vectors.shape[1])]
+        return [GridFunction.on(self.assembly.grid, x) for x in self.assembly.nodal_vector(self.vectors).T]
 
 
 def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
@@ -248,7 +225,8 @@ def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
 
     The gate compares the worst residual ``||M x - lambda B x||`` with
     RESIDUAL_RTOL times a scale of at most ``||M||_2``: the largest-magnitude
-    Ritz value of M, or ``||M||_2`` itself on the dense path.
+    Ritz value of M (Lanczos to a relative tolerance of 1e-3), or ``||M||_2``
+    itself on the dense path.
     """
     # imported here: ARPACK and SuperLU cost about 15 ms and 2 MB to load,
     # which runs that never solve an FEM system should not pay
@@ -269,7 +247,8 @@ def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
         v0 = np.random.default_rng(0).standard_normal(fa.dim).astype(M.dtype)
         try:
             _, V = scipy.sparse.linalg.eigsh(M, k, M=B, sigma=fa.spectrum_floor - 1.0, which="LM", v0=v0)
-            top = scipy.sparse.linalg.eigsh(M, 1, which="LM", v0=v0, return_eigenvectors=False)
+            # a loose tolerance suffices: every Ritz value is <= ||M||_2
+            top = scipy.sparse.linalg.eigsh(M, 1, which="LM", v0=v0, tol=1e-3, return_eigenvectors=False)
             # Rayleigh-Ritz on the returned subspace makes the vectors
             # B-orthonormal also inside degenerate eigenspaces
             w, Y = scipy.linalg.eigh(V.conj().T @ (M @ V), V.conj().T @ (B @ V))
@@ -317,7 +296,3 @@ def check_boundary_bound(fa: FormAssembly, eps: float, n_samples: int = 1000, se
     stiff, btrm, mass = _sample_forms(fa, n_samples, seed)
     margins = (4.0 * S / eps) * mass + 2.0 * S * eps * stiff - btrm
     return float(np.min(margins))
-
-
-def spectrum_csv_rows(es: DiscreteEigensystem) -> list[tuple[int, float]]:
-    return [(i, float(lam)) for i, lam in enumerate(es.eigenvalues)]

@@ -1,7 +1,10 @@
 """Functions on a metric graph, sampled on per-edge uniform grids.
 
-A :class:`GridFunction` stores complex nodal values on every edge, with mesh
-width at most ``h_max``.  Vertex traces collect boundary values and inward
+One :class:`Mesh` per (graph, h_max) lays the per-edge grids of width at
+most ``h_max`` end to end in one flat node array, with the cell widths and
+trapezoid weights.  A :class:`GridFunction` is a mesh plus one flat array of
+complex nodal values; the finite-element nodal vectors, the spectral modes
+and the potentials (real grid functions) share this layout.  Vertex traces collect boundary values and inward
 derivatives over the edge-ends of each vertex; the derivative at the far end
 of an edge carries a minus sign so that the trace is orientation independent.
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -45,74 +49,138 @@ def edge_grid(g: MetricGraph, edge_id: EdgeId, h_max: float) -> np.ndarray:
     return np.linspace(0.0, e.length, n + 1)
 
 
-@dataclass(frozen=True)
+class Mesh:
+    """The per-edge grids of one (graph, h_max), laid out as one flat node array.
+
+    Edge k of ``graph.edges`` owns the nodes ``offsets[k]:offsets[k + 1]``,
+    in grid order, with width ``widths[k]``; ``weights`` are the trapezoid
+    weights of every node.  The finite-element nodal vectors, the data of
+    every :class:`GridFunction` and the potentials use this layout.  Two
+    meshes of the same graph and ``h_max`` are equal.
+    """
+
+    def __init__(self, graph: MetricGraph, h_max: float) -> None:
+        grids = [edge_grid(graph, e.id, h_max) for e in graph.edges]
+        sizes = np.array([ts.size for ts in grids])
+        self.graph, self.h_max = graph, h_max
+        self.index = {e.id: k for k, e in enumerate(graph.edges)}
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.widths = np.array([ts[1] - ts[0] for ts in grids])
+        self.nodes = np.concatenate(grids)
+        self.n_nodes = self.nodes.size
+        self.weights = np.repeat(self.widths, sizes)
+        self.weights[self.offsets[:-1]] *= 0.5
+        self.weights[self.offsets[1:] - 1] *= 0.5
+        for a in (self.offsets, self.widths, self.nodes, self.weights):
+            a.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        return isinstance(other, Mesh) and self.graph == other.graph and self.h_max == other.h_max
+
+    def edge(self, edge_id: EdgeId) -> slice:
+        k = self.index[edge_id]
+        return slice(self.offsets[k], self.offsets[k + 1])
+
+    def end_node(self, edge_id: EdgeId, end: str) -> int:
+        """Flat index of the node at the initial or terminal end of an edge."""
+        k = self.index[edge_id]
+        return int(self.offsets[k] if end == INIT else self.offsets[k + 1] - 1)
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left node and width of every cell, edge by edge."""
+        sizes = np.diff(self.offsets)
+        return np.delete(np.arange(self.n_nodes), self.offsets[1:] - 1), np.repeat(self.widths, sizes - 1)
+
+    def interpolate(self, y: np.ndarray, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
+        """Linear interpolation of the flat nodal data ``y`` along one edge."""
+        sl = self.edge(edge_id)
+        ts, y, t = self.nodes[sl], y[sl], np.asarray(t, dtype=float)
+        if np.iscomplexobj(y):
+            return np.interp(t, ts, y.real) + 1j * np.interp(t, ts, y.imag)
+        return np.interp(t, ts, y)
+
+    def sample(self, fn: Callable[[EdgeId, np.ndarray], np.ndarray]) -> np.ndarray:
+        """Flat values of ``fn(edge_id, nodes)``, edge by edge."""
+        return np.concatenate([np.asarray(fn(e.id, self.nodes[self.edge(e.id)])) for e in self.graph.edges])
+
+
 class GridFunction:
-    """Complex nodal values on the per-edge grids of mesh parameter h_max."""
+    """Complex nodal values on a :class:`Mesh`: the mesh plus one flat array.
 
-    graph: MetricGraph
-    h_max: float
-    values: Mapping[EdgeId, np.ndarray]
+    ``GridFunction(graph, h_max, {edge_id: values})`` builds one from per-edge
+    arrays, :meth:`on` from flat data.  Sums, multiples and products share
+    the mesh of their operands.
+    """
 
-    def __post_init__(self) -> None:
-        for e in self.graph.edges:
-            if e.id not in self.values:
-                raise ValueError(f"missing values on edge {e.id!r}")
-            n_expected = edge_grid(self.graph, e.id, self.h_max).size
-            got = np.asarray(self.values[e.id])
-            if got.shape != (n_expected,):
-                raise ValueError(
-                    f"edge {e.id!r}: expected {n_expected} nodes, got shape {got.shape}"
-                )
-            if not np.all(np.isfinite(got.view(float))):
-                raise ValueError(f"edge {e.id!r}: non-finite values")
+    def __init__(self, graph: MetricGraph, h_max: float, values: Mapping[EdgeId, np.ndarray]) -> None:
+        grid = Mesh(graph, h_max)
+        shapes = [np.shape(values.get(e.id)) for e in graph.edges]
+        if shapes != [(n,) for n in np.diff(grid.offsets)]:
+            raise ValueError(f"per-edge value shapes {shapes} do not match the mesh's node counts")
+        self._set(grid, np.concatenate([values[e.id] for e in graph.edges]))
+
+    def _set(self, grid: Mesh, data: np.ndarray) -> None:
+        data = self._cast(data)
+        if data.shape != (grid.n_nodes,):
+            raise ValueError(f"expected {grid.n_nodes} nodal values, got shape {data.shape}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("non-finite nodal values")
+        self.grid, self.data = grid, data
+        self.graph, self.h_max = grid.graph, grid.h_max
+
+    @staticmethod
+    def _cast(data) -> np.ndarray:
+        return np.asarray(data, dtype=complex)
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def on(cls, grid: Mesh, data: np.ndarray) -> "GridFunction":
+        """The function with flat nodal data ``data`` on ``grid``."""
+        f = cls.__new__(cls)
+        f._set(grid, data)
+        return f
 
     @classmethod
     def from_callable(
         cls, g: MetricGraph, h_max: float, fn: Callable[[EdgeId, np.ndarray], np.ndarray]
     ) -> "GridFunction":
-        vals = {}
-        for e in g.edges:
-            ts = edge_grid(g, e.id, h_max)
-            vals[e.id] = np.asarray(fn(e.id, ts), dtype=complex)
-        return cls(g, h_max, vals)
+        grid = Mesh(g, h_max)
+        return cls.on(grid, grid.sample(fn))
 
     @classmethod
     def zeros(cls, g: MetricGraph, h_max: float) -> "GridFunction":
-        return cls.from_callable(g, h_max, lambda eid, ts: np.zeros_like(ts, dtype=complex))
+        return cls.from_callable(g, h_max, lambda eid, ts: np.zeros_like(ts))
 
     @classmethod
     def ones(cls, g: MetricGraph, h_max: float) -> "GridFunction":
-        return cls.from_callable(g, h_max, lambda eid, ts: np.ones_like(ts, dtype=complex))
+        return cls.from_callable(g, h_max, lambda eid, ts: np.ones_like(ts))
 
     # -- access ----------------------------------------------------------
 
+    @cached_property
+    def values(self) -> Mapping[EdgeId, np.ndarray]:
+        """Per-edge views of the flat data."""
+        return {e.id: self.data[self.grid.edge(e.id)] for e in self.graph.edges}
+
     def nodes(self, edge_id: EdgeId) -> np.ndarray:
-        return edge_grid(self.graph, edge_id, self.h_max)
+        return self.grid.nodes[self.grid.edge(edge_id)]
 
     def mesh(self, edge_id: EdgeId) -> float:
-        ts = self.nodes(edge_id)
-        return float(ts[1] - ts[0])
+        return float(self.grid.widths[self.grid.index[edge_id]])
 
     def evaluate(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
         """Linear interpolation between nodes."""
-        ts = self.nodes(edge_id)
-        y = np.asarray(self.values[edge_id])
-        t = np.asarray(t, dtype=float)
-        return np.interp(t, ts, y.real) + 1j * np.interp(t, ts, y.imag)
-
-    def same_mesh(self, other: "GridFunction") -> bool:
-        return self.graph == other.graph and self.h_max == other.h_max
+        return self.grid.interpolate(self.data, edge_id, t)
 
     # -- arithmetic (same mesh only) --------------------------------------
 
     def _binary(self, other: "GridFunction", op) -> "GridFunction":
-        if not self.same_mesh(other):
+        if self.grid != other.grid:
             raise ValueError("grid functions live on different meshes")
-        return GridFunction(
-            self.graph, self.h_max, {k: op(np.asarray(v), np.asarray(other.values[k])) for k, v in self.values.items()}
-        )
+        return GridFunction.on(self.grid, op(self.data, other.data))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return self._binary(other, np.add)
@@ -121,7 +189,7 @@ class GridFunction:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar: complex) -> "GridFunction":
-        return GridFunction(self.graph, self.h_max, {k: scalar * np.asarray(v) for k, v in self.values.items()})
+        return GridFunction.on(self.grid, scalar * self.data)
 
     __rmul__ = __mul__
 
@@ -148,26 +216,17 @@ def traces(f: GridFunction) -> TraceVector:
     At an initial end f'(v) = lim f'(t) as t -> 0+, at a terminal end the
     limit at l carries a minus sign; both need three grid nodes.
     """
-    g = f.graph
+    g, grid = f.graph, f.grid
     vals: dict[VertexId, np.ndarray] = {}
     ders: dict[VertexId, np.ndarray] = {}
     for v in g.vertices:
-        star = g.star(v)
-        fv = np.zeros(star.degree, dtype=complex)
-        dv = np.zeros(star.degree, dtype=complex)
-        for k, (eid, end) in enumerate(star.slots):
-            y = np.asarray(f.values[eid])
-            if y.size < 3:
-                raise ValueError(f"edge {eid!r} grid too coarse for trace stencils")
-            h = f.mesh(eid)
-            if end == INIT:
-                fv[k] = y[0]
-                dv[k] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-            else:
-                fv[k] = y[-1]
-                dv[k] = -(3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
-        vals[v] = fv
-        ders[v] = dv
+        slots = g.star(v).slots
+        i = np.array([grid.end_node(eid, end) for eid, end in slots], dtype=int)
+        step = np.array([1 if end == INIT else -1 for _, end in slots], dtype=int)  # inward
+        h = grid.widths[[grid.index[eid] for eid, _ in slots]]
+        y = f.data
+        vals[v] = y[i]
+        ders[v] = (-3.0 * y[i] + 4.0 * y[i + step] - y[i + 2 * step]) / (2.0 * h)
     return TraceVector(vals, ders)
 
 
@@ -188,34 +247,19 @@ class Norms:
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _trapz(y: np.ndarray, h: float) -> float:
-    return float(trapezoid(y, dx=h))
-
-
 def norms(f: GridFunction) -> Norms:
     """Trapezoid L2 norm, centered-difference derivative norm, sup of nodes."""
-    l2sq = 0.0
-    dsq = 0.0
-    linf = 0.0
-    for e in f.graph.edges:
-        y = np.asarray(f.values[e.id])
-        h = f.mesh(e.id)
-        l2sq += _trapz(np.abs(y) ** 2, h)
-        dy = np.gradient(y, h, edge_order=2)
-        dsq += _trapz(np.abs(dy) ** 2, h)
-        linf = max(linf, float(np.max(np.abs(y))))
-    return Norms(math.sqrt(l2sq), math.sqrt(dsq), math.sqrt(l2sq + dsq), linf)
+    dy = np.concatenate([np.gradient(f.values[e.id], f.mesh(e.id), edge_order=2) for e in f.graph.edges])
+    l2sq = float(f.grid.weights @ np.abs(f.data) ** 2)
+    dsq = float(f.grid.weights @ np.abs(dy) ** 2)
+    return Norms(math.sqrt(l2sq), math.sqrt(dsq), math.sqrt(l2sq + dsq), float(np.max(np.abs(f.data))))
 
 
 def inner(f: GridFunction, g: GridFunction) -> complex:
     """L2 pairing <f, g> = integral of f * conj(g), by the trapezoid rule."""
-    if not f.same_mesh(g):
+    if f.grid != g.grid:
         raise ValueError("grid functions live on different meshes")
-    acc = 0.0 + 0.0j
-    for e in f.graph.edges:
-        h = f.mesh(e.id)
-        acc += trapezoid(np.asarray(f.values[e.id]) * np.conj(g.values[e.id]), dx=h)
-    return complex(acc)
+    return complex(np.vdot(g.data, f.grid.weights * f.data))
 
 
 def _prefix_integral(y: np.ndarray, h: float, a: float) -> float:
@@ -323,9 +367,7 @@ class CutoffFunction:
         return out
 
     def to_grid(self, h_max: float) -> GridFunction:
-        return GridFunction.from_callable(
-            self.graph, h_max, lambda eid, ts: self.value(eid, ts).astype(complex)
-        )
+        return GridFunction.from_callable(self.graph, h_max, self.value)
 
     def derivative_bound(self) -> float:
         """Analytic sup of |psi|, |psi'|, |psi''| over the whole graph."""
@@ -404,16 +446,55 @@ def _clip_window(center: float, w: float, length: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def save_function_csv(f: GridFunction, path: str | Path) -> None:
-    """Rows (edge_id, t, re, im), nodes in grid order."""
+def write_edge_csv(path: str | Path, grid: Mesh, columns: Mapping[str, np.ndarray]) -> None:
+    """Rows (edge_id, t, *columns) of flat nodal columns, nodes in grid order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["edge_id", "t", "re", "im"])
-        for e in f.graph.edges:
-            ts = f.nodes(e.id)
-            y = np.asarray(f.values[e.id])
-            for t, val in zip(ts, y):
-                writer.writerow([e.id, repr(float(t)), repr(float(val.real)), repr(float(val.imag))])
+        writer.writerow(["edge_id", "t", *columns])
+        for e in grid.graph.edges:
+            sl = grid.edge(e.id)
+            for row in zip(grid.nodes[sl], *(col[sl] for col in columns.values())):
+                writer.writerow([e.id, *(repr(float(x)) for x in row)])
+
+
+def read_edge_csv(
+    path: str | Path, g: MetricGraph, h_max: float, names: list[str], kind: str
+) -> tuple[Mesh, np.ndarray]:
+    """The mesh of ``h_max`` and the (nodes x names) columns of a file of :func:`write_edge_csv`.
+
+    Node coordinates must match the mesh to 1e-9.  Every defect of the file
+    is a ``ValueError`` whose text starts with ``kind``.
+    """
+    header = ["edge_id", "t", *names]
+    rows: dict[str, list[list[float]]] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or first[: len(header)] != header:
+            raise ValueError(f"{kind} CSV must start with header {','.join(header)}")
+        for rec in reader:
+            if len(rec) < len(header):
+                raise ValueError(
+                    f"{kind} CSV line {reader.line_num}: expected {len(header)} fields, got {len(rec)}"
+                )
+            rows.setdefault(rec[0], []).append([float(x) for x in rec[1 : len(header)]])
+    grid = Mesh(g, h_max)
+    out: list[list[float]] = []
+    for e in g.edges:
+        got = rows.get(str(e.id))
+        if got is None:
+            raise ValueError(f"{kind} CSV has no rows for edge {e.id!r}")
+        got.sort(key=lambda r: r[0])
+        ts = grid.nodes[grid.edge(e.id)]
+        if len(got) != ts.size or max(abs(r[0] - t) for r, t in zip(got, ts)) > 1e-9:
+            raise ValueError(f"{kind} nodes on edge {e.id!r} do not match the mesh h_max={h_max}")
+        out += got
+    return grid, np.array(out)[:, 1:]
+
+
+def save_function_csv(f: GridFunction, path: str | Path) -> None:
+    """Rows (edge_id, t, re, im), nodes in grid order."""
+    write_edge_csv(path, f.grid, {"re": f.data.real, "im": f.data.imag})
 
 
 def load_function_csv(path: str | Path, g: MetricGraph, h_max: float) -> GridFunction:
@@ -421,22 +502,5 @@ def load_function_csv(path: str | Path, g: MetricGraph, h_max: float) -> GridFun
 
     Node coordinates must match the grid implied by ``h_max`` to 1e-9.
     """
-    rows: dict[str, list[tuple[float, complex]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["edge_id", "t", "re", "im"]:
-            raise ValueError("function CSV must start with header edge_id,t,re,im")
-        for rec in reader:
-            rows.setdefault(rec[0], []).append((float(rec[1]), complex(float(rec[2]), float(rec[3]))))
-    vals = {}
-    for e in g.edges:
-        got = rows.get(str(e.id))
-        if got is None:
-            raise ValueError(f"CSV has no rows for edge {e.id!r}")
-        got.sort(key=lambda p: p[0])
-        ts = edge_grid(g, e.id, h_max)
-        if len(got) != ts.size or max(abs(t - s) for (t, _), s in zip(got, ts)) > 1e-9:
-            raise ValueError(f"CSV nodes on edge {e.id!r} do not match the mesh h_max={h_max}")
-        vals[e.id] = np.array([v for _, v in got], dtype=complex)
-    return GridFunction(g, h_max, vals)
+    grid, cols = read_edge_csv(path, g, h_max, ["re", "im"], "function")
+    return GridFunction.on(grid, cols[:, 0] + 1j * cols[:, 1])

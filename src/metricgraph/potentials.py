@@ -15,55 +15,41 @@ arbitrarily small at the price of a large constant.  The checks in this
 module evaluate both the final inequality and the window-wise sup bound it
 rests on, with quadrature chosen so the discrete chain of estimates is exact
 for nodal data.
+
+A :class:`Potential` is a real :class:`GridFunction`: its samples share the
+flat :class:`Mesh` layout of the finite-element nodal vectors, so the
+checks read V, f and the trapezoid weights node by node.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .boundary import BoundaryCondition
 from .expansion import BumpTest, compile_battery
 from .fem import COLUMN_BLOCK, DiscreteEigensystem, FormAssembly, SparseMatrix, column_forms, element_matrix
-from .functions import GridFunction, edge_grid, traces, trapezoid
-from .graph import EdgeId, EdgeSegment, MetricGraph
+from .functions import GridFunction, read_edge_csv, traces, write_edge_csv
+from .graph import EdgeId, EdgeSegment, MetricGraph, segments
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Real nodal samples on the same per-edge grids as :class:`GridFunction`."""
+class Potential(GridFunction):
+    """A real :class:`GridFunction`: nodal samples of V on its mesh."""
 
-    graph: MetricGraph
-    h_max: float
-    values: Mapping[EdgeId, np.ndarray]
-
-    def __post_init__(self) -> None:
-        for e in self.graph.edges:
-            v = np.asarray(self.values[e.id])
-            n = edge_grid(self.graph, e.id, self.h_max).size
-            if v.shape != (n,):
-                raise ValueError(f"edge {e.id!r}: expected {n} samples, got {v.shape}")
-            if np.iscomplexobj(v) and np.any(np.abs(v.imag) > 0):
-                raise ValueError("potentials must be real-valued")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"edge {e.id!r}: non-finite potential values")
-
-    @classmethod
-    def from_callable(cls, g: MetricGraph, h_max: float, fn: Callable[[EdgeId, np.ndarray], np.ndarray]) -> "Potential":
-        return cls(g, h_max, {e.id: np.asarray(fn(e.id, edge_grid(g, e.id, h_max)), dtype=float) for e in g.edges})
+    @staticmethod
+    def _cast(data) -> np.ndarray:
+        data = np.asarray(data)
+        if np.iscomplexobj(data) and np.any(data.imag != 0):
+            raise ValueError("potentials must be real-valued")
+        return np.asarray(data.real, dtype=float)
 
     @classmethod
     def constant(cls, g: MetricGraph, h_max: float, c: float) -> "Potential":
         return cls.from_callable(g, h_max, lambda eid, ts: np.full_like(ts, c))
-
-    def evaluate(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
-        ts = edge_grid(self.graph, edge_id, self.h_max)
-        return np.interp(np.asarray(t, dtype=float), ts, np.asarray(self.values[edge_id], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -88,38 +74,22 @@ def uniform_l2_norm(g: MetricGraph, V: Potential, step: float | None = None) -> 
     """Sliding-window sup of ||V||_{L2} over maximal windows min(2u, l(e)).
 
     The L2 norm grows with the window, so windows of maximal admissible
-    length dominate all shorter ones; sliding them at a step <= u/10 makes
-    the discrete sup a tight lower bound for the true one.
+    length dominate all shorter ones; sliding them at a step <= u/10 (the
+    windows of :func:`graph.segments`) makes the discrete sup a tight lower
+    bound for the true one.
     """
     if step is None:
         step = g.u / 10.0
     if step > g.u / 10.0 + 1e-12:
         raise ValueError(f"step={step} too coarse; need step <= u/10 = {g.u / 10.0}")
+    cums = {e.id: _cumulative_sq(V.values[e.id], V.mesh(e.id)) for e in g.edges}
     best = -1.0
     best_seg: EdgeSegment | None = None
-    for e in g.edges:
-        ts = edge_grid(g, e.id, V.h_max)
-        h = ts[1] - ts[0]
-        cum = _cumulative_sq(np.asarray(V.values[e.id]), h)
-
-        def window_norm_sq(a: float, b: float) -> float:
-            fa = np.interp(a, ts, cum)
-            fb = np.interp(b, ts, cum)
-            return float(fb - fa)
-
-        w = min(2.0 * g.u, e.length)
-        starts = []
-        k = 0
-        while k * step <= e.length - w + 1e-12:
-            starts.append(k * step)
-            k += 1
-        if not starts or abs(starts[-1] - (e.length - w)) > 1e-12:
-            starts.append(e.length - w)
-        for a in starts:
-            val = window_norm_sq(a, a + w)
-            if val > best:
-                best = val
-                best_seg = EdgeSegment(e.id, a, a + w)
+    for seg in segments(g, 2.0 * g.u, step):
+        ts, cum = V.nodes(seg.edge), cums[seg.edge]
+        val = float(np.interp(seg.t1, ts, cum) - np.interp(seg.t0, ts, cum))
+        if val > best:
+            best, best_seg = val, seg
     assert best_seg is not None
     return UniformL2Norm(math.sqrt(max(best, 0.0)), best_seg)
 
@@ -136,20 +106,18 @@ def potential_matrix(fa: FormAssembly, V: Potential) -> SparseMatrix:
     the matrix Hermitian, reproduces constant shifts exactly and bounds the
     form below by ``min V ||f||^2``.
     """
-    if V.graph != fa.graph or V.h_max != fa.h_max:
+    if V.grid != fa.grid:
         raise ValueError("potential sampled on a different mesh than the assembly")
-    left, h = fa.cells()
-    vv = np.concatenate([np.asarray(V.values[e.id], dtype=float) for e in fa.graph.edges])
-    v0, v1 = vv[left], vv[left + 1]
+    left, h = fa.grid.cells()
+    v0, v1 = V.data[left], V.data[left + 1]
     Q_full = element_matrix(
-        vv.size, left, h * (3.0 * v0 + v1) / 12.0, h * (v0 + v1) / 12.0, h * (v0 + 3.0 * v1) / 12.0
+        V.data.size, left, h * (3.0 * v0 + v1) / 12.0, h * (v0 + v1) / 12.0, h * (v0 + 3.0 * v1) / 12.0
     )
     return fa.constrain(Q_full)
 
 
 def assemble_perturbed(fa: FormAssembly, V: Potential) -> FormAssembly:
-    vmin = min(float(np.min(v)) for v in V.values.values())
-    return fa.with_potential(potential_matrix(fa, V), vmin)
+    return fa.with_potential(potential_matrix(fa, V), float(np.min(V.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +170,7 @@ def check_relative_bound(
     for a_k in a_values:
         if not (0 < a_k <= fa.graph.u):
             raise ValueError(f"a={a_k} must lie in (0, u={fa.graph.u}]")
-    if V.graph != fa.graph or V.h_max != fa.h_max:
+    if V.grid != fa.grid:
         raise ValueError("potential sampled on a different mesh than the assembly")
     M = uniform_l2_norm(fa.graph, V).M
     rng = np.random.default_rng(seed)
@@ -210,28 +178,23 @@ def check_relative_bound(
     q_vals = column_forms(fa.stiffness - fa.boundary, X)
     mass = column_forms(fa.mass, X)
 
-    grids = []  # (edge, h, nodal rows, trapezoid weights times V^2) per edge
-    for e in fa.graph.edges:
-        ts = edge_grid(fa.graph, e.id, fa.h_max)
-        h = ts[1] - ts[0]
-        off = fa.edge_offsets[e.id]
-        w = np.full(ts.size, h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        grids.append((e, h, slice(off, off + ts.size), w * np.asarray(V.values[e.id], dtype=float) ** 2))
-    # nodal values a block of samples at a time, never all of them at once
+    grid = fa.grid
+    edges = [(e, grid.edge(e.id), grid.widths[k]) for k, e in enumerate(fa.graph.edges)]
+    wv2 = grid.weights * V.data**2
+    # nodal values a block of samples at a time, never all of them at once;
+    # ||V f||^2 summed edge by edge
     vf_sq = np.zeros(n_samples)
     for j in range(0, n_samples, COLUMN_BLOCK):
         full = fa.constraint @ X[:, j : j + COLUMN_BLOCK]
-        for _, _, rows, wv2 in grids:
-            vf_sq[j : j + COLUMN_BLOCK] += np.einsum("i,ij->j", wv2, np.abs(full[rows]) ** 2)
+        for _, rows, _ in edges:
+            vf_sq[j : j + COLUMN_BLOCK] += np.einsum("i,ij->j", wv2[rows], np.abs(full[rows]) ** 2)
 
     # window inequality on a handful of samples; windows snap outward to grid
     # nodes so their length stays >= a, which the estimate needs
     worst_window = [math.inf] * len(a_values)
     head = fa.constraint @ X[:, :n_window_samples]
     for x in head.T:
-        for e, h, rows, _ in grids:
+        for e, rows, h in edges:
             y = x[rows]
             dsq_cells = np.abs(np.diff(y) / h) ** 2 * h  # exact per-cell integral of |f'|^2
             ysq = np.abs(y) ** 2
@@ -315,12 +278,7 @@ def perturbed_eigen_report(
         vres = max((bc.vertex_residual(v, tr.values[v], tr.derivatives[v]) for v in g.vertices), default=0.0)
         wn = None
         if weight is not None:
-            num = 0.0
-            for e in g.edges:
-                h = phi.mesh(e.id)
-                ratio = np.abs(np.asarray(phi.values[e.id])) ** 2 / np.asarray(weight.values[e.id]).real ** 2
-                num += float(trapezoid(ratio, dx=h))
-            wn = math.sqrt(num)
+            wn = math.sqrt(float(phi.grid.weights @ (np.abs(phi.data) ** 2 / weight.data.real**2)))
         out.append(PerturbedModeReport(lam, float(interior[k]), float(star[k]), vres, wn))
     return PerturbedReport(tuple(out))
 
@@ -331,35 +289,12 @@ def perturbed_eigen_report(
 
 
 def save_potential_csv(V: Potential, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge_id", "t", "value"])
-        for e in V.graph.edges:
-            ts = edge_grid(V.graph, e.id, V.h_max)
-            for t, val in zip(ts, np.asarray(V.values[e.id], dtype=float)):
-                writer.writerow([e.id, repr(float(t)), repr(float(val))])
+    write_edge_csv(path, V.grid, {"value": V.data})
 
 
 def load_potential_csv(path: str | Path, g: MetricGraph, h_max: float) -> Potential:
-    rows: dict[str, list[tuple[float, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["edge_id", "t", "value"]:
-            raise ValueError("potential CSV must start with header edge_id,t,value")
-        for rec in reader:
-            rows.setdefault(rec[0], []).append((float(rec[1]), float(rec[2])))
-    vals = {}
-    for e in g.edges:
-        got = rows.get(str(e.id))
-        if got is None:
-            raise ValueError(f"potential CSV has no rows for edge {e.id!r}")
-        got.sort(key=lambda p: p[0])
-        ts = edge_grid(g, e.id, h_max)
-        if len(got) != ts.size or max(abs(t - s) for (t, _), s in zip(got, ts)) > 1e-9:
-            raise ValueError(f"potential nodes on edge {e.id!r} do not match the mesh h_max={h_max}")
-        vals[e.id] = np.array([v for _, v in got], dtype=float)
-    return Potential(g, h_max, vals)
+    grid, cols = read_edge_csv(path, g, h_max, ["value"], "potential")
+    return Potential.on(grid, cols[:, 0])
 
 
 def parse_potential_expr(expr: str, g: MetricGraph, h_max: float) -> Potential:

@@ -29,7 +29,6 @@ import numpy as np
 import scipy.linalg
 
 from .boundary import BoundaryCondition, require_valid_bc
-from .functions import GridFunction
 from .graph import INIT, TERM, EdgeId, MetricGraph, VertexId
 
 SERIES_THRESHOLD = 1e-6  # |lambda| below which the power series is used
@@ -381,11 +380,6 @@ class SecularSolution:
             G = basis_gram(self.lam, e.length)
             total += float(np.real(u.conj() @ G @ u))
         return total
-
-    def to_grid(self, h_max: float) -> GridFunction:
-        return GridFunction.from_callable(
-            self.graph, h_max, lambda eid, ts: self.evaluate(eid, ts)
-        )
 
 
 def _coeff_columns_to_solutions(g: MetricGraph, lam: float, X: np.ndarray) -> list[SecularSolution]:

@@ -338,6 +338,64 @@ def test_potential_csv_mesh_mismatch_is_input_error(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("content", ["", "edge_id,t,value\ne,0.0\n"], ids=["empty", "short-row"])
+def test_potential_csv_defects_are_input_errors(tmp_path, capsys, content):
+    g, b = write_interval(tmp_path)
+    vpath = tmp_path / "short.csv"
+    vpath.write_text(content)
+    code = main(["potential", "--graph", g, "--bc", b, "--potential", str(vpath), "--mesh", "0.05", "--modes", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: potential CSV") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", ["", "edge_id,t,re,im\ne,0.0,1.0\n"], ids=["empty", "short-row"])
+def test_check_file_defects_are_input_errors(tmp_path, capsys, content):
+    g, b = write_interval(tmp_path)
+    fpath = tmp_path / "short.csv"
+    fpath.write_text(content)
+    code = main(["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2",
+                 "--lambda-min", "0.5", "--lambda-max", "10", "--check-file", str(fpath), "--check-lambda", "1.0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: function CSV") and "Traceback" not in err
+
+
+def write_grid4(tmp_path):
+    """4x4 Kirchhoff lattice, 24 edges with lengths in [1, 1.4]."""
+    rng = np.random.default_rng(11)
+    vid = [[f"v{r}{c}" for c in range(4)] for r in range(4)]
+    pairs = [(vid[r][c], vid[r][c + 1]) for r in range(4) for c in range(3)]
+    pairs += [(vid[r][c], vid[r + 1][c]) for r in range(3) for c in range(4)]
+    edges = [{"id": f"e{k:02d}", "length": float(rng.uniform(1.0, 1.4)), "from": a, "to": b}
+             for k, (a, b) in enumerate(pairs)]
+    gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
+    gpath.write_text(json.dumps({"u": 1.0, "vertices": [v for row in vid for v in row], "edges": edges}))
+    bpath.write_text(json.dumps({v: "kirchhoff" for row in vid for v in row}))
+    return str(gpath), str(bpath), len(edges)
+
+
+def test_potential_builds_few_edge_grids(tmp_path, capsys, monkeypatch):
+    # the potential, the assembly and the battery's cuts share per-edge grids
+    # through their meshes instead of rebuilding them per call
+    import sys
+
+    from metricgraph import functions
+
+    original, calls = functions.edge_grid, []
+    for name, mod in list(sys.modules.items()):  # every binding site of the name
+        if name == "metricgraph" or name.startswith("metricgraph."):
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, lambda *a: calls.append(a) or original(*a))
+    g, b, n_edges = write_grid4(tmp_path)
+    code = main(["potential", "--graph", g, "--bc", b, "--potential", "well:e05,0.2,0.8,3.0",
+                 "--mesh", "0.02", "--modes", "4", "--samples", "200"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) <= 4 * n_edges
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

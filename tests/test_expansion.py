@@ -318,3 +318,116 @@ def test_battery_spans_trace_space():
     assert len(star_tests) == 3  # one continuity datum + two flux-free data
     for t in star_tests:
         assert t.condition_residual(g, bc) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the matrix-product forms against per-mode reference loops
+# ---------------------------------------------------------------------------
+
+
+def _edge_trapz(f_vals, g_vals, rep):
+    """<f, g> edge by edge with the trapezoid rule: the per-mode reference."""
+    return sum(
+        np.trapezoid(np.asarray(f_vals[e.id]) * np.conj(g_vals[e.id]), dx=rep.modes[0].phi.mesh(e.id))
+        for e in rep.graph.edges
+    )
+
+
+def _oracle_lp_star():
+    """5-ray star: complex rank-2 P and L on ker P at the centre; mixed tips."""
+    from metricgraph import BoundaryCondition, Edge, MetricGraph, preset
+
+    rng = np.random.default_rng(7)
+    edges = tuple(Edge(f"e{i}", float(rng.uniform(1.0, 2.0)), "c", f"t{i}") for i in range(1, 6))
+    g = MetricGraph(("c",) + tuple(f"t{i}" for i in range(1, 6)), edges, 1.0)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    P = Q[:, :2] @ Q[:, :2].conj().T
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    L = Q[:, 2:] @ (0.25 * (G + G.conj().T)) @ Q[:, 2:].conj().T
+    conds = {"c": (L, P)}
+    for i, kind in enumerate(("dirichlet", "neumann", "delta", "dirichlet", "delta"), start=1):
+        conds[f"t{i}"] = preset(kind, g.star(f"t{i}"), -0.6 if kind == "delta" else None)
+    return g, BoundaryCondition(conds)
+
+
+def _oracle_grid4():
+    """4x4 Kirchhoff lattice, lengths in [1, 1.4]."""
+    from metricgraph import Edge, MetricGraph
+
+    rng = np.random.default_rng(11)
+    vid = [[f"v{r}{c}" for c in range(4)] for r in range(4)]
+    pairs = [(vid[r][c], vid[r][c + 1]) for r in range(4) for c in range(3)]
+    pairs += [(vid[r][c], vid[r + 1][c]) for r in range(3) for c in range(4)]
+    lengths = rng.uniform(1.0, 1.4, len(pairs))
+    edges = tuple(Edge(f"e{k:02d}", float(lengths[k]), a, b) for k, (a, b) in enumerate(pairs))
+    g = MetricGraph(tuple(v for row in vid for v in row), edges, 1.0)
+    return g, uniform_bc(g, "kirchhoff")
+
+
+def _oracle_reps():
+    out = []
+    g, bc, rep = interval_rep(n_modes=8, h_max=math.pi / 200)
+    out.append(("dirichlet-interval", rep, 1.0))
+    g, bc = _oracle_lp_star()
+    hits = eigenvalue_scan(g, bc, -3.0, 30.0, num=600)
+    out.append(("general-lp-star", DiscreteSpectralRep.from_secular(g, bc, hits, 0.01), 3.5))
+    g, bc = _oracle_grid4()
+    out.append(("grid4-kirchhoff", DiscreteSpectralRep.from_fem(eigensystem(assemble(g, bc, 0.05), 8)), 1.0))
+    return out
+
+
+ORACLE_REPS = _oracle_reps()
+
+
+@pytest.mark.parametrize("name,rep,C", ORACLE_REPS, ids=[c[0] for c in ORACLE_REPS])
+def test_matrix_products_match_per_mode_loops(name, rep, C):
+    g = rep.graph
+    weight = build_weight(g, VertexPoint(g.vertices[0]), 1.0).sample(rep.h_max)
+    f = GridFunction.from_callable(
+        g, rep.h_max, lambda eid, ts: ts * (g.edge(eid).length - ts) + 0.3j * np.cos(2.0 * ts)
+    )
+    n = len(rep.modes)
+    assert n >= 6
+
+    coeffs = fourier_coefficients(rep, f)
+    ref = np.array([_edge_trapz(f.values, m.phi.values, rep) for m in rep.modes])
+    assert np.linalg.norm(coeffs - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    c = np.random.default_rng(2).standard_normal(n) + 1j * np.random.default_rng(3).standard_normal(n)
+    got = reconstruct(rep, c)
+    for e in g.edges:
+        want = sum(ck * np.asarray(m.phi.values[e.id]) for ck, m in zip(c, rep.modes))
+        assert np.max(np.abs(got.values[e.id] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    pr = parseval(rep, f)
+    norm_sq = float(np.real(_edge_trapz(f.values, f.values, rep)))
+    coeff_sq = float(np.sum(np.abs(ref) ** 2))
+    assert pr.norm_sq == pytest.approx(norm_sq, rel=1e-12)
+    assert pr.coeff_sq == pytest.approx(coeff_sq, rel=1e-12)
+    assert abs(pr.gap - abs(norm_sq - coeff_sq)) <= 1e-12 * norm_sq
+
+    hs = hs_norm_sq(rep, weight, C)
+    terms = []
+    for m in rep.modes:
+        ratio = {e.id: np.asarray(m.phi.values[e.id]) / np.asarray(weight.values[e.id]).real for e in g.edges}
+        terms.append(float(np.real(_edge_trapz(ratio, ratio, rep))) / (C + m.lam))
+    assert np.allclose(hs.per_mode, terms, rtol=1e-12, atol=0.0)
+    assert hs.partial == pytest.approx(sum(terms), rel=1e-12)
+    inv_sup = max(float(np.max(1.0 / np.abs(np.asarray(weight.values[e.id])))) for e in g.edges)
+    L = g.total_length
+    lam_cut = ((n + 0.5) * math.pi / L) ** 2
+    tail = inv_sup**2 * (L / (math.pi * math.sqrt(C))) * (math.pi / 2.0 - math.atan(math.sqrt(lam_cut / C)))
+    assert hs.tail == pytest.approx(tail, rel=1e-12)
+
+    kernel = 0.0
+    gammas = np.array([1.0 / math.sqrt(C + m.lam) for m in rep.modes])
+    for ex in g.edges:
+        wx = np.full(rep.modes[0].phi.nodes(ex.id).size, rep.modes[0].phi.mesh(ex.id))
+        wx[[0, -1]] *= 0.5
+        phi_x = np.array([m.phi.values[ex.id] for m in rep.modes]) / np.asarray(weight.values[ex.id]).real
+        for ey in g.edges:
+            wy = np.full(rep.modes[0].phi.nodes(ey.id).size, rep.modes[0].phi.mesh(ey.id))
+            wy[[0, -1]] *= 0.5
+            K = (gammas[:, None] * phi_x).T @ np.conj(np.array([m.phi.values[ey.id] for m in rep.modes]))
+            kernel += float(np.real(np.einsum("i,ij,j->", wx, np.abs(K) ** 2, wy)))
+    assert hs_kernel_cross_check(rep, weight, C) == pytest.approx(kernel, rel=1e-12)

@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricgraph import (
+    Edge,
+    MetricGraph,
     Potential,
     assemble,
     assemble_perturbed,
     check_relative_bound,
     coercivity_constant,
+    edge_grid,
     eigensystem,
     load_potential_csv,
     parse_potential_expr,
     perturbed_eigen_report,
     save_potential_csv,
+    segments,
     uniform_bc,
     uniform_l2_norm,
 )
@@ -59,6 +63,44 @@ def test_mv_spike_window_contains_spike():
         mask = (ts >= a) & (ts <= a + w)
         best = max(best, float(np.trapezoid(vv[mask] ** 2, ts[mask])))
     assert out.M == pytest.approx(math.sqrt(best), rel=5e-3)
+
+
+def _long_grid3():
+    """3x3 lattice with edges in [2.4, 3]: longer than 2u, so windows slide."""
+    rng = np.random.default_rng(4)
+    vid = [[f"v{r}{c}" for c in range(3)] for r in range(3)]
+    pairs = [(vid[r][c], vid[r][c + 1]) for r in range(3) for c in range(2)]
+    pairs += [(vid[r][c], vid[r + 1][c]) for r in range(2) for c in range(3)]
+    lengths = rng.uniform(2.4, 3.0, len(pairs))
+    edges = tuple(Edge(f"e{k}", float(lengths[k]), a, b) for k, (a, b) in enumerate(pairs))
+    return MetricGraph(tuple(v for row in vid for v in row), edges, 1.0)
+
+
+@pytest.mark.parametrize("name", ["star", "grid"])
+def test_mv_is_the_max_over_graph_segments(name):
+    # brute force: every window of graph.segments, its V^2 integral summed
+    # cell by cell as (trapezoid cell integral) x (share of the cell covered).
+    # A plateau of width 2u from t = 0.3 (three steps) on the first edge sits
+    # whole in one window only, so every window start must be tried.
+    g = star_graph(5, length=2.7) if name == "star" else _long_grid3()
+    rng = np.random.default_rng(8)
+    first = g.edges[0].id
+
+    def rough(eid, ts):
+        return rng.uniform(-1.0, 1.0, ts.shape) + np.where((eid == first) & (ts >= 0.3) & (ts <= 2.3), 6.0, 0.0)
+
+    V = Potential.from_callable(g, H, rough)
+    best, best_seg = -1.0, None
+    for seg in segments(g, 2.0 * g.u, g.u / 10.0):
+        ts, v2 = edge_grid(g, seg.edge, H), np.asarray(V.values[seg.edge]) ** 2
+        h = ts[1] - ts[0]
+        covered = np.clip(np.minimum(seg.t1, ts[1:]) - np.maximum(seg.t0, ts[:-1]), 0.0, None)
+        val = float(np.sum(0.5 * h * (v2[1:] + v2[:-1]) * covered / h))
+        if val > best:
+            best, best_seg = val, seg
+    out = uniform_l2_norm(g, V)
+    assert out.M == pytest.approx(math.sqrt(best), rel=1e-12)
+    assert out.segment == best_seg
 
 
 def test_mv_step_too_coarse_rejected():
