@@ -97,16 +97,25 @@ def coercivity_constant(S: float, u: float) -> CoercivityConstant:
 # ---------------------------------------------------------------------------
 
 
-def validate_bc(
-    g: MetricGraph, bc: BoundaryCondition, tol: float = DEFAULT_MATRIX_TOL
-) -> tuple[list[Violation], float]:
+def lp_mixing(L: np.ndarray, P: np.ndarray) -> bool:
+    """Whether L maps ker P into ran P: ``||P L (1 - P)|| > DEFAULT_MATRIX_TOL max(1, ||L||)``.
+
+    At such a vertex the two defining conditions couple: a kernel value q is
+    an admissible trace only if ``P L q = 0`` as well.  The validator warns,
+    the secular solver reports rank anomalies there, and the test battery
+    builds no kernel trace data.
+    """
+    mix = P @ L @ (np.eye(P.shape[0]) - P)
+    return bool(np.linalg.norm(mix) > DEFAULT_MATRIX_TOL * max(1.0, float(np.linalg.norm(L))))
+
+
+def validate_bc(g: MetricGraph, bc: BoundaryCondition) -> tuple[list[Violation], float]:
     """Check self-adjointness/projection structure; return violations and S.
 
     Matrix sizes must match the vertex degrees (that is an input error, not a
     violation).  Deviations are measured in Frobenius norm relative to the
-    matrix scale.  Vertices where ``P L (1 - P) != 0`` get a warning-level
-    violation (code ``lp-mixing``): the two defining conditions then couple
-    and eigenfunction solvers report rank anomalies instead of projecting.
+    matrix scale, at the one tolerance ``DEFAULT_MATRIX_TOL``.  Vertices where
+    :func:`lp_mixing` holds get a warning-level violation (code ``lp-mixing``).
     """
     out: list[Violation] = []
     missing = [v for v in g.vertices if v not in bc.conditions]
@@ -120,21 +129,20 @@ def validate_bc(
             raise ValueError(f"vertex {v!r}: matrices must be {d}x{d}, got {L.shape} and {P.shape}")
         scale_L = max(1.0, float(np.linalg.norm(L)))
         scale_P = max(1.0, float(np.linalg.norm(P)))
-        if np.linalg.norm(L - L.conj().T) > tol * scale_L:
+        if np.linalg.norm(L - L.conj().T) > DEFAULT_MATRIX_TOL * scale_L:
             out.append(Violation("L-selfadjoint", str(v), f"L at vertex {v!r} is not self-adjoint"))
-        if np.linalg.norm(P - P.conj().T) > tol * scale_P:
+        if np.linalg.norm(P - P.conj().T) > DEFAULT_MATRIX_TOL * scale_P:
             out.append(Violation("P-selfadjoint", str(v), f"P at vertex {v!r} is not self-adjoint"))
-        if np.linalg.norm(P @ P - P) > tol * scale_P:
+        if np.linalg.norm(P @ P - P) > DEFAULT_MATRIX_TOL * scale_P:
             out.append(Violation("P-idempotent", str(v), f"P at vertex {v!r} is not idempotent"))
-        eye = np.eye(d)
-        if np.linalg.norm(P @ L @ (eye - P)) > tol * scale_L:
+        if lp_mixing(L, P):
             out.append(Violation("lp-mixing", str(v), f"L at vertex {v!r} maps ker P into ran P"))
         S = max(S, positive_part_norm(0.5 * (L + L.conj().T)))
     return out, S
 
 
-def require_valid_bc(g: MetricGraph, bc: BoundaryCondition, tol: float = DEFAULT_MATRIX_TOL) -> float:
-    problems, S = validate_bc(g, bc, tol)
+def require_valid_bc(g: MetricGraph, bc: BoundaryCondition) -> float:
+    problems, S = validate_bc(g, bc)
     fatal = [p for p in problems if p.code != "lp-mixing"]
     if fatal:
         raise ValueError("invalid boundary condition: " + "; ".join(p.message for p in fatal))

@@ -4,6 +4,8 @@ Exit codes: 0 when every requested check passes, 1 when a mathematical check
 fails (inequality violated, solver disagreement over budget, residual above
 tolerance), 2 on unusable input.  All randomized checks take a seed and the
 reports are deterministic byte-for-byte given the same configuration.
+Each command reads the parsed arguments directly; every default is defined
+once, in :func:`build_parser`.
 """
 
 from __future__ import annotations
@@ -28,46 +30,23 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-@dataclasses.dataclass
-class RunConfig:
-    graph_path: str
-    bc_path: str
-    command: str
-    h_max: float = 0.02
-    lam_min: float | None = None
-    lam_max: float = 50.0
-    modes: int = 8
-    tol: float = 1e-6
-    seed: int = 0
-    out_dir: str | None = None
-    potential: str | None = None
-    weight_eps: float = 1.0
-    weight_base: str | None = None
-    hs_shift: float | None = None
-    check_file: str | None = None
-    check_lambda: float | None = None
-    scan_points: int = 600
-    samples: int = 1000
-    bc_tol: float = boundary.DEFAULT_MATRIX_TOL
-
-
 def _json_dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _emit(cfg: RunConfig, name: str, report: dict) -> None:
+def _emit(args: argparse.Namespace, name: str, report: dict) -> None:
     text = _json_dump(report)
     print(text)
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
+    if args.out:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{name}.json").write_text(text + "\n", encoding="utf-8")
 
 
-def _write_csv(cfg: RunConfig, name: str, header: list[str], rows: list) -> None:
-    if not cfg.out_dir:
+def _write_csv(args: argparse.Namespace, name: str, header: list[str], rows: list) -> None:
+    if not args.out:
         return
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -76,9 +55,9 @@ def _write_csv(cfg: RunConfig, name: str, header: list[str], rows: list) -> None
             writer.writerow(row)
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[MetricGraph, boundary.BoundaryCondition]:
-    g = load_graph(cfg.graph_path)
-    bc = boundary.load_bc(cfg.bc_path, g)
+def _load_inputs(args: argparse.Namespace) -> tuple[MetricGraph, boundary.BoundaryCondition]:
+    g = load_graph(args.graph)
+    bc = boundary.load_bc(args.bc, g)
     return g, bc
 
 
@@ -97,16 +76,16 @@ def _parse_base_point(g: MetricGraph, spec: str | None) -> Point:
     raise ValueError(f"unknown vertex {spec!r} in --weight-base")
 
 
-def _scan(cfg: RunConfig, g: MetricGraph, bc: boundary.BoundaryCondition):
-    """Coercivity constant and secular roots; the window must hold ``cfg.modes`` modes."""
-    const = boundary.coercivity_constant(boundary.require_valid_bc(g, bc, cfg.bc_tol), g.u)
-    lam_min = cfg.lam_min
+def _scan(args: argparse.Namespace, g: MetricGraph, bc: boundary.BoundaryCondition):
+    """Coercivity constant and secular roots; the window must hold ``args.modes`` modes."""
+    const = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u)
+    lam_min = args.lambda_min
     if lam_min is None:
         lam_min = 0.5 - const.C - 1.0  # the form bound gives lambda >= 1/2 - C
-    hits = secular.eigenvalue_scan(g, bc, lam_min, cfg.lam_max, num=cfg.scan_points)
+    hits = secular.eigenvalue_scan(g, bc, lam_min, args.lambda_max, num=args.scan_points)
     found = sum(h.multiplicity for h in hits)
-    if found < cfg.modes:
-        raise ValueError(f"scan up to lambda={cfg.lam_max} found only {found} modes; raise --lambda-max")
+    if found < args.modes:
+        raise ValueError(f"scan up to lambda={args.lambda_max} found only {found} modes; raise --lambda-max")
     return const, hits
 
 
@@ -115,13 +94,13 @@ def _scan(cfg: RunConfig, g: MetricGraph, bc: boundary.BoundaryCondition):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    g = load_graph(cfg.graph_path)
+def cmd_validate(args: argparse.Namespace) -> int:
+    g = load_graph(args.graph)
     graph_violations = validate(g)
     report: dict = {
         "command": "validate",
         "graph": {
-            "path": cfg.graph_path,
+            "path": args.graph,
             "u": g.u,
             "n_vertices": len(g.vertices),
             "n_edges": len(g.edges),
@@ -132,42 +111,37 @@ def cmd_validate(cfg: RunConfig) -> int:
     }
     if graph_violations:
         report["valid"] = False
-        _emit(cfg, "validate", report)
+        _emit(args, "validate", report)
         return EXIT_CHECK_FAILED
-    bc = boundary.load_bc(cfg.bc_path, g)
-    bc_violations, S = boundary.validate_bc(g, bc, cfg.bc_tol)
+    bc = boundary.load_bc(args.bc, g)
+    bc_violations, S = boundary.validate_bc(g, bc)
     fatal = [v for v in bc_violations if v.code != "lp-mixing"]
     warn = [v for v in bc_violations if v.code == "lp-mixing"]
     const = boundary.coercivity_constant(S, g.u)
     report["boundary"] = {
-        "path": cfg.bc_path,
+        "path": args.bc,
         "S": S,
         "violations": [vars(v) for v in fatal],
         "warnings": [vars(v) for v in warn],
     }
     report["coercivity"] = {"S": const.S, "u": const.u, "eps": const.eps, "C": const.C}
     report["valid"] = not fatal
-    _emit(cfg, "validate", report)
+    _emit(args, "validate", report)
     return EXIT_OK if not fatal else EXIT_CHECK_FAILED
 
 
-def _two_solver_spectra(cfg: RunConfig, g: MetricGraph, bc: boundary.BoundaryCondition):
-    _, hits = _scan(cfg, g, bc)
-    exact = [h.lam for h in hits for _ in range(h.multiplicity)][: cfg.modes]
-    fa = fem.assemble(g, bc, cfg.h_max)
-    es = fem.eigensystem(fa, cfg.modes)
-    return hits, exact, fa, es
-
-
-def cmd_spectrum(cfg: RunConfig) -> int:
-    g, bc = _load_inputs(cfg)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    g, bc = _load_inputs(args)
     g.require_compact("spectral computation")
-    hits, exact, fa, es = _two_solver_spectra(cfg, g, bc)
+    _, hits = _scan(args, g, bc)
+    exact = [h.lam for h in hits for _ in range(h.multiplicity)][: args.modes]
+    fa = fem.assemble(g, bc, args.mesh)
+    es = fem.eigensystem(fa, args.modes)
     h = float(np.max(fa.grid.widths))
     pairs = []
     worst = 0.0
     ok = True
-    for i in range(cfg.modes):
+    for i in range(args.modes):
         lam_s = exact[i]
         lam_f = float(es.eigenvalues[i])
         budget = 10.0 * h * h * max(1.0, abs(lam_s))
@@ -179,45 +153,38 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         )
     report = {
         "command": "spectrum",
-        "mesh": cfg.h_max,
-        "modes": cfg.modes,
+        "mesh": args.mesh,
+        "modes": args.modes,
         "eigenvalues": pairs,
         "multiplicities": [{"lambda": hh.lam, "multiplicity": hh.multiplicity} for hh in hits],
         "max_disagreement": worst,
         "within_budget": ok,
     }
-    _write_csv(cfg, "secular_spectrum", ["index", "eigenvalue"], list(enumerate(exact)))
+    _write_csv(args, "secular_spectrum", ["index", "eigenvalue"], list(enumerate(exact)))
     _write_csv(
-        cfg,
+        args,
         "secular_report",
         ["lambda", "multiplicity", "sigma_min"],
         [(hh.lam, hh.multiplicity, hh.sigma_min) for hh in hits],
     )
-    _write_csv(cfg, "fem_spectrum", ["index", "eigenvalue"], list(enumerate(es.eigenvalues.tolist())))
-    _emit(cfg, "spectrum", report)
+    _write_csv(args, "fem_spectrum", ["index", "eigenvalue"], list(enumerate(es.eigenvalues.tolist())))
+    _emit(args, "spectrum", report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _expansion_core(cfg: RunConfig, g: MetricGraph, bc: boundary.BoundaryCondition):
-    const, hits = _scan(cfg, g, bc)
-    # the roots up to the one that completes cfg.modes modes
-    before = itertools.accumulate((h.multiplicity for h in hits), initial=0)
-    kept = [h for h, n in zip(hits, before) if n < cfg.modes]
-    rep = expansion.DiscreteSpectralRep.from_secular(g, bc, kept, cfg.h_max)
-    base = _parse_base_point(g, cfg.weight_base)
-    wf = expansion.build_weight(g, base, cfg.weight_eps)
-    weight_grid = wf.sample(cfg.h_max)
-    C = cfg.hs_shift if cfg.hs_shift is not None else const.C + 1.0
-    return const, rep, wf, weight_grid, C
-
-
-def cmd_expansion(cfg: RunConfig) -> int:
-    g, bc = _load_inputs(cfg)
+def cmd_expansion(args: argparse.Namespace) -> int:
+    g, bc = _load_inputs(args)
     g.require_compact("the expansion report")
-    const, rep, wf, weight_grid, C = _expansion_core(cfg, g, bc)
-    hs = expansion.hs_norm_sq(rep, weight_grid, C, inverse_sup=wf.inverse_sup)
+    const, hits = _scan(args, g, bc)
+    # the roots up to the one that completes args.modes modes
+    before = itertools.accumulate((h.multiplicity for h in hits), initial=0)
+    kept = [h for h, n in zip(hits, before) if n < args.modes]
+    rep = expansion.DiscreteSpectralRep.from_secular(g, bc, kept, args.mesh)
+    wf = expansion.build_weight(g, _parse_base_point(g, args.weight_base), args.weight_eps)
+    C = args.hs_c if args.hs_c is not None else const.C + 1.0
+    hs = expansion.hs_norm_sq(rep, wf.sample(args.mesh), C, inverse_sup=wf.inverse_sup)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     battery = {}
     coeffs = rng.standard_normal(len(rep.modes))
     span_f = expansion.reconstruct(rep, coeffs.astype(complex))
@@ -242,21 +209,21 @@ def cmd_expansion(cfg: RunConfig) -> int:
         )
 
     check_result = None
-    if cfg.check_file is not None:
-        if cfg.check_lambda is None:
+    if args.check_file is not None:
+        if args.check_lambda is None:
             raise ValueError("--check-file needs --check-lambda")
-        phi = load_function_csv(cfg.check_file, g, cfg.h_max)
+        phi = load_function_csv(args.check_file, g, args.mesh)
         # nodal data: the same checked tests, panels split at the grid nodes
-        rr = compiled.with_cuts((phi.h_max,)).residuals([phi], [cfg.check_lambda])[0]
-        check_result = {"lambda": cfg.check_lambda, "residual": rr.max_residual}
+        rr = compiled.with_cuts((phi.h_max,)).residuals([phi], [args.check_lambda])[0]
+        check_result = {"lambda": args.check_lambda, "residual": rr.max_residual}
         worst_resid = max(worst_resid, rr.max_residual)
 
     report = {
         "command": "expansion",
         "modes": len(rep.modes),
         "weight": {
-            "eps": cfg.weight_eps,
-            "base": str(cfg.weight_base),
+            "eps": args.weight_eps,
+            "base": str(args.weight_base),
             "integral_inverse_square": wf.integral_inverse_square(),
         },
         "hs": {"C": C, "partial": hs.partial, "tail_bound": hs.tail, "total": hs.total},
@@ -270,33 +237,30 @@ def cmd_expansion(cfg: RunConfig) -> int:
         "worst_genef_residual": worst_resid,
         "per_mode": per_mode,
         "level_sets": {str(j): lams for j, lams in rep.level_sets().items()},
-        "tolerance": cfg.tol,
+        "tolerance": args.tol,
     }
     if check_result is not None:
         report["check_file"] = check_result
-    _emit(cfg, "expansion", report)
-    return EXIT_OK if worst_resid <= cfg.tol else EXIT_CHECK_FAILED
+    _emit(args, "expansion", report)
+    return EXIT_OK if worst_resid <= args.tol else EXIT_CHECK_FAILED
 
 
-def cmd_potential(cfg: RunConfig) -> int:
-    g, bc = _load_inputs(cfg)
+def cmd_potential(args: argparse.Namespace) -> int:
+    g, bc = _load_inputs(args)
     g.require_compact("the potential report")
-    if cfg.potential is None:
-        raise ValueError("--potential is required for this command")
-    if Path(cfg.potential).exists():
-        V = potentials.load_potential_csv(cfg.potential, g, cfg.h_max)
+    if Path(args.potential).exists():
+        V = potentials.load_potential_csv(args.potential, g, args.mesh)
     else:
-        V = potentials.parse_potential_expr(cfg.potential, g, cfg.h_max)
-    S = boundary.require_valid_bc(g, bc, cfg.bc_tol)
-    const = boundary.coercivity_constant(S, g.u)
+        V = potentials.parse_potential_expr(args.potential, g, args.mesh)
+    fa = fem.assemble(g, bc, args.mesh)
+    const = boundary.coercivity_constant(fa.S_bound, g.u)
     mv = potentials.uniform_l2_norm(g, V)
-    fa = fem.assemble(g, bc, cfg.h_max)
-    es0 = fem.eigensystem(fa, cfg.modes)
+    es0 = fem.eigensystem(fa, args.modes)
     fa_v = potentials.assemble_perturbed(fa, V)
-    es1 = fem.eigensystem(fa_v, cfg.modes)
+    es1 = fem.eigensystem(fa_v, args.modes)
 
     a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
-    bounds = potentials.check_relative_bound(fa, V, a_values, const.C, n_samples=cfg.samples, seed=cfg.seed)
+    bounds = potentials.check_relative_bound(fa, V, a_values, const.C, n_samples=args.samples, seed=args.seed)
     worst_margin = min(min(rb.worst_margin, rb.worst_window_margin) for rb in bounds)
 
     shift_check = None
@@ -307,7 +271,7 @@ def cmd_potential(cfg: RunConfig) -> int:
     pr = potentials.perturbed_eigen_report(g, bc, V, es1)
     report = {
         "command": "potential",
-        "potential": cfg.potential,
+        "potential": args.potential,
         "m_v": {
             "value": mv.M,
             "segment": {"edge": str(mv.segment.edge), "t0": mv.segment.t0, "t1": mv.segment.t1},
@@ -326,11 +290,11 @@ def cmd_potential(cfg: RunConfig) -> int:
             }
             for m in pr.modes
         ],
-        "tolerance": cfg.tol,
+        "tolerance": args.tol,
     }
     if shift_check is not None:
         report["constant_shift_error"] = shift_check
-    _emit(cfg, "potential", report)
+    _emit(args, "potential", report)
     ok = worst_margin >= -1e-8 and (shift_check is None or shift_check <= 1e-8)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -346,13 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra and eigenfunction expansions for operators on metric graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("validate", "check a graph and boundary-condition file"),
-        ("spectrum", "compute the spectrum with both solvers and cross-check"),
-        ("expansion", "weighted expansion report: HS norm, Parseval, residuals"),
-        ("potential", "perturb by a potential and verify the relative bounds"),
+    for name, command, helptext in (
+        ("validate", cmd_validate, "check a graph and boundary-condition file"),
+        ("spectrum", cmd_spectrum, "compute the spectrum with both solvers and cross-check"),
+        ("expansion", cmd_expansion, "weighted expansion report: HS norm, Parseval, residuals"),
+        ("potential", cmd_potential, "perturb by a potential and verify the relative bounds"),
     ):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(run=command)
         p.add_argument("--graph", required=True, help="graph description JSON")
         p.add_argument("--bc", required=True, help="boundary-condition JSON")
         p.add_argument("--mesh", type=float, default=0.02, help="grid width h_max")
@@ -367,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="directory for reports and CSV exports")
         p.add_argument("--scan-points", type=int, default=600)
         p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--bc-tol", type=float, default=boundary.DEFAULT_MATRIX_TOL)
         if name == "expansion":
             p.add_argument("--weight-eps", type=float, default=1.0)
             p.add_argument("--weight-base", default=None, help="vertex id or edge:t")
@@ -379,44 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        graph_path=args.graph,
-        bc_path=args.bc,
-        command=args.command,
-        h_max=args.mesh,
-        lam_min=args.lambda_min,
-        lam_max=args.lambda_max,
-        modes=args.modes,
-        tol=args.tol,
-        seed=args.seed,
-        out_dir=args.out,
-        potential=getattr(args, "potential", None),
-        weight_eps=getattr(args, "weight_eps", 1.0),
-        weight_base=getattr(args, "weight_base", None),
-        hs_shift=getattr(args, "hs_c", None),
-        check_file=getattr(args, "check_file", None),
-        check_lambda=getattr(args, "check_lambda", None),
-        scan_points=args.scan_points,
-        samples=args.samples,
-        bc_tol=args.bc_tol,
-    )
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "spectrum": cmd_spectrum,
-    "expansion": cmd_expansion,
-    "potential": cmd_potential,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except (fem.ResidualCheckFailed, secular.RankAnomaly) as exc:
         # before the ValueError clause: a rank anomaly is also a ValueError
         print(f"error: {exc}", file=sys.stderr)

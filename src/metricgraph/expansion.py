@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse
 
-from .boundary import BoundaryCondition
+from .boundary import BoundaryCondition, lp_mixing
 from .functions import GridFunction, Mesh, _smoothstep, _smoothstep_d1, _smoothstep_d2, edge_grid, inner
 from .graph import (
     INIT,
@@ -476,7 +476,9 @@ def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[TestFun
     The star tests realize every admissible trace datum: for each kernel
     basis vector q of P_v the pair ``(f(v), f'(v)) = (q, -(1-P) L q)`` and for
     each range basis vector p the pair ``(0, p)``; both satisfy
-    ``P f(v) = 0`` and ``L f(v) + (1-P) f'(v) = 0`` identically.
+    ``P f(v) = 0`` and ``L f(v) + (1-P) f'(v) = 0`` identically.  Where L
+    maps ker P into ran P (:func:`boundary.lp_mixing`) the kernel data leave
+    the residual ``P L q`` and are dropped.
     """
     tests: list[TestFunction] = []
     for e in g.edges:
@@ -484,16 +486,9 @@ def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[TestFun
     for v in g.vertices:
         L, P = bc.L(v), bc.P(v)
         d = g.degree(v)
-        data: list[tuple[np.ndarray, np.ndarray]] = []
         K, Rb = bc.ker_ran(v)
-        for jcol in range(K.shape[1]):
-            q = K[:, jcol]
-            Lq = L @ q
-            if np.linalg.norm(P @ Lq) > 1e-10 * max(1.0, float(np.linalg.norm(L))):
-                continue  # rank anomaly: this trace datum is not admissible
-            data.append((q, P @ Lq - Lq))
-        for jcol in range(Rb.shape[1]):
-            data.append((np.zeros(d, dtype=complex), Rb[:, jcol]))
+        data = [] if lp_mixing(L, P) else [(q, P @ (L @ q) - L @ q) for q in K.T]
+        data += [(np.zeros(d, dtype=complex), p) for p in Rb.T]
         for idx, (a_vec, b_vec) in enumerate(data):
             test = StarTest(
                 f"star:{v}:{idx}", v, np.asarray(a_vec, dtype=complex), np.asarray(b_vec, dtype=complex), 0.45 * g.u

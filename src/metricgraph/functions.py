@@ -478,6 +478,9 @@ def read_edge_csv(
                     f"{kind} CSV line {reader.line_num}: expected {len(header)} fields, got {len(rec)}"
                 )
             rows.setdefault(rec[0], []).append([float(x) for x in rec[1 : len(header)]])
+    unknown = sorted(set(rows) - {str(e.id) for e in g.edges})
+    if unknown:
+        raise ValueError(f"{kind} CSV has rows for unknown edge {unknown[0]!r}")
     grid = Mesh(g, h_max)
     out: list[list[float]] = []
     for e in g.edges:

@@ -134,11 +134,20 @@ class RelativeBoundReport:
     worst_window_margin: float
 
 
-def _edge_partition(length: float, a: float) -> list[tuple[float, float]]:
-    """Split [0, length] into pieces of length in [a, 2a] (possible as length >= a)."""
+def _edge_partition(length: float, a: float, h: float, n: int) -> list[tuple[int, int]]:
+    """Split [0, length] into pieces of length in [a, 2a] (possible as length >= a).
+
+    Each piece comes back as the node index bounds (i0, i1) on the edge's
+    grid of width h and n nodes, snapped outward so its length stays >= a,
+    which the window estimate needs.
+    """
     k = max(1, math.ceil(length / (2.0 * a)))
     cuts = np.linspace(0.0, length, k + 1)
-    return list(zip(cuts[:-1], cuts[1:]))
+    out = []
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        i0 = int(math.floor(t0 / h + 1e-9))
+        out.append((i0, max(min(int(math.ceil(t1 / h - 1e-9)), n - 1), i0 + 1)))
+    return out
 
 
 def check_relative_bound(
@@ -189,21 +198,20 @@ def check_relative_bound(
         for _, rows, _ in edges:
             vf_sq[j : j + COLUMN_BLOCK] += np.einsum("i,ij->j", wv2[rows], np.abs(full[rows]) ** 2)
 
-    # window inequality on a handful of samples; windows snap outward to grid
-    # nodes so their length stays >= a, which the estimate needs
+    # window inequality on a handful of samples, over partitions built once
+    windows = [
+        [_edge_partition(e.length, a_k, h, rows.stop - rows.start) for a_k in a_values] for e, rows, h in edges
+    ]
     worst_window = [math.inf] * len(a_values)
     head = fa.constraint @ X[:, :n_window_samples]
     for x in head.T:
-        for e, rows, h in edges:
+        for (_, rows, h), edge_windows in zip(edges, windows):
             y = x[rows]
             dsq_cells = np.abs(np.diff(y) / h) ** 2 * h  # exact per-cell integral of |f'|^2
             ysq = np.abs(y) ** 2
             mass_cells = h * (ysq[:-1] + ysq[1:] + np.real(y[:-1] * np.conj(y[1:]))) / 3.0
             for k, a_k in enumerate(a_values):
-                for (t0, t1) in _edge_partition(e.length, a_k):
-                    i0 = int(math.floor(t0 / h + 1e-9))
-                    i1 = min(int(math.ceil(t1 / h - 1e-9)), y.size - 1)
-                    i1 = max(i1, i0 + 1)
+                for i0, i1 in edge_windows[k]:
                     sup_sq = float(np.max(ysq[i0 : i1 + 1]))
                     d_int = float(np.sum(dsq_cells[i0:i1]))
                     m_int = float(np.sum(mass_cells[i0:i1]))

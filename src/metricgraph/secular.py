@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.linalg
 
-from .boundary import BoundaryCondition, require_valid_bc
+from .boundary import BoundaryCondition, lp_mixing, require_valid_bc
 from .graph import INIT, TERM, EdgeId, MetricGraph, VertexId
 
 SERIES_THRESHOLD = 1e-6  # |lambda| below which the power series is used
@@ -145,8 +145,9 @@ class SecularMatrix:
     orthonormal basis p of ran P_v, then ``<q, L_v f(v) + f'(v)> = 0`` over a
     basis q of ker P_v; together d_v rows, summing to 2|E| over the graph.
     ``anomaly`` stacks the leftover components ``P_v L_v f(v)`` for vertices
-    where L couples ker P into ran P; those rows are not part of the square
-    system and are reported rather than silently imposed.
+    where L couples ker P into ran P (:func:`boundary.lp_mixing`); those rows
+    are not part of the square system and are reported rather than silently
+    imposed.
     """
 
     lam: float
@@ -183,8 +184,7 @@ class SecularSystem:
             val.append(np.vstack([ran.conj().T, ker.conj().T @ L]))
             der.append(np.vstack([np.zeros((ran.shape[1], d)), ker.conj().T]))
             row_vs += [v] * d
-            mix = P @ L @ (np.eye(d) - P)
-            if np.linalg.norm(mix) > 1e-12 * max(1.0, float(np.linalg.norm(L))):
+            if lp_mixing(L, P):
                 anom.append(ran.conj().T @ L)
                 anom_vs += [v] * ran.shape[1]
             else:
@@ -345,27 +345,18 @@ class SecularSolution:
         return a * (-self.lam) * s + b * c
 
     def trace_values(self) -> tuple[dict[VertexId, np.ndarray], dict[VertexId, np.ndarray]]:
-        """Exact star-ordered boundary vectors (values, inward derivatives)."""
+        """Exact star-ordered boundary vectors (values, inward derivatives).
+
+        The slot map of M(lambda), :func:`_fill`, applied to identity rows.
+        """
         g = self.graph
-        vals: dict[VertexId, np.ndarray] = {}
-        ders: dict[VertexId, np.ndarray] = {}
-        for v in g.vertices:
-            star = g.star(v)
-            fv = np.zeros(star.degree, dtype=complex)
-            dv = np.zeros(star.degree, dtype=complex)
-            for k, (eid, end) in enumerate(star.slots):
-                e = g.edge(eid)
-                a, b = self.coefficients[eid]
-                if end == INIT:
-                    fv[k] = a
-                    dv[k] = b
-                else:
-                    c, s, dc, ds = basis_at(self.lam, e.length)
-                    fv[k] = a * c + b * s
-                    dv[k] = -(a * dc + b * ds)
-            vals[v] = fv
-            ders[v] = dv
-        return vals, ders
+        lengths, init, term = _edge_ends(g)
+        x = np.array([ab for e in g.edges for ab in self.coefficients[e.id]], dtype=complex)
+        eye, zero = np.eye(x.size), np.zeros((x.size, x.size))
+        c, s = basis_values(self.lam, lengths)
+        vals, ders = (_fill(_edge_columns(a, b, init, term), self.lam, c, s) @ x for a, b in ((eye, zero), (zero, eye)))
+        split = np.cumsum([g.degree(v) for v in g.vertices])[:-1]
+        return dict(zip(g.vertices, np.split(vals, split))), dict(zip(g.vertices, np.split(ders, split)))
 
     def vertex_residual(self, bc: BoundaryCondition) -> float:
         """max_v ||P f(v)|| + ||L f(v) + (1 - P) f'(v)|| for this solution."""

@@ -24,7 +24,7 @@ from metricgraph import (
     standard_test_battery,
     uniform_bc,
 )
-from metricgraph import boundary, expansion
+from metricgraph import boundary, expansion, potentials
 from metricgraph.expansion import BumpTest, compile_battery
 from metricgraph.graph import INIT
 
@@ -245,3 +245,16 @@ def test_relative_bound_samples_once_for_many_a(monkeypatch):
     assert many == single  # the same floats, not merely close ones
     with pytest.raises(ValueError):
         check_relative_bound(fa, V, [0.5, 2.0], C)
+
+
+def test_relative_bound_partitions_once_per_edge_and_a(monkeypatch):
+    g, bc = _grid4()
+    fa = assemble(g, bc, 0.05)
+    V = parse_potential_expr("well:e05,0.2,0.8,3.0", g, 0.05)
+    C = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u).C
+    a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
+    builds = []
+    partition = potentials._edge_partition
+    monkeypatch.setattr(potentials, "_edge_partition", lambda *a: builds.append(a) or partition(*a))
+    check_relative_bound(fa, V, a_values, C, n_samples=200, seed=3)
+    assert 0 < len(builds) <= len(g.edges) * len(a_values)

@@ -12,6 +12,8 @@ from metricgraph import (
     load_bc,
     positive_part_norm,
     preset,
+    secular_matrix,
+    standard_test_battery,
     uniform_bc,
     validate_bc,
 )
@@ -153,6 +155,24 @@ def test_attractive_delta_s_value():
     )
     _, S = validate_bc(g, bc)
     assert S == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-11, 1e-9])
+def test_lp_mixing_is_one_predicate(eps):
+    # Kirchhoff 3-star whose centre L maps the constants (ker P) into ran P
+    # with ||P L (1 - P)|| = eps: the validator's warning, the secular
+    # anomaly rows and the battery's kernel tests follow the same rule
+    g = star_graph(3)
+    bc = uniform_bc(g, "kirchhoff")
+    L, P = bc.conditions["c"]
+    q = np.ones(3) / np.sqrt(3.0)
+    p = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    mixed = BoundaryCondition({**bc.conditions, "c": (L + eps * (np.outer(p, q) + np.outer(q, p)), P)})
+    warned = any(v.code == "lp-mixing" and v.subject == "c" for v in validate_bc(g, mixed)[0])
+    anomaly = "c" in secular_matrix(g, mixed, 2.0).anomaly_vertices
+    star_tests = [t for t in standard_test_battery(g, mixed) if t.label.startswith("star:c")]
+    dropped = len(star_tests) < 3  # one continuity datum + two flux-free data
+    assert warned == anomaly == dropped == (eps > 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,21 @@ def test_validate_non_hermitian_l(tmp_path, capsys):
     assert any(v["code"] == "L-selfadjoint" for v in report["boundary"]["violations"])
 
 
+def test_every_command_accepts_bc_under_one_tolerance(tmp_path, capsys):
+    # P = [[1 + 1e-9]] misses idempotency by 1e-9, above the relative 1e-10:
+    # validate reports it and the other commands refuse the input
+    g, b = write_interval(tmp_path, bc=({"L": [[0.0]], "P": [[1.000000001]]}, "dirichlet"))
+    code, report = run_and_parse(capsys, ["validate", "--graph", g, "--bc", b])
+    assert code == 1 and report["valid"] is False
+    assert [v["code"] for v in report["boundary"]["violations"]] == ["P-idempotent"]
+    common = ["--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2", "--lambda-min", "0.5", "--lambda-max", "10"]
+    for argv in (["spectrum"], ["expansion"], ["potential", "--potential", "const:1.0"]):
+        assert main(argv + common) == 2
+        assert "P at vertex 'v' is not idempotent" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # no flag moves the tolerance
+        main(["validate", "--graph", g, "--bc", b, "--bc-tol", "1e-6"])
+
+
 def test_validate_unreadable_file(tmp_path, capsys):
     g, b = write_interval(tmp_path)
     code = main(["validate", "--graph", str(tmp_path / "missing.json"), "--bc", b])
@@ -359,6 +374,29 @@ def test_check_file_defects_are_input_errors(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: function CSV") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["potential", "function"])
+def test_csv_rows_for_unknown_edges_are_input_errors(tmp_path, capsys, kind):
+    from metricgraph import GridFunction, Potential, load_graph, save_function_csv, save_potential_csv
+
+    g, b = write_interval(tmp_path)
+    graph = load_graph(g)
+    path = tmp_path / "f.csv"
+    if kind == "potential":
+        save_potential_csv(Potential.constant(graph, 0.05, 1.0), path)
+        argv, extra = ["potential", "--potential", str(path), "--modes", "3"], "zzz,0.0,9.0\n"
+    else:
+        save_function_csv(GridFunction.ones(graph, 0.05), path)
+        argv = ["expansion", "--modes", "2", "--lambda-min", "0.5", "--lambda-max", "10",
+                "--check-file", str(path), "--check-lambda", "1.0"]
+        extra = "zzz,0.0,9.0,0.0\n"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    code = main(argv + ["--graph", g, "--bc", b, "--mesh", "0.05"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {kind} CSV") and "'zzz'" in err and "Traceback" not in err
 
 
 def write_grid4(tmp_path):

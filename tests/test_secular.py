@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from metricgraph import (
     BoundaryCondition,
     DiscreteSpectralRep,
+    SecularSolution,
     assemble,
     basis_at,
     basis_gram,
@@ -313,10 +314,15 @@ def test_weyl_count_on_fixtures():
 
 
 def _per_vertex_secular(g, bc, lam):
-    """Independent builder: per-vertex trace maps and an eigh split of each P."""
+    """Independent builder: per-vertex trace maps and an eigh split of each P.
+
+    Returns M(lambda), the anomaly rows and, per vertex, the trace maps
+    (F, Fp) from the coefficients to the star-ordered values and inward
+    derivatives.
+    """
     col = {e.id: 2 * i for i, e in enumerate(g.edges)}
     n = 2 * len(g.edges)
-    rows, anom_rows = [], []
+    rows, anom_rows, maps = [], [], {}
     for v in g.vertices:
         star = g.star(v)
         F = np.zeros((star.degree, n), dtype=complex)
@@ -330,6 +336,7 @@ def _per_vertex_secular(g, bc, lam):
                 c, s, dc, ds = basis_at(lam, g.edge(eid).length)
                 F[k, j], F[k, j + 1] = c, s
                 Fp[k, j], Fp[k, j + 1] = -dc, -ds
+        maps[v] = (F, Fp)
         L, P = bc.L(v), bc.P(v)
         w, vecs = np.linalg.eigh(P)
         ker, ran = vecs[:, w < 0.5], vecs[:, w >= 0.5]
@@ -337,7 +344,7 @@ def _per_vertex_secular(g, bc, lam):
         mix = P @ L @ (np.eye(star.degree) - P)
         if np.linalg.norm(mix) > 1e-12 * max(1.0, float(np.linalg.norm(L))):
             anom_rows += list(ran.conj().T @ (L @ F))
-    return np.array(rows), np.array(anom_rows).reshape(-1, n)
+    return np.array(rows), np.array(anom_rows).reshape(-1, n), maps
 
 
 def _random_lp(rng, d, rank, mixing):
@@ -372,9 +379,10 @@ def _row_normalize(M):
 
 @pytest.mark.parametrize("name,g,bc", _general_lp_cases())
 def test_compiled_system_matches_per_vertex_builder(name, g, bc):
+    rng = np.random.default_rng(3)
     for lam in (-9.0, -1e-7, 0.0, 1e-7, 2.5, 40.0):
         sm = secular_matrix(g, bc, lam)
-        M_ref, A_ref = _per_vertex_secular(g, bc, lam)
+        M_ref, A_ref, maps = _per_vertex_secular(g, bc, lam)
         scale = max(1.0, float(np.max(np.abs(M_ref))))
         assert np.allclose(sm.matrix, M_ref, rtol=0, atol=1e-13 * scale), (name, lam)
         sv = np.linalg.svd(_row_normalize(sm.matrix), compute_uv=False)
@@ -384,6 +392,13 @@ def test_compiled_system_matches_per_vertex_builder(name, g, bc):
         assert sm.anomaly.shape == A_ref.shape
         a_scale = max(1.0, float(np.max(np.abs(A_ref), initial=0.0)))
         assert np.allclose(sm.anomaly, A_ref, rtol=0, atol=1e-13 * a_scale), (name, lam)
+        # edge-end traces of random coefficients x against F x and Fp x
+        x = rng.standard_normal(M_ref.shape[1]) + 1j * rng.standard_normal(M_ref.shape[1])
+        sol = SecularSolution(g, lam, {e.id: (x[2 * i], x[2 * i + 1]) for i, e in enumerate(g.edges)})
+        for got, k in zip(sol.trace_values(), (0, 1)):
+            want = np.concatenate([maps[v][k] @ x for v in g.vertices])
+            err = np.linalg.norm(np.concatenate([got[v] for v in g.vertices]) - want)
+            assert err <= 1e-13 * np.linalg.norm(want), (name, lam, k)
     assert (sm.anomaly.shape[0] > 0) == (name == "lp-mixing")
     assert sm.anomaly_vertices == (("c",) if name == "lp-mixing" else ())
 
