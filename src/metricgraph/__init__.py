@@ -48,6 +48,7 @@ from .graph import (
     ball_volume,
     connected_components,
     distance,
+    distance_pieces,
     graph_from_dict,
     graph_to_dict,
     is_connected,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import boundary, expansion, fem, potentials, secular
 from .functions import GridFunction, load_function_csv
-from .graph import EdgePoint, MetricGraph, Point, VertexPoint, load_graph, validate
+from .graph import MetricGraph, Point, VertexPoint, load_graph, point_on_edge, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,7 +68,7 @@ def _parse_base_point(g: MetricGraph, spec: str | None) -> Point:
         eid_raw, t_raw = spec.split(":", 1)
         for e in g.edges:
             if str(e.id) == eid_raw:
-                return EdgePoint(e.id, float(t_raw))
+                return point_on_edge(g, e.id, float(t_raw))
         raise ValueError(f"unknown edge {eid_raw!r} in --weight-base")
     for v in g.vertices:
         if str(v) == spec:

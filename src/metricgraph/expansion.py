@@ -31,12 +31,12 @@ from .functions import GridFunction, Mesh, _smoothstep, _smoothstep_d1, _smooths
 from .graph import (
     INIT,
     EdgeId,
-    EdgePoint,
     MetricGraph,
     Point,
     VertexId,
     VertexPoint,
-    ball_volume,
+    distance_pieces,
+    edge_distance,
     is_connected,
     vertex_distances,
 )
@@ -44,6 +44,7 @@ from .secular import SecularEigenvalue, SecularSolution, SecularSystem, eigenfun
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+CONDITION_TOL = 1e-8  # vertex-condition residual of a test, relative to max(1, ||L_v||)
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +57,20 @@ class WeightFunction:
     """Ball-volume weight around a base point, continuous and >= 1.
 
     ``value = max(1, vol(d + 1))^(1+eps)`` where ``d`` is the distance to the
-    base point and ``vol`` the ball-volume profile, precomputed as a
-    piecewise-linear function of the radius.  On a connected graph
-    ``vol(r) >= min(r, total length)``, which makes ``w(x) >= d(x,x0)^(1+eps)``
-    pointwise and ``1/w^2`` integrable.
+    base point and ``vol`` the ball-volume profile.  The profile is the sum
+    of the ramps ``clip(r - start, 0, length)`` over the distance pieces
+    (:func:`graph.distance_pieces`), so it is piecewise linear with knots at
+    the piece ends; it is stored at those knots and interpolated.  On a
+    connected graph ``vol(r) >= min(r, total length)``, which makes
+    ``w(x) >= d(x,x0)^(1+eps)`` pointwise and ``1/w^2`` integrable.
     """
 
     graph: MetricGraph
     base: Point
     eps: float
     _vdist: Mapping[VertexId, float]
+    _starts: np.ndarray
+    _lengths: np.ndarray
     _radii: np.ndarray
     _volumes: np.ndarray
 
@@ -75,14 +80,7 @@ class WeightFunction:
         return np.interp(np.asarray(r, dtype=float), self._radii, self._volumes)
 
     def distance_edge(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
-        e = self.graph.edge(edge_id)
-        t = np.asarray(t, dtype=float)
-        d = self._vdist[e.init] + t
-        if e.end is not None:
-            d = np.minimum(d, self._vdist[e.end] + (e.length - t))
-        if isinstance(self.base, EdgePoint) and self.base.edge == edge_id:
-            d = np.minimum(d, np.abs(t - self.base.t))
-        return d
+        return edge_distance(self.graph.edge(edge_id), self._vdist, self.base, np.asarray(t, dtype=float))
 
     def value_edge(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
         vol = self.ball_volume(self.distance_edge(edge_id, t) + 1.0)
@@ -105,60 +103,25 @@ class WeightFunction:
     # -- exact integration of w^p ----------------------------------------
 
     def integral_inverse_square(self) -> float:
-        """integral of w^-2 over the graph, by exact piecewise closed forms.
+        """integral of w^-2 over the graph, by the coarea formula.
 
-        Along each edge the distance to the base point is piecewise affine
-        with slopes +-1 and the volume profile is piecewise linear in the
-        radius, so between breakpoints w^-2 = (A + B t)^(-2-2eps) integrates
-        in closed form.
+        The distance pieces push Lebesgue measure forward to d vol, so the
+        integral is ``int f(r) dvol(r)`` with ``f(r) = max(1, vol(r + 1))^(-2-2eps)``.
+        Between consecutive points of K and K - 1, K the knots of vol, both
+        vol(r) and vol(r + 1) are affine and dvol/dr is the number of pieces
+        covering r, so each interval contributes that count times a closed
+        form.  The clamp at 1 never switches: on a connected graph
+        ``vol(r + 1) >= min(1, total length)`` for r >= 0.
         """
-        return sum(self._integral_edge(e.id) for e in self.graph.edges)
-
-    def _integral_edge(self, edge_id: EdgeId) -> float:
-        e = self.graph.edge(edge_id)
-        cuts = {0.0, e.length}
-        # distance kinks: intersections of the competing affine routes
-        routes: list[tuple[float, float]] = [(self._vdist[e.init], +1.0)]
-        if e.end is not None:
-            routes.append((self._vdist[e.end] + e.length, -1.0))
-        if isinstance(self.base, EdgePoint) and self.base.edge == edge_id:
-            routes.append((-self.base.t, +1.0))
-            routes.append((self.base.t, -1.0))
-            cuts.add(self.base.t)
-        for i in range(len(routes)):
-            for j in range(i + 1, len(routes)):
-                (a1, b1), (a2, b2) = routes[i], routes[j]
-                if b1 != b2 and math.isfinite(a1) and math.isfinite(a2):
-                    t = (a2 - a1) / (b1 - b2)
-                    if 0.0 < t < e.length:
-                        cuts.add(t)
-        # volume-profile kinks pulled back through d(t) + 1
-        base_cuts = sorted(cuts)
-        for lo, hi in zip(base_cuts[:-1], base_cuts[1:]):
-            dlo = float(self.distance_edge(edge_id, np.array([lo]))[0])
-            dhi = float(self.distance_edge(edge_id, np.array([hi]))[0])
-            slope = (dhi - dlo) / (hi - lo)
-            for r in self._radii:
-                if abs(slope) > 0.5:  # slopes are +-1 up to arithmetic noise
-                    t = lo + ((r - 1.0) - dlo) / slope
-                    if lo < t < hi:
-                        cuts.add(float(t))
-        ts = sorted(cuts)
+        K = self._radii
+        rs = np.unique(np.concatenate([K, K[K > 1.0] - 1.0]))
+        lo, hi = rs[:-1], rs[1:]
+        mid, ends = 0.5 * (lo + hi), np.sort(self._starts + self._lengths)
+        slope = np.searchsorted(np.sort(self._starts), mid) - np.searchsorted(ends, mid)
+        vlo, vhi = (np.maximum(self.ball_volume(r + 1.0), 1.0) for r in (lo, hi))
         p = 2.0 + 2.0 * self.eps
-        total = 0.0
-        for lo, hi in zip(ts[:-1], ts[1:]):
-            if hi - lo < 1e-15:
-                continue
-            # the clamp at 1 never switches inside an edge: on a connected
-            # graph vol(d + 1) >= min(1, total length) uniformly, so each
-            # piece is exactly affine
-            vlo = float(np.maximum(self.ball_volume(self._distance_at(edge_id, lo) + 1.0), 1.0))
-            vhi = float(np.maximum(self.ball_volume(self._distance_at(edge_id, hi) + 1.0), 1.0))
-            total += _integrate_affine_power(vlo, vhi, hi - lo, p)
-        return total
-
-    def _distance_at(self, edge_id: EdgeId, t: float) -> float:
-        return float(self.distance_edge(edge_id, np.array([t]))[0])
+        terms = (c * _integrate_affine_power(a, b, h, p) for c, a, b, h in zip(slope, vlo, vhi, hi - lo) if c)
+        return float(sum(terms))
 
 
 def _integrate_affine_power(vlo: float, vhi: float, length: float, p: float) -> float:
@@ -178,18 +141,10 @@ def build_weight(g: MetricGraph, x0: Point, eps: float) -> WeightFunction:
         raise ValueError("the weight construction assumes a connected graph")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dv = vertex_distances(g, x0)
-    radii = {0.0}
-    for e in g.edges:
-        di, dj = dv[e.init], dv[e.end]
-        radii.update({di, dj, di + e.length, dj + e.length, 0.5 * (di + dj + e.length)})
-        if isinstance(x0, EdgePoint) and x0.edge == e.id:
-            radii.update(
-                {x0.t, e.length - x0.t, 0.5 * (x0.t + di), 0.5 * ((e.length - x0.t) + dj)}
-            )
-    rs = np.array(sorted(radii))
-    vols = np.array([ball_volume(g, x0, float(r)) for r in rs])
-    return WeightFunction(g, x0, eps, dv, rs, vols)
+    starts, lengths = distance_pieces(g, x0)
+    knots = np.unique(np.concatenate([starts, starts + lengths]))
+    vols = np.clip(knots[:, None] - starts, 0.0, lengths).sum(axis=1)
+    return WeightFunction(g, x0, eps, vertex_distances(g, x0), starts, lengths, knots, vols)
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +598,13 @@ def compile_battery(
     tests: Sequence[TestFunction] | None = None,
     potential=None,
     cut_meshes: Sequence[float] = (),
-    condition_tol: float = 1e-8,
 ) -> CompiledBattery:
     """Check a test battery once and lay out its quadrature for many modes.
 
     ``tests`` defaults to :func:`standard_test_battery`.  Tests that do not
-    satisfy the vertex conditions are rejected with a ``ValueError``.
+    satisfy the vertex conditions are rejected with a ``ValueError``: a star
+    test at v when its residual exceeds ``CONDITION_TOL max(1, ||L_v||)``,
+    the scale at which :func:`boundary.lp_mixing` accepts kernel data.
     Panels split at the nodes of every grid in ``cut_meshes`` (the meshes of
     nodal phi and potential data).  ``potential`` may be anything with an
     ``evaluate(edge_id, ts)`` method or a bare callable
@@ -657,7 +613,8 @@ def compile_battery(
     tests = tuple(standard_test_battery(g, bc) if tests is None else tests)
     for test in tests:
         bad = test.condition_residual(g, bc)
-        if bad > condition_tol:
+        scale = max(1.0, float(np.linalg.norm(bc.L(test.vertex)))) if isinstance(test, StarTest) else 1.0
+        if bad > CONDITION_TOL * scale:
             raise ValueError(
                 f"test {test.label!r} violates the vertex conditions (residual {bad:.3e})"
             )
@@ -671,7 +628,6 @@ def generalized_eigenfunction_residual(
     lam: float,
     tests: Sequence[TestFunction] | None = None,
     potential=None,
-    condition_tol: float = 1e-8,
 ) -> ResidualReport:
     """max over tests of |<H f, phi> - lambda <f, phi>| / ||f||.
 
@@ -689,7 +645,7 @@ def generalized_eigenfunction_residual(
     once and call :meth:`CompiledBattery.residuals`.
     """
     cut_meshes = [f.h_max for f in (phi, potential) if isinstance(f, GridFunction)]
-    battery = compile_battery(g, bc, tests, potential, cut_meshes, condition_tol)
+    battery = compile_battery(g, bc, tests, potential, cut_meshes)
     return battery.residuals([phi], [lam])[0]
 
 

@@ -20,9 +20,11 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
+
+import numpy as np
 
 VertexId = Union[str, int]
 EdgeId = Union[str, int]
@@ -302,66 +304,66 @@ def _hkey(v: VertexId) -> tuple[int, str]:
     return (0 if isinstance(v, (int, float)) else 1, str(v))
 
 
+def _edge_minima(e: Edge, dv: Mapping[VertexId, float], x0: Point) -> list[tuple[float, float]]:
+    """(position, distance) of the local minima of d(x0, .) on an edge, in order along it."""
+    out = [(0.0, dv[e.init])]
+    if isinstance(x0, EdgePoint) and x0.edge == e.id:
+        out.append((x0.t, 0.0))
+    if e.end is not None:
+        out.append((e.length, dv[e.end]))
+    return out
+
+
+def edge_distance(e: Edge, dv: Mapping[VertexId, float], x0: Point, t):
+    """d(x0, point(e, t)), ``t`` a coordinate or an array, from the vertex distances ``dv``.
+
+    It is the lower envelope of the cones ``a + |t - p|`` at the local minima ``(p, a)``.
+    """
+    return reduce(np.minimum, [a + np.abs(t - p) for p, a in _edge_minima(e, dv, x0)])
+
+
 def distance(g: MetricGraph, x: Point, y: Point) -> float:
     """Path metric between two points; ``inf`` across components."""
     _check_point(g, y)
     dv = vertex_distances(g, x)
     if isinstance(y, VertexPoint):
         return dv[y.vertex]
-    e = g.edge(y.edge)
-    best = dv[e.init] + y.t
-    if e.end is not None:
-        best = min(best, dv[e.end] + (e.length - y.t))
-    if isinstance(x, EdgePoint) and x.edge == y.edge:
-        best = min(best, abs(x.t - y.t))
-    return best
+    return float(edge_distance(g.edge(y.edge), dv, x, y.t))
 
 
-def _union_length(intervals: Iterable[tuple[float, float]]) -> float:
-    ivs = sorted((a, b) for a, b in intervals if b > a)
-    total = 0.0
-    cur_a = cur_b = None
-    for a, b in ivs:
-        if cur_b is None or a > cur_b:
-            if cur_b is not None:
-                total += cur_b - cur_a
-            cur_a, cur_b = a, b
-        else:
-            cur_b = max(cur_b, b)
-    if cur_b is not None:
-        total += cur_b - cur_a
-    return total
+def distance_pieces(g: MetricGraph, x0: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(start, length) arrays of the pieces of edge on which d(x0, .) rises with slope 1.
 
-
-def _edge_ball_intervals(
-    g: MetricGraph, e: Edge, dv: Mapping[VertexId, float], x: Point, r: float
-) -> list[tuple[float, float]]:
-    """Sublevel set {t : d(x, point(e,t)) <= r} as a union of intervals."""
-    out: list[tuple[float, float]] = []
-    di = dv.get(e.init, math.inf)
-    if r > di:
-        out.append((0.0, min(e.length, r - di)))
-    if e.end is not None:
-        dj = dv.get(e.end, math.inf)
-        if r > dj:
-            out.append((max(0.0, e.length - (r - dj)), e.length))
-    if isinstance(x, EdgePoint) and x.edge == e.id and r > 0:
-        out.append((max(0.0, x.t - r), min(e.length, x.t + r)))
-    return out
+    Between consecutive local minima ``(p, a)``, ``(q, b)`` of an edge the
+    distance rises from both to where their cones meet, ``m = (b - a + p + q) / 2``:
+    a piece (a, m - p) and a piece (b, q - m).  An infinite edge ends in a
+    piece of infinite length.  The pieces tile the part of the graph reachable
+    from x0, so d(x0, .) maps Lebesgue measure to the sum of the intervals
+    [start, start + length].
+    """
+    dv = vertex_distances(g, x0)
+    pieces: list[tuple[float, float]] = []
+    for e in g.edges:
+        minima = [(p, a) for p, a in _edge_minima(e, dv, x0) if math.isfinite(a)]
+        for (p, a), (q, b) in zip(minima, minima[1:]):
+            m = min(max(0.5 * (b - a + p + q), p), q)
+            pieces += [(a, m - p), (b, q - m)]
+        if minima and not e.is_finite:
+            pieces.append((minima[-1][1], math.inf))
+    starts, lengths = np.array(pieces).reshape(-1, 2).T
+    return starts, lengths
 
 
 def ball_volume(g: MetricGraph, x0: Point, r: float) -> float:
     """Lebesgue measure of the closed metric ball B(x0, r).
 
-    Computed edge by edge in closed form: on each edge the distance to ``x0``
-    is the minimum of affine functions of the arc-length coordinate, so the
-    sublevel set is a union of at most three intervals.
+    The sum over the :func:`distance_pieces` of ``clip(r - start, 0,
+    length)``: the part of each piece within distance r.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    _check_point(g, x0)
-    dv = vertex_distances(g, x0)
-    return sum(_union_length(_edge_ball_intervals(g, e, dv, x0, r)) for e in g.edges)
+    starts, lengths = distance_pieces(g, x0)
+    return float(np.sum(np.clip(r - starts, 0.0, lengths)))
 
 
 # ---------------------------------------------------------------------------

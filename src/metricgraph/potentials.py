@@ -36,6 +36,8 @@ from .fem import COLUMN_BLOCK, DiscreteEigensystem, FormAssembly, SparseMatrix, 
 from .functions import GridFunction, read_edge_csv, traces, write_edge_csv
 from .graph import EdgeId, EdgeSegment, MetricGraph, segments
 
+WINDOW_SAMPLES = 10  # samples whose window inequality is checked, the first ones drawn
+
 
 class Potential(GridFunction):
     """A real :class:`GridFunction`: nodal samples of V on its mesh."""
@@ -157,7 +159,6 @@ def check_relative_bound(
     coercivity_C: float,
     n_samples: int = 1000,
     seed: int = 0,
-    n_window_samples: int = 10,
 ) -> RelativeBoundReport | list[RelativeBoundReport]:
     """Margins of the relative bound over random admissible functions.
 
@@ -169,7 +170,7 @@ def check_relative_bound(
     holds exactly for the sampled piecewise-linear functions.  Also reports
     the worst margin of the window inequality
         max_I |f|^2  <=  (a/2)||f'||^2_I + (4/a)||f||^2_I
-    over a subset of samples and all partition windows.
+    over the first ``WINDOW_SAMPLES`` samples and all partition windows.
 
     ``a`` may be a sequence: the samples and everything that does not depend
     on a are then computed once, and one report per value comes back, in
@@ -203,7 +204,7 @@ def check_relative_bound(
         [_edge_partition(e.length, a_k, h, rows.stop - rows.start) for a_k in a_values] for e, rows, h in edges
     ]
     worst_window = [math.inf] * len(a_values)
-    head = fa.constraint @ X[:, :n_window_samples]
+    head = fa.constraint @ X[:, :WINDOW_SAMPLES]
     for x in head.T:
         for (_, rows, h), edge_windows in zip(edges, windows):
             y = x[rows]

@@ -154,7 +154,6 @@ class SecularMatrix:
     matrix: np.ndarray
     anomaly: np.ndarray
     anomaly_vertices: tuple[VertexId, ...]
-    row_vertices: tuple[VertexId, ...]
 
 
 class SecularSystem:
@@ -175,7 +174,6 @@ class SecularSystem:
         val: list[np.ndarray] = []
         der: list[np.ndarray] = []
         anom: list[np.ndarray] = []
-        row_vs: list[VertexId] = []
         anom_vs: list[VertexId] = []
         for v in g.vertices:
             L, P = bc.L(v), bc.P(v)
@@ -183,7 +181,6 @@ class SecularSystem:
             ker, ran = bc.ker_ran(v)
             val.append(np.vstack([ran.conj().T, ker.conj().T @ L]))
             der.append(np.vstack([np.zeros((ran.shape[1], d)), ker.conj().T]))
-            row_vs += [v] * d
             if lp_mixing(L, P):
                 anom.append(ran.conj().T @ L)
                 anom_vs += [v] * ran.shape[1]
@@ -193,7 +190,6 @@ class SecularSystem:
         self._rows = _edge_columns(blocks(*val), blocks(*der), init, term)
         A = blocks(*anom)
         self._anomaly = _edge_columns(A, np.zeros_like(A), init, term)
-        self.row_vertices = tuple(row_vs)
         self.anomaly_vertices = tuple(dict.fromkeys(anom_vs))
 
     def matrix(self, lam: float) -> np.ndarray:
@@ -202,10 +198,7 @@ class SecularSystem:
 
     def at(self, lam: float) -> SecularMatrix:
         c, s = basis_values(lam, self.lengths)
-        return SecularMatrix(
-            lam, _fill(self._rows, lam, c, s), _fill(self._anomaly, lam, c, s),
-            self.anomaly_vertices, self.row_vertices,
-        )
+        return SecularMatrix(lam, _fill(self._rows, lam, c, s), _fill(self._anomaly, lam, c, s), self.anomaly_vertices)
 
     def singular_values(self, lam: float) -> np.ndarray:
         """Singular values of the row-normalized M(lambda), descending."""
@@ -269,7 +262,6 @@ def eigenvalue_scan(
     lam_min: float,
     lam_max: float,
     num: int = 400,
-    tol: float = SINGULAR_RTOL,
 ) -> list[SecularEigenvalue]:
     """Eigenvalues in [lam_min, lam_max] from the rank drops of M(lambda).
 
@@ -277,13 +269,15 @@ def eigenvalue_scan(
     only writes the per-edge (c, s) at lambda into M and takes one SVD.  The
     scan samples sigma_min on a uniform grid, one lambda at a time, refines
     every local minimum by golden-section search, and accepts energies where
-    sigma_min falls below ``tol * sigma_max``.  Roots separated by more than
-    two grid steps are guaranteed to show up as distinct local minima; choose
-    ``num`` accordingly.  Multiplicity is the number of singular values under
-    the same threshold.
+    sigma_min falls below ``SINGULAR_RTOL * sigma_max``.  Roots separated by
+    more than two grid steps are guaranteed to show up as distinct local
+    minima; choose ``num`` (at least 2) accordingly.  Multiplicity is the
+    number of singular values under the same threshold.
     """
     if not (lam_max > lam_min):
         raise ValueError("empty scan range")
+    if num < 2:
+        raise ValueError(f"a scan needs at least 2 points, got {num}")
     system = SecularSystem(g, bc)
 
     def sv(lam: float) -> float:
@@ -304,7 +298,7 @@ def eigenvalue_scan(
         lam_star, s_star = _golden_minimize(sv, a, b, xtol)
         svs = system.singular_values(lam_star)
         smax = float(svs[0]) if svs.size else 0.0
-        threshold = tol * max(smax, 1e-300)
+        threshold = SINGULAR_RTOL * max(smax, 1e-300)
         if s_star >= threshold:
             continue
         mult = int(np.sum(svs < threshold))
@@ -414,7 +408,6 @@ def eigenfunction(
     g: MetricGraph,
     bc: BoundaryCondition,
     lam: float,
-    tol: float = SINGULAR_RTOL,
     system: SecularSystem | None = None,
 ) -> list[SecularSolution]:
     """L2-orthonormal basis of exact eigenfunctions at an accepted energy.
@@ -427,13 +420,13 @@ def eigenfunction(
     system = system or SecularSystem(g, bc)
     _, svs, Vh = np.linalg.svd(_row_normalized(system.matrix(lam)))
     smax = float(svs[0]) if svs.size else 0.0
-    threshold = tol * max(smax, 1e-300)
+    threshold = SINGULAR_RTOL * max(smax, 1e-300)
     null = Vh[svs < threshold].conj().T
     if null.shape[1] == 0:
         raise ValueError(f"lambda={lam} is not an eigenvalue (sigma_min={svs[-1]:.3e})")
     X = _orthonormalize(g, lam, null)
     sols = _coeff_columns_to_solutions(g, lam, X)
-    kept = [s for s in sols if s.vertex_residual(bc) <= 100 * tol]
+    kept = [s for s in sols if s.vertex_residual(bc) <= 100 * SINGULAR_RTOL]
     if len(kept) < len(sols):
         raise RankAnomaly(
             f"rank anomaly at lambda={lam}: {len(sols) - len(kept)} null vector(s) violate the "

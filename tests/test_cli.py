@@ -226,6 +226,14 @@ def test_default_window_resolves_large_s_star(tmp_path, capsys):
     assert report["modes"] == 4 and lams[0] < 0 < lams[1]
 
 
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_spectrum_scan_points_below_two_is_input_error(tmp_path, capsys, points):
+    g, b = write_interval(tmp_path)
+    argv = ["spectrum", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2", "--scan-points", points]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: a scan needs at least 2 points")
+
+
 # ---------------------------------------------------------------------------
 # expansion
 # ---------------------------------------------------------------------------
@@ -264,6 +272,48 @@ def test_expansion_check_file_flags_kink(tmp_path, capsys):
     )
     assert code == 1
     assert report["check_file"]["residual"] > 1e-2
+
+
+def test_weight_base_accepts_edge_endpoints(tmp_path, capsys):
+    # e:0 is vertex v; only the echoed base differs from the vertex report
+    g, b = write_interval(tmp_path)
+    common = ["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "3", "--weight-base"]
+    reports = {}
+    for base in ("e:0", "v"):
+        code, reports[base] = run_and_parse(capsys, common + [base])
+        assert code == 0
+    assert reports["e:0"]["weight"].pop("base") == "e:0"
+    assert reports["v"]["weight"].pop("base") == "v"
+    assert reports["e:0"] == reports["v"]
+    assert main(common + ["e:5"]) == 2
+    assert "outside [0, " in capsys.readouterr().err
+
+
+def write_lp_scaled_star(tmp_path):
+    """3-star, Dirichlet tips; at the centre P = 1 - q q^T (q the unit constant
+    vector) and L = -200 q q^T + 1.5e-8 (p q^T + q p^T) with p orthogonal to q.
+    ||P L q|| = 1.5e-8 is below lp-mixing's 1e-10 max(1, ||L||), so the
+    kernel datum q is accepted and its star test has residual 1.5e-8."""
+    q = np.ones(3) / math.sqrt(3.0)
+    p = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    P = np.eye(3) - np.outer(q, q)
+    L = -200.0 * np.outer(q, q) + 1.5e-8 * (np.outer(p, q) + np.outer(q, p))
+    gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
+    rays = [{"id": f"e{i}", "length": 1.1 + 0.1 * i, "from": "c", "to": f"t{i}"} for i in range(3)]
+    gpath.write_text(json.dumps({"u": 1.0, "vertices": ["c", "t0", "t1", "t2"], "edges": rays}))
+    tips = {f"t{i}": "dirichlet" for i in range(3)}
+    bpath.write_text(json.dumps({"c": {"L": L.tolist(), "P": P.tolist()}, **tips}))
+    return str(gpath), str(bpath)
+
+
+def test_battery_tolerance_scales_with_l(tmp_path, capsys):
+    g, b = write_lp_scaled_star(tmp_path)
+    code, report = run_and_parse(capsys, ["validate", "--graph", g, "--bc", b])
+    assert code == 0 and report["boundary"]["violations"] == []
+    code, report = run_and_parse(capsys, ["expansion", "--graph", g, "--bc", b, "--modes", "3"])
+    assert code == 0 and report["worst_genef_residual"] < 1e-9
+    argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1", "--modes", "3", "--samples", "100"]
+    assert main(argv) == 0
 
 
 def test_expansion_disconnected_graph_is_input_error(tmp_path):

@@ -6,8 +6,10 @@ import scipy.integrate
 
 from metricgraph import (
     DiscreteSpectralRep,
+    Edge,
     EdgePoint,
     GridFunction,
+    MetricGraph,
     SecularSolution,
     VertexPoint,
     assemble,
@@ -114,6 +116,52 @@ def test_weight_on_edgepoint_base_with_loop():
         for e in g.edges
     )
     assert exact == pytest.approx(brute, abs=1e-9)
+
+
+def _grid_graph(n):
+    """n x n lattice, edge lengths 1.0 to 1.4."""
+    verts = tuple(f"{i},{j}" for i in range(n) for j in range(n))
+    pairs = [((i, j), (i + di, j + dj)) for i in range(n) for j in range(n) for di, dj in ((1, 0), (0, 1))]
+    pairs = [(a, b) for a, b in pairs if b[0] < n and b[1] < n]
+    edges = tuple(
+        Edge(k, 1.0 + 0.4 * ((3 * k) % 7) / 6, "%d,%d" % a, "%d,%d" % b) for k, (a, b) in enumerate(pairs)
+    )
+    return MetricGraph(verts, edges, 1.0)
+
+
+@pytest.mark.parametrize(
+    "g, base",
+    [
+        (
+            MetricGraph(
+                ("c", *(f"t{i}" for i in range(5))),
+                tuple(Edge(f"e{i}", 1.0 + 0.2 * i, "c", f"t{i}") for i in range(5)),
+                1.0,
+            ),
+            EdgePoint("e3", 0.35),
+        ),
+        (_grid_graph(4), EdgePoint(7, 0.6)),
+        (MetricGraph(("v", "w"), (Edge("p", 1.0, "v", "w"), Edge("q", 1.7, "v", "w")), 1.0), EdgePoint("q", 0.5)),
+    ],
+    ids=["5-star", "grid4", "parallel"],
+)
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+def test_coarea_integral_matches_quadrature_at_edge_bases(g, base, eps):
+    wf = build_weight(g, base, eps)
+    brute = 0.0
+    for e in g.edges:
+        # break points for quad: the kinks of vol(d + 1), piecewise linear along the edge
+        ts = np.linspace(0.0, e.length, 4001)
+        kinks = ts[1:-1][np.abs(np.diff(wf.ball_volume(wf.distance_edge(e.id, ts) + 1.0), 2)) > 1e-9]
+        brute += scipy.integrate.quad(
+            lambda t, eid=e.id: float(wf.value_edge(eid, np.array([t]))[0]) ** -2,
+            0.0,
+            e.length,
+            points=kinks,
+            limit=500,
+            epsabs=1e-13,
+        )[0]
+    assert wf.integral_inverse_square() == pytest.approx(brute, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from metricgraph import (
     VertexPoint,
     ball_volume,
     connected_components,
+    distance_pieces,
     distance,
     graph_from_dict,
     point_on_edge,
@@ -225,6 +226,71 @@ def test_ball_volume_monotone_and_lower_bound():
     # continuity in r: increments vanish with the step
     steps = np.diff(vols)
     assert np.max(steps) <= 8 * (rs[1] - rs[0]) + 1e-12
+
+
+def _ball_volume_by_intervals(g, x0, r):
+    # reference: on each edge the ball is a union of at most three intervals,
+    # one per local minimum of the distance; their union length, summed
+    dv = vertex_distances(g, x0)
+    total = 0.0
+    for e in g.edges:
+        ivs = []
+        if r > dv[e.init]:
+            ivs.append((0.0, min(e.length, r - dv[e.init])))
+        if e.end is not None and r > dv[e.end]:
+            ivs.append((max(0.0, e.length - (r - dv[e.end])), e.length))
+        if isinstance(x0, EdgePoint) and x0.edge == e.id and r > 0:
+            ivs.append((max(0.0, x0.t - r), min(e.length, x0.t + r)))
+        cur_a = cur_b = None
+        for a, b in sorted(iv for iv in ivs if iv[1] > iv[0]):
+            if cur_b is None or a > cur_b:
+                if cur_b is not None:
+                    total += cur_b - cur_a
+                cur_a, cur_b = a, b
+            else:
+                cur_b = max(cur_b, b)
+        if cur_b is not None:
+            total += cur_b - cur_a
+    return total
+
+
+@st.composite
+def _graph_and_base(draw):
+    """Random multigraph: loops, parallel edges, maybe a second component and
+    an infinite edge; the base is a vertex or an interior edge point."""
+    n = draw(st.integers(1, 5))
+    length = st.floats(1.0, 3.0)
+    edges = [Edge(f"t{i}", draw(length), draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    for k in range(draw(st.integers(0, 4))):  # extra edges: loops and parallels included
+        edges.append(Edge(f"x{k}", draw(length), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    if not edges:
+        edges.append(Edge("loop", draw(length), 0, 0))
+    verts = list(range(n))
+    if draw(st.booleans()):
+        verts += ["p", "q"]
+        edges.append(Edge("far", draw(length), "p", "q"))
+    if draw(st.booleans()):
+        edges.append(Edge("ray", math.inf, draw(st.integers(0, n - 1)), None))
+    g = MetricGraph(tuple(verts), tuple(edges), 1.0)
+    e = draw(st.sampled_from(edges))
+    if draw(st.booleans()):
+        x0 = VertexPoint(e.init)
+    else:
+        x0 = EdgePoint(e.id, draw(st.floats(0.01, 0.99)) * min(e.length, 3.0))
+    return g, x0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_and_base(), st.lists(st.floats(0.0, 12.0), max_size=5))
+def test_ball_volume_matches_interval_union(gx, extra_radii):
+    g, x0 = gx
+    starts, lengths = distance_pieces(g, x0)
+    ends = starts + lengths
+    knots = np.concatenate([starts, ends[np.isfinite(ends)]])
+    finite = sum(e.length for e in g.edges if e.is_finite)
+    for r in [*knots, *(knots + 0.5), *extra_radii]:
+        tol = 1e-12 * max(1.0, finite + r)
+        assert ball_volume(g, x0, float(r)) == pytest.approx(_ball_volume_by_intervals(g, x0, float(r)), abs=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,13 @@ def test_scan_rejects_bad_range():
         eigenvalue_scan(g, uniform_bc(g, "neumann"), 2.0, 1.0)
 
 
+@pytest.mark.parametrize("num", [0, 1])
+def test_scan_needs_two_points(num):
+    g = interval_graph(1.0)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        eigenvalue_scan(g, uniform_bc(g, "neumann"), 0.5, 10.0, num=num)
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions
 # ---------------------------------------------------------------------------
