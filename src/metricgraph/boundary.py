@@ -14,13 +14,14 @@ derived :class:`CoercivityConstant` makes that bound explicit.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .graph import MetricGraph, VertexId, VertexStar, Violation
+from .graph import MetricGraph, VertexId, VertexStar, Violation, ids_from_text, json_number
 
 DEFAULT_MATRIX_TOL = 1e-10
 KERNEL_EIGENVALUE_SPLIT = 0.5  # eigenvalues of P below this count as kernel
@@ -216,7 +217,7 @@ def _parse_entry(star: VertexStar, entry: object) -> tuple[np.ndarray, np.ndarra
         if "delta" in entry:
             if set(entry) != {"delta"}:
                 raise ValueError(f"delta entry must be exactly {{'delta': alpha}}, got {dict(entry)!r}")
-            return preset("delta", star, float(entry["delta"]))
+            return preset("delta", star, json_number(entry["delta"], "delta strength"))
         if set(entry) == {"L", "P"}:
             L = _parse_matrix(entry["L"], star.degree)
             P = _parse_matrix(entry["P"], star.degree)
@@ -230,15 +231,13 @@ def _parse_matrix(rows: object, d: int) -> np.ndarray:
     if not isinstance(rows, (list, tuple)) or len(rows) != d:
         raise ValueError(f"matrix must have {d} rows")
     for i, row in enumerate(rows):
-        if len(row) != d:
+        if not isinstance(row, (list, tuple)) or len(row) != d:
             raise ValueError(f"matrix row {i} must have {d} entries")
         for j, cell in enumerate(row):
-            if isinstance(cell, (int, float)):
-                arr[i, j] = cell
-            elif isinstance(cell, (list, tuple)) and len(cell) == 2:
-                arr[i, j] = complex(cell[0], cell[1])
-            else:
+            re_im = cell if isinstance(cell, (list, tuple)) and len(cell) == 2 else (cell, 0.0)
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in re_im):
                 raise ValueError(f"matrix entry {cell!r} must be a number or [re, im]")
+            arr[i, j] = complex(*re_im)
     return arr
 
 
@@ -251,11 +250,5 @@ def load_bc(path: str | Path, g: MetricGraph) -> BoundaryCondition:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("boundary-condition file must be a JSON object")
-    remap: dict[VertexId, object] = {}
-    by_str = {str(v): v for v in g.vertices}
-    for key, entry in doc.items():
-        if key in by_str:
-            remap[by_str[key]] = entry
-        else:
-            raise ValueError(f"boundary condition for unknown vertex {key!r}")
-    return bc_from_mapping(g, remap)
+    vertices = ids_from_text(g.vertices, doc, "boundary condition for unknown vertex {!r}")
+    return bc_from_mapping(g, dict(zip(vertices, doc.values())))

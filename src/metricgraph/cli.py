@@ -4,8 +4,9 @@ Exit codes: 0 when every requested check passes, 1 when a mathematical check
 fails (inequality violated, solver disagreement over budget, residual above
 tolerance), 2 on unusable input.  All randomized checks take a seed and the
 reports are deterministic byte-for-byte given the same configuration.
-Each command reads the parsed arguments directly; every default is defined
-once, in :func:`build_parser`.
+Each command reads the parsed arguments directly.  Every flag and its
+default is defined once, in :data:`FLAGS`, and each subcommand accepts only
+the flags its command reads: any other flag is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import boundary, expansion, fem, potentials, secular
 from .functions import GridFunction, load_function_csv
-from .graph import MetricGraph, Point, VertexPoint, load_graph, point_on_edge, validate
+from .graph import MetricGraph, Point, VertexPoint, ids_from_text, load_graph, point_on_edge, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,14 +67,10 @@ def _parse_base_point(g: MetricGraph, spec: str | None) -> Point:
         return VertexPoint(g.vertices[0])
     if ":" in spec:
         eid_raw, t_raw = spec.split(":", 1)
-        for e in g.edges:
-            if str(e.id) == eid_raw:
-                return point_on_edge(g, e.id, float(t_raw))
-        raise ValueError(f"unknown edge {eid_raw!r} in --weight-base")
-    for v in g.vertices:
-        if str(v) == spec:
-            return VertexPoint(v)
-    raise ValueError(f"unknown vertex {spec!r} in --weight-base")
+        [eid] = ids_from_text((e.id for e in g.edges), [eid_raw], "unknown edge {!r} in --weight-base")
+        return point_on_edge(g, eid, float(t_raw))
+    [v] = ids_from_text(g.vertices, [spec], "unknown vertex {!r} in --weight-base")
+    return VertexPoint(v)
 
 
 def _scan(args: argparse.Namespace, g: MetricGraph, bc: boundary.BoundaryCondition):
@@ -173,6 +170,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_expansion(args: argparse.Namespace) -> int:
+    if args.check_file is not None and args.check_lambda is None:
+        raise ValueError("--check-file needs --check-lambda")
+    if args.check_lambda is not None and args.check_file is None:
+        raise ValueError("--check-lambda needs --check-file")
     g, bc = _load_inputs(args)
     g.require_compact("the expansion report")
     const, hits = _scan(args, g, bc)
@@ -210,8 +211,6 @@ def cmd_expansion(args: argparse.Namespace) -> int:
 
     check_result = None
     if args.check_file is not None:
-        if args.check_lambda is None:
-            raise ValueError("--check-file needs --check-lambda")
         phi = load_function_csv(args.check_file, g, args.mesh)
         # nodal data: the same checked tests, panels split at the grid nodes
         rr = compiled.with_cuts((phi.h_max,)).residuals([phi], [args.check_lambda])[0]
@@ -290,7 +289,6 @@ def cmd_potential(args: argparse.Namespace) -> int:
             }
             for m in pr.modes
         ],
-        "tolerance": args.tol,
     }
     if shift_check is not None:
         report["constant_shift_error"] = shift_check
@@ -304,42 +302,57 @@ def cmd_potential(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# every flag once, as add_argument keywords; each command lists the flags it reads
+FLAGS: dict[str, dict] = {
+    "--graph": {"required": True, "help": "graph description JSON"},
+    "--bc": {"required": True, "help": "boundary-condition JSON"},
+    "--out": {"help": "directory for reports and CSV exports"},
+    "--mesh": {"type": float, "default": 0.02, "help": "grid width h_max"},
+    "--modes": {"type": positive_int, "default": 8},
+    "--lambda-min": {"type": float, "help": "scan start (default 1/2 - C - 1, below the proven bound 1/2 - C)"},
+    "--lambda-max": {"type": float, "default": 50.0},
+    "--scan-points": {"type": int, "default": secular.SCAN_POINTS},
+    "--tol": {"type": float, "default": 1e-6, "help": "largest accepted weak residual"},
+    "--seed": {"type": int, "default": 0},
+    "--weight-eps": {"type": float, "default": 1.0},
+    "--weight-base": {"help": "vertex id or edge:t"},
+    "--hs-c": {"type": float, "help": "shift C in (C + H)^-1/2"},
+    "--check-file": {"help": "function CSV to test"},
+    "--check-lambda": {"type": float},
+    "--samples": {"type": positive_int, "default": 1000},
+    "--potential": {"required": True, "help": "CSV path or const:c / well:edge,t0,t1,d"},
+}
+_INPUTS = ("--graph", "--bc", "--out")
+_SPECTRUM = _INPUTS + ("--mesh", "--modes", "--lambda-min", "--lambda-max", "--scan-points")
+_EXPANSION = _SPECTRUM + (
+    "--tol", "--seed", "--weight-eps", "--weight-base", "--hs-c", "--check-file", "--check-lambda"
+)
+_POTENTIAL = _INPUTS + ("--mesh", "--modes", "--seed", "--samples", "--potential")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metricgraph",
         description="Spectra and eigenfunction expansions for operators on metric graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command, helptext in (
-        ("validate", cmd_validate, "check a graph and boundary-condition file"),
-        ("spectrum", cmd_spectrum, "compute the spectrum with both solvers and cross-check"),
-        ("expansion", cmd_expansion, "weighted expansion report: HS norm, Parseval, residuals"),
-        ("potential", cmd_potential, "perturb by a potential and verify the relative bounds"),
+    for name, command, helptext, flags in (
+        ("validate", cmd_validate, "check a graph and boundary-condition file", _INPUTS),
+        ("spectrum", cmd_spectrum, "compute the spectrum with both solvers and cross-check", _SPECTRUM),
+        ("expansion", cmd_expansion, "weighted expansion report: HS norm, Parseval, residuals", _EXPANSION),
+        ("potential", cmd_potential, "perturb by a potential and verify the relative bounds", _POTENTIAL),
     ):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(run=command)
-        p.add_argument("--graph", required=True, help="graph description JSON")
-        p.add_argument("--bc", required=True, help="boundary-condition JSON")
-        p.add_argument("--mesh", type=float, default=0.02, help="grid width h_max")
-        p.add_argument(
-            "--lambda-min", type=float, default=None,
-            help="scan start (default 1/2 - C - 1, below the proven spectral bound 1/2 - C)",
-        )
-        p.add_argument("--lambda-max", type=float, default=50.0)
-        p.add_argument("--modes", type=int, default=8)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="directory for reports and CSV exports")
-        p.add_argument("--scan-points", type=int, default=600)
-        p.add_argument("--samples", type=int, default=1000)
-        if name == "expansion":
-            p.add_argument("--weight-eps", type=float, default=1.0)
-            p.add_argument("--weight-base", default=None, help="vertex id or edge:t")
-            p.add_argument("--hs-c", type=float, default=None, help="shift C in (C + H)^-1/2")
-            p.add_argument("--check-file", default=None, help="function CSV to test")
-            p.add_argument("--check-lambda", type=float, default=None)
-        if name == "potential":
-            p.add_argument("--potential", required=True, help="CSV path or const:c / well:edge,t0,t1,d")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 

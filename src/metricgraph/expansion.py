@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -476,7 +475,7 @@ class CompiledBattery:
 
     graph: MetricGraph
     tests: tuple[TestFunction, ...]
-    potential: object
+    potential: GridFunction | None
     edges: tuple[tuple[EdgeId, np.ndarray], ...]
     hf: np.ndarray
     wf: np.ndarray
@@ -539,7 +538,7 @@ def _pieces(g: MetricGraph, test: TestFunction):
 
 
 def _quadrature(
-    g: MetricGraph, tests: tuple[TestFunction, ...], potential, cut_meshes: Sequence[float]
+    g: MetricGraph, tests: tuple[TestFunction, ...], potential: GridFunction | None, cut_meshes: Sequence[float]
 ) -> CompiledBattery:
     """Gauss nodes of every piece, values of all pieces of one kind at once."""
     edge_index = {e.id: j for j, e in enumerate(g.edges)}
@@ -574,10 +573,6 @@ def _quadrature(
     # edge-major node order, so that each phi is evaluated once per edge
     order = np.argsort(edge_of, kind="stable")
     edge_of, owner_idx, t, w, f, d2 = (x[order] for x in (edge_of, owner_idx, t, w, f, d2))
-    if isinstance(potential, GridFunction):  # nodal data, interpolated on its own mesh
-        pot_eval = partial(potential.grid.interpolate, potential.data)
-    else:
-        pot_eval = getattr(potential, "evaluate", potential)
     hf = -d2
     bounds = np.searchsorted(edge_of, np.arange(len(g.edges) + 1))
     edges = []
@@ -585,8 +580,8 @@ def _quadrature(
         sl = slice(bounds[j], bounds[j + 1])
         if sl.start < sl.stop:
             edges.append((e.id, t[sl]))
-            if pot_eval is not None:
-                hf[sl] += pot_eval(e.id, t[sl]) * f[sl]
+            if potential is not None:  # nodal data, interpolated on its own mesh
+                hf[sl] += potential.grid.interpolate(potential.data, e.id, t[sl]) * f[sl]
     owner = scipy.sparse.csr_matrix((np.ones(t.size), (owner_idx, np.arange(t.size))), shape=(len(tests), t.size))
     norms = np.sqrt(np.bincount(owner_idx, weights=w * np.abs(f) ** 2, minlength=len(tests)))
     return CompiledBattery(g, tests, potential, tuple(edges), w * hf, w * f, owner, norms)
@@ -596,7 +591,7 @@ def compile_battery(
     g: MetricGraph,
     bc: BoundaryCondition,
     tests: Sequence[TestFunction] | None = None,
-    potential=None,
+    potential: GridFunction | None = None,
     cut_meshes: Sequence[float] = (),
 ) -> CompiledBattery:
     """Check a test battery once and lay out its quadrature for many modes.
@@ -606,9 +601,7 @@ def compile_battery(
     test at v when its residual exceeds ``CONDITION_TOL max(1, ||L_v||)``,
     the scale at which :func:`boundary.lp_mixing` accepts kernel data.
     Panels split at the nodes of every grid in ``cut_meshes`` (the meshes of
-    nodal phi and potential data).  ``potential`` may be anything with an
-    ``evaluate(edge_id, ts)`` method or a bare callable
-    ``(edge_id, ts) -> values``.
+    nodal phi and potential data).
     """
     tests = tuple(standard_test_battery(g, bc) if tests is None else tests)
     for test in tests:
@@ -627,7 +620,7 @@ def generalized_eigenfunction_residual(
     phi,
     lam: float,
     tests: Sequence[TestFunction] | None = None,
-    potential=None,
+    potential: GridFunction | None = None,
 ) -> ResidualReport:
     """max over tests of |<H f, phi> - lambda <f, phi>| / ||f||.
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -437,36 +438,72 @@ _GRAPH_KEYS = {"u", "vertices", "edges"}
 _EDGE_KEYS = {"id", "length", "from", "to"}
 
 
+def ids_from_text(ids: Iterable[VertexId | EdgeId], texts: Iterable[str], unknown: str) -> list[VertexId | EdgeId]:
+    """The ids in ``ids`` written as ``texts``, as JSON keys and command-line values give them.
+
+    A text that names no id raises ``ValueError(unknown.format(text))``.
+    """
+    by_text: dict[str, VertexId | EdgeId] = {}
+    for i in ids:
+        by_text.setdefault(str(i), i)
+    out = []
+    for text in texts:
+        if text not in by_text:
+            raise ValueError(unknown.format(text))
+        out.append(by_text[text])
+    return out
+
+
+def json_number(value: object, what: str) -> float:
+    """``value`` as a float when it is a number (not a bool); else a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_id(value: object, what: str) -> VertexId | EdgeId:
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Integral)):
+        raise ValueError(f"{what} {value!r} must be a string or an integer")
+    return value
+
+
 def graph_from_dict(doc: Mapping) -> MetricGraph:
     """Parse ``{"u": ..., "vertices": [...], "edges": [{...}]}``.
 
     Unknown keys are rejected; ``"length": "inf"`` marks an infinite edge, in
-    which case ``"to"`` must be omitted.
+    which case ``"to"`` must be omitted.  Ids are strings or integers, ``u``
+    and finite lengths are numbers; any other shape is a ``ValueError``.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError("graph document must be a JSON object")
     unknown = set(doc) - _GRAPH_KEYS
     if unknown:
         raise ValueError(f"unknown graph keys: {sorted(unknown)}")
     for key in _GRAPH_KEYS:
         if key not in doc:
             raise ValueError(f"graph document is missing {key!r}")
+    for key in ("vertices", "edges"):
+        if not isinstance(doc[key], (list, tuple)):
+            raise ValueError(f"graph {key!r} must be a list")
     edges = []
     for rec in doc["edges"]:
+        if not isinstance(rec, Mapping):
+            raise ValueError(f"edge record {rec!r} must be a JSON object")
         bad = set(rec) - _EDGE_KEYS
         if bad:
             raise ValueError(f"unknown edge keys: {sorted(bad)}")
         if "id" not in rec or "length" not in rec or "from" not in rec:
             raise ValueError(f"edge record {rec!r} needs id, length, from")
-        raw = rec["length"]
-        if raw == "inf":
-            length = math.inf
-        else:
-            length = float(raw)
+        eid = _json_id(rec["id"], "edge id")
+        length = math.inf if rec["length"] == "inf" else json_number(rec["length"], f"length of edge {eid!r}")
         if math.isinf(length) and "to" in rec:
-            raise ValueError(f"infinite edge {rec['id']!r} must omit 'to'")
+            raise ValueError(f"infinite edge {eid!r} must omit 'to'")
         if math.isfinite(length) and "to" not in rec:
-            raise ValueError(f"finite edge {rec['id']!r} needs 'to'")
-        edges.append(Edge(rec["id"], length, rec["from"], rec.get("to")))
-    return MetricGraph(tuple(doc["vertices"]), tuple(edges), float(doc["u"]))
+            raise ValueError(f"finite edge {eid!r} needs 'to'")
+        end = _json_id(rec["to"], "vertex id") if "to" in rec else None
+        edges.append(Edge(eid, length, _json_id(rec["from"], "vertex id"), end))
+    vertices = tuple(_json_id(v, "vertex id") for v in doc["vertices"])
+    return MetricGraph(vertices, tuple(edges), json_number(doc["u"], "u"))
 
 
 def load_graph(path: str | Path) -> MetricGraph:

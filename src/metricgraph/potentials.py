@@ -34,7 +34,7 @@ from .boundary import BoundaryCondition
 from .expansion import BumpTest, compile_battery
 from .fem import COLUMN_BLOCK, DiscreteEigensystem, FormAssembly, SparseMatrix, column_forms, element_matrix
 from .functions import GridFunction, read_edge_csv, traces, write_edge_csv
-from .graph import EdgeId, EdgeSegment, MetricGraph, segments
+from .graph import EdgeSegment, MetricGraph, ids_from_text, segments
 
 WINDOW_SAMPLES = 10  # samples whose window inequality is checked, the first ones drawn
 
@@ -238,7 +238,6 @@ class PerturbedModeReport:
     interior_residual: float
     star_residual: float
     trace_defect: float
-    weighted_norm: float | None
 
     @property
     def vertex_residual(self) -> float:
@@ -263,7 +262,6 @@ def perturbed_eigen_report(
     bc: BoundaryCondition,
     V: Potential,
     es: DiscreteEigensystem,
-    weight: GridFunction | None = None,
 ) -> PerturbedReport:
     """Weak residuals of computed eigenpairs of H = H0 + V.
 
@@ -271,8 +269,7 @@ def perturbed_eigen_report(
     interior bump tests (weak form, phi and V evaluated by interpolation).
     Vertex residual: trace-condition defect ``||P phi(v)|| + ||L phi(v) +
     (1-P) phi'(v)||`` from grid traces; the conditions of H are those of H0,
-    independent of V.  When a weight grid is given, ||phi / w|| is reported
-    per mode.
+    independent of V.
     """
     phis = es.grid_functions()
     lams = [float(lam) for lam in es.eigenvalues]
@@ -285,10 +282,7 @@ def perturbed_eigen_report(
     for k, (phi, lam) in enumerate(zip(phis, lams)):
         tr = traces(phi)
         vres = max((bc.vertex_residual(v, tr.values[v], tr.derivatives[v]) for v in g.vertices), default=0.0)
-        wn = None
-        if weight is not None:
-            wn = math.sqrt(float(phi.grid.weights @ (np.abs(phi.data) ** 2 / weight.data.real**2)))
-        out.append(PerturbedModeReport(lam, float(interior[k]), float(star[k]), vres, wn))
+        out.append(PerturbedModeReport(lam, float(interior[k]), float(star[k]), vres))
     return PerturbedReport(tuple(out))
 
 
@@ -318,7 +312,7 @@ def parse_potential_expr(expr: str, g: MetricGraph, h_max: float) -> Potential:
             raise ValueError("well potential needs edge,t0,t1,depth")
         eid_raw, t0s, t1s, ds = parts
         t0, t1, depth = float(t0s), float(t1s), float(ds)
-        eid = _match_edge_id(g, eid_raw)
+        [eid] = ids_from_text((e.id for e in g.edges), [eid_raw], "unknown edge {!r} in potential expression")
         e = g.edge(eid)
         if not (0 <= t0 < t1 <= e.length):
             raise ValueError(f"well window [{t0}, {t1}] outside edge of length {e.length}")
@@ -330,10 +324,3 @@ def parse_potential_expr(expr: str, g: MetricGraph, h_max: float) -> Potential:
 
         return Potential.from_callable(g, h_max, fn)
     raise ValueError(f"unknown potential expression {expr!r}")
-
-
-def _match_edge_id(g: MetricGraph, raw: str) -> EdgeId:
-    for e in g.edges:
-        if str(e.id) == raw:
-            return e.id
-    raise ValueError(f"unknown edge {raw!r} in potential expression")

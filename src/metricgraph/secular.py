@@ -33,6 +33,7 @@ from .graph import INIT, TERM, EdgeId, MetricGraph, VertexId
 
 SERIES_THRESHOLD = 1e-6  # |lambda| below which the power series is used
 SINGULAR_RTOL = 1e-8
+SCAN_POINTS = 600  # grid points of eigenvalue_scan, and the CLI's --scan-points default
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,7 @@ def eigenvalue_scan(
     bc: BoundaryCondition,
     lam_min: float,
     lam_max: float,
-    num: int = 400,
+    num: int = SCAN_POINTS,
 ) -> list[SecularEigenvalue]:
     """Eigenvalues in [lam_min, lam_max] from the rank drops of M(lambda).
 

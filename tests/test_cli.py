@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -93,8 +94,9 @@ def test_every_command_accepts_bc_under_one_tolerance(tmp_path, capsys):
     code, report = run_and_parse(capsys, ["validate", "--graph", g, "--bc", b])
     assert code == 1 and report["valid"] is False
     assert [v["code"] for v in report["boundary"]["violations"]] == ["P-idempotent"]
-    common = ["--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2", "--lambda-min", "0.5", "--lambda-max", "10"]
-    for argv in (["spectrum"], ["expansion"], ["potential", "--potential", "const:1.0"]):
+    common = ["--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2"]
+    window = ["--lambda-min", "0.5", "--lambda-max", "10"]
+    for argv in (["spectrum", *window], ["expansion", *window], ["potential", "--potential", "const:1.0"]):
         assert main(argv + common) == 2
         assert "P at vertex 'v' is not idempotent" in capsys.readouterr().err
     with pytest.raises(SystemExit):  # no flag moves the tolerance
@@ -105,6 +107,49 @@ def test_validate_unreadable_file(tmp_path, capsys):
     g, b = write_interval(tmp_path)
     code = main(["validate", "--graph", str(tmp_path / "missing.json"), "--bc", b])
     assert code == 2
+
+
+_EDGE = {"id": "e", "length": 3.0, "from": "v", "to": "w"}
+_GRAPH = {"u": 1.0, "vertices": ["v", "w"], "edges": [_EDGE]}
+_BC = {"v": "dirichlet", "w": "dirichlet"}
+MALFORMED = {
+    "edge-not-object": ({**_GRAPH, "edges": [1]}, _BC),
+    "u-null": ({**_GRAPH, "u": None}, _BC),
+    "length-null": ({**_GRAPH, "edges": [{**_EDGE, "length": None}]}, _BC),
+    "edge-id-list": ({**_GRAPH, "edges": [{**_EDGE, "id": ["e"]}]}, _BC),
+    "delta-null": (_GRAPH, {**_BC, "v": {"delta": None}}),
+    "matrix-row-not-list": (_GRAPH, {**_BC, "v": {"L": [1], "P": [[0.0]]}}),
+    "matrix-entry-bool": (_GRAPH, {**_BC, "v": {"L": [[True]], "P": [[False]]}}),
+    "matrix-entry-null-part": (_GRAPH, {**_BC, "v": {"L": [[[None, 0.0]]], "P": [[0.0]]}}),
+    "vertices-string": ({**_GRAPH, "vertices": "vw"}, _BC),
+}
+
+
+@pytest.mark.parametrize("graph,bc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_are_input_errors(tmp_path, capsys, graph, bc):
+    gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
+    gpath.write_text(json.dumps(graph))
+    bpath.write_text(json.dumps(bc))
+    assert main(["validate", "--graph", str(gpath), "--bc", str(bpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["expansion", "--weight-base", "x"], "unknown vertex 'x' in --weight-base"),
+        (["expansion", "--weight-base", "x:0.5"], "unknown edge 'x' in --weight-base"),
+        (["potential", "--potential", "well:x,0.1,0.2,1.0"], "unknown edge 'x' in potential expression"),
+    ],
+)
+def test_unknown_ids_are_named(tmp_path, capsys, argv, message):
+    g, b = write_interval(tmp_path)
+    window = ["--lambda-min", "0.5", "--lambda-max", "10"] if argv[0] == "expansion" else []
+    assert main([*argv, "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2", *window]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    Path(b).write_text(json.dumps({"v": "dirichlet", "w": "dirichlet", "x": "dirichlet"}))
+    assert main(["validate", "--graph", g, "--bc", b]) == 2
+    assert capsys.readouterr().err == "error: boundary condition for unknown vertex 'x'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +393,7 @@ def test_potential_constant_shift(tmp_path, capsys):
     code, report = run_and_parse(
         capsys,
         ["potential", "--graph", g, "--bc", b, "--potential", "const:1.0",
-         "--mesh", "0.0157", "--modes", "5", "--lambda-min", "0.5", "--lambda-max", "40",
-         "--samples", "200"],
+         "--mesh", "0.0157", "--modes", "5", "--samples", "200"],
     )
     assert code == 0
     jsonschema.validate(report, load_schema("potential"))
@@ -364,8 +408,7 @@ def test_potential_zero_reduces_to_unperturbed(tmp_path, capsys):
     code, report = run_and_parse(
         capsys,
         ["potential", "--graph", g, "--bc", b, "--potential", "const:0.0",
-         "--mesh", "0.02", "--modes", "4", "--lambda-min", "0.5", "--lambda-max", "30",
-         "--samples", "100"],
+         "--mesh", "0.02", "--modes", "4", "--samples", "100"],
     )
     assert code == 0
     assert report["m_v"]["value"] == 0.0
@@ -377,8 +420,7 @@ def test_potential_well_report(tmp_path, capsys):
     code, report = run_and_parse(
         capsys,
         ["potential", "--graph", g, "--bc", b, "--potential", "well:e,1.0,2.0,4.0",
-         "--mesh", "0.02", "--modes", "4", "--lambda-min", "-10", "--lambda-max", "40",
-         "--samples", "150"],
+         "--mesh", "0.02", "--modes", "4", "--samples", "150"],
     )
     assert code == 0
     seg = report["m_v"]["segment"]
@@ -485,6 +527,77 @@ def test_potential_builds_few_edge_grids(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# flags
+# ---------------------------------------------------------------------------
+
+KEPT_FLAGS = {
+    "validate": ["--graph", "--bc", "--out"],
+    "spectrum": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max", "--scan-points"],
+    "expansion": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max", "--scan-points",
+                  "--tol", "--seed", "--weight-eps", "--weight-base", "--hs-c", "--check-file", "--check-lambda"],
+    "potential": ["--graph", "--bc", "--out", "--mesh", "--modes", "--seed", "--samples", "--potential"],
+}
+UNREAD_FLAGS = [
+    *(("validate", f) for f in ["--mesh", "--lambda-min", "--lambda-max", "--modes", "--tol", "--seed",
+                                "--scan-points", "--samples"]),
+    *(("spectrum", f) for f in ["--tol", "--seed", "--samples"]),
+    ("expansion", "--samples"),
+    *(("potential", f) for f in ["--lambda-min", "--lambda-max", "--scan-points", "--tol"]),
+]
+
+
+@pytest.mark.parametrize("command", KEPT_FLAGS)
+def test_each_command_offers_only_the_flags_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert offered == set(KEPT_FLAGS[command])
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    g, b = write_interval(tmp_path)
+    argv = [command, "--graph", g, "--bc", b, flag, "1"]
+    if command == "potential":
+        argv += ["--potential", "const:1.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_check_lambda_needs_check_file(tmp_path, capsys):
+    g, b = write_interval(tmp_path)
+    argv = ["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2",
+            "--lambda-min", "0.5", "--lambda-max", "10", "--check-lambda", "1.0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --check-lambda needs --check-file\n"
+
+
+@pytest.mark.parametrize("command,value", [("spectrum", "0"), ("expansion", "-1"), ("potential", "0")])
+def test_modes_below_one_names_the_flag(tmp_path, capsys, command, value):
+    g, b = write_interval(tmp_path)
+    argv = [command, "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", value]
+    argv += ["--potential", "const:1.0"] if command == "potential" else ["--lambda-min", "0.5", "--lambda-max", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --modes: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_samples_below_one_names_the_flag(tmp_path, capsys, value):
+    g, b = write_interval(tmp_path)
+    argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1.0", "--mesh", "0.05", "--modes", "2",
+            "--samples", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --samples: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 
@@ -497,7 +610,7 @@ def test_potential_builds_few_edge_grids(tmp_path, capsys, monkeypatch):
         ["expansion", "--mesh", "0.05", "--modes", "4", "--lambda-min", "0.5", "--lambda-max", "30",
          "--seed", "7", "--weight-base", "v"],
         ["potential", "--potential", "const:0.5", "--mesh", "0.05", "--modes", "4",
-         "--lambda-min", "0.5", "--lambda-max", "30", "--samples", "100", "--seed", "7"],
+         "--samples", "100", "--seed", "7"],
     ],
 )
 def test_reports_are_byte_identical(tmp_path, capsys, argv_tail):
