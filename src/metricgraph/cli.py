@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical check
 fails (inequality violated, solver disagreement over budget, residual above
-tolerance), 2 on unusable input.  All randomized checks take a seed and the
-reports are deterministic byte-for-byte given the same configuration.
+tolerance), 2 on unusable input.  The inequality checks are exact minima
+and the one randomized check (``expansion``'s random span) takes a seed, so
+the reports are deterministic byte-for-byte given the same configuration.
 Each command reads the parsed arguments directly.  Every flag and its
 default is defined once, in :data:`FLAGS`, and each subcommand accepts only
 the flags its command reads: any other flag is a usage error (exit 2).
@@ -259,7 +260,7 @@ def cmd_potential(args: argparse.Namespace) -> int:
     es1 = fem.eigensystem(fa_v, args.modes)
 
     a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
-    bounds = potentials.check_relative_bound(fa, V, a_values, const.C, n_samples=args.samples, seed=args.seed)
+    bounds = potentials.check_relative_bound(fa, V, a_values, const.C)
     worst_margin = min(min(rb.worst_margin, rb.worst_window_margin) for rb in bounds)
 
     shift_check = None
@@ -326,7 +327,6 @@ FLAGS: dict[str, dict] = {
     "--hs-c": {"type": float, "help": "shift C in (C + H)^-1/2"},
     "--check-file": {"help": "function CSV to test"},
     "--check-lambda": {"type": float},
-    "--samples": {"type": positive_int, "default": 1000},
     "--potential": {"required": True, "help": "CSV path or const:c / well:edge,t0,t1,d"},
 }
 _INPUTS = ("--graph", "--bc", "--out")
@@ -334,7 +334,7 @@ _SPECTRUM = _INPUTS + ("--mesh", "--modes", "--lambda-min", "--lambda-max", "--s
 _EXPANSION = _SPECTRUM + (
     "--tol", "--seed", "--weight-eps", "--weight-base", "--hs-c", "--check-file", "--check-lambda"
 )
-_POTENTIAL = _INPUTS + ("--mesh", "--modes", "--seed", "--samples", "--potential")
+_POTENTIAL = _INPUTS + ("--mesh", "--modes", "--potential")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,9 @@ For piecewise-linear functions the assembled matrices are exact: the
 stiffness form is the exact Dirichlet integral, the mass form the exact L2
 inner product, and vertex traces are nodal values.  The inequality checks in
 this module therefore hold up to floating-point roundoff, not quadrature
-error.
+error.  Each check reports the exact minimum of its margin form over the
+constrained P1 space, the lowest eigenvalue of that form against the mass
+matrix, from an inertia-certified shift and one shift-invert Lanczos run.
 
 All matrices are sparse (about three nonzeros per row), assembled from
 per-cell triplets.  The lowest eigenpairs come from shift-invert Lanczos
@@ -42,23 +44,6 @@ RESIDUAL_RTOL = 1e-8
 
 class ResidualCheckFailed(RuntimeError):
     """The computed eigenpairs miss the residual gate: a failed check, not bad input."""
-
-
-COLUMN_BLOCK = 64  # sample columns per block in column_forms
-
-
-def column_forms(A, X: np.ndarray) -> np.ndarray:
-    """Re(x^H A x) for every column x of X.
-
-    A block of COLUMN_BLOCK columns at a time, so the temporaries are
-    dim x block arrays instead of full copies of X.  Each column's value does
-    not depend on the blocking.
-    """
-    out = np.empty(X.shape[1])
-    for j in range(0, X.shape[1], COLUMN_BLOCK):
-        Xb = X[:, j : j + COLUMN_BLOCK]
-        out[j : j + COLUMN_BLOCK] = np.real(np.einsum("ij,ij->j", Xb.conj(), A @ Xb))
-    return out
 
 
 class SparseMatrix(scipy.sparse.csr_matrix):
@@ -148,13 +133,6 @@ class FormAssembly:
     def form_value(self, x: np.ndarray) -> float:
         """q(f, f), exactly, for the piecewise-linear f with coefficients x."""
         return float(np.real(x.conj() @ (self.stiffness - self.boundary) @ x))
-
-    def sample_constrained(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Random complex coefficient vectors, normalized to unit L2 norm."""
-        X = rng.standard_normal((self.dim, n)).astype(complex)
-        X.imag = rng.standard_normal((self.dim, n))  # the values of a + 1j b, one copy fewer
-        X /= np.sqrt(column_forms(self.mass, X))
-        return X
 
 
 def assemble(g: MetricGraph, bc: BoundaryCondition, h_max: float) -> FormAssembly:
@@ -252,7 +230,8 @@ def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
             # Rayleigh-Ritz on the returned subspace makes the vectors
             # B-orthonormal also inside degenerate eigenspaces
             w, Y = scipy.linalg.eigh(V.conj().T @ (M @ V), V.conj().T @ (B @ V))
-        except (scipy.sparse.linalg.ArpackError, scipy.linalg.LinAlgError) as exc:
+        except (RuntimeError, scipy.linalg.LinAlgError) as exc:
+            # RuntimeError: ArpackError, or SuperLU's exactly singular factor
             raise ResidualCheckFailed(f"sparse eigensolver failed: {exc}") from exc
         vecs = V @ Y
         scale = float(np.max(np.abs(top)))
@@ -267,25 +246,58 @@ def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
 # ---------------------------------------------------------------------------
 
 
-def _sample_forms(fa: FormAssembly, n_samples: int, seed: int):
-    rng = np.random.default_rng(seed)
-    X = fa.sample_constrained(rng, n_samples)
-    return column_forms(fa.stiffness, X), column_forms(fa.boundary, X), column_forms(fa.mass, X)
+def _min_eigenvalue(K: scipy.sparse.spmatrix, B: scipy.sparse.spmatrix) -> float:
+    """Exact ``min x* K x`` over ``x* B x = 1``: the lowest eigenvalue of (K, B).
+
+    A shift sigma is certified below the spectrum when the unpivoted
+    symmetric LU of ``K - sigma B`` has only positive pivots: with equal row
+    and column permutations it is a congruence, so by Sylvester's law of
+    inertia ``K - sigma B`` is positive definite.  From sigma = -1 the shift
+    is lowered until it is certified; one shift-invert Lanczos run on that
+    factorization then returns the eigenvalue nearest sigma, the lowest one.
+    """
+    # imported here, as in eigensystem
+    import scipy.sparse.linalg
+
+    if not (np.any(K.data.imag) or np.any(B.data.imag)):
+        K, B = K.real, B.real
+    if K.shape[0] < 2:  # ARPACK needs k < dim
+        return float(scipy.linalg.eigvalsh(K.toarray(), B.toarray())[0])
+    sigma = -1.0
+    while True:
+        try:
+            lu = scipy.sparse.linalg.splu(
+                (K - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True},
+            )
+            if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0):
+                break
+        except RuntimeError:  # an exactly singular factor
+            pass
+        sigma *= 4.0
+        if not np.isfinite(sigma):
+            raise ResidualCheckFailed("no shift below the spectrum found")
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0]).astype(K.dtype)
+    solve = scipy.sparse.linalg.LinearOperator(K.shape, matvec=lu.solve, dtype=K.dtype)
+    try:
+        w = scipy.sparse.linalg.eigsh(K, 1, M=B, sigma=sigma, OPinv=solve, v0=v0, return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise ResidualCheckFailed(f"sparse eigensolver failed: {exc}") from exc
+    return float(w[0])
 
 
-def check_coercivity(fa: FormAssembly, const: CoercivityConstant, n_samples: int = 1000, seed: int = 0) -> float:
-    """Worst margin of  q(f,f) + C||f||^2 - (1/2)||f||_{W12}^2  over samples.
+def check_coercivity(fa: FormAssembly, const: CoercivityConstant) -> float:
+    """Exact minimum of  q(f,f) + C||f||^2 - (1/2)||f||_{W12}^2  over unit ||f||.
 
     Nonnegative (up to roundoff) when C comes from :func:`coercivity_constant`
     with the graph's S and u.
     """
-    stiff, btrm, mass = _sample_forms(fa, n_samples, seed)
-    margins = (stiff - btrm) + const.C * mass - 0.5 * (mass + stiff)
-    return float(np.min(margins))
+    A, R, B = fa.stiffness, fa.boundary, fa.mass
+    return _min_eigenvalue((A - R) + const.C * B - 0.5 * (A + B), B)
 
 
-def check_boundary_bound(fa: FormAssembly, eps: float, n_samples: int = 1000, seed: int = 0) -> float:
-    """Worst margin of  (4S/eps)||f||^2 + 2 S eps ||f'||^2 - sum_v <L_v f(v), f(v)>.
+def check_boundary_bound(fa: FormAssembly, eps: float) -> float:
+    """Exact minimum of  (4S/eps)||f||^2 + 2 S eps ||f'||^2 - sum_v <L_v f(v), f(v)>  over unit ||f||.
 
     Requires 0 < eps <= u; the one-sided trace estimate used to derive the
     bound needs windows of length eps inside every edge.
@@ -293,6 +305,4 @@ def check_boundary_bound(fa: FormAssembly, eps: float, n_samples: int = 1000, se
     if not (0 < eps <= fa.graph.u):
         raise ValueError(f"eps={eps} must lie in (0, u={fa.graph.u}]")
     S = fa.S_bound
-    stiff, btrm, mass = _sample_forms(fa, n_samples, seed)
-    margins = (4.0 * S / eps) * mass + 2.0 * S * eps * stiff - btrm
-    return float(np.min(margins))
+    return _min_eigenvalue((4.0 * S / eps) * fa.mass + 2.0 * S * eps * fa.stiffness - fa.boundary, fa.mass)

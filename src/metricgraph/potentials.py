@@ -14,11 +14,12 @@ infinitesimally small perturbation: the coefficient of the form can be made
 arbitrarily small at the price of a large constant.  The checks in this
 module evaluate both the final inequality and the window-wise sup bound it
 rests on, with quadrature chosen so the discrete chain of estimates is exact
-for nodal data.
+for nodal data.  Each reports the exact minimum of its margin over the
+piecewise-linear functions, not a minimum over samples.
 
 A :class:`Potential` is a real :class:`GridFunction`: its samples share the
 flat :class:`Mesh` layout of the finite-element nodal vectors, so the
-checks read V, f and the trapezoid weights node by node.
+checks read V and the trapezoid weights node by node.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .boundary import BoundaryCondition
 from .expansion import BumpTest, compile_battery
-from .fem import COLUMN_BLOCK, DiscreteEigensystem, FormAssembly, SparseMatrix, column_forms, element_matrix
+from .fem import DiscreteEigensystem, FormAssembly, SparseMatrix, _min_eigenvalue, element_matrix
 from .functions import GridFunction, read_edge_csv, traces, write_edge_csv
 from .graph import EdgeSegment, MetricGraph, ids_from_text, segments
-
-WINDOW_SAMPLES = 10  # samples whose window inequality is checked, the first ones drawn
 
 
 class Potential(GridFunction):
@@ -72,22 +72,20 @@ def _cumulative_sq(v: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
-def uniform_l2_norm(g: MetricGraph, V: Potential, step: float | None = None) -> UniformL2Norm:
+def uniform_l2_norm(g: MetricGraph, V: Potential) -> UniformL2Norm:
     """Sliding-window sup of ||V||_{L2} over maximal windows min(2u, l(e)).
 
     The L2 norm grows with the window, so windows of maximal admissible
-    length dominate all shorter ones; sliding them at a step <= u/10 (the
+    length dominate all shorter ones; sliding them at the step u/10 (the
     windows of :func:`graph.segments`) makes the discrete sup a tight lower
     bound for the true one.
     """
-    if step is None:
-        step = g.u / 10.0
-    if step > g.u / 10.0 + 1e-12:
-        raise ValueError(f"step={step} too coarse; need step <= u/10 = {g.u / 10.0}")
     cums = {e.id: _cumulative_sq(V.values[e.id], V.mesh(e.id)) for e in g.edges}
+    if not all(math.isfinite(cum[-1]) for cum in cums.values()):
+        raise ValueError("the potential's uniform local L2 norm M_V is not finite: V^2 overflows")
     best = -1.0
     best_seg: EdgeSegment | None = None
-    for seg in segments(g, 2.0 * g.u, step):
+    for seg in segments(g, 2.0 * g.u, g.u / 10.0):
         ts, cum = V.nodes(seg.edge), cums[seg.edge]
         val = float(np.interp(seg.t1, ts, cum) - np.interp(seg.t0, ts, cum))
         if val > best:
@@ -152,29 +150,43 @@ def _edge_partition(length: float, a: float, h: float, n: int) -> list[tuple[int
     return out
 
 
+def _window_margin(n: int, h: float, a: float) -> float:
+    """Exact ``min (1 - max_i |f_i|^2)`` over P1 f on n nodes of spacing h with
+    ``(a/2)||f'||^2 + (4/a)||f||^2 = 1``.
+
+    For the window's tridiagonal form K_w, the largest ``|f_i|^2 / f* K_w f``
+    over f is ``(K_w^-1)_ii``, so the value is ``1 - max_i (K_w^-1)_ii``.
+    """
+    # each cell adds (a/2) [1 -1; -1 1] / h + (4/a) h [2 1; 1 2] / 6
+    d = a / (2.0 * h) + 4.0 * h / (3.0 * a)
+    off = 2.0 * h / (3.0 * a) - a / (2.0 * h)
+    K_w = np.diag(np.r_[d, np.full(n - 2, 2.0 * d), d]) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return 1.0 - float(np.max(np.diag(np.linalg.inv(K_w))))
+
+
 def check_relative_bound(
     fa: FormAssembly,
     V: Potential,
     a: float | Sequence[float],
     coercivity_C: float,
-    n_samples: int = 1000,
-    seed: int = 0,
 ) -> RelativeBoundReport | list[RelativeBoundReport]:
-    """Margins of the relative bound over random admissible functions.
+    """Exact minima of the relative bound over the constrained P1 space.
 
-    worst_margin = min over samples of
+    worst_margin = min over f with ||f|| = 1 of
         M^2 a q(f,f) + C(a)||f||^2 - ||V f||^2,        C(a) = M^2 (C + 4/a)
 
     with ||V f||^2 by nodal trapezoid quadrature (the same quadrature that
     defines M), so the chain sup-bound -> window decomposition -> coercivity
-    holds exactly for the sampled piecewise-linear functions.  Also reports
-    the worst margin of the window inequality
+    holds exactly for piecewise-linear functions.  The minimum is the lowest
+    eigenvalue of ``M^2 a (A - R) + C(a) B - W`` against B, with the
+    assembly's stiffness A, boundary R, mass B and constraint map C, and
+    ``W = C* diag(w V^2) C`` for the trapezoid weights w.
+    Also reports the worst margin of the window inequality
         max_I |f|^2  <=  (a/2)||f'||^2_I + (4/a)||f||^2_I
-    over the first ``WINDOW_SAMPLES`` samples and all partition windows.
+    over all partition windows I, exactly (see :func:`_window_margin`).
 
-    ``a`` may be a sequence: the samples and everything that does not depend
-    on a are then computed once, and one report per value comes back, in
-    order, each equal to the report of a separate call with that value.
+    ``a`` may be a sequence: one report per value comes back, in order, each
+    equal to the report of a separate call with that value.
     """
     a_values = list(a) if np.ndim(a) else [a]
     for a_k in a_values:
@@ -183,47 +195,17 @@ def check_relative_bound(
     if V.grid != fa.grid:
         raise ValueError("potential sampled on a different mesh than the assembly")
     M = uniform_l2_norm(fa.graph, V).M
-    rng = np.random.default_rng(seed)
-    X = fa.sample_constrained(rng, n_samples)
-    q_vals = column_forms(fa.stiffness - fa.boundary, X)
-    mass = column_forms(fa.mass, X)
-
-    grid = fa.grid
-    edges = [(e, grid.edge(e.id), grid.widths[k]) for k, e in enumerate(fa.graph.edges)]
-    wv2 = grid.weights * V.data**2
-    # nodal values a block of samples at a time, never all of them at once;
-    # ||V f||^2 summed edge by edge
-    vf_sq = np.zeros(n_samples)
-    for j in range(0, n_samples, COLUMN_BLOCK):
-        full = fa.constraint @ X[:, j : j + COLUMN_BLOCK]
-        for _, rows, _ in edges:
-            vf_sq[j : j + COLUMN_BLOCK] += np.einsum("i,ij->j", wv2[rows], np.abs(full[rows]) ** 2)
-
-    # window inequality on a handful of samples, over partitions built once
-    windows = [
-        [_edge_partition(e.length, a_k, h, rows.stop - rows.start) for a_k in a_values] for e, rows, h in edges
-    ]
-    worst_window = [math.inf] * len(a_values)
-    head = fa.constraint @ X[:, :WINDOW_SAMPLES]
-    for x in head.T:
-        for (_, rows, h), edge_windows in zip(edges, windows):
-            y = x[rows]
-            dsq_cells = np.abs(np.diff(y) / h) ** 2 * h  # exact per-cell integral of |f'|^2
-            ysq = np.abs(y) ** 2
-            mass_cells = h * (ysq[:-1] + ysq[1:] + np.real(y[:-1] * np.conj(y[1:]))) / 3.0
-            for k, a_k in enumerate(a_values):
-                for i0, i1 in edge_windows[k]:
-                    sup_sq = float(np.max(ysq[i0 : i1 + 1]))
-                    d_int = float(np.sum(dsq_cells[i0:i1]))
-                    m_int = float(np.sum(mass_cells[i0:i1]))
-                    margin = (a_k / 2.0) * d_int + (4.0 / a_k) * m_int - sup_sq
-                    worst_window[k] = min(worst_window[k], margin)
-
+    W = fa.constrain(scipy.sparse.diags(fa.grid.weights * V.data**2))
     reports = []
-    for a_k, window in zip(a_values, worst_window):
+    for a_k in a_values:
         C_a = M**2 * (coercivity_C + 4.0 / a_k)
-        margins = M**2 * a_k * q_vals + C_a * mass - vf_sq
-        reports.append(RelativeBoundReport(a_k, M, C_a, float(np.min(margins)), float(window)))
+        margin = _min_eigenvalue(M**2 * a_k * (fa.stiffness - fa.boundary) + C_a * fa.mass - W, fa.mass)
+        window = min(
+            _window_margin(i1 - i0 + 1, h, a_k)
+            for e, h, n in zip(fa.graph.edges, fa.grid.widths, np.diff(fa.grid.offsets))
+            for i0, i1 in _edge_partition(e.length, a_k, h, n)
+        )
+        reports.append(RelativeBoundReport(a_k, M, C_a, margin, window))
     return reports if np.ndim(a) else reports[0]
 
 

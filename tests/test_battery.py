@@ -9,7 +9,6 @@ from metricgraph import (
     BoundaryCondition,
     DiscreteSpectralRep,
     Edge,
-    FormAssembly,
     GridFunction,
     MetricGraph,
     assemble,
@@ -230,18 +229,14 @@ def test_perturbed_report_checks_battery_once(monkeypatch):
     assert len(evals) == 4 * len(g.edges)  # one phi evaluation per edge per mode
 
 
-def test_relative_bound_samples_once_for_many_a(monkeypatch):
+def test_relative_bound_samples_once_for_many_a():
     g, bc = _grid4()
     fa = assemble(g, bc, 0.05)
     V = parse_potential_expr("well:e05,0.2,0.8,3.0", g, 0.05)
     C = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u).C
     a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
-    single = [check_relative_bound(fa, V, a, C, n_samples=200, seed=3) for a in a_values]
-    draws = []
-    sample = FormAssembly.sample_constrained
-    monkeypatch.setattr(FormAssembly, "sample_constrained", lambda *a: draws.append(1) or sample(*a))
-    many = check_relative_bound(fa, V, a_values, C, n_samples=200, seed=3)
-    assert len(draws) == 1
+    single = [check_relative_bound(fa, V, a, C) for a in a_values]
+    many = check_relative_bound(fa, V, a_values, C)
     assert many == single  # the same floats, not merely close ones
     with pytest.raises(ValueError):
         check_relative_bound(fa, V, [0.5, 2.0], C)
@@ -256,5 +251,5 @@ def test_relative_bound_partitions_once_per_edge_and_a(monkeypatch):
     builds = []
     partition = potentials._edge_partition
     monkeypatch.setattr(potentials, "_edge_partition", lambda *a: builds.append(a) or partition(*a))
-    check_relative_bound(fa, V, a_values, C, n_samples=200, seed=3)
+    check_relative_bound(fa, V, a_values, C)
     assert 0 < len(builds) <= len(g.edges) * len(a_values)

@@ -357,7 +357,7 @@ def test_battery_tolerance_scales_with_l(tmp_path, capsys):
     assert code == 0 and report["boundary"]["violations"] == []
     code, report = run_and_parse(capsys, ["expansion", "--graph", g, "--bc", b, "--modes", "3"])
     assert code == 0 and report["worst_genef_residual"] < 1e-9
-    argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1", "--modes", "3", "--samples", "100"]
+    argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1", "--modes", "3"]
     assert main(argv) == 0
 
 
@@ -393,7 +393,7 @@ def test_potential_constant_shift(tmp_path, capsys):
     code, report = run_and_parse(
         capsys,
         ["potential", "--graph", g, "--bc", b, "--potential", "const:1.0",
-         "--mesh", "0.0157", "--modes", "5", "--samples", "200"],
+         "--mesh", "0.0157", "--modes", "5"],
     )
     assert code == 0
     jsonschema.validate(report, load_schema("potential"))
@@ -403,12 +403,31 @@ def test_potential_constant_shift(tmp_path, capsys):
         assert block["worst_margin"] >= -1e-8
 
 
+def test_singular_factor_is_check_failure(tmp_path, capsys):
+    # V = 1e30 swamps the stiffness, and the shifted pencil of the perturbed
+    # solve rounds to an exactly singular factor
+    g, b = write_interval(tmp_path)
+    argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1e30", "--modes", "2", "--mesh", "0.05"]
+    assert main(argv) == 1
+    assert "error: sparse eigensolver failed: Factor is exactly singular" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+def test_non_finite_m_v_is_input_error(tmp_path, capsys):
+    g, b = write_interval(tmp_path)
+    argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1e160", "--modes", "2", "--mesh", "0.05"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the potential's uniform local L2 norm M_V is not finite" in captured.err
+
+
 def test_potential_zero_reduces_to_unperturbed(tmp_path, capsys):
     g, b = write_interval(tmp_path)
     code, report = run_and_parse(
         capsys,
         ["potential", "--graph", g, "--bc", b, "--potential", "const:0.0",
-         "--mesh", "0.02", "--modes", "4", "--samples", "100"],
+         "--mesh", "0.02", "--modes", "4"],
     )
     assert code == 0
     assert report["m_v"]["value"] == 0.0
@@ -420,7 +439,7 @@ def test_potential_well_report(tmp_path, capsys):
     code, report = run_and_parse(
         capsys,
         ["potential", "--graph", g, "--bc", b, "--potential", "well:e,1.0,2.0,4.0",
-         "--mesh", "0.02", "--modes", "4", "--samples", "150"],
+         "--mesh", "0.02", "--modes", "4"],
     )
     assert code == 0
     seg = report["m_v"]["segment"]
@@ -520,7 +539,7 @@ def test_potential_builds_few_edge_grids(tmp_path, capsys, monkeypatch):
                     monkeypatch.setattr(mod, key, lambda *a: calls.append(a) or original(*a))
     g, b, n_edges = write_grid4(tmp_path)
     code = main(["potential", "--graph", g, "--bc", b, "--potential", "well:e05,0.2,0.8,3.0",
-                 "--mesh", "0.02", "--modes", "4", "--samples", "200"])
+                 "--mesh", "0.02", "--modes", "4"])
     capsys.readouterr()
     assert code == 0
     assert len(calls) <= 4 * n_edges
@@ -535,14 +554,14 @@ KEPT_FLAGS = {
     "spectrum": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max", "--scan-points"],
     "expansion": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max", "--scan-points",
                   "--tol", "--seed", "--weight-eps", "--weight-base", "--hs-c", "--check-file", "--check-lambda"],
-    "potential": ["--graph", "--bc", "--out", "--mesh", "--modes", "--seed", "--samples", "--potential"],
+    "potential": ["--graph", "--bc", "--out", "--mesh", "--modes", "--potential"],
 }
 UNREAD_FLAGS = [
     *(("validate", f) for f in ["--mesh", "--lambda-min", "--lambda-max", "--modes", "--tol", "--seed",
                                 "--scan-points", "--samples"]),
     *(("spectrum", f) for f in ["--tol", "--seed", "--samples"]),
     ("expansion", "--samples"),
-    *(("potential", f) for f in ["--lambda-min", "--lambda-max", "--scan-points", "--tol"]),
+    *(("potential", f) for f in ["--lambda-min", "--lambda-max", "--scan-points", "--tol", "--samples", "--seed"]),
 ]
 
 
@@ -586,17 +605,6 @@ def test_modes_below_one_names_the_flag(tmp_path, capsys, command, value):
     assert f"argument --modes: must be at least 1, got {value}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_samples_below_one_names_the_flag(tmp_path, capsys, value):
-    g, b = write_interval(tmp_path)
-    argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1.0", "--mesh", "0.05", "--modes", "2",
-            "--samples", value]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"argument --samples: must be at least 1, got {value}" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -609,8 +617,7 @@ def test_samples_below_one_names_the_flag(tmp_path, capsys, value):
         ["spectrum", "--mesh", "0.05", "--modes", "4", "--lambda-min", "0.5", "--lambda-max", "30"],
         ["expansion", "--mesh", "0.05", "--modes", "4", "--lambda-min", "0.5", "--lambda-max", "30",
          "--seed", "7", "--weight-base", "v"],
-        ["potential", "--potential", "const:0.5", "--mesh", "0.05", "--modes", "4",
-         "--samples", "100", "--seed", "7"],
+        ["potential", "--potential", "const:0.5", "--mesh", "0.05", "--modes", "4"],
     ],
 )
 def test_reports_are_byte_identical(tmp_path, capsys, argv_tail):

@@ -103,12 +103,6 @@ def test_mv_is_the_max_over_graph_segments(name):
     assert out.segment == best_seg
 
 
-def test_mv_step_too_coarse_rejected():
-    g = interval_graph(math.pi)
-    with pytest.raises(ValueError):
-        uniform_l2_norm(g, Potential.constant(g, H, 1.0), step=0.5)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_mv_monotone_in_pointwise_domination(seed):
@@ -176,7 +170,7 @@ def test_mesh_mismatch_rejected():
 def test_relative_bound_zero_potential():
     g = interval_graph(math.pi)
     fa = assemble(g, uniform_bc(g, "dirichlet"), H)
-    rb = check_relative_bound(fa, Potential.constant(g, H, 0.0), 1.0, 0.5, n_samples=100)
+    rb = check_relative_bound(fa, Potential.constant(g, H, 0.0), 1.0, 0.5)
     assert rb.M == 0.0 and rb.C_a == 0.0
     assert rb.worst_margin >= -1e-12  # inequality degenerates to 0 <= 0
 
@@ -187,7 +181,7 @@ def test_relative_bound_unit_potential(frac):
     bc = uniform_bc(g, "dirichlet")
     fa = assemble(g, bc, H)
     const = coercivity_constant(0.0, g.u)
-    rb = check_relative_bound(fa, Potential.constant(g, H, 1.0), frac * g.u, const.C, n_samples=500, seed=4)
+    rb = check_relative_bound(fa, Potential.constant(g, H, 1.0), frac * g.u, const.C)
     assert rb.worst_margin >= -1e-8
     assert rb.worst_window_margin >= -1e-8
 
@@ -199,7 +193,7 @@ def test_relative_bound_rough_potential():
     rng = np.random.default_rng(11)
     V = Potential.from_callable(g, H, lambda eid, ts: rng.uniform(-4, 4, ts.shape))
     const = coercivity_constant(0.0, g.u)
-    rb = check_relative_bound(fa, V, g.u, const.C, n_samples=400, seed=5)
+    rb = check_relative_bound(fa, V, g.u, const.C)
     assert rb.M <= 5.0
     assert rb.worst_margin >= -1e-8
     assert rb.worst_window_margin >= -1e-8
