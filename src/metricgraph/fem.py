@@ -13,18 +13,17 @@ For piecewise-linear functions the assembled matrices are exact: the
 stiffness form is the exact Dirichlet integral, the mass form the exact L2
 inner product, and vertex traces are nodal values.  The inequality checks in
 this module therefore hold up to floating-point roundoff, not quadrature
-error.  Each check reports the exact minimum of its margin form over the
-constrained P1 space, the lowest eigenvalue of that form against the mass
-matrix, from an inertia-certified shift and one shift-invert Lanczos run.
+error.
 
 All matrices are sparse (about three nonzeros per row), assembled from
-per-cell triplets.  The lowest eigenpairs come from shift-invert Lanczos
-(ARPACK) at ``sigma_0 = 1/2 - C + min V - 1``, with C the coercivity shift of
-the conditions and ``min V`` the potential's minimum (0 without one).  The P1
-space lies inside the form domain, so the coercivity inequality bounds every
-discrete eigenvalue below by ``1/2 - C + min V``: the k eigenvalues nearest
-sigma_0 are the k lowest.  ARPACK cannot return ``k >= dim - 1`` pairs; only
-then are the matrices made dense and handed to ``scipy.linalg.eigh``.
+per-cell triplets.  Every eigenvalue question goes through one solver,
+:func:`_lowest`: the pivot signs of an unpivoted symmetric LU certify a shift
+below the spectrum (Sylvester's law of inertia), and one shift-invert
+Lanczos run (ARPACK) from that factor returns the lowest eigenpairs.
+:func:`eigensystem` gates their residuals against the largest column norm of
+the operator matrix.  Each inequality check reports the exact minimum of its
+margin form over the constrained P1 space: the lowest eigenvalue of that
+form against the mass matrix.
 """
 
 from __future__ import annotations
@@ -198,46 +197,72 @@ class DiscreteEigensystem:
         return [GridFunction.on(self.assembly.grid, x) for x in self.assembly.nodal_vector(self.vectors).T]
 
 
-def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
-    """The k lowest eigenpairs of the pencil (A - R + Q, B), residual-gated.
+def _lowest(K: scipy.sparse.spmatrix, B: scipy.sparse.spmatrix, k: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of the Hermitian pencil (K, B), B positive definite.
 
-    The gate compares the worst residual ``||M x - lambda B x||`` with
-    RESIDUAL_RTOL times a scale of at most ``||M||_2``: the largest-magnitude
-    Ritz value of M (Lanczos to a relative tolerance of 1e-3), or ``||M||_2``
-    itself on the dense path.
+    A shift is certified below the spectrum when the unpivoted symmetric LU
+    of ``K - shift B`` has only positive pivots: with equal row and column
+    permutations it is a congruence, so by Sylvester's law of inertia
+    ``K - shift B`` is positive definite.  From ``sigma`` the shift is
+    lowered by ``max(1, |sigma|)`` times 1, 4, 16, ... until it is
+    certified; one shift-invert Lanczos run on that factor then returns the
+    k eigenvalues nearest the shift, the k lowest, and Rayleigh-Ritz makes
+    the vectors B-orthonormal inside degenerate eigenspaces.  ARPACK cannot
+    return ``k >= dim - 1`` pairs; only then are the matrices made dense.
     """
     # imported here: ARPACK and SuperLU cost about 15 ms and 2 MB to load,
     # which runs that never solve an FEM system should not pay
     import scipy.sparse.linalg
 
+    if not (np.any(K.data.imag) or np.any(B.data.imag)):
+        K, B = K.real, B.real
+    if k >= K.shape[0] - 1:
+        return scipy.linalg.eigh(K.toarray(), B.toarray(), subset_by_index=[0, k - 1])
+    shift, step = sigma, max(1.0, abs(sigma))
+    while True:
+        try:
+            lu = scipy.sparse.linalg.splu(
+                (K - shift * B).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True},
+            )
+            if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0):
+                break
+        except RuntimeError:  # an exactly singular factor
+            pass
+        shift, step = sigma - step, 4.0 * step
+        if not np.isfinite(shift):
+            raise ResidualCheckFailed("no shift below the spectrum found")
+    # a random start vector: a constant one is an exact eigenvector for
+    # Kirchhoff and Neumann graphs; a fixed seed keeps reports identical
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0]).astype(K.dtype)
+    solve = scipy.sparse.linalg.LinearOperator(K.shape, matvec=lu.solve, dtype=K.dtype)
+    try:
+        _, V = scipy.sparse.linalg.eigsh(K, k, M=B, sigma=shift, OPinv=solve, v0=v0)
+        w, Y = scipy.linalg.eigh(V.conj().T @ (K @ V), V.conj().T @ (B @ V))
+    except (scipy.sparse.linalg.ArpackError, scipy.linalg.LinAlgError) as exc:
+        raise ResidualCheckFailed(f"sparse eigensolver failed: {exc}") from exc
+    return w, V @ Y
+
+
+def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
+    """The k lowest eigenpairs of the pencil (A - R + Q, B), residual-gated.
+
+    The solve starts from the shift ``spectrum_floor - 1``, which the
+    inertia certificate of :func:`_lowest` confirms (or lowers) before any
+    eigenvalue is trusted.  The gate compares the worst residual
+    ``||M x - lambda B x||`` with RESIDUAL_RTOL times the largest column
+    2-norm of M.  For Hermitian M with at most r nonzeros per row that scale
+    lies in ``[||M||_2 / sqrt(r), ||M||_2]``, so it never loosens the gate
+    past ``RESIDUAL_RTOL ||M||_2``.
+    """
     if not (1 <= k <= fa.dim):
         raise ValueError(f"requested {k} modes but the constrained space has dimension {fa.dim}")
     M, B = fa.operator_matrix, fa.mass
-    if not (np.any(M.data.imag) or np.any(B.data.imag)):
-        M, B = M.real.copy(), B.real.copy()  # copies: SuperLU needs contiguous data
-    if k >= fa.dim - 1:  # beyond ARPACK: dense eigh
-        Md = M.toarray()
-        w, vecs = scipy.linalg.eigh(Md, B.toarray(), subset_by_index=[0, k - 1])
-        scale = float(np.linalg.norm(Md, 2))
-    else:
-        # a random start vector: a constant one is an exact eigenvector for
-        # Kirchhoff and Neumann graphs; a fixed seed keeps reports identical
-        v0 = np.random.default_rng(0).standard_normal(fa.dim).astype(M.dtype)
-        try:
-            _, V = scipy.sparse.linalg.eigsh(M, k, M=B, sigma=fa.spectrum_floor - 1.0, which="LM", v0=v0)
-            # a loose tolerance suffices: every Ritz value is <= ||M||_2
-            top = scipy.sparse.linalg.eigsh(M, 1, which="LM", v0=v0, tol=1e-3, return_eigenvectors=False)
-            # Rayleigh-Ritz on the returned subspace makes the vectors
-            # B-orthonormal also inside degenerate eigenspaces
-            w, Y = scipy.linalg.eigh(V.conj().T @ (M @ V), V.conj().T @ (B @ V))
-        except (RuntimeError, scipy.linalg.LinAlgError) as exc:
-            # RuntimeError: ArpackError, or SuperLU's exactly singular factor
-            raise ResidualCheckFailed(f"sparse eigensolver failed: {exc}") from exc
-        vecs = V @ Y
-        scale = float(np.max(np.abs(top)))
+    w, vecs = _lowest(M, B, k, fa.spectrum_floor - 1.0)
     res = float(np.max(np.linalg.norm(M @ vecs - (B @ vecs) * w, axis=0)))
-    if scale > 0 and res > RESIDUAL_RTOL * scale:
-        raise ResidualCheckFailed(f"eigen residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||M|| = {RESIDUAL_RTOL * scale:.3e}")
+    limit = RESIDUAL_RTOL * float(np.sqrt(abs(M).power(2).sum(axis=0).max()))
+    if res > limit > 0:
+        raise ResidualCheckFailed(f"eigen residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * max column norm = {limit:.3e}")
     return DiscreteEigensystem(fa, w, vecs, res)
 
 
@@ -247,43 +272,8 @@ def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
 
 
 def _min_eigenvalue(K: scipy.sparse.spmatrix, B: scipy.sparse.spmatrix) -> float:
-    """Exact ``min x* K x`` over ``x* B x = 1``: the lowest eigenvalue of (K, B).
-
-    A shift sigma is certified below the spectrum when the unpivoted
-    symmetric LU of ``K - sigma B`` has only positive pivots: with equal row
-    and column permutations it is a congruence, so by Sylvester's law of
-    inertia ``K - sigma B`` is positive definite.  From sigma = -1 the shift
-    is lowered until it is certified; one shift-invert Lanczos run on that
-    factorization then returns the eigenvalue nearest sigma, the lowest one.
-    """
-    # imported here, as in eigensystem
-    import scipy.sparse.linalg
-
-    if not (np.any(K.data.imag) or np.any(B.data.imag)):
-        K, B = K.real, B.real
-    if K.shape[0] < 2:  # ARPACK needs k < dim
-        return float(scipy.linalg.eigvalsh(K.toarray(), B.toarray())[0])
-    sigma = -1.0
-    while True:
-        try:
-            lu = scipy.sparse.linalg.splu(
-                (K - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                options={"SymmetricMode": True},
-            )
-            if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0):
-                break
-        except RuntimeError:  # an exactly singular factor
-            pass
-        sigma *= 4.0
-        if not np.isfinite(sigma):
-            raise ResidualCheckFailed("no shift below the spectrum found")
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0]).astype(K.dtype)
-    solve = scipy.sparse.linalg.LinearOperator(K.shape, matvec=lu.solve, dtype=K.dtype)
-    try:
-        w = scipy.sparse.linalg.eigsh(K, 1, M=B, sigma=sigma, OPinv=solve, v0=v0, return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise ResidualCheckFailed(f"sparse eigensolver failed: {exc}") from exc
-    return float(w[0])
+    """Exact ``min x* K x`` over ``x* B x = 1``: the lowest eigenvalue of (K, B)."""
+    return float(_lowest(K, B, 1, -1.0)[0][0])
 
 
 def check_coercivity(fa: FormAssembly, const: CoercivityConstant) -> float:

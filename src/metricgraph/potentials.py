@@ -66,10 +66,11 @@ class UniformL2Norm:
 
 
 def _cumulative_sq(v: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid cumulative integral of v^2 at the nodes."""
-    y = np.asarray(v, dtype=float) ** 2
-    inc = 0.5 * h * (y[1:] + y[:-1])
-    return np.concatenate([[0.0], np.cumsum(inc)])
+    """Trapezoid cumulative integral of v^2 at the nodes; inf where v^2 overflows."""
+    with np.errstate(over="ignore"):  # the caller reports the overflow as an input error
+        y = np.asarray(v, dtype=float) ** 2
+        inc = 0.5 * h * (y[1:] + y[:-1])
+        return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 def uniform_l2_norm(g: MetricGraph, V: Potential) -> UniformL2Norm:

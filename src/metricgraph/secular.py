@@ -405,6 +405,14 @@ class RankAnomaly(ValueError):
     """
 
 
+def _null_space(M: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis of M; rank at SINGULAR_RTOL * sigma_max of the row-normalized M."""
+    # a wide M, or one without rows, keeps the dimension gap in the null space
+    _, svs, Vh = np.linalg.svd(_row_normalized(M))
+    rank = int(np.count_nonzero(svs > SINGULAR_RTOL * svs.max(initial=0.0)))
+    return Vh[rank:].conj().T
+
+
 def eigenfunction(
     g: MetricGraph,
     bc: BoundaryCondition,
@@ -419,12 +427,9 @@ def eigenfunction(
     projected away.  ``system`` is (g, bc) compiled, to share across roots.
     """
     system = system or SecularSystem(g, bc)
-    _, svs, Vh = np.linalg.svd(_row_normalized(system.matrix(lam)))
-    smax = float(svs[0]) if svs.size else 0.0
-    threshold = SINGULAR_RTOL * max(smax, 1e-300)
-    null = Vh[svs < threshold].conj().T
+    null = _null_space(system.matrix(lam))
     if null.shape[1] == 0:
-        raise ValueError(f"lambda={lam} is not an eigenvalue (sigma_min={svs[-1]:.3e})")
+        raise ValueError(f"lambda={lam} is not an eigenvalue (sigma_min={system.singular_values(lam)[-1]:.3e})")
     X = _orthonormalize(g, lam, null)
     sols = _coeff_columns_to_solutions(g, lam, X)
     kept = [s for s in sols if s.vertex_residual(bc) <= 100 * SINGULAR_RTOL]
@@ -474,16 +479,7 @@ def solve_at_energy(
     keep = np.array(kept, dtype=bool)
     val_all, der_all = scipy.linalg.block_diag(*val)[keep], scipy.linalg.block_diag(*der)[keep]
     M = _fill(_edge_columns(val_all, der_all, init, term), lam, *basis_values(lam, lengths))
-    n = M.shape[1]
-    if M.shape[0] == 0:
-        null = np.eye(n, dtype=complex)
-    else:
-        M = _row_normalized(M)
-        _, svs, Vh = np.linalg.svd(M)
-        smax = max(float(svs[0]), 1e-300)
-        cutoff_count = int(np.sum(svs < SINGULAR_RTOL * smax))
-        rank = min(M.shape) - cutoff_count
-        null = Vh[rank:].conj().T  # includes the dimension gap when M is wide
+    null = _null_space(M)
     if null.shape[1] == 0:
         return []
     X = _orthonormalize(g, lam, null)

@@ -339,33 +339,45 @@ def test_assemble_rejects_infinite_edges():
 
 
 def test_gate_scale_is_a_loose_lower_estimate_of_the_norm(monkeypatch):
-    # the residual gate's scale comes from a cheap Lanczos run for the largest
-    # |Ritz value|: never above ||M||_2, so the gate never loosens, and close
-    # enough to it that the gate keeps its meaning
+    # one Lanczos run gives the eigenpairs; the residual gate's scale is the
+    # largest column norm of M, which lies in [||M||_2 / sqrt(r), ||M||_2]
+    # for r nonzeros per row: never above ||M||_2, so the gate never loosens
     import scipy.sparse.linalg
 
     fa = assemble(*_grid4_delta(), 0.05)
     eigsh = scipy.sparse.linalg.eigsh
-    scales = []
+    calls = []
 
-    def recording(A, k=6, tight=False, **kwargs):
-        if "sigma" in kwargs:  # the shift-invert solve for the eigenpairs
-            return eigsh(A, k, **kwargs)
-        if tight:
-            kwargs.pop("tol", None)
-        out = eigsh(A, k, **kwargs)
-        scales.append(float(np.max(np.abs(out))))
-        return out
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
     es = eigensystem(fa, 6)
-    norm = float(np.linalg.norm(fa.operator_matrix.toarray(), 2))
-    assert len(scales) == 1
-    assert 0.9 * norm <= scales[0] <= norm * (1 + 1e-12)
-    # only the scale call is loose: the eigenpairs equal those of a run whose
-    # scale call uses ARPACK's default tolerance
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k=6, **kw: recording(A, k, tight=True, **kw))
-    tight = eigensystem(fa, 6)
-    assert np.array_equal(tight.eigenvalues, es.eigenvalues)
-    assert np.array_equal(tight.vectors, es.vectors)
-    assert scales[1] <= norm * (1 + 1e-12)
+    assert len(calls) == 1 and "sigma" in calls[0]
+    M = fa.operator_matrix
+    norm = float(np.linalg.norm(M.toarray(), 2))
+    r = int(np.max(np.diff(M.indptr)))
+    ratio = es.residual / norm
+    assert ratio > 0
+    # RESIDUAL_RTOL * scale < residual whenever RESIDUAL_RTOL < ratio
+    monkeypatch.setattr(fem, "RESIDUAL_RTOL", ratio * (1 - 1e-6))
+    with pytest.raises(fem.ResidualCheckFailed):
+        eigensystem(fa, 6)
+    # RESIDUAL_RTOL * scale > residual whenever RESIDUAL_RTOL > sqrt(r) * ratio
+    monkeypatch.setattr(fem, "RESIDUAL_RTOL", math.sqrt(r) * ratio * (1 + 1e-6))
+    assert np.array_equal(eigensystem(fa, 6).eigenvalues, es.eigenvalues)
+
+
+def test_eigensystem_lowers_a_shift_inside_the_spectrum(monkeypatch):
+    # a floor above the lowest eigenvalues puts the first shift among them;
+    # the inertia certificate must lower it, so the k lowest still come back
+    g = interval_graph(math.pi)
+    fa = assemble(g, uniform_bc(g, "dirichlet"), math.pi / 100)
+    monkeypatch.setattr(fem.FormAssembly, "spectrum_floor", property(lambda self: 30.0))
+    es = eigensystem(fa, 4)
+    ref = scipy.linalg.eigh(
+        fa.operator_matrix.toarray(), fa.mass.toarray(), eigvals_only=True, subset_by_index=[0, 3]
+    )
+    assert np.allclose(es.eigenvalues, ref, rtol=1e-10, atol=0)
+    assert np.allclose(es.eigenvalues, [1.0, 4.0, 9.0, 16.0], rtol=1e-2)
