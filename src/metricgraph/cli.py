@@ -319,7 +319,7 @@ FLAGS: dict[str, dict] = {
     "--modes": {"type": positive_int, "default": 8},
     "--lambda-min": {"type": float, "help": "scan start (default 1/2 - C - 1, below the proven bound 1/2 - C)"},
     "--lambda-max": {"type": float, "default": 50.0},
-    "--scan-points": {"type": int, "default": secular.SCAN_POINTS},
+    "--scan-points": {"type": int, "default": secular.SCAN_POINTS, "help": "sigma_min grid that places the first cuts of the scan"},
     "--tol": {"type": float, "default": 1e-6, "help": "largest accepted weak residual"},
     "--seed": {"type": int, "default": 0},
     "--weight-eps": {"type": float, "default": 1.0},

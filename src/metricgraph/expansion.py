@@ -39,7 +39,7 @@ from .graph import (
     is_connected,
     vertex_distances,
 )
-from .secular import SecularEigenvalue, SecularSolution, SecularSystem, eigenfunction
+from .secular import RankAnomaly, SecularEigenvalue, SecularSolution, SecularSystem, eigenfunction
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -211,9 +211,18 @@ class DiscreteSpectralRep:
         hits: Sequence[SecularEigenvalue],
         h_max: float,
     ) -> "DiscreteSpectralRep":
+        """Modes of the scan hits; an eigenspace whose dimension is not the hit's multiplicity is a RankAnomaly."""
         grid = Mesh(g, h_max)
         system = SecularSystem(g, bc)
-        found = [(hit.lam, eigenfunction(g, bc, hit.lam, system=system)) for hit in hits]
+        found = []
+        for hit in hits:
+            sols = eigenfunction(g, bc, hit.lam, system=system)
+            if len(sols) != hit.multiplicity:
+                raise RankAnomaly(
+                    f"M(lambda) has a {len(sols)}-dimensional null space at lambda={hit.lam}, "
+                    f"but the eigenvalue count gives multiplicity {hit.multiplicity}"
+                )
+            found.append((hit.lam, sols))
         layers = [(j, lam, sol) for lam, sols in found for j, sol in enumerate(sols, start=1)]
         rows = (grid.sample(sol.evaluate) for _, _, sol in layers)
         return cls._on(grid, [(lam, len(sols)) for lam, sols in found], rows, layers)

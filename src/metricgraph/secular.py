@@ -12,28 +12,42 @@ the basis passes through lambda = 0 without branching; a short power series
 is used near zero to avoid cancellation.
 
 Stacking the vertex conditions over all per-edge coefficient pairs yields a
-square matrix M(lambda) of order 2|E|; eigenvalues are exactly the energies
-where M drops rank, detected by scanning its smallest singular value.  Only
-the per-edge (c, s) depend on lambda: :class:`SecularSystem` validates the
-input and builds the constant condition rows once, and every evaluation
-writes (c, s) into their columns.
+square matrix M(lambda) of order 2|E| that drops rank exactly at the
+spectrum; its null space gives the eigenfunctions.  The eigenvalues
+themselves are counted, not searched for.  Decouple the graph by Dirichlet
+conditions at every edge end.  Off the decoupled spectrum, the energies
+(n pi / l_e)^2, the form q - lambda ||.||^2 on the solutions of
+``-f'' = lambda f`` is the Hermitian vertex matrix
+
+    D(lambda) = K^H (Lambda(lambda) - L) K,
+
+where K stacks the ker P_v bases, L the L_v, and Lambda is the
+Dirichlet-to-Neumann map, a 2x2 block ``[[c/s, -1/s], [-1/s, c/s]]`` per
+edge with (c, s) at the edge length.  By Sylvester's law of inertia the
+number of eigenvalues below lambda is ``N_D(lambda) + n_-(D(lambda))``,
+with N_D the decoupled count (Berkolaiko & Kuchment, *Introduction to
+Quantum Graphs*, ch. 3).  :class:`SecularSystem` validates the input and
+builds the constant parts of M and D once; every evaluation writes the
+per-edge (c, s) at lambda into them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .boundary import BoundaryCondition, lp_mixing, require_valid_bc
 from .graph import INIT, TERM, EdgeId, MetricGraph, VertexId
 
 SERIES_THRESHOLD = 1e-6  # |lambda| below which the power series is used
-SINGULAR_RTOL = 1e-8
+SINGULAR_RTOL = 1e-8  # numerical rank of M(lambda), relative to its largest singular value
 SCAN_POINTS = 600  # grid points of eigenvalue_scan, and the CLI's --scan-points default
+POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to max(1, lambda)
+CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +146,26 @@ def _fill(cols: tuple[np.ndarray, ...], lam: float, c: np.ndarray, s: np.ndarray
     ``lam s alpha - c beta``, with (c, s) at the edge length.
     """
     ia, ib, ta, tb = cols
-    out = np.empty((ia.shape[0], 2 * c.size), dtype=complex)
+    out = np.empty((ia.shape[0], 2 * c.size), dtype=np.result_type(ia, ib, ta, tb, c))
     out[:, 0::2] = ia + ta * c + tb * (lam * s)
     out[:, 1::2] = ib + ta * s - tb * c
     return out
+
+
+def _blocks(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Block-diagonal matrix of 2-d blocks, real when no entry has an imaginary part.
+
+    Real (L, P) data then gives real M and D, whose SVD and eigvalsh take
+    about half the time of their complex forms.  (``scipy.linalg.block_diag``
+    takes about 1 ms a call in scipy 1.17, as long as the rest of a compile.)
+    """
+    arrays = list(arrays)
+    B = np.zeros((sum(a.shape[0] for a in arrays), sum(a.shape[1] for a in arrays)), dtype=np.result_type(*arrays))
+    r = c = 0
+    for a in arrays:
+        B[r : r + a.shape[0], c : c + a.shape[1]] = a
+        r, c = r + a.shape[0], c + a.shape[1]
+    return B.real.copy() if np.iscomplexobj(B) and not np.any(B.imag) else B
 
 
 @dataclass(frozen=True)
@@ -165,6 +195,8 @@ class SecularSystem:
     (on the slot values) and ``[0 ; ker^H]`` (on the inward derivatives),
     regrouped by edge end.  M(lambda) is then those blocks combined with the
     per-edge (c, s) at lambda, from one vectorized :func:`basis_values` call.
+    For D(lambda) it keeps the rows of the block-diagonal ker basis K at each
+    edge's initial and terminal slot, and ``K^H L K``.
     """
 
     def __init__(self, g: MetricGraph, bc: BoundaryCondition) -> None:
@@ -176,22 +208,55 @@ class SecularSystem:
         der: list[np.ndarray] = []
         anom: list[np.ndarray] = []
         anom_vs: list[VertexId] = []
+        kers: list[np.ndarray] = []
+        kLks: list[np.ndarray] = []
         for v in g.vertices:
             L, P = bc.L(v), bc.P(v)
             d = g.degree(v)
             ker, ran = bc.ker_ran(v)
-            val.append(np.vstack([ran.conj().T, ker.conj().T @ L]))
+            kL = ker.conj().T @ L
+            kers.append(ker)
+            kLks.append(kL @ ker)
+            val.append(np.vstack([ran.conj().T, kL]))
             der.append(np.vstack([np.zeros((ran.shape[1], d)), ker.conj().T]))
             if lp_mixing(L, P):
                 anom.append(ran.conj().T @ L)
                 anom_vs += [v] * ran.shape[1]
             else:
                 anom.append(np.zeros((0, d)))
-        blocks = scipy.linalg.block_diag
-        self._rows = _edge_columns(blocks(*val), blocks(*der), init, term)
-        A = blocks(*anom)
+        self._rows = _edge_columns(_blocks(val), _blocks(der), init, term)
+        A = _blocks(anom)
         self._anomaly = _edge_columns(A, np.zeros_like(A), init, term)
         self.anomaly_vertices = tuple(dict.fromkeys(anom_vs))
+        K = _blocks(kers)
+        self._k_init, self._k_term = K[init], K[term]
+        self._kLk = _blocks(kLks)
+
+    def vertex_matrix(self, lam: float) -> np.ndarray:
+        """The Hermitian D(lambda) = K^H (Lambda(lambda) - L) K; lambda off the decoupled energies."""
+        c, s = basis_values(lam, self.lengths)
+        a, b = (c / s)[:, None], (1.0 / s)[:, None]
+        ki, kt = self._k_init, self._k_term
+        return ki.conj().T @ (a * ki - b * kt) + kt.conj().T @ (a * kt - b * ki) - self._kLk
+
+    def decoupled_count(self, lam: float) -> int:
+        """N_D(lambda): how many decoupled energies (n pi / l_e)^2, n >= 1, lie below lambda."""
+        if lam <= 0:
+            return 0
+        return int(np.sum(np.ceil(math.sqrt(lam) * self.lengths / math.pi) - 1))
+
+    def decoupled_energies(self, lo: float, hi: float) -> np.ndarray:
+        """The distinct decoupled energies in [lo, hi], ascending."""
+        if hi <= 0:
+            return np.zeros(0)
+        k_lo, k_hi = math.sqrt(max(lo, 0.0)), math.sqrt(hi)
+        ns = (np.arange(max(1, math.ceil(k_lo * l / math.pi)), math.floor(k_hi * l / math.pi) + 1) for l in self.lengths)
+        p = np.concatenate([(n * math.pi / l) ** 2 for n, l in zip(ns, self.lengths)])
+        return np.unique(p[(p >= lo) & (p <= hi)])
+
+    def count(self, lam: float) -> int:
+        """Eigenvalues below lambda, with multiplicity: N_D(lambda) + n_-(D(lambda))."""
+        return self.decoupled_count(lam) + int(np.count_nonzero(np.linalg.eigvalsh(self.vertex_matrix(lam)) < 0))
 
     def matrix(self, lam: float) -> np.ndarray:
         """The square matrix M(lambda)."""
@@ -237,24 +302,110 @@ class SecularEigenvalue:
     sigma_min: float
 
 
-def _golden_minimize(fn, a: float, b: float, xtol: float, max_iter: int = 120) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+class RankAnomaly(ValueError):
+    """M(lambda) contradicts the eigenvalue count, or its null vectors break the vertex conditions.
+
+    A failed check on valid input, not unusable input: the command line
+    maps it to exit 1.  It stays a ``ValueError`` for library callers.
+    """
+
+
+def _branch_root(branch, a: float, b: float, xtol: float, max_iter: int = 100) -> float:
+    """Root of a decreasing function with branch(a) >= 0 > branch(b).
+
+    Regula falsi with the Illinois modification: the end kept twice in a row
+    has its value halved.  A step that leaves the bracket, or two steps that
+    fail to halve it, are replaced by bisection.
+    """
+    fa, fb = branch(a), branch(b)
+    kept, width, slow = 0, b - a, 0
     for _ in range(max_iter):
-        if b - a < xtol:
+        if b - a <= xtol:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
+        x = b - fb * (b - a) / (fb - fa)
+        if slow >= 2 or not a < x < b:
+            x, slow = 0.5 * (a + b), 0
+        fx = branch(x)
+        if fx == 0.0:
+            return x
+        if fx > 0:
+            a, fa = x, fx
+            fb = 0.5 * fb if kept == 1 else fb
+            kept = 1
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-    xm = 0.5 * (a + b)
-    return xm, fn(xm)
+            b, fb = x, fx
+            fa = 0.5 * fa if kept == -1 else fa
+            kept = -1
+        slow = slow + 1 if b - a > 0.5 * width else 0
+        width = b - a
+    return b - fb * (b - a) / (fb - fa)
+
+
+def _cut_points(vals: np.ndarray, grid: np.ndarray) -> set[float]:
+    """The grid neighbours of every local minimum of sigma_min."""
+    padded = np.concatenate([[math.inf], vals, [math.inf]])
+    i = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]))
+    return set(grid[np.maximum(i - 1, 0)].tolist()) | set(grid[np.minimum(i + 1, grid.size - 1)].tolist())
+
+
+def _pole_bands(system: SecularSystem, lo: float, hi: float) -> dict[float, tuple[float, list[float]]]:
+    """Bands ``p -+ POLE_RTOL max(1, p)`` around the decoupled energies near [lo, hi].
+
+    Overlapping bands merge; each maps its lower end to its upper end and its distinct energies.
+    """
+    pad = 2 * POLE_RTOL * max(1.0, abs(lo), abs(hi))
+    bands: list[list] = []  # [lower end, upper end, energies]
+    for p in system.decoupled_energies(lo - pad, hi + pad).tolist():
+        w = POLE_RTOL * max(1.0, p)
+        if bands and p - w <= bands[-1][1]:
+            bands[-1][1] = p + w
+            if p - bands[-1][2][-1] > CLUSTER_RTOL * p:
+                bands[-1][2].append(p)
+        else:
+            bands.append([p - w, p + w, [p]])
+    return {b_lo: (b_hi, poles) for b_lo, b_hi, poles in bands}
+
+
+def _band_roots(system: SecularSystem, a: float, b: float, poles: list[float], count) -> list[tuple[float, int]]:
+    """(p, rank drop of M(p)) for the decoupled energies p of the band [a, b].
+
+    The drops must add up to the jump in the count across the band.
+    """
+    ranks = [_null_space(system.matrix(p)).shape[1] for p in poles]
+    if sum(ranks) != count(b) - count(a):
+        raise RankAnomaly(
+            f"M(lambda) drops rank by {ranks} at the decoupled energies {poles}, "
+            f"but the eigenvalue count rises by {count(b) - count(a)} across [{a}, {b}]"
+        )
+    return [(p, r) for p, r in zip(poles, ranks) if r]
+
+
+def _settle(system: SecularSystem, a: float, b: float, count) -> list[tuple[float, int]]:
+    """(root, multiplicity) in [a, b), which holds no decoupled energy.
+
+    Bisection on the count isolates the roots; a simple root is refined on
+    the eigenvalue branch of D(lambda) that crosses zero, and a cluster
+    narrower than CLUSTER_RTOL takes its multiplicity from the count jump.
+    """
+    out = []
+    stack = [(a, count(a), b, count(b))]
+    while stack:
+        a, na, b, nb = stack.pop()
+        if nb < na:
+            raise RankAnomaly(f"eigenvalue count falls from {na} to {nb} on [{a}, {b}]")
+        if nb == na:
+            continue
+        xtol = CLUSTER_RTOL * max(1.0, abs(a), abs(b))
+        if b - a <= xtol:
+            out.append((0.5 * (a + b), nb - na))
+        elif nb - na == 1:
+            j = na - system.decoupled_count(a)  # D(a) has j negative eigenvalues, D(b) has j + 1
+            out.append((_branch_root(lambda x: np.linalg.eigvalsh(system.vertex_matrix(x))[j], a, b, xtol), 1))
+        else:
+            m = 0.5 * (a + b)
+            nm = count(m)
+            stack += [(a, na, m, nm), (m, nm, b, nb)]
+    return out
 
 
 def eigenvalue_scan(
@@ -264,56 +415,51 @@ def eigenvalue_scan(
     lam_max: float,
     num: int = SCAN_POINTS,
 ) -> list[SecularEigenvalue]:
-    """Eigenvalues in [lam_min, lam_max] from the rank drops of M(lambda).
+    """Every eigenvalue in [lam_min, lam_max], with its certified multiplicity.
 
-    The system is compiled once (:class:`SecularSystem`), so each evaluation
-    only writes the per-edge (c, s) at lambda into M and takes one SVD.  The
-    scan samples sigma_min on a uniform grid, one lambda at a time, refines
-    every local minimum by golden-section search, and accepts energies where
-    sigma_min falls below ``SINGULAR_RTOL * sigma_max``.  Roots separated by
-    more than two grid steps are guaranteed to show up as distinct local
-    minima; choose ``num`` (at least 2) accordingly.  Multiplicity is the
-    number of singular values under the same threshold.
+    Completeness does not depend on ``num``: the count N(lambda) of
+    eigenvalues below lambda (:meth:`SecularSystem.count`) settles every
+    interval.  The ``num``-point grid of sigma_min (at least 2 points) only
+    chooses where the window is first cut: at its ends and at the grid
+    neighbours of each local minimum.  Each decoupled energy p gets a band
+    ``p -+ POLE_RTOL max(1, p)``, where D(lambda) is singular or
+    ill-conditioned; grid cuts inside a band are dropped, the count is
+    taken at the band ends and p's multiplicity is the rank drop of M(p).
+    Between cuts, bisection on the count isolates the roots and a simple
+    root is refined to about CLUSTER_RTOL on the eigenvalue branch of D that
+    crosses zero there, which decreases in lambda between decoupled
+    energies.  Roots within CLUSTER_RTOL of each other form one cluster,
+    whose multiplicity is the jump in the count.  Raises
+    :class:`RankAnomaly` when a rank drop disagrees with the count.
+    ``sigma_min`` of each hit is sigma_min of the row-normalized M at it.
     """
     if not (lam_max > lam_min):
         raise ValueError("empty scan range")
     if num < 2:
         raise ValueError(f"a scan needs at least 2 points, got {num}")
     system = SecularSystem(g, bc)
-
-    def sv(lam: float) -> float:
-        return smallest_singular_value(g, bc, lam, system)
-
     grid = np.linspace(lam_min, lam_max, num)
-    vals = np.array([sv(x) for x in grid])
-    step = grid[1] - grid[0]
-    hits: list[SecularEigenvalue] = []
-    for i in range(num):
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i < num - 1 else math.inf
-        if not (vals[i] <= left and vals[i] <= right):
-            continue
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, num - 1)]
-        xtol = 1e-12 * max(1.0, abs(a), abs(b))
-        lam_star, s_star = _golden_minimize(sv, a, b, xtol)
-        svs = system.singular_values(lam_star)
-        smax = float(svs[0]) if svs.size else 0.0
-        threshold = SINGULAR_RTOL * max(smax, 1e-300)
-        if s_star >= threshold:
-            continue
-        mult = int(np.sum(svs < threshold))
-        hits.append(SecularEigenvalue(float(lam_star), mult, float(s_star)))
-    # deduplicate within the grid resolution, keep the sharper minimum
-    hits.sort(key=lambda h: h.lam)
-    merged: list[SecularEigenvalue] = []
-    for h in hits:
-        if merged and abs(h.lam - merged[-1].lam) < 0.5 * step:
-            if h.sigma_min < merged[-1].sigma_min:
-                merged[-1] = h
+    vals = np.array([smallest_singular_value(g, bc, x, system) for x in grid])
+    bands = _pole_bands(system, lam_min, lam_max)
+    cuts = {lam_min, lam_max} | _cut_points(vals, grid)
+    cuts = {x for x in cuts if not any(lo < x < hi for lo, (hi, _) in bands.items())}
+    points = sorted(cuts | set(bands) | {hi for hi, _ in bands.values()})
+    count = functools.cache(system.count)
+    found: list[tuple[float, int]] = []
+    for a, b in zip(points, points[1:]):
+        found += _band_roots(system, a, b, bands[a][1], count) if a in bands else _settle(system, a, b, count)
+    found.sort()
+    merged: list[tuple[float, int]] = []
+    for lam, mult in found:
+        if merged and lam - merged[-1][0] <= CLUSTER_RTOL * max(1.0, abs(lam)):
+            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
         else:
-            merged.append(h)
-    return merged
+            merged.append((lam, mult))
+    return [
+        SecularEigenvalue(float(lam), mult, smallest_singular_value(g, bc, lam, system))
+        for lam, mult in merged
+        if lam_min <= lam <= lam_max
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +543,6 @@ def _orthonormalize(g: MetricGraph, lam: float, X: np.ndarray) -> np.ndarray:
     return Y
 
 
-class RankAnomaly(ValueError):
-    """Null vectors of M(lambda) violate the full vertex conditions.
-
-    A failed check on valid input, not unusable input: the command line
-    maps it to exit 1.  It stays a ``ValueError`` for library callers.
-    """
-
-
 def _null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis of M; rank at SINGULAR_RTOL * sigma_max of the row-normalized M."""
     # a wide M, or one without rows, keeps the dimension gap in the null space
@@ -477,7 +615,7 @@ def solve_at_energy(
         der.append(np.stack([np.zeros((d, d)), np.eye(d) - P], axis=1).reshape(2 * d, d))
         kept += [slot not in free for slot in g.star(v).slots for _ in range(2)]
     keep = np.array(kept, dtype=bool)
-    val_all, der_all = scipy.linalg.block_diag(*val)[keep], scipy.linalg.block_diag(*der)[keep]
+    val_all, der_all = _blocks(val)[keep], _blocks(der)[keep]
     M = _fill(_edge_columns(val_all, der_all, init, term), lam, *basis_values(lam, lengths))
     null = _null_space(M)
     if null.shape[1] == 0:

@@ -275,6 +275,31 @@ def test_default_window_resolves_large_s_star(tmp_path, capsys):
     assert report["modes"] == 4 and lams[0] < 0 < lams[1]
 
 
+SEED1_STARS = json.loads((Path(__file__).resolve().parent / "data" / "star_expansion_seed1.json").read_text())
+
+
+@pytest.mark.parametrize("op", sorted(SEED1_STARS))
+def test_default_window_keeps_roots_of_large_c_stars(tmp_path, capsys, op):
+    # C = 58.1 and 102.2 make the default window's 600-point grid coarse
+    # (steps 0.18 and 0.25), too coarse to show the roots 0.4627 (op2),
+    # 0.4049 and 1.1493 (op3) as local minima of sigma_min
+    gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
+    gpath.write_text(json.dumps(SEED1_STARS[op]["graph"]))
+    bpath.write_text(json.dumps(SEED1_STARS[op]["bc"]))
+    code, report = run_and_parse(capsys, ["spectrum", "--graph", str(gpath), "--bc", str(bpath), "--mesh", "0.02", "--modes", "6"])
+    assert code == 0 and report["within_budget"]
+    assert report["max_disagreement"] < 2e-3
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.2 s and 18 MB at import
+    env = {**os.environ, "PYTHONPATH": str(Path(metricgraph.__file__).parents[1])}
+    code = "import sys, metricgraph.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("points", ["0", "1"])
 def test_spectrum_scan_points_below_two_is_input_error(tmp_path, capsys, points):
     g, b = write_interval(tmp_path)

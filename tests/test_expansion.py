@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from metricgraph import (
     uniform_bc,
 )
 from metricgraph.expansion import hs_kernel_cross_check, intertwining_gap
+from metricgraph.secular import RankAnomaly
 
 from conftest import interval_graph, loop_edge_graph, path_graph, star_graph
 
@@ -181,6 +183,17 @@ def star_rep():
     bc = uniform_bc(g, "kirchhoff")
     hits = eigenvalue_scan(g, bc, -0.5, 25.0, num=400)
     return g, bc, DiscreteSpectralRep.from_secular(g, bc, hits, 0.01)
+
+
+@pytest.mark.parametrize("index,multiplicity", [(1, 1), (2, 2)])
+def test_from_secular_rejects_a_wrong_multiplicity(index, multiplicity):
+    # the star's second level is double and its third simple
+    g = star_graph(3)
+    bc = uniform_bc(g, "kirchhoff")
+    hits = eigenvalue_scan(g, bc, -0.5, 25.0, num=400)
+    hits[index] = dataclasses.replace(hits[index], multiplicity=multiplicity)
+    with pytest.raises(RankAnomaly, match=f"multiplicity {multiplicity}"):
+        DiscreteSpectralRep.from_secular(g, bc, hits, 0.05)
 
 
 def test_mode_orthonormality_across_layers():

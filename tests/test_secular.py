@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from metricgraph import (
     BoundaryCondition,
     DiscreteSpectralRep,
+    Edge,
+    MetricGraph,
     SecularSolution,
     assemble,
     basis_at,
@@ -22,6 +27,8 @@ from metricgraph import (
     uniform_bc,
     weyl_count_estimate,
 )
+from metricgraph import boundary
+from metricgraph.secular import SecularSystem
 
 from conftest import interval_graph, loop_edge_graph, spectral_fixture_list, star_graph
 
@@ -206,6 +213,119 @@ def test_scan_needs_two_points(num):
     g = interval_graph(1.0)
     with pytest.raises(ValueError, match="at least 2 points"):
         eigenvalue_scan(g, uniform_bc(g, "neumann"), 0.5, 10.0, num=num)
+
+
+def test_count_matches_closed_form_spectra():
+    # unit 3-star, Kirchhoff: 0, (pi/2)^2 twice, pi^2, (3 pi/2)^2 twice;
+    # Dirichlet interval of length pi: n^2 (D(lambda) has order 0)
+    g = star_graph(3)
+    star = SecularSystem(g, uniform_bc(g, "kirchhoff"))
+    levels = [0.0] + [(math.pi / 2) ** 2] * 2 + [math.pi**2] + [(3 * math.pi / 2) ** 2] * 2
+    for lam in (-1.0, 0.5, 3.0, 9.0, 10.0, 21.0, 23.0):
+        D = star.vertex_matrix(lam)
+        assert np.allclose(D, D.conj().T, atol=1e-12)
+        assert star.count(lam) == sum(1 for x in levels if x < lam), lam
+    g = interval_graph(math.pi)
+    interval = SecularSystem(g, uniform_bc(g, "dirichlet"))
+    assert [interval.count(lam) for lam in (0.5, 1.5, 8.9, 9.1)] == [0, 1, 2, 3]
+
+
+def test_rank_drop_disagreeing_with_the_count_is_an_anomaly(monkeypatch):
+    from metricgraph import secular
+
+    g = interval_graph(math.pi)
+    monkeypatch.setattr(secular, "_null_space", lambda M: np.zeros((M.shape[1], 0)))
+    with pytest.raises(secular.RankAnomaly, match="count rises by 1"):
+        eigenvalue_scan(g, uniform_bc(g, "dirichlet"), 0.5, 2.0, num=10)
+
+
+def close_pair_star():
+    """Rays 1.0, 1.0005 and 1.001; Kirchhoff centre, Dirichlet tips: two close pairs below 50."""
+    g = MetricGraph(
+        ("c", "t1", "t2", "t3"),
+        tuple(Edge(f"e{i}", l, "c", f"t{i}") for i, l in enumerate((1.0, 1.0005, 1.001), start=1)),
+        1.0,
+    )
+    conds = {"c": preset("kirchhoff", g.star("c"))}
+    conds.update({t: preset("dirichlet", g.star(t)) for t in ("t1", "t2", "t3")})
+    return g, BoundaryCondition(conds)
+
+
+@pytest.mark.parametrize("num", [600, 2])
+def test_scan_separates_close_pairs_at_any_grid(num):
+    # FEM at h = 0.005 has these 6 eigenvalues below 50; the pairs are 0.011
+    # and 0.046 apart, closer than the 0.085 step of a 600-point grid
+    g, bc = close_pair_star()
+    hits = eigenvalue_scan(g, bc, -1.0, 50.0, num=num)
+    assert sum(h.multiplicity for h in hits) == 6
+    lams = [h.lam for h in hits]
+    assert lams == pytest.approx([2.4649, 9.8541, 9.8654, 22.1844, 39.4162, 39.4617], abs=1e-4)
+    for h in hits:
+        assert h.sigma_min < 1e-10 and len(eigenfunction(g, bc, h.lam)) == h.multiplicity
+
+
+def test_scan_keeps_neumann_zero_on_a_coarse_grid():
+    # step 9.6: sigma_min is already small at the first grid point, so the
+    # zero mode is no local minimum of the grid
+    g = interval_graph(1.0)
+    hits = eigenvalue_scan(g, uniform_bc(g, "neumann"), -0.5, (39.5 * math.pi) ** 2, num=1600)
+    assert [h.multiplicity for h in hits] == [1] * 40
+    assert np.allclose([h.lam for h in hits], [(n * math.pi) ** 2 for n in range(40)], rtol=1e-12, atol=1e-10)
+
+
+def test_scan_grid_on_decoupled_energies():
+    # grid points land exactly on the poles 1, 4 and 9 of D(lambda)
+    g = interval_graph(math.pi)
+    hits = eigenvalue_scan(g, uniform_bc(g, "dirichlet"), 0.5, 10.0, num=20)
+    assert [h.multiplicity for h in hits] == [1, 1, 1]
+    assert [h.lam for h in hits] == pytest.approx([1.0, 4.0, 9.0], rel=1e-14)
+
+
+def _random_graph(rng, family):
+    """A 3-6-ray star or an n x n lattice, lengths U[1, 1.4], Kirchhoff or delta vertices."""
+    if family == "star":
+        n = int(rng.integers(3, 7))
+        pairs = [("c", f"t{i}") for i in range(n)]
+    else:
+        n = int(family[-1])
+        vid = [[f"v{r}{c}" for c in range(n)] for r in range(n)]
+        pairs = [(vid[r][c], vid[r][c + 1]) for r in range(n) for c in range(n - 1)]
+        pairs += [(vid[r][c], vid[r + 1][c]) for r in range(n - 1) for c in range(n)]
+    lengths = rng.uniform(1.0, 1.4, len(pairs))
+    g = MetricGraph(
+        tuple(dict.fromkeys(v for pair in pairs for v in pair)),
+        tuple(Edge(f"e{k}", float(l), a, b) for k, ((a, b), l) in enumerate(zip(pairs, lengths))),
+        1.0,
+    )
+    conds = {}
+    for v in g.vertices:
+        if rng.random() < 0.5:
+            conds[v] = preset("kirchhoff", g.star(v))
+        else:
+            conds[v] = preset("delta", g.star(v), float(rng.uniform(-1.0, 1.0)))
+    return g, BoundaryCondition(conds)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["star", "grid2", "grid3"]))
+def test_scan_count_matches_dense_p1(seed, family):
+    # P1 eigenvalues lie within 10 h^2 max(1, lambda) above the exact ones,
+    # so in a P1 gap wider than 4 budgets both counts below its midpoint agree
+    g, bc = _random_graph(np.random.default_rng(seed), family)
+    lam_max, h = 30.0, 0.01
+    C = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u).C
+    hits = eigenvalue_scan(g, bc, 0.5 - C - 1.0, lam_max, num=100)
+    fa = assemble(g, bc, h)
+    p1 = scipy.linalg.eigh(fa.operator_matrix.toarray().real, fa.mass.toarray().real, eigvals_only=True)
+    p1 = p1[p1 < lam_max + 1.0]
+    checked = 0
+    for lo, hi in zip(p1, p1[1:]):
+        mid = 0.5 * (lo + hi)
+        if hi - lo > 4 * 10 * h**2 * max(1.0, abs(mid)) and mid < lam_max:
+            n_exact = sum(hit.multiplicity for hit in hits if hit.lam < mid)
+            assert n_exact == int(np.sum(p1 < mid)), (mid, [hit.lam for hit in hits])
+            checked += 1
+    assert checked >= 3
 
 
 # ---------------------------------------------------------------------------
