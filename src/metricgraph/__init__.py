@@ -71,7 +71,6 @@ from .potentials import (
 )
 from .secular import (
     SecularEigenvalue,
-    SecularMatrix,
     SecularSolution,
     basis_at,
     basis_gram,
@@ -80,7 +79,6 @@ from .secular import (
     eigenvalue_scan,
     secular_matrix,
     smallest_singular_value,
-    solve_at_energy,
     weyl_count_estimate,
 )
 

@@ -80,7 +80,7 @@ def _scan(args: argparse.Namespace, g: MetricGraph, bc: boundary.BoundaryConditi
     lam_min = args.lambda_min
     if lam_min is None:
         lam_min = 0.5 - const.C - 1.0  # the form bound gives lambda >= 1/2 - C
-    hits = secular.eigenvalue_scan(g, bc, lam_min, args.lambda_max, num=args.scan_points)
+    hits = secular.eigenvalue_scan(g, bc, lam_min, args.lambda_max)
     found = sum(h.multiplicity for h in hits)
     if found < args.modes:
         raise ValueError(f"scan up to lambda={args.lambda_max} found only {found} modes; raise --lambda-max")
@@ -319,7 +319,6 @@ FLAGS: dict[str, dict] = {
     "--modes": {"type": positive_int, "default": 8},
     "--lambda-min": {"type": float, "help": "scan start (default 1/2 - C - 1, below the proven bound 1/2 - C)"},
     "--lambda-max": {"type": float, "default": 50.0},
-    "--scan-points": {"type": int, "default": secular.SCAN_POINTS, "help": "sigma_min grid that places the first cuts of the scan"},
     "--tol": {"type": float, "default": 1e-6, "help": "largest accepted weak residual"},
     "--seed": {"type": int, "default": 0},
     "--weight-eps": {"type": float, "default": 1.0},
@@ -330,7 +329,7 @@ FLAGS: dict[str, dict] = {
     "--potential": {"required": True, "help": "CSV path or const:c / well:edge,t0,t1,d"},
 }
 _INPUTS = ("--graph", "--bc", "--out")
-_SPECTRUM = _INPUTS + ("--mesh", "--modes", "--lambda-min", "--lambda-max", "--scan-points")
+_SPECTRUM = _INPUTS + ("--mesh", "--modes", "--lambda-min", "--lambda-max")
 _EXPANSION = _SPECTRUM + (
     "--tol", "--seed", "--weight-eps", "--weight-base", "--hs-c", "--check-file", "--check-lambda"
 )

@@ -45,7 +45,7 @@ from .graph import INIT, TERM, EdgeId, MetricGraph, VertexId
 
 SERIES_THRESHOLD = 1e-6  # |lambda| below which the power series is used
 SINGULAR_RTOL = 1e-8  # numerical rank of M(lambda), relative to its largest singular value
-SCAN_POINTS = 600  # grid points of eigenvalue_scan, and the CLI's --scan-points default
+SCAN_POINTS = 600  # default sigma_min grid of eigenvalue_scan; it places cuts, not roots
 POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to max(1, lambda)
 CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
 
@@ -168,35 +168,17 @@ def _blocks(arrays: Iterable[np.ndarray]) -> np.ndarray:
     return B.real.copy() if np.iscomplexobj(B) and not np.any(B.imag) else B
 
 
-@dataclass(frozen=True)
-class SecularMatrix:
-    """Square vertex-condition matrix at energy lambda.
-
-    Per vertex the rows are: the value conditions ``<p, f(v)> = 0`` over an
-    orthonormal basis p of ran P_v, then ``<q, L_v f(v) + f'(v)> = 0`` over a
-    basis q of ker P_v; together d_v rows, summing to 2|E| over the graph.
-    ``anomaly`` stacks the leftover components ``P_v L_v f(v)`` for vertices
-    where L couples ker P into ran P (:func:`boundary.lp_mixing`); those rows
-    are not part of the square system and are reported rather than silently
-    imposed.
-    """
-
-    lam: float
-    matrix: np.ndarray
-    anomaly: np.ndarray
-    anomaly_vertices: tuple[VertexId, ...]
-
-
 class SecularSystem:
     """The vertex-condition system of (g, bc), compiled once for every lambda.
 
-    Building it validates the graph and the (L, P) data, splits each P_v into
-    ker/ran bases and stores the constant row blocks ``[ran^H ; ker^H L]``
-    (on the slot values) and ``[0 ; ker^H]`` (on the inward derivatives),
-    regrouped by edge end.  M(lambda) is then those blocks combined with the
-    per-edge (c, s) at lambda, from one vectorized :func:`basis_values` call.
-    For D(lambda) it keeps the rows of the block-diagonal ker basis K at each
-    edge's initial and terminal slot, and ``K^H L K``.
+    The one place where ``P f = 0, L f + (1 - P) f' = 0`` become rows: it
+    validates (g, bc), splits each P_v into ker/ran bases and stores the row
+    blocks ``[ran^H ; ker^H L]`` (on slot values) and ``[0 ; ker^H]`` (on
+    inward derivatives), regrouped by edge end; M(lambda) combines them with
+    the per-edge (c, s) at lambda.  For D(lambda) it keeps K's rows at each
+    edge's initial and terminal slot, and ``K^H L K``.  The rows omit
+    ``P L f(v)``, nonzero only at the lp-mixing ``anomaly_vertices``;
+    :func:`eigenfunction` checks null vectors against the full conditions.
     """
 
     def __init__(self, g: MetricGraph, bc: BoundaryCondition) -> None:
@@ -206,28 +188,18 @@ class SecularSystem:
         self.lengths, init, term = _edge_ends(g)
         val: list[np.ndarray] = []
         der: list[np.ndarray] = []
-        anom: list[np.ndarray] = []
-        anom_vs: list[VertexId] = []
         kers: list[np.ndarray] = []
         kLks: list[np.ndarray] = []
         for v in g.vertices:
-            L, P = bc.L(v), bc.P(v)
             d = g.degree(v)
             ker, ran = bc.ker_ran(v)
-            kL = ker.conj().T @ L
+            kL = ker.conj().T @ bc.L(v)
             kers.append(ker)
             kLks.append(kL @ ker)
             val.append(np.vstack([ran.conj().T, kL]))
             der.append(np.vstack([np.zeros((ran.shape[1], d)), ker.conj().T]))
-            if lp_mixing(L, P):
-                anom.append(ran.conj().T @ L)
-                anom_vs += [v] * ran.shape[1]
-            else:
-                anom.append(np.zeros((0, d)))
         self._rows = _edge_columns(_blocks(val), _blocks(der), init, term)
-        A = _blocks(anom)
-        self._anomaly = _edge_columns(A, np.zeros_like(A), init, term)
-        self.anomaly_vertices = tuple(dict.fromkeys(anom_vs))
+        self.anomaly_vertices = tuple(v for v in g.vertices if lp_mixing(bc.L(v), bc.P(v)))
         K = _blocks(kers)
         self._k_init, self._k_term = K[init], K[term]
         self._kLk = _blocks(kLks)
@@ -262,17 +234,14 @@ class SecularSystem:
         """The square matrix M(lambda)."""
         return _fill(self._rows, lam, *basis_values(lam, self.lengths))
 
-    def at(self, lam: float) -> SecularMatrix:
-        c, s = basis_values(lam, self.lengths)
-        return SecularMatrix(lam, _fill(self._rows, lam, c, s), _fill(self._anomaly, lam, c, s), self.anomaly_vertices)
-
     def singular_values(self, lam: float) -> np.ndarray:
         """Singular values of the row-normalized M(lambda), descending."""
         return np.linalg.svd(_row_normalized(self.matrix(lam)), compute_uv=False)
 
 
-def secular_matrix(g: MetricGraph, bc: BoundaryCondition, lam: float) -> SecularMatrix:
-    return SecularSystem(g, bc).at(lam)
+def secular_matrix(g: MetricGraph, bc: BoundaryCondition, lam: float) -> np.ndarray:
+    """M(lambda) of (g, bc), compiled for this one energy."""
+    return SecularSystem(g, bc).matrix(lam)
 
 
 def _row_normalized(M: np.ndarray) -> np.ndarray:
@@ -480,11 +449,6 @@ class SecularSolution:
         c, s = basis_values(self.lam, t)
         return a * c + b * s
 
-    def derivative(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
-        a, b = self.coefficients[edge_id]
-        c, s = basis_values(self.lam, t)
-        return a * (-self.lam) * s + b * c
-
     def trace_values(self) -> tuple[dict[VertexId, np.ndarray], dict[VertexId, np.ndarray]]:
         """Exact star-ordered boundary vectors (values, inward derivatives).
 
@@ -525,11 +489,7 @@ def _coeff_columns_to_solutions(g: MetricGraph, lam: float, X: np.ndarray) -> li
 
 
 def _orthonormalize(g: MetricGraph, lam: float, X: np.ndarray) -> np.ndarray:
-    blocks = [basis_gram(lam, e.length) for e in g.edges]
-    Gm = np.zeros((X.shape[0], X.shape[0]))
-    for i, Gb in enumerate(blocks):
-        Gm[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = Gb
-    gram = X.conj().T @ Gm @ X
+    gram = X.conj().T @ _blocks(basis_gram(lam, e.length) for e in g.edges) @ X
     gram = 0.5 * (gram + gram.conj().T)
     w, U = np.linalg.eigh(gram)
     keep = w > 1e-12 * max(w[-1], 1e-300)
@@ -545,7 +505,6 @@ def _orthonormalize(g: MetricGraph, lam: float, X: np.ndarray) -> np.ndarray:
 
 def _null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis of M; rank at SINGULAR_RTOL * sigma_max of the row-normalized M."""
-    # a wide M, or one without rows, keeps the dimension gap in the null space
     _, svs, Vh = np.linalg.svd(_row_normalized(M))
     rank = int(np.count_nonzero(svs > SINGULAR_RTOL * svs.max(initial=0.0)))
     return Vh[rank:].conj().T
@@ -577,51 +536,6 @@ def eigenfunction(
             f"full vertex conditions at vertices {system.anomaly_vertices!r}"
         )
     return kept
-
-
-def solve_at_energy(
-    g: MetricGraph,
-    bc: BoundaryCondition,
-    lam: float,
-    free_ends: Iterable[tuple[EdgeId, str]] = (),
-) -> list[SecularSolution]:
-    """Solution space at an arbitrary energy with conditions relaxed at ends.
-
-    The condition system is written in coordinate rows, two per edge-end (a
-    value row of ``P_v f(v)`` and a derivative row of
-    ``L_v f(v) + (1-P_v) f'(v)``); rows belonging to ``free_ends`` are
-    dropped.  Useful to produce candidate generalized eigenfunctions on a
-    compact piece whose free ends stand in for a truncated continuation.
-    Returns an L2-orthonormal basis of the resulting null space (possibly
-    empty).
-    """
-    g.require_valid()
-    g.require_compact("energy-wise solves")
-    require_valid_bc(g, bc)
-    free = set(free_ends)
-    known = {(e.id, end) for e in g.edges for end in ((INIT, TERM) if e.is_finite else (INIT,))}
-    unknown = free - known
-    if unknown:
-        raise ValueError(f"free ends {sorted(map(str, unknown))} are not edge-ends of the graph")
-    lengths, init, term = _edge_ends(g)
-    val: list[np.ndarray] = []
-    der: list[np.ndarray] = []
-    kept: list[bool] = []
-    for v in g.vertices:
-        L, P = bc.L(v), bc.P(v)
-        d = P.shape[0]
-        # per slot, a value row of P and a derivative row of (L, 1 - P)
-        val.append(np.stack([P, L], axis=1).reshape(2 * d, d))
-        der.append(np.stack([np.zeros((d, d)), np.eye(d) - P], axis=1).reshape(2 * d, d))
-        kept += [slot not in free for slot in g.star(v).slots for _ in range(2)]
-    keep = np.array(kept, dtype=bool)
-    val_all, der_all = _blocks(val)[keep], _blocks(der)[keep]
-    M = _fill(_edge_columns(val_all, der_all, init, term), lam, *basis_values(lam, lengths))
-    null = _null_space(M)
-    if null.shape[1] == 0:
-        return []
-    X = _orthonormalize(g, lam, null)
-    return _coeff_columns_to_solutions(g, lam, X)
 
 
 def weyl_count_estimate(g: MetricGraph, lam: float) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from metricgraph import BoundaryCondition, Edge, MetricGraph, preset, uniform_bc
@@ -19,6 +20,19 @@ def star_graph(n_rays: int = 3, length: float = 1.0, u: float = 1.0) -> MetricGr
     verts = ("c",) + tuple(f"t{i}" for i in range(1, n_rays + 1))
     edges = tuple(Edge(f"e{i}", length, "c", f"t{i}") for i in range(1, n_rays + 1))
     return MetricGraph(verts, edges, u)
+
+
+def lp_mixing_star(strength: float) -> tuple[MetricGraph, BoundaryCondition]:
+    """Kirchhoff 3-star whose centre L = strength (p q^T + q p^T) maps ker P into ran P.
+
+    q = 1/sqrt(3) spans ker P, p = (1, -1, 0)/sqrt(2) lies in ran P.
+    """
+    g = star_graph(3)
+    bc = uniform_bc(g, "kirchhoff")
+    L, P = bc.conditions["c"]
+    q = np.ones(3) / np.sqrt(3.0)
+    p = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    return g, BoundaryCondition({**bc.conditions, "c": (L + strength * (np.outer(p, q) + np.outer(q, p)), P)})
 
 
 def loop_edge_graph(loop_len: float = 2.0, edge_len: float = 2.0, u: float = 1.0) -> MetricGraph:

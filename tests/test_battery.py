@@ -111,11 +111,11 @@ def _reference_pieces(g, test):
 
 
 def reference_residuals(g, bc, tests, phi, lam, potential=None, cut_meshes=()):
-    """Per test: (residual, sum of |terms| / ||f||), one piece at a time."""
+    """Per test: (residual, sum of |terms| / ||f||, node count), one piece at a time."""
     out = []
     for test in tests:
         assert test.condition_residual(g, bc) <= 1e-8
-        acc, size, norm_sq = 0.0j, 0.0, 0.0
+        acc, size, norm_sq, nodes = 0.0j, 0.0, 0.0, 0
         for eid, t0, t1, f, d2 in _reference_pieces(g, test):
             cuts = None
             if cut_meshes:
@@ -127,9 +127,10 @@ def reference_residuals(g, bc, tests, phi, lam, potential=None, cut_meshes=()):
             terms = ws * (hf - lam * f(ts)) * np.conj(phi.evaluate(eid, ts))
             acc += np.sum(terms)
             size += float(np.sum(np.abs(terms)))
+            nodes += ts.size
             tn, wn = _gauss(t0, t1, _GL24)
             norm_sq += float(np.sum(wn * np.abs(f(tn)) ** 2))
-        out.append((abs(acc) / math.sqrt(norm_sq), size / math.sqrt(norm_sq)))
+        out.append((abs(acc) / math.sqrt(norm_sq), size / math.sqrt(norm_sq), nodes))
     return out
 
 
@@ -203,10 +204,21 @@ def test_compiled_battery_matches_reference_loop(name, g, bc, rep, es, V, h):
         assert got.shape == (len(tests), len(phis))
         for m, (phi, lam) in enumerate(zip(phis, energies)):
             ref = reference_residuals(g, bc, tests, phi, lam, V, cuts + pot_mesh)
-            for i, (r, size) in enumerate(ref):
-                # the absolute part is in units of sum |terms| / ||f||, the
-                # rounding scale of the quadrature sum (up to about 50 here)
-                assert abs(got[i, m] - r) <= 1e-9 * r + 1e-15 * max(size, 1.0), (tests[i].label, m)
+            for i, (r, size, n) in enumerate(ref):
+                # Both sides sum the same n terms x_j = w (Hf - lambda f) conj(phi),
+                # in different orders.  Any order of summation is off the exact
+                # sum by at most gamma_n sum |x_j|, gamma_n = n u / (1 - n u),
+                # u = 2^-53 (Higham, Accuracy and Stability, sec. 4.2; for
+                # complex terms apply it to the real and imaginary parts and
+                # join them by Minkowski's inequality), so the two sums differ
+                # by 2 gamma_n sum |x_j|.  Each x_j is also a product of four
+                # factors (w, f'' or lambda f, conj phi) that the two sides form
+                # in different orders and from different formulas for f, about
+                # 4u per side.  Divided by ||f||: (2 gamma_n + 8u) size.
+                # Dividing by the two computed ||f|| is inside 1e-9 r.
+                u = 2.0**-53
+                gamma_n = n * u / (1.0 - n * u)
+                assert abs(got[i, m] - r) <= 1e-9 * r + (2.0 * gamma_n + 8.0 * u) * size, (tests[i].label, m)
 
 
 def test_perturbed_report_checks_battery_once(monkeypatch):

@@ -12,13 +12,13 @@ from metricgraph import (
     load_bc,
     positive_part_norm,
     preset,
-    secular_matrix,
     standard_test_battery,
     uniform_bc,
     validate_bc,
 )
+from metricgraph.secular import SecularSystem
 
-from conftest import interval_graph, star_graph
+from conftest import interval_graph, lp_mixing_star, star_graph
 
 
 def test_validate_rank_one_projection_zero_l():
@@ -161,15 +161,10 @@ def test_attractive_delta_s_value():
 def test_lp_mixing_is_one_predicate(eps):
     # Kirchhoff 3-star whose centre L maps the constants (ker P) into ran P
     # with ||P L (1 - P)|| = eps: the validator's warning, the secular
-    # anomaly rows and the battery's kernel tests follow the same rule
-    g = star_graph(3)
-    bc = uniform_bc(g, "kirchhoff")
-    L, P = bc.conditions["c"]
-    q = np.ones(3) / np.sqrt(3.0)
-    p = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    mixed = BoundaryCondition({**bc.conditions, "c": (L + eps * (np.outer(p, q) + np.outer(q, p)), P)})
+    # solver's anomaly vertices and the battery's kernel tests follow the same rule
+    g, mixed = lp_mixing_star(eps)
     warned = any(v.code == "lp-mixing" and v.subject == "c" for v in validate_bc(g, mixed)[0])
-    anomaly = "c" in secular_matrix(g, mixed, 2.0).anomaly_vertices
+    anomaly = "c" in SecularSystem(g, mixed).anomaly_vertices
     star_tests = [t for t in standard_test_battery(g, mixed) if t.label.startswith("star:c")]
     dropped = len(star_tests) < 3  # one continuity datum + two flux-free data
     assert warned == anomaly == dropped == (eps > 1e-10)

@@ -12,6 +12,9 @@ import pytest
 
 import metricgraph
 from metricgraph.cli import main
+from metricgraph.graph import graph_to_dict
+
+from conftest import lp_mixing_star
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -231,6 +234,21 @@ def test_rank_anomaly_is_check_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: rank anomaly") and "Traceback" not in err
 
 
+def test_lp_mixing_rank_anomaly_is_check_failure(tmp_path, capsys):
+    # no monkeypatch: the constant null vector at lambda = 0 breaks P L f(c) = 0
+    g, bc = lp_mixing_star(0.3)
+    L, P = bc.conditions["c"]
+    gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
+    gpath.write_text(json.dumps(graph_to_dict(g)))
+    centre = {"L": L.real.tolist(), "P": P.real.tolist()}
+    bpath.write_text(json.dumps({**{v: "kirchhoff" for v in g.vertices}, "c": centre}))
+    code = main(["expansion", "--graph", str(gpath), "--bc", str(bpath), "--mesh", "0.05", "--modes", "2",
+                 "--lambda-max", "10"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: rank anomaly") and "('c',)" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["spectrum", "potential"])
 def test_arpack_no_convergence_is_check_failure(tmp_path, capsys, monkeypatch, command):
     import scipy.sparse.linalg
@@ -298,14 +316,6 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("points", ["0", "1"])
-def test_spectrum_scan_points_below_two_is_input_error(tmp_path, capsys, points):
-    g, b = write_interval(tmp_path)
-    argv = ["spectrum", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2", "--scan-points", points]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: a scan needs at least 2 points")
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +608,16 @@ def test_potential_builds_few_edge_grids(tmp_path, capsys, monkeypatch):
 
 KEPT_FLAGS = {
     "validate": ["--graph", "--bc", "--out"],
-    "spectrum": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max", "--scan-points"],
-    "expansion": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max", "--scan-points",
+    "spectrum": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max"],
+    "expansion": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max",
                   "--tol", "--seed", "--weight-eps", "--weight-base", "--hs-c", "--check-file", "--check-lambda"],
     "potential": ["--graph", "--bc", "--out", "--mesh", "--modes", "--potential"],
 }
 UNREAD_FLAGS = [
     *(("validate", f) for f in ["--mesh", "--lambda-min", "--lambda-max", "--modes", "--tol", "--seed",
                                 "--scan-points", "--samples"]),
-    *(("spectrum", f) for f in ["--tol", "--seed", "--samples"]),
-    ("expansion", "--samples"),
+    *(("spectrum", f) for f in ["--scan-points", "--tol", "--seed", "--samples"]),
+    *(("expansion", f) for f in ["--scan-points", "--samples"]),
     *(("potential", f) for f in ["--lambda-min", "--lambda-max", "--scan-points", "--tol", "--samples", "--seed"]),
 ]
 

@@ -23,14 +23,13 @@ from metricgraph import (
     preset,
     secular_matrix,
     smallest_singular_value,
-    solve_at_energy,
     uniform_bc,
     weyl_count_estimate,
 )
-from metricgraph import boundary
+from metricgraph import boundary, secular
 from metricgraph.secular import SecularSystem
 
-from conftest import interval_graph, loop_edge_graph, spectral_fixture_list, star_graph
+from conftest import interval_graph, loop_edge_graph, lp_mixing_star, spectral_fixture_list, star_graph
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +89,10 @@ def test_secular_matrix_interval_dirichlet_closed_form():
     bc = uniform_bc(g, "dirichlet")
     for lam in (0.7, 2.0, 9.0):
         sm = secular_matrix(g, bc, lam)
-        assert sm.matrix.shape == (2, 2)
+        assert sm.shape == (2, 2)
         # rows: f(0) = alpha, f(pi) = alpha c + beta s; singular iff s(pi) = 0
         c, s, _, _ = basis_at(lam, math.pi)
-        det = np.linalg.det(sm.matrix)
+        det = np.linalg.det(sm)
         assert abs(det) == pytest.approx(abs(s), rel=1e-10, abs=1e-12)
 
 
@@ -115,7 +114,7 @@ def test_secular_matrix_robin_row():
     )
     sm = secular_matrix(g, bc, 3.0)
     # the Robin row reads [-alpha, 1] in the (alpha_e, beta_e) coordinates
-    robin_rows = [r for r in sm.matrix if abs(r[1]) > 0.5]
+    robin_rows = [r for r in sm if abs(r[1]) > 0.5]
     assert any(np.allclose(r, [-2.5, 1.0]) for r in robin_rows)
 
 
@@ -123,8 +122,7 @@ def test_secular_matrix_square_order():
     g = loop_edge_graph()
     bc = uniform_bc(g, "kirchhoff")
     sm = secular_matrix(g, bc, 1.0)
-    assert sm.matrix.shape == (4, 4)  # sum of degrees = 2 |E|
-    assert sm.anomaly.shape[0] == 0
+    assert sm.shape == (4, 4)  # sum of degrees = 2 |E|
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +229,6 @@ def test_count_matches_closed_form_spectra():
 
 
 def test_rank_drop_disagreeing_with_the_count_is_an_anomaly(monkeypatch):
-    from metricgraph import secular
-
     g = interval_graph(math.pi)
     monkeypatch.setattr(secular, "_null_space", lambda M: np.zeros((M.shape[1], 0)))
     with pytest.raises(secular.RankAnomaly, match="count rises by 1"):
@@ -370,44 +366,28 @@ def test_eigenfunction_rejects_non_eigenvalue():
         eigenfunction(g, uniform_bc(g, "dirichlet"), 2.0)
 
 
+def test_lp_mixing_null_vectors_meet_the_full_conditions_or_raise():
+    # the rows of M(lambda) leave out P L f(v); at lambda = 0 the constant
+    # solves them but has P L f(c) != 0, while the pair at (pi/2)^2 vanishes
+    # at the centre and meets every condition
+    g, bc = lp_mixing_star(0.3)
+    with pytest.raises(secular.RankAnomaly, match=r"at vertices \('c',\)"):
+        eigenfunction(g, bc, 0.0)
+    [hit] = eigenvalue_scan(g, bc, 2.0, 3.0)
+    assert hit.lam == pytest.approx((math.pi / 2) ** 2, rel=1e-12) and hit.multiplicity == 2
+    sols = eigenfunction(g, bc, hit.lam)
+    assert len(sols) == 2
+    for s in sols:
+        assert s.l2_norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert s.vertex_residual(bc) < 1e-12
+
+
 def test_all_fixture_eigenfunctions_satisfy_conditions():
     for name, g, bc in spectral_fixture_list():
         hits = eigenvalue_scan(g, bc, -1.0, 30.0, num=300)
         for hit in hits:
             for sol in eigenfunction(g, bc, hit.lam):
                 assert sol.vertex_residual(bc) < 1e-8, (name, hit.lam)
-
-
-# ---------------------------------------------------------------------------
-# relaxed solves
-# ---------------------------------------------------------------------------
-
-
-def test_solve_at_energy_one_free_end():
-    g = interval_graph(math.pi)
-    bc = uniform_bc(g, "dirichlet")
-    for lam in (0.7, 2.0, 13.0):
-        sols = solve_at_energy(g, bc, lam, free_ends=[("e", "term")])
-        assert len(sols) == 1
-        # Dirichlet still pinned at the initial vertex
-        assert abs(sols[0].evaluate("e", np.array([0.0]))[0]) < 1e-10
-
-
-def test_solve_at_energy_all_free():
-    g = interval_graph(math.pi)
-    sols = solve_at_energy(g, uniform_bc(g, "dirichlet"), 2.0, free_ends=[("e", "init"), ("e", "term")])
-    assert len(sols) == 2
-
-
-def test_solve_at_energy_no_solution_off_spectrum():
-    g = interval_graph(math.pi)
-    assert solve_at_energy(g, uniform_bc(g, "dirichlet"), 2.0) == []
-
-
-def test_solve_at_energy_unknown_end():
-    g = interval_graph(math.pi)
-    with pytest.raises(ValueError):
-        solve_at_energy(g, uniform_bc(g, "dirichlet"), 2.0, free_ends=[("zz", "init")])
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +423,12 @@ def test_weyl_count_on_fixtures():
 def _per_vertex_secular(g, bc, lam):
     """Independent builder: per-vertex trace maps and an eigh split of each P.
 
-    Returns M(lambda), the anomaly rows and, per vertex, the trace maps
-    (F, Fp) from the coefficients to the star-ordered values and inward
-    derivatives.
+    Returns M(lambda) and, per vertex, the trace maps (F, Fp) from the
+    coefficients to the star-ordered values and inward derivatives.
     """
     col = {e.id: 2 * i for i, e in enumerate(g.edges)}
     n = 2 * len(g.edges)
-    rows, anom_rows, maps = [], [], {}
+    rows, maps = [], {}
     for v in g.vertices:
         star = g.star(v)
         F = np.zeros((star.degree, n), dtype=complex)
@@ -468,10 +447,7 @@ def _per_vertex_secular(g, bc, lam):
         w, vecs = np.linalg.eigh(P)
         ker, ran = vecs[:, w < 0.5], vecs[:, w >= 0.5]
         rows += list(ran.conj().T @ F) + list(ker.conj().T @ (L @ F + Fp))
-        mix = P @ L @ (np.eye(star.degree) - P)
-        if np.linalg.norm(mix) > 1e-12 * max(1.0, float(np.linalg.norm(L))):
-            anom_rows += list(ran.conj().T @ (L @ F))
-    return np.array(rows), np.array(anom_rows).reshape(-1, n), maps
+    return np.array(rows), maps
 
 
 def _random_lp(rng, d, rank, mixing):
@@ -509,16 +485,13 @@ def test_compiled_system_matches_per_vertex_builder(name, g, bc):
     rng = np.random.default_rng(3)
     for lam in (-9.0, -1e-7, 0.0, 1e-7, 2.5, 40.0):
         sm = secular_matrix(g, bc, lam)
-        M_ref, A_ref, maps = _per_vertex_secular(g, bc, lam)
+        M_ref, maps = _per_vertex_secular(g, bc, lam)
         scale = max(1.0, float(np.max(np.abs(M_ref))))
-        assert np.allclose(sm.matrix, M_ref, rtol=0, atol=1e-13 * scale), (name, lam)
-        sv = np.linalg.svd(_row_normalize(sm.matrix), compute_uv=False)
+        assert np.allclose(sm, M_ref, rtol=0, atol=1e-13 * scale), (name, lam)
+        sv = np.linalg.svd(_row_normalize(sm), compute_uv=False)
         sv_ref = np.linalg.svd(_row_normalize(M_ref), compute_uv=False)
         assert np.max(np.abs(sv - sv_ref)) <= 1e-13, (name, lam)
         assert smallest_singular_value(g, bc, lam) == pytest.approx(sv_ref[-1], rel=0, abs=1e-13)
-        assert sm.anomaly.shape == A_ref.shape
-        a_scale = max(1.0, float(np.max(np.abs(A_ref), initial=0.0)))
-        assert np.allclose(sm.anomaly, A_ref, rtol=0, atol=1e-13 * a_scale), (name, lam)
         # edge-end traces of random coefficients x against F x and Fp x
         x = rng.standard_normal(M_ref.shape[1]) + 1j * rng.standard_normal(M_ref.shape[1])
         sol = SecularSolution(g, lam, {e.id: (x[2 * i], x[2 * i + 1]) for i, e in enumerate(g.edges)})
@@ -526,8 +499,7 @@ def test_compiled_system_matches_per_vertex_builder(name, g, bc):
             want = np.concatenate([maps[v][k] @ x for v in g.vertices])
             err = np.linalg.norm(np.concatenate([got[v] for v in g.vertices]) - want)
             assert err <= 1e-13 * np.linalg.norm(want), (name, lam, k)
-    assert (sm.anomaly.shape[0] > 0) == (name == "lp-mixing")
-    assert sm.anomaly_vertices == (("c",) if name == "lp-mixing" else ())
+    assert SecularSystem(g, bc).anomaly_vertices == (("c",) if name == "lp-mixing" else ())
 
 
 def test_scan_validates_once(monkeypatch):
