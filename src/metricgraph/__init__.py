@@ -54,7 +54,6 @@ from .graph import (
     is_connected,
     load_graph,
     point_on_edge,
-    segments,
     validate,
     vertex_distances,
 )

@@ -368,37 +368,6 @@ def ball_volume(g: MetricGraph, x0: Point, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# window enumeration
-# ---------------------------------------------------------------------------
-
-
-def segments(g: MetricGraph, max_len: float, step: float) -> list[EdgeSegment]:
-    """Sliding windows of width ``min(max_len, l(e))`` covering every edge.
-
-    Start offsets are multiples of ``step``; a final window flush with the far
-    end is added when the edge length is not an exact multiple.
-    """
-    if not (0 < step <= max_len):
-        raise ValueError("need 0 < step <= max_len")
-    out: list[EdgeSegment] = []
-    for e in g.edges:
-        if not e.is_finite:
-            raise ValueError(f"edge {e.id!r} has infinite length; truncate before windowing")
-        w = min(max_len, e.length)
-        starts = []
-        k = 0
-        while k * step <= e.length - w + 1e-12:
-            starts.append(k * step)
-            k += 1
-        last = e.length - w
-        if not starts or abs(starts[-1] - last) > 1e-12:
-            starts.append(last)
-        for a in starts:
-            out.append(EdgeSegment(e.id, a, a + w))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # connectivity
 # ---------------------------------------------------------------------------
 

@@ -48,6 +48,7 @@ SINGULAR_RTOL = 1e-8  # numerical rank of M(lambda), relative to its largest sin
 SCAN_POINTS = 600  # default sigma_min grid of eigenvalue_scan; it places cuts, not roots
 POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to max(1, lambda)
 CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
+MAX_KL = 300.0  # largest sqrt(-lambda) * l: e^600 ~ 4e260 leaves the squares in row norms and Gram matrices finite
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,7 @@ class SecularSystem:
         g.require_compact("the secular system")
         require_valid_bc(g, bc)
         self.lengths, init, term = _edge_ends(g)
+        self._longest = max(g.edges, key=lambda e: e.length)
         val: list[np.ndarray] = []
         der: list[np.ndarray] = []
         kers: list[np.ndarray] = []
@@ -204,9 +206,17 @@ class SecularSystem:
         self._k_init, self._k_term = K[init], K[term]
         self._kLk = _blocks(kLks)
 
+    def _basis(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """(c, s) at the edge lengths; raises :class:`RankAnomaly` before cosh/sinh can overflow."""
+        kl = math.sqrt(max(-lam, 0.0)) * self._longest.length
+        if kl > MAX_KL:
+            e = self._longest.id
+            raise RankAnomaly(f"the shooting basis overflows at lambda={lam}: sqrt(-lambda)*l = {kl:.6g} on edge {e!r}")
+        return basis_values(lam, self.lengths)
+
     def vertex_matrix(self, lam: float) -> np.ndarray:
         """The Hermitian D(lambda) = K^H (Lambda(lambda) - L) K; lambda off the decoupled energies."""
-        c, s = basis_values(lam, self.lengths)
+        c, s = self._basis(lam)
         a, b = (c / s)[:, None], (1.0 / s)[:, None]
         ki, kt = self._k_init, self._k_term
         return ki.conj().T @ (a * ki - b * kt) + kt.conj().T @ (a * kt - b * ki) - self._kLk
@@ -232,7 +242,7 @@ class SecularSystem:
 
     def matrix(self, lam: float) -> np.ndarray:
         """The square matrix M(lambda)."""
-        return _fill(self._rows, lam, *basis_values(lam, self.lengths))
+        return _fill(self._rows, lam, *self._basis(lam))
 
     def singular_values(self, lam: float) -> np.ndarray:
         """Singular values of the row-normalized M(lambda), descending."""
@@ -272,7 +282,7 @@ class SecularEigenvalue:
 
 
 class RankAnomaly(ValueError):
-    """M(lambda) contradicts the eigenvalue count, or its null vectors break the vertex conditions.
+    """M(lambda) contradicts the count, its null vectors break the vertex conditions, or its basis overflows.
 
     A failed check on valid input, not unusable input: the command line
     maps it to exit 1.  It stays a ``ValueError`` for library callers.

@@ -249,6 +249,32 @@ def test_lp_mixing_rank_anomaly_is_check_failure(tmp_path, capsys):
     assert err.startswith("error: rank anomaly") and "('c',)" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "length, bc, argv",
+    [
+        # sqrt(170000) = 412 on a unit edge: too deep for the scan's window start
+        (1.0, ({"delta": -400}, "dirichlet"),
+         ["expansion", "--modes", "2", "--mesh", "0.05", "--lambda-min", "-170000"]),
+        # the default window starts at lambda = -1, and the edge is 800 long
+        (800.0, ("neumann", "neumann"), ["spectrum", "--modes", "2", "--mesh", "1", "--lambda-max", "0.001"]),
+        (800.0, ("neumann", "neumann"), ["expansion", "--modes", "2", "--mesh", "1", "--lambda-max", "0.001"]),
+    ],
+    ids=["deep-delta-expansion", "long-neumann-spectrum", "long-neumann-expansion"],
+)
+def test_basis_overflow_is_one_error_line(tmp_path, length, bc, argv):
+    # a separate process, so no warning filter of the test session hides
+    # what numpy would print to stderr
+    g, b = write_interval(tmp_path, length=length, bc=bc)
+    env = {**os.environ, "PYTHONPATH": str(Path(metricgraph.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "metricgraph.cli", argv[0], "--graph", g, "--bc", b, *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: the shooting basis overflows at lambda=")
+
+
 @pytest.mark.parametrize("command", ["spectrum", "potential"])
 def test_arpack_no_convergence_is_check_failure(tmp_path, capsys, monkeypatch, command):
     import scipy.sparse.linalg
@@ -477,6 +503,21 @@ def test_non_finite_m_v_prints_one_error_line(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_well_m_v_is_the_exact_window_maximum(tmp_path, capsys):
+    # V = -1 on [0.35, 2.35] fills exactly one window of length 2u = 2,
+    # whose start lies off every multiple of u/10
+    g, b = write_interval(tmp_path, length=3.0)
+    code, report = run_and_parse(
+        capsys,
+        ["potential", "--graph", g, "--bc", b, "--potential", "well:e,0.35,2.35,1.0",
+         "--mesh", "0.01", "--modes", "3"],
+    )
+    assert code == 0
+    assert report["m_v"]["value"] == pytest.approx(math.sqrt(2.0), rel=0.0, abs=1e-12)
+    seg = report["m_v"]["segment"]
+    assert (seg["t0"], seg["t1"]) == pytest.approx((0.35, 2.35), rel=0.0, abs=1e-9)
 
 
 def test_potential_zero_reduces_to_unperturbed(tmp_path, capsys):

@@ -18,7 +18,6 @@ from metricgraph import (
     distance,
     graph_from_dict,
     point_on_edge,
-    segments,
     validate,
     vertex_distances,
 )
@@ -294,40 +293,8 @@ def test_ball_volume_matches_interval_union(gx, extra_radii):
 
 
 # ---------------------------------------------------------------------------
-# segments
+# edge segments
 # ---------------------------------------------------------------------------
-
-
-def test_segments_window_equals_edge():
-    segs = segments(interval_graph(2.0), 2.0, 1.0)
-    assert [(s.t0, s.t1) for s in segs] == [(0.0, 2.0)]
-
-
-def test_segments_enumeration():
-    segs = segments(interval_graph(3.0), 2.0, 1.0)
-    assert [(s.t0, s.t1) for s in segs] == [(0.0, 2.0), (1.0, 3.0)]
-
-
-def test_segments_clipped_to_short_edge():
-    segs = segments(interval_graph(1.0), 2.0, 1.0)
-    assert [(s.t0, s.t1) for s in segs] == [(0.0, 1.0)]
-
-
-def test_segments_cover_edge_with_fractional_length():
-    g = interval_graph(3.5)
-    segs = segments(g, 2.0, 1.0)
-    assert segs[-1].t1 == pytest.approx(3.5)
-    covered = 0.0
-    for s in sorted(segs, key=lambda s: s.t0):
-        assert s.t0 <= covered + 1e-12
-        covered = max(covered, s.t1)
-    assert covered == pytest.approx(3.5)
-
-
-def test_segments_reject_infinite_edges():
-    g = MetricGraph(("v",), (Edge("e", math.inf, "v", None),), 1.0)
-    with pytest.raises(ValueError):
-        segments(g, 2.0, 1.0)
 
 
 def test_edge_segment_needs_positive_length():

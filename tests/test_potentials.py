@@ -19,7 +19,6 @@ from metricgraph import (
     parse_potential_expr,
     perturbed_eigen_report,
     save_potential_csv,
-    segments,
     uniform_bc,
     uniform_l2_norm,
 )
@@ -76,12 +75,18 @@ def _long_grid3():
     return MetricGraph(tuple(v for row in vid for v in row), edges, 1.0)
 
 
+def _window_integral(ts, v2, t0, t1):
+    """V^2 over [t0, t1], summed cell by cell as (trapezoid cell integral) x (share of the cell covered)."""
+    h = ts[1] - ts[0]
+    covered = np.clip(np.minimum(t1, ts[1:]) - np.maximum(t0, ts[:-1]), 0.0, None)
+    return float(np.sum(0.5 * h * (v2[1:] + v2[:-1]) * covered / h))
+
+
 @pytest.mark.parametrize("name", ["star", "grid"])
 def test_mv_is_the_max_over_graph_segments(name):
-    # brute force: every window of graph.segments, its V^2 integral summed
-    # cell by cell as (trapezoid cell integral) x (share of the cell covered).
-    # A plateau of width 2u from t = 0.3 (three steps) on the first edge sits
-    # whole in one window only, so every window start must be tried.
+    # brute force: 2,001 window starts of maximal length on every edge.  A
+    # plateau of width 2u from t = 0.3 on the first edge sits whole in one
+    # window only, and the rough part makes its neighbours differ.
     g = star_graph(5, length=2.7) if name == "star" else _long_grid3()
     rng = np.random.default_rng(8)
     first = g.edges[0].id
@@ -90,17 +95,16 @@ def test_mv_is_the_max_over_graph_segments(name):
         return rng.uniform(-1.0, 1.0, ts.shape) + np.where((eid == first) & (ts >= 0.3) & (ts <= 2.3), 6.0, 0.0)
 
     V = Potential.from_callable(g, H, rough)
-    best, best_seg = -1.0, None
-    for seg in segments(g, 2.0 * g.u, g.u / 10.0):
-        ts, v2 = edge_grid(g, seg.edge, H), np.asarray(V.values[seg.edge]) ** 2
-        h = ts[1] - ts[0]
-        covered = np.clip(np.minimum(seg.t1, ts[1:]) - np.maximum(seg.t0, ts[:-1]), 0.0, None)
-        val = float(np.sum(0.5 * h * (v2[1:] + v2[:-1]) * covered / h))
-        if val > best:
-            best, best_seg = val, seg
     out = uniform_l2_norm(g, V)
-    assert out.M == pytest.approx(math.sqrt(best), rel=1e-12)
-    assert out.segment == best_seg
+    for e in g.edges:
+        ts, v2 = edge_grid(g, e.id, H), np.asarray(V.values[e.id]) ** 2
+        w = min(2.0 * g.u, e.length)
+        for t0 in np.linspace(0.0, e.length - w, 2001):
+            assert out.M**2 >= _window_integral(ts, v2, t0, t0 + w) * (1.0 - 1e-12)
+    seg = out.segment
+    assert seg.length == pytest.approx(2.0 * g.u, rel=1e-12)
+    v2 = np.asarray(V.values[seg.edge]) ** 2
+    assert out.M**2 == pytest.approx(_window_integral(edge_grid(g, seg.edge, H), v2, seg.t0, seg.t1), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

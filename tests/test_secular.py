@@ -228,6 +228,16 @@ def test_count_matches_closed_form_spectra():
     assert [interval.count(lam) for lam in (0.5, 1.5, 8.9, 9.1)] == [0, 1, 2, 3]
 
 
+def test_count_raises_where_the_basis_would_overflow():
+    # cosh(sqrt(-lambda) l) overflows on a Neumann interval of length 800 at
+    # lambda = -1, which leaves D(lambda) all NaN: no count may come from it
+    g = interval_graph(800.0)
+    system = SecularSystem(g, uniform_bc(g, "neumann"))
+    with pytest.raises(secular.RankAnomaly, match=r"lambda=-1.0: sqrt\(-lambda\)\*l = 800 on edge 'e'"):
+        system.count(-1.0)
+    assert system.count(-0.01) == 0
+
+
 def test_rank_drop_disagreeing_with_the_count_is_an_anomaly(monkeypatch):
     g = interval_graph(math.pi)
     monkeypatch.setattr(secular, "_null_space", lambda M: np.zeros((M.shape[1], 0)))
