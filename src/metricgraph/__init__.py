@@ -71,7 +71,6 @@ from .potentials import (
 from .secular import (
     SecularEigenvalue,
     SecularSolution,
-    basis_at,
     basis_gram,
     basis_values,
     eigenfunction,

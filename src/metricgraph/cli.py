@@ -33,7 +33,7 @@ EXIT_INPUT_ERROR = 2
 
 
 def _json_dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(args: argparse.Namespace, name: str, report: dict) -> None:
@@ -310,22 +310,29 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 # every flag once, as add_argument keywords; each command lists the flags it reads
 FLAGS: dict[str, dict] = {
     "--graph": {"required": True, "help": "graph description JSON"},
     "--bc": {"required": True, "help": "boundary-condition JSON"},
     "--out": {"help": "directory for reports and CSV exports"},
-    "--mesh": {"type": float, "default": 0.02, "help": "grid width h_max"},
+    "--mesh": {"type": finite_float, "default": 0.02, "help": "grid width h_max"},
     "--modes": {"type": positive_int, "default": 8},
-    "--lambda-min": {"type": float, "help": "scan start (default 1/2 - C - 1, below the proven bound 1/2 - C)"},
-    "--lambda-max": {"type": float, "default": 50.0},
-    "--tol": {"type": float, "default": 1e-6, "help": "largest accepted weak residual"},
+    "--lambda-min": {"type": finite_float, "help": "scan start (default 1/2 - C - 1, below the proven bound 1/2 - C)"},
+    "--lambda-max": {"type": finite_float, "default": 50.0},
+    "--tol": {"type": finite_float, "default": 1e-6, "help": "largest accepted weak residual"},
     "--seed": {"type": int, "default": 0},
-    "--weight-eps": {"type": float, "default": 1.0},
+    "--weight-eps": {"type": finite_float, "default": 1.0},
     "--weight-base": {"help": "vertex id or edge:t"},
-    "--hs-c": {"type": float, "help": "shift C in (C + H)^-1/2"},
+    "--hs-c": {"type": finite_float, "help": "shift C in (C + H)^-1/2"},
     "--check-file": {"help": "function CSV to test"},
-    "--check-lambda": {"type": float},
+    "--check-lambda": {"type": finite_float},
     "--potential": {"required": True, "help": "CSV path or const:c / well:edge,t0,t1,d"},
 }
 _INPUTS = ("--graph", "--bc", "--out")

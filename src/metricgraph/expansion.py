@@ -307,10 +307,12 @@ def hs_norm_sq(
     energy: each missing mode contributes at most
     ``(C + lambda)^-1 sup(1/w)^2``, and the leading eigenvalue count
     ``N(lambda) ~ total_length sqrt(lambda)/pi`` turns the sum over missing
-    modes into an explicit arctangent integral.
+    modes into an explicit arctangent integral, finite only for C > 0.
     """
     if not rep.modes:
         raise ValueError("spectral representation has no modes")
+    if not C > 0:
+        raise ValueError(f"the tail bound needs C > 0, got C={C}")
     lam_min = min(lam for lam, _ in rep.eigenvalues)
     if C + lam_min <= 0:
         raise ValueError(f"need C + lambda_min > 0, got C={C}, lambda_min={lam_min}")
@@ -323,13 +325,7 @@ def hs_norm_sq(
     n_modes = len(rep.modes)
     L = rep.graph.total_length
     lam_cut = ((n_modes + 0.5) * math.pi / L) ** 2
-    tail = (
-        inverse_sup**2
-        * (L / (math.pi * math.sqrt(C)))
-        * (math.pi / 2.0 - math.atan(math.sqrt(max(lam_cut, 0.0) / C)))
-        if C > 0
-        else float("inf")
-    )
+    tail = inverse_sup**2 * (L / (math.pi * math.sqrt(C))) * (math.pi / 2.0 - math.atan(math.sqrt(lam_cut / C)))
     return HilbertSchmidtReport(float(np.sum(terms)), float(tail), tuple(terms.tolist()))
 
 
@@ -550,7 +546,6 @@ def _quadrature(
     g: MetricGraph, tests: tuple[TestFunction, ...], potential: GridFunction | None, cut_meshes: Sequence[float]
 ) -> CompiledBattery:
     """Gauss nodes of every piece, values of all pieces of one kind at once."""
-    edge_index = {e.id: j for j, e in enumerate(g.edges)}
     cuts: dict[EdgeId, np.ndarray | None] = {}
     pieces: dict[bool, list] = {True: [], False: []}  # keyed by "is a bump"
     for i, test in enumerate(tests):
@@ -562,7 +557,7 @@ def _quadrature(
                     else None
                 )
             ts, ws = _gl_panels(t0, t1, cuts[eid])
-            pieces[isinstance(test, BumpTest)].append((edge_index[eid], i, ts, ws, shape))
+            pieces[isinstance(test, BumpTest)].append((g.edge_index[eid], i, ts, ws, shape))
     parts = []  # per kind of test, over all its nodes: edge index, owner, t, w, f, f''
     for is_bump, group in pieces.items():
         if not group:
@@ -629,25 +624,22 @@ def generalized_eigenfunction_residual(
     phi,
     lam: float,
     tests: Sequence[TestFunction] | None = None,
-    potential: GridFunction | None = None,
 ) -> ResidualReport:
     """max over tests of |<H f, phi> - lambda <f, phi>| / ||f||.
 
-    ``H f`` is ``-f''`` (plus ``V f`` when a potential is given) with the
-    test's analytic second derivative.  Integrals use Gauss-Legendre panels
-    aligned with the smooth pieces of each test AND with the grid cells of
-    phi and the potential when those are nodal data, so exact eigenfunctions
-    score residuals at quadrature noise level and rough potentials are
-    integrated consistently with their interpolants.  Interior bumps probe
-    the differential equation; star tests probe the vertex conditions
-    through the boundary terms of integration by parts.  Tests that do not
-    satisfy the vertex conditions are rejected.
+    ``H f`` is ``-f''`` with the test's analytic second derivative.
+    Integrals use Gauss-Legendre panels aligned with the smooth pieces of
+    each test AND with the grid cells of phi when it is nodal data, so exact
+    eigenfunctions score residuals at quadrature noise level.  Interior
+    bumps probe the differential equation; star tests probe the vertex
+    conditions through the boundary terms of integration by parts.  Tests
+    that do not satisfy the vertex conditions are rejected.
 
     A one-mode call of :func:`compile_battery`; to check many modes, compile
     once and call :meth:`CompiledBattery.residuals`.
     """
-    cut_meshes = [f.h_max for f in (phi, potential) if isinstance(f, GridFunction)]
-    battery = compile_battery(g, bc, tests, potential, cut_meshes)
+    cut_meshes = [phi.h_max] if isinstance(phi, GridFunction) else []
+    battery = compile_battery(g, bc, tests, None, cut_meshes)
     return battery.residuals([phi], [lam])[0]
 
 

@@ -63,7 +63,7 @@ class Mesh:
         grids = [edge_grid(graph, e.id, h_max) for e in graph.edges]
         sizes = np.array([ts.size for ts in grids])
         self.graph, self.h_max = graph, h_max
-        self.index = {e.id: k for k, e in enumerate(graph.edges)}
+        self.index = graph.edge_index
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.widths = np.array([ts[1] - ts[0] for ts in grids])
         self.nodes = np.concatenate(grids)

@@ -100,9 +100,6 @@ class VertexStar:
     def degree(self) -> int:
         return len(self.slots)
 
-    def index(self, edge_id: EdgeId, end: str) -> int:
-        return self.slots.index((edge_id, end))
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -129,6 +126,11 @@ class MetricGraph:
     @cached_property
     def _edge_map(self) -> dict[EdgeId, Edge]:
         return {e.id: e for e in self.edges}
+
+    @cached_property
+    def edge_index(self) -> dict[EdgeId, int]:
+        """Position k of each edge in ``edges``: the order of every per-edge array."""
+        return {e.id: k for k, e in enumerate(self.edges)}
 
     @cached_property
     def _stars(self) -> dict[VertexId, VertexStar]:
@@ -209,7 +211,7 @@ def validate(g: MetricGraph) -> list[Violation]:
         if e.is_finite:
             if e.end is None:
                 out.append(Violation("endpoint", str(e.id), f"finite edge {e.id!r} is missing its end vertex"))
-            elif e.end not in g.vertices:
+            elif e.end not in seen_v:
                 out.append(Violation("endpoint", str(e.id), f"edge {e.id!r}: unknown end vertex {e.end!r}"))
         elif e.end is not None:
             out.append(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -77,12 +77,6 @@ def basis_values(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(w * t), np.sin(w * t) / w
     k = math.sqrt(-lam)
     return np.cosh(k * t), np.sinh(k * t) / k
-
-
-def basis_at(lam: float, t: float) -> tuple[float, float, float, float]:
-    """(c, s, c', s') at a single arc length."""
-    c, s = basis_values(lam, np.array([t]))
-    return float(c[0]), float(s[0]), float(-lam * s[0]), float(c[0])
 
 
 def basis_gram(lam: float, length: float) -> np.ndarray:
@@ -140,7 +134,7 @@ def _edge_columns(a: np.ndarray, b: np.ndarray, init: np.ndarray, term: np.ndarr
 
 
 def _fill(cols: tuple[np.ndarray, ...], lam: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate compiled rows on the coefficients (alpha_e, beta_e) at lambda.
+    """Evaluate compiled rows on the column layout (alpha_e, beta_e) at lambda.
 
     The initial end of edge e has traces (alpha, beta) = (f(0), f'(0)); the
     terminal end has value ``c alpha + s beta`` and inward derivative
@@ -244,10 +238,6 @@ class SecularSystem:
         """The square matrix M(lambda)."""
         return _fill(self._rows, lam, *self._basis(lam))
 
-    def singular_values(self, lam: float) -> np.ndarray:
-        """Singular values of the row-normalized M(lambda), descending."""
-        return np.linalg.svd(_row_normalized(self.matrix(lam)), compute_uv=False)
-
 
 def secular_matrix(g: MetricGraph, bc: BoundaryCondition, lam: float) -> np.ndarray:
     """M(lambda) of (g, bc), compiled for this one energy."""
@@ -266,7 +256,8 @@ def smallest_singular_value(
     g: MetricGraph, bc: BoundaryCondition, lam: float, system: SecularSystem | None = None
 ) -> float:
     """sigma_min of the row-normalized M(lambda); ``system`` is (g, bc) compiled."""
-    return float((system or SecularSystem(g, bc)).singular_values(lam)[-1])
+    M = (system or SecularSystem(g, bc)).matrix(lam)
+    return float(np.linalg.svd(_row_normalized(M), compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -446,27 +437,31 @@ def eigenvalue_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecularSolution:
-    """Exact solution ``f_e = alpha_e c + beta_e s`` at a fixed energy."""
+    """Exact solution ``f_e = alpha_e c + beta_e s`` at a fixed energy.
+
+    ``x`` is a null vector of M(lambda) in its column layout: the complex
+    pairs (alpha_e, beta_e) edge by edge in ``graph.edges`` order, so edge k
+    owns ``x[2k]`` and ``x[2k + 1]`` (k from ``graph.edge_index``).
+    """
 
     graph: MetricGraph
     lam: float
-    coefficients: Mapping[EdgeId, tuple[complex, complex]]
+    x: np.ndarray
 
     def evaluate(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
-        a, b = self.coefficients[edge_id]
+        k = self.graph.edge_index[edge_id]
         c, s = basis_values(self.lam, t)
-        return a * c + b * s
+        return self.x[2 * k] * c + self.x[2 * k + 1] * s
 
     def trace_values(self) -> tuple[dict[VertexId, np.ndarray], dict[VertexId, np.ndarray]]:
         """Exact star-ordered boundary vectors (values, inward derivatives).
 
         The slot map of M(lambda), :func:`_fill`, applied to identity rows.
         """
-        g = self.graph
+        g, x = self.graph, self.x
         lengths, init, term = _edge_ends(g)
-        x = np.array([ab for e in g.edges for ab in self.coefficients[e.id]], dtype=complex)
         eye, zero = np.eye(x.size), np.zeros((x.size, x.size))
         c, s = basis_values(self.lam, lengths)
         vals, ders = (_fill(_edge_columns(a, b, init, term), self.lam, c, s) @ x for a, b in ((eye, zero), (zero, eye)))
@@ -479,27 +474,16 @@ class SecularSolution:
         return max((bc.vertex_residual(v, vals[v], ders[v]) for v in self.graph.vertices), default=0.0)
 
     def l2_norm_sq(self) -> float:
-        total = 0.0
-        for e in self.graph.edges:
-            a, b = self.coefficients[e.id]
-            u = np.array([a, b])
-            G = basis_gram(self.lam, e.length)
-            total += float(np.real(u.conj() @ G @ u))
-        return total
+        return float(np.real(self.x.conj() @ _gram(self.graph, self.lam) @ self.x))
 
 
-def _coeff_columns_to_solutions(g: MetricGraph, lam: float, X: np.ndarray) -> list[SecularSolution]:
-    sols = []
-    for j in range(X.shape[1]):
-        coeffs = {}
-        for i, e in enumerate(g.edges):
-            coeffs[e.id] = (complex(X[2 * i, j]), complex(X[2 * i + 1, j]))
-        sols.append(SecularSolution(g, lam, coeffs))
-    return sols
+def _gram(g: MetricGraph, lam: float) -> np.ndarray:
+    """The L2 Gram matrix of the coefficient layout: one exact 2x2 block per edge."""
+    return _blocks(basis_gram(lam, e.length) for e in g.edges)
 
 
 def _orthonormalize(g: MetricGraph, lam: float, X: np.ndarray) -> np.ndarray:
-    gram = X.conj().T @ _blocks(basis_gram(lam, e.length) for e in g.edges) @ X
+    gram = X.conj().T @ _gram(g, lam) @ X
     gram = 0.5 * (gram + gram.conj().T)
     w, U = np.linalg.eigh(gram)
     keep = w > 1e-12 * max(w[-1], 1e-300)
@@ -528,17 +512,19 @@ def eigenfunction(
 ) -> list[SecularSolution]:
     """L2-orthonormal basis of exact eigenfunctions at an accepted energy.
 
-    Raises if M(lambda) is not numerically rank deficient there.  Null
-    vectors that fail the verbatim vertex conditions (possible when L maps
-    ker P into ran P) are discarded with a rank-anomaly error rather than
-    projected away.  ``system`` is (g, bc) compiled, to share across roots.
+    Each is a :class:`SecularSolution` holding an orthonormalized null
+    vector of M(lambda).  Raises if M(lambda) is not numerically rank
+    deficient there.  Null vectors that fail the verbatim vertex conditions
+    (possible when L maps ker P into ran P) are discarded with a
+    rank-anomaly error rather than projected away.  ``system`` is (g, bc)
+    compiled, to share across roots.
     """
     system = system or SecularSystem(g, bc)
     null = _null_space(system.matrix(lam))
     if null.shape[1] == 0:
-        raise ValueError(f"lambda={lam} is not an eigenvalue (sigma_min={system.singular_values(lam)[-1]:.3e})")
-    X = _orthonormalize(g, lam, null)
-    sols = _coeff_columns_to_solutions(g, lam, X)
+        sigma = smallest_singular_value(g, bc, lam, system)
+        raise ValueError(f"lambda={lam} is not an eigenvalue (sigma_min={sigma:.3e})")
+    sols = [SecularSolution(g, lam, x) for x in _orthonormalize(g, lam, null).astype(complex).T]
     kept = [s for s in sols if s.vertex_residual(bc) <= 100 * SINGULAR_RTOL]
     if len(kept) < len(sols):
         raise RankAnomaly(

@@ -194,9 +194,8 @@ def test_criterion_06_vertex_conditions():
     bc = uniform_bc(g, "kirchhoff")
     lam = math.pi**2
     base = eigenfunction(g, bc, lam)[0]
-    broken = dict(base.coefficients)
-    a, b = broken["e1"]
-    broken["e1"] = (a, b + 0.5)
+    broken = base.x.copy()
+    broken[2 * g.edge_index["e1"] + 1] += 0.5
     kink_resid = generalized_eigenfunction_residual(
         g, bc, SecularSolution(g, lam, broken), lam
     ).max_residual

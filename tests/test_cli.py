@@ -39,10 +39,14 @@ def load_schema(name):
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
 
 
+def _reject_non_finite(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
 def run_and_parse(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_non_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,25 @@ def test_spectrum_neumann_zero_mode(tmp_path, capsys):
     assert abs(report["eigenvalues"][0]["fem"]) < 1e-8
 
 
+def test_spectrum_where_two_decoupled_energies_differ_by_rounding(tmp_path, capsys):
+    # Dirichlet-tip star with rays 1.1, 3.3 and 1.7: (pi/1.1)^2 = (3 pi/3.3)^2
+    # comes out as two floats, which share one pole band
+    rays = {"e1": 1.1, "e2": 3.3, "e3": 1.7}
+    gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
+    gpath.write_text(json.dumps({
+        "u": 1.0,
+        "vertices": ["c", "t1", "t2", "t3"],
+        "edges": [{"id": e, "length": l, "from": "c", "to": "t" + e[1:]} for e, l in rays.items()],
+    }))
+    bpath.write_text(json.dumps({"c": "kirchhoff", "t1": "dirichlet", "t2": "dirichlet", "t3": "dirichlet"}))
+    code, _ = run_and_parse(
+        capsys,
+        ["spectrum", "--graph", str(gpath), "--bc", str(bpath), "--mesh", "0.01", "--modes", "8",
+         "--lambda-max", "20"],
+    )
+    assert code == 0
+
+
 def test_spectrum_rejects_infinite_edges(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     bpath = tmp_path / "bc.json"
@@ -273,6 +296,26 @@ def test_basis_overflow_is_one_error_line(tmp_path, length, bc, argv):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: the shooting basis overflows at lambda=")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--hs-c", "0"], ["--hs-c", "-0.5"], ["--hs-c", "nan"], ["--tol", "nan"]],
+    ids=["hs-c-zero", "hs-c-negative", "hs-c-nan", "tol-nan"],
+)
+def test_non_finite_or_unbounded_input_is_a_usage_error(tmp_path, flags):
+    # C <= 0 makes the HS tail infinite and a NaN flag would reach the
+    # report; both are unusable input, and no report may hold NaN/Infinity
+    g, b = write_interval(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(metricgraph.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "metricgraph.cli", "expansion", "--graph", g, "--bc", b,
+         "--mesh", "0.05", "--modes", "2", *flags],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["spectrum", "potential"])

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricgraph import (
+    Edge,
     EdgePoint,
     GridFunction,
+    MetricGraph,
     VertexPoint,
     cutoff,
     distance,
@@ -249,6 +251,30 @@ def test_cutoff_smoothness_c2():
     n = ts.size
     second = (vals[:n] - 2 * vals[n : 2 * n] + vals[2 * n :]) / h**2
     assert np.max(np.abs(second)) <= (1 + 4 / g.u) ** 2 + 1.0
+
+
+@pytest.mark.parametrize(
+    "base, n",
+    [("a", 3.2), ("a", 0.5), ("d", 3.2), (("e2", 1.0), 1.7), (("e2", 1.0), 2.6)],
+    ids=["a-3.2", "a-0.5", "d-3.2", "e2-1.7", "e2-2.6"],
+)
+def test_cutoff_mirrors_when_every_edge_is_reversed(base, n):
+    # reversing an edge swaps which end is initial, so the ramp-down and
+    # ramp-up placements must give the same profile read from the other end
+    lengths = {"e1": 2.0, "e2": 3.0, "e3": 2.5}
+    ends = {"e1": ("a", "b"), "e2": ("b", "c"), "e3": ("c", "d")}
+    verts = ("a", "b", "c", "d")
+    fwd = MetricGraph(verts, tuple(Edge(e, l, *ends[e]) for e, l in lengths.items()), 1.0)
+    rev = MetricGraph(verts, tuple(Edge(e, l, *ends[e][::-1]) for e, l in lengths.items()), 1.0)
+    if isinstance(base, tuple):
+        eid, t = base
+        x_fwd, x_rev = EdgePoint(eid, t), EdgePoint(eid, lengths[eid] - t)
+    else:
+        x_fwd = x_rev = VertexPoint(base)
+    psi, psi_rev = cutoff(fwd, x_fwd, n), cutoff(rev, x_rev, n)
+    for eid, l in lengths.items():
+        ts = np.linspace(0.0, l, 401)
+        assert np.max(np.abs(psi_rev.value(eid, l - ts) - psi.value(eid, ts))) <= 1e-12, eid
 
 
 # ---------------------------------------------------------------------------
