@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .boundary import BoundaryCondition, lp_mixing
 from .functions import GridFunction, Mesh, _smoothstep, _smoothstep_d1, _smoothstep_d2, edge_grid, inner
@@ -473,9 +472,11 @@ class CompiledBattery:
     """A checked test battery as quadrature data, independent of the mode.
 
     Per edge, the Gauss nodes of every test piece on it; per node ``hf`` =
-    ``w (-f'' + V f)``, ``wf`` = ``w f`` and, in ``owner`` (tests x nodes, one
-    1 per column), the test it belongs to.  Nodes are stored edge by edge in
-    the order of ``edges``.  Storage is O(nodes).
+    ``w (-f'' + V f)``, ``wf`` = ``w f`` and, in ``owner``, the index of the
+    test it belongs to.  Nodes are stored edge by edge in the order of
+    ``edges``, the nodes of one piece in increasing t.  Storage is O(nodes).
+    Nodal modes read these data as P1 load vectors, other modes are
+    evaluated at the nodes (:meth:`residual_matrix`).
     """
 
     graph: MetricGraph
@@ -484,7 +485,7 @@ class CompiledBattery:
     edges: tuple[tuple[EdgeId, np.ndarray], ...]
     hf: np.ndarray
     wf: np.ndarray
-    owner: scipy.sparse.csr_matrix
+    owner: np.ndarray
     norms: np.ndarray
 
     def with_cuts(self, cut_meshes: Sequence[float]) -> "CompiledBattery":
@@ -494,21 +495,48 @@ class CompiledBattery:
     def residual_matrix(self, phis: Sequence, lams: Sequence[float]) -> np.ndarray:
         """|<H f, phi> - lambda <f, phi>| / ||f||, tests x modes.
 
-        One evaluation of each phi per edge, then one sparse reduction over
-        all modes at once.
+        When every phi is nodal data on one mesh, the pairing is linear in
+        the nodal values: each test meets the modes through its P1 load
+        vectors ``int (-f'' + V f) psi_i`` and ``int f psi_i`` against the
+        hat functions psi_i (:meth:`_load_sums`).  Any other list of modes is
+        evaluated once per edge at the Gauss nodes and reduced per test.
         """
-        evals = [phi.evaluate for phi in phis]
         lams = np.asarray(lams, dtype=float)
-        sums = np.zeros((len(self.tests), len(evals)), dtype=complex)
-        if self.edges and evals:
+        if not (self.edges and len(phis)):
+            sums = np.zeros((len(self.tests), len(phis)), dtype=complex)
+        elif all(isinstance(phi, GridFunction) and phi.grid == phis[0].grid for phi in phis):
+            sums = self._load_sums(phis[0].grid, np.stack([phi.data for phi in phis], axis=1), lams)
+        else:
             conj_phi = np.conj(
-                np.concatenate([np.stack([ev(eid, ts) for ev in evals], axis=1) for eid, ts in self.edges])
+                np.concatenate([np.stack([phi.evaluate(eid, ts) for phi in phis], axis=1) for eid, ts in self.edges])
             )
-            sums = self.owner @ ((self.hf[:, None] - self.wf[:, None] * lams[None, :]) * conj_phi)
+            terms = (self.hf[:, None] - self.wf[:, None] * lams[None, :]) * conj_phi
+            sums = _sum_by(self.owner, terms, len(self.tests))
         positive = self.norms > 0
         res = np.zeros(sums.shape)
         res[positive] = np.abs(sums[positive]) / self.norms[positive, None]
         return res
+
+    def _load_sums(self, mesh: Mesh, Phi: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """``(H - lambda F) conj(Phi)`` for the nodal values ``Phi`` (mesh nodes x modes).
+
+        Each Gauss node splits its ``hf`` and ``wf`` onto the two hat
+        functions of its mesh cell with the weights ``1 - theta`` and
+        ``theta`` of linear interpolation.  The nodes of one test piece run
+        along the edge, so the shares of one (test, cell) pair are
+        consecutive and merge into one entry of the load matrices H and F.
+        """
+        t = np.concatenate([ts for _, ts in self.edges])
+        k = np.repeat([mesh.index[eid] for eid, _ in self.edges], [ts.size for _, ts in self.edges])
+        cell = np.clip(np.floor(t / mesh.widths[k]).astype(int), 0, np.diff(mesh.offsets)[k] - 2)
+        theta = t / mesh.widths[k] - cell
+        left = mesh.offsets[k] + cell
+        runs = np.flatnonzero(np.r_[True, (left[1:] != left[:-1]) | (self.owner[1:] != self.owner[:-1])])
+        H0, H1, F0, F1 = (np.add.reduceat(x * w, runs) for x in (self.hf, self.wf) for w in (1.0 - theta, theta))
+        conj_phi, left = np.conj(Phi), left[runs]
+        terms = (H0[:, None] - F0[:, None] * lams) * conj_phi[left]
+        terms += (H1[:, None] - F1[:, None] * lams) * conj_phi[left + 1]
+        return _sum_by(self.owner[runs], terms, len(self.tests))
 
     def residuals(self, phis: Sequence, lams: Sequence[float]) -> list[ResidualReport]:
         """One :class:`ResidualReport` per mode (phi, lambda)."""
@@ -517,6 +545,15 @@ class CompiledBattery:
             ResidualReport(float(np.max(col, initial=0.0)), tuple(zip(labels, col.tolist())))
             for col in self.residual_matrix(phis, lams).T
         ]
+
+
+def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """Complex column sums of ``terms`` (rows x columns) grouped by the row ``index``, in row order."""
+    sums = np.zeros((n, terms.shape[1]), dtype=complex)
+    for m, col in enumerate(terms.T):
+        sums.real[:, m] = np.bincount(index, col.real, n)
+        sums.imag[:, m] = np.bincount(index, col.imag, n)
+    return sums
 
 
 def _pieces(g: MetricGraph, test: TestFunction):
@@ -547,6 +584,8 @@ def _quadrature(
 ) -> CompiledBattery:
     """Gauss nodes of every piece, values of all pieces of one kind at once."""
     cuts: dict[EdgeId, np.ndarray | None] = {}
+    # per (edge, t0, t1): the star tests at a vertex share the pieces of each slot
+    panels: dict[tuple[EdgeId, float, float], tuple[np.ndarray, np.ndarray]] = {}
     pieces: dict[bool, list] = {True: [], False: []}  # keyed by "is a bump"
     for i, test in enumerate(tests):
         for eid, t0, t1, shape in _pieces(g, test):
@@ -556,7 +595,9 @@ def _quadrature(
                     if cut_meshes
                     else None
                 )
-            ts, ws = _gl_panels(t0, t1, cuts[eid])
+            if (eid, t0, t1) not in panels:
+                panels[eid, t0, t1] = _gl_panels(t0, t1, cuts[eid])
+            ts, ws = panels[eid, t0, t1]
             pieces[isinstance(test, BumpTest)].append((g.edge_index[eid], i, ts, ws, shape))
     parts = []  # per kind of test, over all its nodes: edge index, owner, t, w, f, f''
     for is_bump, group in pieces.items():
@@ -586,9 +627,8 @@ def _quadrature(
             edges.append((e.id, t[sl]))
             if potential is not None:  # nodal data, interpolated on its own mesh
                 hf[sl] += potential.grid.interpolate(potential.data, e.id, t[sl]) * f[sl]
-    owner = scipy.sparse.csr_matrix((np.ones(t.size), (owner_idx, np.arange(t.size))), shape=(len(tests), t.size))
     norms = np.sqrt(np.bincount(owner_idx, weights=w * np.abs(f) ** 2, minlength=len(tests)))
-    return CompiledBattery(g, tests, potential, tuple(edges), w * hf, w * f, owner, norms)
+    return CompiledBattery(g, tests, potential, tuple(edges), w * hf, w * f, owner_idx, norms)
 
 
 def compile_battery(

@@ -238,7 +238,60 @@ def test_perturbed_report_checks_battery_once(monkeypatch):
     assert len(rep.modes) == 4
     assert len(builds) == 1
     assert len(checks) == n_tests and len(set(checks)) == n_tests
-    assert len(evals) == 4 * len(g.edges)  # one phi evaluation per edge per mode
+    assert evals == []  # nodal modes enter only through their data
+
+
+def _reference_bound(r, size, n):
+    """The bound of :func:`test_compiled_battery_matches_reference_loop` for one entry."""
+    u = 2.0**-53
+    return 1e-9 * r + (2.0 * n * u / (1.0 - n * u) + 8.0 * u) * size
+
+
+def _count_evaluations(monkeypatch):
+    evals = []
+    evaluate = GridFunction.evaluate
+    monkeypatch.setattr(GridFunction, "evaluate", lambda f, *a: evals.append(1) or evaluate(f, *a))
+    return evals
+
+
+@pytest.mark.parametrize("name", ["general-lp-star", "grid4-well"])
+def test_mixed_mode_list_takes_the_gauss_node_path(name, monkeypatch):
+    [(_, g, bc, rep, es, V, h)] = [c for c in CASES if c[0] == name]
+    if es is not None:
+        nodal, lams = es.grid_functions(), list(es.eigenvalues)
+    else:
+        nodal, lams = [m.phi for m in rep.modes], [m.lam for m in rep.modes]
+    exact, exact_lam = rep.modes[0].exact, rep.modes[0].lam
+    cuts = (h,) + ((V.h_max,) if V is not None else ())
+    battery = compile_battery(g, bc, potential=V, cut_meshes=cuts)
+    pure = battery.residual_matrix(nodal, lams)
+    alone = battery.residual_matrix([exact], [exact_lam])
+    evals = _count_evaluations(monkeypatch)
+    mixed = battery.residual_matrix(nodal + [exact], lams + [exact_lam])
+    assert len(evals) == len(nodal) * len(battery.edges)
+    assert np.array_equal(mixed[:, -1], alone[:, 0])
+    monkeypatch.undo()
+    for m, (phi, lam) in enumerate(zip(nodal, lams)):
+        ref = reference_residuals(g, bc, battery.tests, phi, lam, V, cuts)
+        for i, (r, size, n) in enumerate(ref):
+            assert abs(mixed[i, m] - pure[i, m]) <= _reference_bound(r, size, n), (battery.tests[i].label, m)
+
+
+def test_modes_on_two_meshes_take_the_gauss_node_path(monkeypatch):
+    [(_, g, bc, rep, _, _, h)] = [c for c in CASES if c[0] == "general-lp-star"]
+    coarse = 2.0 * h
+    modes = rep.modes[:3]
+    phis = [m.phi for m in modes] + [GridFunction.from_callable(g, coarse, m.exact.evaluate) for m in modes]
+    lams = [m.lam for m in modes] * 2
+    battery = compile_battery(g, bc, cut_meshes=(h, coarse))
+    evals = _count_evaluations(monkeypatch)
+    got = battery.residual_matrix(phis, lams)
+    assert len(evals) == len(phis) * len(battery.edges)
+    monkeypatch.undo()
+    for m, (phi, lam) in enumerate(zip(phis, lams)):
+        ref = reference_residuals(g, bc, battery.tests, phi, lam, None, (h, coarse))
+        for i, (r, size, n) in enumerate(ref):
+            assert abs(got[i, m] - r) <= _reference_bound(r, size, n), (battery.tests[i].label, m)
 
 
 def test_relative_bound_samples_once_for_many_a():

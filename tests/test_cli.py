@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -385,6 +386,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["graph", "boundary", "functions", "secular", "expansion"])
+def test_scipy_free_modules_import_no_scipy(module):
+    # the secular and expansion paths need numpy alone; fem and potentials carry scipy
+    tree = ast.parse((Path(metricgraph.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    scipy_imports = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    ]
+    assert scipy_imports == []
 
 
 # ---------------------------------------------------------------------------

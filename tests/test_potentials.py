@@ -23,6 +23,8 @@ from metricgraph import (
     uniform_l2_norm,
 )
 
+from metricgraph.potentials import _window_margin
+
 from conftest import interval_graph, star_graph
 
 
@@ -201,6 +203,25 @@ def test_relative_bound_rough_potential():
     assert rb.M <= 5.0
     assert rb.worst_margin >= -1e-8
     assert rb.worst_window_margin >= -1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.001, 1.0),
+    st.lists(st.tuples(st.integers(2, 150), st.floats(1.0, 4.0)), min_size=1, max_size=8),
+)
+def test_window_margin_recurrence_matches_dense_inverse(a, windows):
+    # (n - 1) h in [a, 4a] covers the partition's windows (length in [a, 2a], snapped
+    # outward to the grid); all windows go through one call
+    n = np.array([k for k, _ in windows])
+    h = np.array([r * a / (k - 1) for k, r in windows])
+    got = _window_margin(n, h, a)
+    for k, w, margin in zip(n, h, got):
+        d = a / (2.0 * w) + 4.0 * w / (3.0 * a)
+        off = 2.0 * w / (3.0 * a) - a / (2.0 * w)
+        K_w = np.diag(np.r_[d, np.full(k - 2, 2.0 * d), d]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
+        peak = float(np.max(np.diag(np.linalg.inv(K_w))))
+        assert abs((1.0 - margin) - peak) <= 1e-12 * peak, (k, w, a)
 
 
 def test_relative_bound_ground_state_with_spike():
