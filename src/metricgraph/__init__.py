@@ -26,7 +26,6 @@ from .fem import FormAssembly, DiscreteEigensystem, assemble, check_boundary_bou
 from .functions import (
     CutoffFunction,
     GridFunction,
-    TraceVector,
     cutoff,
     edge_grid,
     inner,
@@ -34,7 +33,6 @@ from .functions import (
     norms,
     save_function_csv,
     sobolev_check,
-    traces,
 )
 from .graph import (
     Edge,

@@ -44,14 +44,21 @@ class BoundaryCondition:
         w, vecs = np.linalg.eigh(self.P(v))
         return vecs[:, w < KERNEL_EIGENVALUE_SPLIT], vecs[:, w >= KERNEL_EIGENVALUE_SPLIT]
 
-    def vertex_residual(self, v: VertexId, value: np.ndarray, deriv: np.ndarray) -> float:
+    def vertex_residual(self, v: VertexId, value: np.ndarray, deriv: np.ndarray) -> float | np.ndarray:
         """``||P f(v)|| + ||L f(v) + (1 - P) f'(v)||`` for star-ordered traces.
 
-        ``value`` is f(v) and ``deriv`` the inward derivative f'(v); the
-        result is 0 exactly when the trace datum satisfies the condition.
+        ``value`` is f(v) and ``deriv`` the inward derivative f'(v), vectors (giving a
+        float) or one trace datum per column; 0 exactly when the datum satisfies the condition.
         """
         L, P = self.conditions[v]
-        return float(np.linalg.norm(P @ value) + np.linalg.norm(L @ value + deriv - P @ deriv))
+        return np.linalg.norm(P @ value, axis=0) + np.linalg.norm(L @ value + deriv - P @ deriv, axis=0)
+
+    def worst_residual(self, g: MetricGraph, value: np.ndarray, deriv: np.ndarray) -> float | np.ndarray:
+        """The worst :meth:`vertex_residual` of any vertex, per column of slot arrays (:attr:`MetricGraph.slots`)."""
+        worst = np.zeros(np.shape(value)[1:])
+        for v, sl in g.slots.items():
+            worst = np.maximum(worst, self.vertex_residual(v, value[sl], deriv[sl]))
+        return worst
 
     def vertices(self):
         return self.conditions.keys()

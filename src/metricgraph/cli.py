@@ -247,6 +247,7 @@ def cmd_expansion(args: argparse.Namespace) -> int:
 
 def cmd_potential(args: argparse.Namespace) -> int:
     g, bc = _load_inputs(args)
+    g.require_valid()  # before the potential is sampled on its mesh
     g.require_compact("the potential report")
     if Path(args.potential).exists():
         V = potentials.load_potential_csv(args.potential, g, args.mesh)

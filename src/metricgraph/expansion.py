@@ -471,47 +471,57 @@ class ResidualReport:
 class CompiledBattery:
     """A checked test battery as quadrature data, independent of the mode.
 
-    Per edge, the Gauss nodes of every test piece on it; per node ``hf`` =
+    The Gauss nodes of every test piece: per node its coordinate ``t`` on
+    the edge ``edge_of`` (an index into ``graph.edges``), ``hf`` =
     ``w (-f'' + V f)``, ``wf`` = ``w f`` and, in ``owner``, the index of the
-    test it belongs to.  Nodes are stored edge by edge in the order of
-    ``edges``, the nodes of one piece in increasing t.  Storage is O(nodes).
-    Nodal modes read these data as P1 load vectors, other modes are
-    evaluated at the nodes (:meth:`residual_matrix`).
+    test it belongs to; edge by edge, the nodes of one piece in increasing
+    t.  ``value`` and ``deriv`` (tests x slots, :attr:`MetricGraph.slots`)
+    hold each test's trace datum (f(v), f'(v)), zero rows for bumps.
     """
 
     graph: MetricGraph
     tests: tuple[TestFunction, ...]
     potential: GridFunction | None
-    edges: tuple[tuple[EdgeId, np.ndarray], ...]
+    t: np.ndarray
+    edge_of: np.ndarray
     hf: np.ndarray
     wf: np.ndarray
     owner: np.ndarray
     norms: np.ndarray
+    value: np.ndarray
+    deriv: np.ndarray
 
     def with_cuts(self, cut_meshes: Sequence[float]) -> "CompiledBattery":
         """The same checked tests, with panels split at the nodes of other grids."""
         return _quadrature(self.graph, self.tests, self.potential, cut_meshes)
 
     def residual_matrix(self, phis: Sequence, lams: Sequence[float]) -> np.ndarray:
-        """|<H f, phi> - lambda <f, phi>| / ||f||, tests x modes.
+        """|<H f, phi> - lambda <f, phi>| / ||f||, tests x modes; no mode is evaluated at a Gauss node.
 
-        When every phi is nodal data on one mesh, the pairing is linear in
-        the nodal values: each test meets the modes through its P1 load
-        vectors ``int (-f'' + V f) psi_i`` and ``int f psi_i`` against the
-        hat functions psi_i (:meth:`_load_sums`).  Any other list of modes is
-        evaluated once per edge at the Gauss nodes and reduced per test.
+        Exact modes (:class:`SecularSolution`), each at its own energy and
+        without potential, solve ``-phi'' = lambda phi`` on every edge, so
+        Green's identity leaves only boundary terms: per slot, a test with
+        trace datum (a, b) = (f(v), f'(v)) contributes ``b conj(phi(v)) - a
+        conj(phi'(v))`` (inward derivatives), and a bump gives 0.  Caveat:
+        this path tests the vertex conditions of the modes, not their edge
+        functions; those rest on the Wronskian identity of
+        :func:`secular.basis_values` and on ``spectrum``'s two-solver check.
+        Nodal modes on one mesh meet each test through its P1 load vectors
+        (:meth:`_load_sums`).  Any other list raises a ``ValueError``.
         """
         lams = np.asarray(lams, dtype=float)
-        if not (self.edges and len(phis)):
-            sums = np.zeros((len(self.tests), len(phis)), dtype=complex)
-        elif all(isinstance(phi, GridFunction) and phi.grid == phis[0].grid for phi in phis):
+        own = all(isinstance(phi, SecularSolution) and phi.lam == lam for phi, lam in zip(phis, lams))
+        exact = own and self.potential is None
+        nodal = all(isinstance(phi, GridFunction) for phi in phis) and all(phi.grid == phis[0].grid for phi in phis)
+        if not (exact or nodal) or any(phi.graph != self.graph for phi in phis):
+            raise ValueError("modes must be exact at their own energies without potential, or nodal data on one mesh")
+        if exact and len(phis):
+            value, deriv = (np.conj(np.stack(col, axis=1)) for col in zip(*(phi.trace_values() for phi in phis)))
+            sums = self.deriv @ value - self.value @ deriv
+        elif self.t.size and len(phis):
             sums = self._load_sums(phis[0].grid, np.stack([phi.data for phi in phis], axis=1), lams)
         else:
-            conj_phi = np.conj(
-                np.concatenate([np.stack([phi.evaluate(eid, ts) for phi in phis], axis=1) for eid, ts in self.edges])
-            )
-            terms = (self.hf[:, None] - self.wf[:, None] * lams[None, :]) * conj_phi
-            sums = _sum_by(self.owner, terms, len(self.tests))
+            sums = np.zeros((len(self.tests), len(phis)), dtype=complex)
         positive = self.norms > 0
         res = np.zeros(sums.shape)
         res[positive] = np.abs(sums[positive]) / self.norms[positive, None]
@@ -526,8 +536,7 @@ class CompiledBattery:
         along the edge, so the shares of one (test, cell) pair are
         consecutive and merge into one entry of the load matrices H and F.
         """
-        t = np.concatenate([ts for _, ts in self.edges])
-        k = np.repeat([mesh.index[eid] for eid, _ in self.edges], [ts.size for _, ts in self.edges])
+        t, k = self.t, self.edge_of
         cell = np.clip(np.floor(t / mesh.widths[k]).astype(int), 0, np.diff(mesh.offsets)[k] - 2)
         theta = t / mesh.widths[k] - cell
         left = mesh.offsets[k] + cell
@@ -615,20 +624,30 @@ def _quadrature(
         parts.append((*owners, t, np.concatenate([p[3] for p in group]), f, d2))
     empty = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2 + (np.zeros(0, dtype=complex),) * 2
     edge_of, owner_idx, t, w, f, d2 = (np.concatenate(col) for col in zip(empty, *parts))
-    # edge-major node order, so that each phi is evaluated once per edge
-    order = np.argsort(edge_of, kind="stable")
+    order = np.argsort(edge_of, kind="stable")  # edge-major, so each edge owns one run of nodes
     edge_of, owner_idx, t, w, f, d2 = (x[order] for x in (edge_of, owner_idx, t, w, f, d2))
     hf = -d2
-    bounds = np.searchsorted(edge_of, np.arange(len(g.edges) + 1))
-    edges = []
-    for j, e in enumerate(g.edges):
-        sl = slice(bounds[j], bounds[j + 1])
-        if sl.start < sl.stop:
-            edges.append((e.id, t[sl]))
-            if potential is not None:  # nodal data, interpolated on its own mesh
-                hf[sl] += potential.grid.interpolate(potential.data, e.id, t[sl]) * f[sl]
+    if potential is not None:  # nodal data, interpolated on its own mesh
+        bounds = np.searchsorted(edge_of, np.arange(len(g.edges) + 1))
+        for j, e in enumerate(g.edges):
+            sl = slice(bounds[j], bounds[j + 1])
+            hf[sl] += potential.grid.interpolate(potential.data, e.id, t[sl]) * f[sl]
     norms = np.sqrt(np.bincount(owner_idx, weights=w * np.abs(f) ** 2, minlength=len(tests)))
-    return CompiledBattery(g, tests, potential, tuple(edges), w * hf, w * f, owner_idx, norms)
+    value, deriv = np.zeros((2, len(tests), sum(g.degree(v) for v in g.vertices)), dtype=complex)
+    for i, test in enumerate(tests):
+        if isinstance(test, StarTest):  # the slots that carry the test, as in _pieces
+            k = test.active_slots()
+            value[i, g.slots[test.vertex].start + k] = test.value[k]
+            deriv[i, g.slots[test.vertex].start + k] = test.deriv[k]
+    return CompiledBattery(g, tests, potential, t, edge_of, w * hf, w * f, owner_idx, norms, value, deriv)
+
+
+def _on_its_edges(g: MetricGraph, test: TestFunction) -> bool:
+    """Whether a bump lies inside its edge, and a star ramp is no longer than any edge it covers."""
+    if isinstance(test, BumpTest):
+        return 0.0 < test.radius <= test.center <= g.edge(test.edge).length - test.radius
+    slots = g.star(test.vertex).slots
+    return all(0.0 < test.rho <= g.edge(slots[k][0]).length for k in test.active_slots())
 
 
 def compile_battery(
@@ -640,15 +659,18 @@ def compile_battery(
 ) -> CompiledBattery:
     """Check a test battery once and lay out its quadrature for many modes.
 
-    ``tests`` defaults to :func:`standard_test_battery`.  Tests that do not
-    satisfy the vertex conditions are rejected with a ``ValueError``: a star
-    test at v when its residual exceeds ``CONDITION_TOL max(1, ||L_v||)``,
-    the scale at which :func:`boundary.lp_mixing` accepts kernel data.
+    ``tests`` defaults to :func:`standard_test_battery`.  Tests outside the
+    operator domain are rejected with a ``ValueError``: a support that leaves
+    its edges, and a star test at v whose residual exceeds
+    ``CONDITION_TOL max(1, ||L_v||)``, the scale at which
+    :func:`boundary.lp_mixing` accepts kernel data.
     Panels split at the nodes of every grid in ``cut_meshes`` (the meshes of
     nodal phi and potential data).
     """
     tests = tuple(standard_test_battery(g, bc) if tests is None else tests)
     for test in tests:
+        if not _on_its_edges(g, test):
+            raise ValueError(f"test {test.label!r} leaves its edges, so it is not in the operator domain")
         bad = test.condition_residual(g, bc)
         scale = max(1.0, float(np.linalg.norm(bc.L(test.vertex)))) if isinstance(test, StarTest) else 1.0
         if bad > CONDITION_TOL * scale:
@@ -667,13 +689,13 @@ def generalized_eigenfunction_residual(
 ) -> ResidualReport:
     """max over tests of |<H f, phi> - lambda <f, phi>| / ||f||.
 
-    ``H f`` is ``-f''`` with the test's analytic second derivative.
-    Integrals use Gauss-Legendre panels aligned with the smooth pieces of
-    each test AND with the grid cells of phi when it is nodal data, so exact
-    eigenfunctions score residuals at quadrature noise level.  Interior
-    bumps probe the differential equation; star tests probe the vertex
-    conditions through the boundary terms of integration by parts.  Tests
-    that do not satisfy the vertex conditions are rejected.
+    ``phi`` is an exact :class:`SecularSolution` at its own energy, scored
+    by Green's identity from its vertex traces, or nodal data, paired with
+    ``H f = -f''`` on Gauss-Legendre panels aligned with the smooth pieces of
+    each test and the grid cells of phi (:meth:`CompiledBattery.residual_matrix`).
+    Star tests probe the vertex conditions, and for nodal data interior
+    bumps probe the differential equation.  Tests outside the operator
+    domain are rejected.
 
     A one-mode call of :func:`compile_battery`; to check many modes, compile
     once and call :meth:`CompiledBattery.residuals`.

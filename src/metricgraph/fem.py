@@ -154,12 +154,11 @@ def assemble(g: MetricGraph, bc: BoundaryCondition, h_max: float) -> FormAssembl
     col = n_interior
     for v in g.vertices:
         K = bc.ker_ran(v)[0]
-        m = K.shape[1]
+        d, m = K.shape
         idx = np.arange(col, col + m)
-        for k, (eid, end) in enumerate(g.star(v).slots):
-            c_rows.append(np.full(m, grid.end_node(eid, end)))
-            c_cols.append(idx)
-            c_vals.append(K[k])
+        c_rows.append(np.repeat(grid.slot_stencil[0][g.slots[v]], m))
+        c_cols.append(np.tile(idx, d))
+        c_vals.append(K.ravel())
         # R is block diagonal: one K* L_v K block per vertex
         r_rows.append(np.repeat(idx, m))
         r_cols.append(np.tile(idx, m))

@@ -4,9 +4,10 @@ One :class:`Mesh` per (graph, h_max) lays the per-edge grids of width at
 most ``h_max`` end to end in one flat node array, with the cell widths and
 trapezoid weights.  A :class:`GridFunction` is a mesh plus one flat array of
 complex nodal values; the finite-element nodal vectors, the spectral modes
-and the potentials (real grid functions) share this layout.  Vertex traces collect boundary values and inward
-derivatives over the edge-ends of each vertex; the derivative at the far end
-of an edge carries a minus sign so that the trace is orientation independent.
+and the potentials (real grid functions) share this layout.
+:meth:`Mesh.traces` gives vertex traces in the graph's slot layout: values
+and inward derivatives, so the derivative at the far end of an edge carries
+a minus sign and the trace does not depend on the orientation.
 
 Also here: the one-dimensional boundary trace inequality
 
@@ -33,7 +34,6 @@ from .graph import (
     EdgePoint,
     MetricGraph,
     Point,
-    VertexId,
     vertex_distances,
 )
 
@@ -83,10 +83,22 @@ class Mesh:
         k = self.index[edge_id]
         return slice(self.offsets[k], self.offsets[k + 1])
 
-    def end_node(self, edge_id: EdgeId, end: str) -> int:
-        """Flat index of the node at the initial or terminal end of an edge."""
-        k = self.index[edge_id]
-        return int(self.offsets[k] if end == INIT else self.offsets[k + 1] - 1)
+    @cached_property
+    def slot_stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """End node, inward step (+1 or -1) and cell width of every slot (:attr:`MetricGraph.slots`)."""
+        ends = [end for v in self.graph.vertices for end in self.graph.star(v).slots]
+        k = np.array([self.index[eid] for eid, _ in ends], dtype=int)
+        init = np.array([end == INIT for _, end in ends], dtype=bool)
+        return np.where(init, self.offsets[k], self.offsets[k + 1] - 1), np.where(init, 1, -1), self.widths[k]
+
+    def traces(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slot arrays of the values and inward derivatives of nodal data ``y``, (nodes,) or (nodes, m).
+
+        The derivative is ``(-3 y_i + 4 y_(i+s) - y_(i+2s)) / (2h)`` from the end node i, s the inward step.
+        """
+        i, s, h = self.slot_stencil
+        h = h.reshape(h.shape + (1,) * (np.ndim(y) - 1))
+        return y[i], (-3.0 * y[i] + 4.0 * y[i + s] - y[i + 2 * s]) / (2.0 * h)
 
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Left node and width of every cell, edge by edge."""
@@ -195,39 +207,6 @@ class GridFunction:
 
     def pointwise(self, other: "GridFunction") -> "GridFunction":
         return self._binary(other, np.multiply)
-
-
-# ---------------------------------------------------------------------------
-# traces
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceVector:
-    """Boundary values f(v) and inward derivatives f'(v), star-ordered."""
-
-    values: Mapping[VertexId, np.ndarray]
-    derivatives: Mapping[VertexId, np.ndarray]
-
-
-def traces(f: GridFunction) -> TraceVector:
-    """Vertex traces with second-order one-sided derivative stencils.
-
-    At an initial end f'(v) = lim f'(t) as t -> 0+, at a terminal end the
-    limit at l carries a minus sign; both need three grid nodes.
-    """
-    g, grid = f.graph, f.grid
-    vals: dict[VertexId, np.ndarray] = {}
-    ders: dict[VertexId, np.ndarray] = {}
-    for v in g.vertices:
-        slots = g.star(v).slots
-        i = np.array([grid.end_node(eid, end) for eid, end in slots], dtype=int)
-        step = np.array([1 if end == INIT else -1 for _, end in slots], dtype=int)  # inward
-        h = grid.widths[[grid.index[eid] for eid, _ in slots]]
-        y = f.data
-        vals[v] = y[i]
-        ders[v] = (-3.0 * y[i] + 4.0 * y[i + step] - y[i + 2 * step]) / (2.0 * h)
-    return TraceVector(vals, ders)
 
 
 # ---------------------------------------------------------------------------

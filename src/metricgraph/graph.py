@@ -146,6 +146,18 @@ class MetricGraph:
             out[v] = VertexStar(v, tuple(sl))
         return out
 
+    @cached_property
+    def slots(self) -> dict[VertexId, slice]:
+        """Each vertex's slice of the slots, the layout of vertex traces: edge ends vertex by vertex, in star order."""
+        starts = np.cumsum([0] + [self._stars[v].degree for v in self.vertices])
+        return {v: slice(int(a), int(b)) for v, a, b in zip(self.vertices, starts, starts[1:])}
+
+    @cached_property
+    def slot_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slot of every edge's initial and terminal end, in ``edges`` order (compact graphs only)."""
+        slot = {end: self.slots[v].start + k for v in self.vertices for k, end in enumerate(self._stars[v].slots)}
+        return tuple(np.array([slot[e.id, end] for e in self.edges], dtype=int) for end in (INIT, TERM))
+
     def edge(self, edge_id: EdgeId) -> Edge:
         try:
             return self._edge_map[edge_id]
@@ -188,6 +200,8 @@ class MetricGraph:
 def validate(g: MetricGraph) -> list[Violation]:
     """Check the structural invariants; violations are data, not exceptions."""
     out: list[Violation] = []
+    if not g.edges:
+        out.append(Violation("empty", "graph", "the graph has no edges"))
     if not (g.u > 0):
         out.append(Violation("u", "graph", f"lower length bound u={g.u} must be positive"))
     seen_v = set()

@@ -34,7 +34,7 @@ import numpy as np
 from .boundary import BoundaryCondition
 from .expansion import BumpTest, compile_battery
 from .fem import DiscreteEigensystem, FormAssembly, SparseMatrix, _min_eigenvalue, _triplets, element_matrix
-from .functions import GridFunction, read_edge_csv, traces, write_edge_csv
+from .functions import GridFunction, read_edge_csv, write_edge_csv
 from .graph import EdgeSegment, MetricGraph, ids_from_text
 
 
@@ -273,8 +273,9 @@ def perturbed_eigen_report(
     P1 modes paired with the tests through their load vectors, see
     :meth:`CompiledBattery.residual_matrix`).
     Vertex residual: trace-condition defect ``||P phi(v)|| + ||L phi(v) +
-    (1-P) phi'(v)||`` from grid traces; the conditions of H are those of H0,
-    independent of V.
+    (1-P) phi'(v)||``, the worst over the vertices, from the grid traces of
+    all modes at once (:meth:`Mesh.traces`, :meth:`BoundaryCondition.worst_residual`);
+    the conditions of H are those of H0, independent of V.
     """
     phis = es.grid_functions()
     lams = [float(lam) for lam in es.eigenvalues]
@@ -283,12 +284,9 @@ def perturbed_eigen_report(
     is_bump = np.array([isinstance(t, BumpTest) for t in battery.tests], dtype=bool)
     interior = np.max(res[is_bump], axis=0, initial=0.0)
     star = np.max(res[~is_bump], axis=0, initial=0.0)
-    out = []
-    for k, (phi, lam) in enumerate(zip(phis, lams)):
-        tr = traces(phi)
-        vres = max((bc.vertex_residual(v, tr.values[v], tr.derivatives[v]) for v in g.vertices), default=0.0)
-        out.append(PerturbedModeReport(lam, float(interior[k]), float(star[k]), vres))
-    return PerturbedReport(tuple(out))
+    Phi = np.stack([phi.data for phi in phis], axis=1)
+    defect = bc.worst_residual(g, *es.assembly.grid.traces(Phi))
+    return PerturbedReport(tuple(map(PerturbedModeReport, lams, interior.tolist(), star.tolist(), defect.tolist())))
 
 
 # ---------------------------------------------------------------------------

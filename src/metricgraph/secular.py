@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from .boundary import BoundaryCondition, lp_mixing, require_valid_bc
-from .graph import INIT, TERM, EdgeId, MetricGraph, VertexId
+from .graph import EdgeId, MetricGraph
 
 SERIES_THRESHOLD = 1e-6  # |lambda| below which the power series is used
 SINGULAR_RTOL = 1e-8  # numerical rank of M(lambda), relative to its largest singular value
@@ -113,33 +113,13 @@ def basis_gram(lam: float, length: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _edge_ends(g: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge lengths and the slot index of each edge's initial and terminal end.
-
-    Slots number the edge ends vertex by vertex, in vertex-star order.
-    """
-    slot = {}
-    for v in g.vertices:
-        for end in g.star(v).slots:
-            slot[end] = len(slot)
-    lengths = np.array([e.length for e in g.edges], dtype=float)
-    init = np.array([slot[(e.id, INIT)] for e in g.edges], dtype=int)
-    term = np.array([slot[(e.id, TERM)] for e in g.edges], dtype=int)
-    return lengths, init, term
-
-
 def _edge_columns(a: np.ndarray, b: np.ndarray, init: np.ndarray, term: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rows ``a f + b f'`` over the slot traces, regrouped by edge and end."""
     return a[:, init], b[:, init], a[:, term], b[:, term]
 
 
 def _fill(cols: tuple[np.ndarray, ...], lam: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate compiled rows on the column layout (alpha_e, beta_e) at lambda.
-
-    The initial end of edge e has traces (alpha, beta) = (f(0), f'(0)); the
-    terminal end has value ``c alpha + s beta`` and inward derivative
-    ``lam s alpha - c beta``, with (c, s) at the edge length.
-    """
+    """Evaluate compiled rows on the column layout (alpha_e, beta_e) at lambda, by the end map of ``trace_values``."""
     ia, ib, ta, tb = cols
     out = np.empty((ia.shape[0], 2 * c.size), dtype=np.result_type(ia, ib, ta, tb, c))
     out[:, 0::2] = ia + ta * c + tb * (lam * s)
@@ -180,7 +160,8 @@ class SecularSystem:
         g.require_valid()
         g.require_compact("the secular system")
         require_valid_bc(g, bc)
-        self.lengths, init, term = _edge_ends(g)
+        self.lengths = np.array([e.length for e in g.edges], dtype=float)
+        init, term = g.slot_ends
         self._longest = max(g.edges, key=lambda e: e.length)
         val: list[np.ndarray] = []
         der: list[np.ndarray] = []
@@ -455,23 +436,23 @@ class SecularSolution:
         c, s = basis_values(self.lam, t)
         return self.x[2 * k] * c + self.x[2 * k + 1] * s
 
-    def trace_values(self) -> tuple[dict[VertexId, np.ndarray], dict[VertexId, np.ndarray]]:
-        """Exact star-ordered boundary vectors (values, inward derivatives).
+    def trace_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact slot arrays (:attr:`MetricGraph.slots`) of values and inward derivatives.
 
-        The slot map of M(lambda), :func:`_fill`, applied to identity rows.
+        Edge e has (alpha, beta) at its initial slot and ``(c alpha + s beta, lam s alpha - c beta)``
+        at its terminal slot, with (c, s) at the edge length.
         """
-        g, x = self.graph, self.x
-        lengths, init, term = _edge_ends(g)
-        eye, zero = np.eye(x.size), np.zeros((x.size, x.size))
-        c, s = basis_values(self.lam, lengths)
-        vals, ders = (_fill(_edge_columns(a, b, init, term), self.lam, c, s) @ x for a, b in ((eye, zero), (zero, eye)))
-        split = np.cumsum([g.degree(v) for v in g.vertices])[:-1]
-        return dict(zip(g.vertices, np.split(vals, split))), dict(zip(g.vertices, np.split(ders, split)))
+        g, alpha, beta = self.graph, self.x[0::2], self.x[1::2]
+        init, term = g.slot_ends
+        c, s = basis_values(self.lam, [e.length for e in g.edges])
+        vals, ders = np.empty(self.x.size, dtype=complex), np.empty(self.x.size, dtype=complex)
+        vals[init], ders[init] = alpha, beta
+        vals[term], ders[term] = c * alpha + s * beta, self.lam * s * alpha - c * beta
+        return vals, ders
 
     def vertex_residual(self, bc: BoundaryCondition) -> float:
         """max_v ||P f(v)|| + ||L f(v) + (1 - P) f'(v)|| for this solution."""
-        vals, ders = self.trace_values()
-        return max((bc.vertex_residual(v, vals[v], ders[v]) for v in self.graph.vertices), default=0.0)
+        return bc.worst_residual(self.graph, *self.trace_values())
 
     def l2_norm_sq(self) -> float:
         return float(np.real(self.x.conj() @ _gram(self.graph, self.lam) @ self.x))

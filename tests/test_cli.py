@@ -115,6 +115,20 @@ def test_every_command_accepts_bc_under_one_tolerance(tmp_path, capsys):
         main(["validate", "--graph", g, "--bc", b, "--bc-tol", "1e-6"])
 
 
+def test_empty_graph_is_invalid_for_every_command(tmp_path, capsys):
+    gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
+    gpath.write_text(json.dumps({"u": 1, "vertices": [], "edges": []}))
+    bpath.write_text(json.dumps({}))
+    code, report = run_and_parse(capsys, ["validate", "--graph", str(gpath), "--bc", str(bpath)])
+    assert code == 1 and not report["valid"]
+    assert [v["code"] for v in report["graph"]["violations"]] == ["empty"]
+    jsonschema.validate(report, load_schema("validate"))
+    inputs = ["--graph", str(gpath), "--bc", str(bpath), "--mesh", "0.05", "--modes", "1"]
+    for argv in (["spectrum"], ["expansion"], ["potential", "--potential", "const:1"]):
+        assert main([*argv, *inputs]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: invalid metric graph: "), argv
+
+
 def test_validate_unreadable_file(tmp_path, capsys):
     g, b = write_interval(tmp_path)
     code = main(["validate", "--graph", str(tmp_path / "missing.json"), "--bc", b])

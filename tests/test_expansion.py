@@ -25,10 +25,10 @@ from metricgraph import (
     standard_test_battery,
     uniform_bc,
 )
-from metricgraph.expansion import hs_kernel_cross_check, intertwining_gap
+from metricgraph.expansion import BumpTest, StarTest, compile_battery, hs_kernel_cross_check, intertwining_gap
 from metricgraph.secular import RankAnomaly
 
-from conftest import interval_graph, loop_edge_graph, path_graph, star_graph
+from conftest import interval_graph, loop_edge_graph, path_graph, spectral_fixture_list, star_graph
 
 
 def interval_rep(length=math.pi, n_modes=12, h_max=math.pi / 300):
@@ -334,8 +334,10 @@ def test_residual_small_for_exact_eigenfunctions():
 def test_residual_detects_wrong_lambda():
     g, bc, rep = interval_rep(n_modes=2)
     m = rep.modes[0]
-    rr = generalized_eigenfunction_residual(g, bc, m.exact, m.lam + 1.0)
+    rr = generalized_eigenfunction_residual(g, bc, m.phi, m.lam + 1.0)
     assert rr.max_residual > 1e-2
+    with pytest.raises(ValueError, match="at their own energies"):
+        generalized_eigenfunction_residual(g, bc, m.exact, m.lam + 1.0)
 
 
 def test_residual_flags_kinked_function():
@@ -368,6 +370,26 @@ def test_battery_rejects_condition_violations():
     phi = GridFunction.ones(g, 0.05)
     with pytest.raises(ValueError):
         generalized_eigenfunction_residual(g, bc_d, phi, 1.0, tests=tests_n)
+
+
+def test_battery_rejects_tests_that_leave_their_edges():
+    g = interval_graph(math.pi)
+    bc = uniform_bc(g, "dirichlet")
+    phi = GridFunction.ones(g, 0.05)
+    outside = [
+        BumpTest("past-the-start", "e", 0.2, 0.5),
+        BumpTest("centred-off-the-edge", "e", -1.0, 0.5),
+        BumpTest("no-radius", "e", 1.0, 0.0),
+        StarTest("wide-ramp", "v", np.zeros(1, dtype=complex), np.ones(1, dtype=complex), 1.5 * math.pi),
+    ]
+    for test in outside:
+        with pytest.raises(ValueError, match="leaves its edges"):
+            compile_battery(g, bc, tests=[test])
+        with pytest.raises(ValueError, match="leaves its edges"):
+            generalized_eigenfunction_residual(g, bc, phi, 1.0, tests=[test])
+    # rho = 0.45 u <= 0.45 l_e: the standard battery stays on every fixture
+    for _, g, bc in spectral_fixture_list():
+        assert compile_battery(g, bc).tests
 
 
 def test_battery_spans_trace_space():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricgraph import (
+    BoundaryCondition,
     Edge,
     EdgePoint,
     GridFunction,
@@ -18,8 +19,9 @@ from metricgraph import (
     norms,
     save_function_csv,
     sobolev_check,
-    traces,
 )
+
+from metricgraph.graph import INIT
 
 from conftest import interval_graph, path_graph, star_graph
 
@@ -33,33 +35,39 @@ def linear_f(g, h=0.02):
 # ---------------------------------------------------------------------------
 
 
+def slot_traces(f):
+    """Per-vertex (values, inward derivatives) of the slot arrays of ``Mesh.traces``."""
+    vals, ders = f.grid.traces(f.data)
+    return {v: vals[sl] for v, sl in f.graph.slots.items()}, {v: ders[sl] for v, sl in f.graph.slots.items()}
+
+
 def test_traces_linear_function_sign_convention():
     g = interval_graph(2.0)
-    tr = traces(linear_f(g))
-    assert tr.values["v"][0] == pytest.approx(0.0)
-    assert tr.derivatives["v"][0] == pytest.approx(1.0, abs=1e-10)
-    assert tr.values["w"][0] == pytest.approx(2.0)
-    assert tr.derivatives["w"][0] == pytest.approx(-1.0, abs=1e-10)
+    vals, ders = slot_traces(linear_f(g))
+    assert vals["v"][0] == pytest.approx(0.0)
+    assert ders["v"][0] == pytest.approx(1.0, abs=1e-10)
+    assert vals["w"][0] == pytest.approx(2.0)
+    assert ders["w"][0] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_traces_constant():
     g = star_graph(3)
     f = GridFunction.from_callable(g, 0.05, lambda eid, ts: np.full_like(ts, 2.5, dtype=complex))
-    tr = traces(f)
+    vals, ders = slot_traces(f)
     for v in g.vertices:
-        assert np.allclose(tr.values[v], 2.5)
-        assert np.allclose(tr.derivatives[v], 0.0, atol=1e-10)
+        assert np.allclose(vals[v], 2.5)
+        assert np.allclose(ders[v], 0.0, atol=1e-10)
 
 
 def test_traces_sine_with_sign_flip():
     g = interval_graph(math.pi)
     f = GridFunction.from_callable(g, 0.005, lambda eid, ts: np.sin(ts).astype(complex))
-    tr = traces(f)
-    assert tr.values["v"][0] == pytest.approx(0.0, abs=1e-8)
-    assert tr.derivatives["v"][0] == pytest.approx(1.0, abs=1e-4)
-    assert tr.values["w"][0] == pytest.approx(0.0, abs=1e-8)
+    vals, ders = slot_traces(f)
+    assert vals["v"][0] == pytest.approx(0.0, abs=1e-8)
+    assert ders["v"][0] == pytest.approx(1.0, abs=1e-4)
+    assert vals["w"][0] == pytest.approx(0.0, abs=1e-8)
     # -cos(pi) = +1 after the orientation flip
-    assert tr.derivatives["w"][0] == pytest.approx(1.0, abs=1e-4)
+    assert ders["w"][0] == pytest.approx(1.0, abs=1e-4)
 
 
 def test_trace_convergence_second_order():
@@ -67,10 +75,64 @@ def test_trace_convergence_second_order():
     errs = []
     for h in (0.1, 0.05, 0.025):
         f = GridFunction.from_callable(g, h, lambda eid, ts: np.exp(ts).astype(complex))
-        tr = traces(f)
-        errs.append(abs(tr.derivatives["v"][0] - 1.0))
+        _, ders = slot_traces(f)
+        errs.append(abs(ders["v"][0] - 1.0))
     order = math.log2(errs[0] / errs[2]) / 2
     assert 1.6 < order < 2.4
+
+
+def reference_traces(grid, y):
+    """Per-vertex traces of 1-D nodal data ``y``, one vertex at a time (the stencil of ``Mesh.traces``)."""
+    g = grid.graph
+    vals, ders = {}, {}
+    for v in g.vertices:
+        slots = g.star(v).slots
+        k = [grid.index[eid] for eid, _ in slots]
+        i = np.array([grid.offsets[j] if end == INIT else grid.offsets[j + 1] - 1 for j, (_, end) in zip(k, slots)])
+        step = np.array([1 if end == INIT else -1 for _, end in slots], dtype=int)  # inward
+        h = grid.widths[k]
+        vals[v] = y[i]
+        ders[v] = (-3.0 * y[i] + 4.0 * y[i + step] - y[i + 2 * step]) / (2.0 * h)
+    return vals, ders
+
+
+def _random_lp(rng, d):
+    """Self-adjoint L and an orthogonal projection P of random rank, complex."""
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    ran = Q[:, : rng.integers(0, d + 1)]
+    H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (H + H.conj().T), ran @ ran.conj().T
+
+
+@st.composite
+def multigraphs(draw):
+    """A path through 2-4 vertices, a loop at the first and two parallel edges, plus random edges."""
+    n_v = draw(st.integers(2, 4))
+    pairs = [(0, 0), (0, 1), (0, 1)] + [(k, k + 1) for k in range(1, n_v - 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n_v - 1), st.integers(0, n_v - 1)), max_size=3))
+    lengths = draw(st.lists(st.floats(1.0, 3.0), min_size=len(pairs), max_size=len(pairs)))
+    edges = tuple(Edge(f"e{k}", length, a, b) for k, ((a, b), length) in enumerate(zip(pairs, lengths)))
+    return MetricGraph(tuple(range(n_v)), edges, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(), st.sampled_from([1, 3]), st.floats(0.1, 0.6), st.integers(0, 10_000))
+def test_slot_traces_match_the_per_vertex_loop(g, m, h_max, seed):
+    rng = np.random.default_rng(seed)
+    grid = GridFunction.zeros(g, h_max).grid
+    y = rng.standard_normal((grid.n_nodes, m)) + 1j * rng.standard_normal((grid.n_nodes, m))
+    y = y[:, 0] if m == 1 else y
+    vals, ders = grid.traces(y)
+    bc = BoundaryCondition({v: _random_lp(rng, g.degree(v)) for v in g.vertices})
+    worst = np.atleast_1d(bc.worst_residual(g, vals, ders))
+    assert worst.shape == (m,)
+    for j, col in enumerate(y.reshape(grid.n_nodes, m).T):
+        ref_vals, ref_ders = reference_traces(grid, col)
+        got_vals, got_ders = (a.reshape(-1, m)[:, j] for a in (vals, ders))
+        for v, sl in g.slots.items():
+            assert np.array_equal(got_vals[sl], ref_vals[v]) and np.array_equal(got_ders[sl], ref_ders[v])
+        want = max(bc.vertex_residual(v, ref_vals[v], ref_ders[v]) for v in g.vertices)
+        assert abs(worst[j] - want) <= 1e-14 * want
 
 
 # ---------------------------------------------------------------------------
