@@ -214,7 +214,7 @@ def cmd_expansion(args: argparse.Namespace) -> int:
     if args.check_file is not None:
         phi = load_function_csv(args.check_file, g, args.mesh)
         # nodal data: the same checked tests, panels split at the grid nodes
-        rr = compiled.with_cuts((phi.h_max,)).residuals([phi], [args.check_lambda])[0]
+        rr = compiled.residuals([phi], [args.check_lambda])[0]
         check_result = {"lambda": args.check_lambda, "residual": rr.max_residual}
         worst_resid = max(worst_resid, rr.max_residual)
 

@@ -25,9 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .boundary import BoundaryCondition, lp_mixing
-from .functions import GridFunction, Mesh, _smoothstep, _smoothstep_d1, _smoothstep_d2, edge_grid, inner
+from .functions import GridFunction, Mesh, _smoothstep, _smoothstep_d1, _smoothstep_d2, inner
 from .graph import (
-    INIT,
     EdgeId,
     MetricGraph,
     Point,
@@ -346,6 +345,10 @@ def hs_kernel_cross_check(rep: DiscreteSpectralRep, weight: GridFunction, C: flo
 # compactly supported test functions in the operator domain
 # ---------------------------------------------------------------------------
 
+STAR_RHO = 0.45  # star ramps end at rho = STAR_RHO u <= 0.45 l_e: inside their edge, a loop's two apart
+_BUMP_NORM_SQ = 2048.0 / 3003.0  # int (1 - s^2)^6 ds over [-1, 1]: a bump's ||f||^2 per unit radius
+_CHI_MOMENTS = (643.0 / 924.0, 151.0 / 616.0, 8399.0 / 72072.0)  # int_0^1 x^j chi(x)^2 dx, chi ramping over [1/2, 1]
+
 
 @dataclass(frozen=True)
 class BumpTest:
@@ -370,21 +373,18 @@ class StarTest:
 
     On slot k of the vertex star it is ``(a_k + b_k tau) chi(tau)`` in the
     inward coordinate tau, with ``a = value``, ``b = deriv`` and chi a C^2
-    quintic ramp from 1 to 0 over ``[rho/2, rho]``.  Slots where both
-    coefficients vanish carry nothing.
+    quintic ramp from 1 to 0 over ``[rho/2, rho]``, ``rho = STAR_RHO u``.
+    So the test is linear in its datum: per slot, ``a_k`` times the shape
+    chi plus ``b_k`` times the shape tau chi.
     """
 
     label: str
     vertex: VertexId
     value: np.ndarray
     deriv: np.ndarray
-    rho: float
 
     def condition_residual(self, g: MetricGraph, bc: BoundaryCondition) -> float:
         return bc.vertex_residual(self.vertex, self.value, self.deriv)
-
-    def active_slots(self) -> np.ndarray:
-        return np.flatnonzero((np.abs(self.value) >= 1e-15) | (np.abs(self.deriv) >= 1e-15))
 
 
 TestFunction = BumpTest | StarTest
@@ -395,10 +395,8 @@ def _gl_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * _GL_NODES, half * _GL_WEIGHTS
 
 
-def _gl_panels(a: float, b: float, cuts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _gl_panels(a: float, b: float, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes on [a, b], split at any interior cuts (grid kinks)."""
-    if cuts is None:
-        return _gl_nodes(a, b)
     inner_cuts = cuts[(cuts > a + 1e-14) & (cuts < b - 1e-14)]
     if inner_cuts.size == 0:
         return _gl_nodes(a, b)
@@ -419,13 +417,12 @@ def _bump_values(t: np.ndarray, center: float, radius: float) -> tuple[np.ndarra
     return f, d2
 
 
-def _star_values(tau: np.ndarray, a: complex, b: complex, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """(f, f'') of ``(a + b tau) chi(tau)`` at inward coordinates tau."""
-    w = rho - rho / 2.0
-    s = (tau - rho / 2.0) / w
-    chi = 1.0 - _smoothstep(s)
-    lin = a + b * tau
-    return lin * chi, -2.0 * b * _smoothstep_d1(s, w) - lin * _smoothstep_d2(s, w)
+def _slot_shapes(tau: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(chi, chi'', tau chi, (tau chi)'') at inward coordinates tau."""
+    w = rho / 2.0
+    s = (tau - w) / w
+    chi, d1, d2 = 1.0 - _smoothstep(s), -_smoothstep_d1(s, w), -_smoothstep_d2(s, w)
+    return chi, d2, tau * chi, 2.0 * d1 + tau * d2
 
 
 def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[TestFunction]:
@@ -448,11 +445,8 @@ def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[TestFun
         data = [] if lp_mixing(L, P) else [(q, P @ (L @ q) - L @ q) for q in K.T]
         data += [(np.zeros(d, dtype=complex), p) for p in Rb.T]
         for idx, (a_vec, b_vec) in enumerate(data):
-            test = StarTest(
-                f"star:{v}:{idx}", v, np.asarray(a_vec, dtype=complex), np.asarray(b_vec, dtype=complex), 0.45 * g.u
-            )
-            if test.active_slots().size:
-                tests.append(test)
+            a_vec, b_vec = np.asarray(a_vec, dtype=complex), np.asarray(b_vec, dtype=complex)
+            tests.append(StarTest(f"star:{v}:{idx}", v, a_vec, b_vec))
     return tests
 
 
@@ -469,31 +463,21 @@ class ResidualReport:
 
 @dataclass(frozen=True, eq=False)
 class CompiledBattery:
-    """A checked test battery as quadrature data, independent of the mode.
+    """A checked test battery as slot data, independent of the mode.
 
-    The Gauss nodes of every test piece: per node its coordinate ``t`` on
-    the edge ``edge_of`` (an index into ``graph.edges``), ``hf`` =
-    ``w (-f'' + V f)``, ``wf`` = ``w f`` and, in ``owner``, the index of the
-    test it belongs to; edge by edge, the nodes of one piece in increasing
-    t.  ``value`` and ``deriv`` (tests x slots, :attr:`MetricGraph.slots`)
-    hold each test's trace datum (f(v), f'(v)), zero rows for bumps.
+    ``value`` and ``deriv`` (tests x slots, :attr:`MetricGraph.slots`) hold
+    each star test's trace datum (f(v), f'(v)), which are also its
+    coefficients on the slot shapes chi and tau chi; bumps have zero rows.
+    ``norms`` holds every ||f||, in closed form.  No Gauss node is laid out
+    here: only nodal modes need them (:meth:`_load_sums`).
     """
 
     graph: MetricGraph
     tests: tuple[TestFunction, ...]
     potential: GridFunction | None
-    t: np.ndarray
-    edge_of: np.ndarray
-    hf: np.ndarray
-    wf: np.ndarray
-    owner: np.ndarray
     norms: np.ndarray
     value: np.ndarray
     deriv: np.ndarray
-
-    def with_cuts(self, cut_meshes: Sequence[float]) -> "CompiledBattery":
-        """The same checked tests, with panels split at the nodes of other grids."""
-        return _quadrature(self.graph, self.tests, self.potential, cut_meshes)
 
     def residual_matrix(self, phis: Sequence, lams: Sequence[float]) -> np.ndarray:
         """|<H f, phi> - lambda <f, phi>| / ||f||, tests x modes; no mode is evaluated at a Gauss node.
@@ -506,8 +490,9 @@ class CompiledBattery:
         this path tests the vertex conditions of the modes, not their edge
         functions; those rest on the Wronskian identity of
         :func:`secular.basis_values` and on ``spectrum``'s two-solver check.
-        Nodal modes on one mesh meet each test through its P1 load vectors
-        (:meth:`_load_sums`).  Any other list raises a ``ValueError``.
+        Nodal modes on one mesh meet the slot shapes and the bumps through
+        their P1 load vectors (:meth:`_load_sums`).  Any other list raises a
+        ``ValueError``.
         """
         lams = np.asarray(lams, dtype=float)
         own = all(isinstance(phi, SecularSolution) and phi.lam == lam for phi, lam in zip(phis, lams))
@@ -518,10 +503,10 @@ class CompiledBattery:
         if exact and len(phis):
             value, deriv = (np.conj(np.stack(col, axis=1)) for col in zip(*(phi.trace_values() for phi in phis)))
             sums = self.deriv @ value - self.value @ deriv
-        elif self.t.size and len(phis):
+        elif len(phis):
             sums = self._load_sums(phis[0].grid, np.stack([phi.data for phi in phis], axis=1), lams)
         else:
-            sums = np.zeros((len(self.tests), len(phis)), dtype=complex)
+            sums = np.zeros((len(self.tests), 0), dtype=complex)
         positive = self.norms > 0
         res = np.zeros(sums.shape)
         res[positive] = np.abs(sums[positive]) / self.norms[positive, None]
@@ -530,22 +515,59 @@ class CompiledBattery:
     def _load_sums(self, mesh: Mesh, Phi: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """``(H - lambda F) conj(Phi)`` for the nodal values ``Phi`` (mesh nodes x modes).
 
-        Each Gauss node splits its ``hf`` and ``wf`` onto the two hat
-        functions of its mesh cell with the weights ``1 - theta`` and
-        ``theta`` of linear interpolation.  The nodes of one test piece run
-        along the edge, so the shares of one (test, cell) pair are
-        consecutive and merge into one entry of the load matrices H and F.
+        The atoms are the shapes chi and tau chi of every slot, each with
+        the pieces ``[0, rho/2]`` and ``[rho/2, rho]`` in the inward
+        coordinate, and every bump.  Gauss panels cover each piece, split at
+        the nodes of ``mesh`` and of the potential's mesh, where phi and V
+        have kinks.  Each Gauss node splits its ``w (-f'' + V f)`` and
+        ``w f`` onto the two hat functions of its mesh cell with the weights
+        ``1 - theta`` and ``theta`` of linear interpolation.  The nodes of
+        one atom run along the edge, so the shares of one (atom, cell) pair
+        are consecutive and merge into one entry of the load matrices H and
+        F.  A star test sums ``value @ chi + deriv @ tau chi`` over the
+        slot atoms.
         """
-        t, k = self.t, self.edge_of
-        cell = np.clip(np.floor(t / mesh.widths[k]).astype(int), 0, np.diff(mesh.offsets)[k] - 2)
-        theta = t / mesh.widths[k] - cell
-        left = mesh.offsets[k] + cell
-        runs = np.flatnonzero(np.r_[True, (left[1:] != left[:-1]) | (self.owner[1:] != self.owner[:-1])])
-        H0, H1, F0, F1 = (np.add.reduceat(x * w, runs) for x in (self.hf, self.wf) for w in (1.0 - theta, theta))
+        g, n_slots, rho = self.graph, self.value.shape[1], STAR_RHO * self.graph.u
+        meshes = [mesh] if self.potential is None else [mesh, self.potential.grid]
+        cuts = [np.unique(np.concatenate([m.nodes[m.edge(e.id)] for m in meshes])) for e in g.edges]
+        # atoms: chi on slot s is atom s, tau chi atom n_slots + s, bump b atom 2 n_slots + b
+        init, term = g.slot_ends
+        lengths = np.array([e.length for e in g.edges])
+        pieces = []  # edge index, t0, t1, atom (chi on the slot, or the bump)
+        for k, (s0, s1) in enumerate(zip(init, term)):
+            lo, mid, hi = lengths[k] - rho, lengths[k] - rho / 2.0, lengths[k]
+            pieces += [(k, 0.0, rho / 2.0, s0), (k, rho / 2.0, rho, s0), (k, lo, mid, s1), (k, mid, hi, s1)]
+        bumps = [i for i, test in enumerate(self.tests) if isinstance(test, BumpTest)]
+        centers, radii = np.array([(self.tests[i].center, self.tests[i].radius) for i in bumps]).reshape(-1, 2).T
+        for b, i in enumerate(bumps):
+            k = g.edge_index[self.tests[i].edge]
+            pieces.append((k, centers[b] - radii[b], centers[b] + radii[b], 2 * n_slots + b))
+        panels = [_gl_panels(t0, t1, cuts[k]) for k, t0, t1, _ in pieces]
+        sizes = [ts.size for ts, _ in panels]
+        k, atom = (np.repeat([p[j] for p in pieces], sizes) for j in (0, 3))
+        t, w = (np.concatenate(col) for col in zip(*panels))
+        slot = atom < n_slots
+        chi, chi2, tchi, tchi2 = _slot_shapes(np.where(init[k] == atom, t, lengths[k] - t)[slot], rho)
+        b = atom[~slot] - 2 * n_slots
+        fb, fb2 = _bump_values(t[~slot], centers[b], radii[b])
+        # the nodes of every slot piece twice, once for chi and once for tau chi
+        k, t, w = (np.concatenate([x[slot], x[slot], x[~slot]]) for x in (k, t, w))
+        atom = np.concatenate([atom[slot], n_slots + atom[slot], atom[~slot]])
+        f, d2 = np.concatenate([chi, tchi, fb]), np.concatenate([chi2, tchi2, fb2])
+        hf = -d2
+        if self.potential is not None:  # nodal data, interpolated on its own mesh
+            left, theta = _cells(self.potential.grid, k, t)
+            hf = hf + ((1.0 - theta) * self.potential.data[left] + theta * self.potential.data[left + 1]) * f
+        left, theta = _cells(mesh, k, t)
+        runs = np.flatnonzero(np.r_[True, (left[1:] != left[:-1]) | (atom[1:] != atom[:-1])])
+        H0, H1, F0, F1 = (np.add.reduceat(w * x * c, runs) for x in (hf, f) for c in (1.0 - theta, theta))
         conj_phi, left = np.conj(Phi), left[runs]
         terms = (H0[:, None] - F0[:, None] * lams) * conj_phi[left]
         terms += (H1[:, None] - F1[:, None] * lams) * conj_phi[left + 1]
-        return _sum_by(self.owner[runs], terms, len(self.tests))
+        sums_by_atom = _sum_by(atom[runs], terms, 2 * n_slots + len(bumps))
+        sums = self.value @ sums_by_atom[:n_slots] + self.deriv @ sums_by_atom[n_slots : 2 * n_slots]
+        sums[bumps] += sums_by_atom[2 * n_slots :]
+        return sums
 
     def residuals(self, phis: Sequence, lams: Sequence[float]) -> list[ResidualReport]:
         """One :class:`ResidualReport` per mode (phi, lambda)."""
@@ -554,6 +576,12 @@ class CompiledBattery:
             ResidualReport(float(np.max(col, initial=0.0)), tuple(zip(labels, col.tolist())))
             for col in self.residual_matrix(phis, lams).T
         ]
+
+
+def _cells(mesh: Mesh, k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left node and linear-interpolation weight theta of the points t on the edges k (indices)."""
+    cell = np.clip(np.floor(t / mesh.widths[k]).astype(int), 0, np.diff(mesh.offsets)[k] - 2)
+    return mesh.offsets[k] + cell, t / mesh.widths[k] - cell
 
 
 def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -565,119 +593,44 @@ def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     return sums
 
 
-def _pieces(g: MetricGraph, test: TestFunction):
-    """(edge, t0, t1, shape) per smooth piece of a test.
-
-    ``shape`` is ``(center, radius)`` for a bump and ``(origin, sign, rho, a,
-    b)`` for a star slot, whose inward coordinate is ``tau = origin + sign t``.
-    """
-    if isinstance(test, BumpTest):
-        yield test.edge, test.center - test.radius, test.center + test.radius, (test.center, test.radius)
-        return
-    rho = test.rho
-    slots = g.star(test.vertex).slots
-    for k in test.active_slots():
-        eid, end = slots[k]
-        a, b = test.value[k], test.deriv[k]
-        if end == INIT:
-            yield eid, 0.0, rho / 2.0, (0.0, 1.0, rho, a, b)
-            yield eid, rho / 2.0, rho, (0.0, 1.0, rho, a, b)
-        else:
-            length = g.edge(eid).length
-            yield eid, length - rho, length - rho / 2.0, (length, -1.0, rho, a, b)
-            yield eid, length - rho / 2.0, length, (length, -1.0, rho, a, b)
-
-
-def _quadrature(
-    g: MetricGraph, tests: tuple[TestFunction, ...], potential: GridFunction | None, cut_meshes: Sequence[float]
-) -> CompiledBattery:
-    """Gauss nodes of every piece, values of all pieces of one kind at once."""
-    cuts: dict[EdgeId, np.ndarray | None] = {}
-    # per (edge, t0, t1): the star tests at a vertex share the pieces of each slot
-    panels: dict[tuple[EdgeId, float, float], tuple[np.ndarray, np.ndarray]] = {}
-    pieces: dict[bool, list] = {True: [], False: []}  # keyed by "is a bump"
-    for i, test in enumerate(tests):
-        for eid, t0, t1, shape in _pieces(g, test):
-            if eid not in cuts:
-                cuts[eid] = (
-                    np.unique(np.concatenate([edge_grid(g, eid, hm) for hm in dict.fromkeys(cut_meshes)]))
-                    if cut_meshes
-                    else None
-                )
-            if (eid, t0, t1) not in panels:
-                panels[eid, t0, t1] = _gl_panels(t0, t1, cuts[eid])
-            ts, ws = panels[eid, t0, t1]
-            pieces[isinstance(test, BumpTest)].append((g.edge_index[eid], i, ts, ws, shape))
-    parts = []  # per kind of test, over all its nodes: edge index, owner, t, w, f, f''
-    for is_bump, group in pieces.items():
-        if not group:
-            continue
-        sizes = [p[2].size for p in group]
-        t = np.concatenate([p[2] for p in group])
-        shape = [np.repeat(np.array(col), sizes) for col in zip(*(p[4] for p in group))]
-        if is_bump:
-            f, d2 = _bump_values(t, *shape)
-        else:
-            origin, sign, rho, a, b = shape
-            f, d2 = _star_values(origin + sign * t, a, b, rho)
-        owners = [np.repeat([p[k] for p in group], sizes) for k in (0, 1)]
-        parts.append((*owners, t, np.concatenate([p[3] for p in group]), f, d2))
-    empty = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2 + (np.zeros(0, dtype=complex),) * 2
-    edge_of, owner_idx, t, w, f, d2 = (np.concatenate(col) for col in zip(empty, *parts))
-    order = np.argsort(edge_of, kind="stable")  # edge-major, so each edge owns one run of nodes
-    edge_of, owner_idx, t, w, f, d2 = (x[order] for x in (edge_of, owner_idx, t, w, f, d2))
-    hf = -d2
-    if potential is not None:  # nodal data, interpolated on its own mesh
-        bounds = np.searchsorted(edge_of, np.arange(len(g.edges) + 1))
-        for j, e in enumerate(g.edges):
-            sl = slice(bounds[j], bounds[j + 1])
-            hf[sl] += potential.grid.interpolate(potential.data, e.id, t[sl]) * f[sl]
-    norms = np.sqrt(np.bincount(owner_idx, weights=w * np.abs(f) ** 2, minlength=len(tests)))
-    value, deriv = np.zeros((2, len(tests), sum(g.degree(v) for v in g.vertices)), dtype=complex)
-    for i, test in enumerate(tests):
-        if isinstance(test, StarTest):  # the slots that carry the test, as in _pieces
-            k = test.active_slots()
-            value[i, g.slots[test.vertex].start + k] = test.value[k]
-            deriv[i, g.slots[test.vertex].start + k] = test.deriv[k]
-    return CompiledBattery(g, tests, potential, t, edge_of, w * hf, w * f, owner_idx, norms, value, deriv)
-
-
-def _on_its_edges(g: MetricGraph, test: TestFunction) -> bool:
-    """Whether a bump lies inside its edge, and a star ramp is no longer than any edge it covers."""
-    if isinstance(test, BumpTest):
-        return 0.0 < test.radius <= test.center <= g.edge(test.edge).length - test.radius
-    slots = g.star(test.vertex).slots
-    return all(0.0 < test.rho <= g.edge(slots[k][0]).length for k in test.active_slots())
-
-
 def compile_battery(
     g: MetricGraph,
     bc: BoundaryCondition,
     tests: Sequence[TestFunction] | None = None,
     potential: GridFunction | None = None,
-    cut_meshes: Sequence[float] = (),
 ) -> CompiledBattery:
-    """Check a test battery once and lay out its quadrature for many modes.
+    """Check a test battery once and lay out its slot data and norms for many modes.
 
     ``tests`` defaults to :func:`standard_test_battery`.  Tests outside the
-    operator domain are rejected with a ``ValueError``: a support that leaves
-    its edges, and a star test at v whose residual exceeds
+    operator domain are rejected with a ``ValueError``: a bump that leaves
+    its edge, and a star test at v whose residual exceeds
     ``CONDITION_TOL max(1, ||L_v||)``, the scale at which
-    :func:`boundary.lp_mixing` accepts kernel data.
-    Panels split at the nodes of every grid in ``cut_meshes`` (the meshes of
-    nodal phi and potential data).
+    :func:`boundary.lp_mixing` accepts kernel data.  A star ramp ends at
+    ``STAR_RHO u``, at most ``0.45 l_e`` on a valid graph, so it fits.
+    Every ||f||^2 is in closed form: ``r 2048/3003`` for a bump of radius
+    r, and ``sum_k m_0 |a_k|^2 + 2 m_1 Re(conj(a_k) b_k) + m_2 |b_k|^2``
+    for a star test, with ``m_j = int_0^rho tau^j chi^2 dtau``.
     """
     tests = tuple(standard_test_battery(g, bc) if tests is None else tests)
-    for test in tests:
-        if not _on_its_edges(g, test):
-            raise ValueError(f"test {test.label!r} leaves its edges, so it is not in the operator domain")
+    value, deriv = np.zeros((2, len(tests), sum(g.degree(v) for v in g.vertices)), dtype=complex)
+    norm_sq = np.zeros(len(tests))
+    for i, test in enumerate(tests):
+        if isinstance(test, BumpTest):
+            if not 0.0 < test.radius <= test.center <= g.edge(test.edge).length - test.radius:
+                raise ValueError(f"test {test.label!r} leaves its edges, so it is not in the operator domain")
+            norm_sq[i] = _BUMP_NORM_SQ * test.radius
+        else:
+            value[i, g.slots[test.vertex]], deriv[i, g.slots[test.vertex]] = test.value, test.deriv
         bad = test.condition_residual(g, bc)
         scale = max(1.0, float(np.linalg.norm(bc.L(test.vertex)))) if isinstance(test, StarTest) else 1.0
         if bad > CONDITION_TOL * scale:
             raise ValueError(
                 f"test {test.label!r} violates the vertex conditions (residual {bad:.3e})"
             )
-    return _quadrature(g, tests, potential, cut_meshes)
+    m0, m1, m2 = (c * (STAR_RHO * g.u) ** (j + 1) for j, c in enumerate(_CHI_MOMENTS))
+    norm_sq += m0 * np.sum(np.abs(value) ** 2, axis=1) + m2 * np.sum(np.abs(deriv) ** 2, axis=1)
+    norm_sq += 2.0 * m1 * np.sum((np.conj(value) * deriv).real, axis=1)
+    return CompiledBattery(g, tests, potential, np.sqrt(norm_sq), value, deriv)
 
 
 def generalized_eigenfunction_residual(
@@ -690,19 +643,17 @@ def generalized_eigenfunction_residual(
     """max over tests of |<H f, phi> - lambda <f, phi>| / ||f||.
 
     ``phi`` is an exact :class:`SecularSolution` at its own energy, scored
-    by Green's identity from its vertex traces, or nodal data, paired with
-    ``H f = -f''`` on Gauss-Legendre panels aligned with the smooth pieces of
-    each test and the grid cells of phi (:meth:`CompiledBattery.residual_matrix`).
-    Star tests probe the vertex conditions, and for nodal data interior
-    bumps probe the differential equation.  Tests outside the operator
-    domain are rejected.
+    by Green's identity from its vertex traces with no Gauss node, or nodal
+    data, paired with ``H f = -f''`` through its P1 load vectors on
+    Gauss-Legendre panels split at its mesh nodes
+    (:meth:`CompiledBattery.residual_matrix`).  Star tests probe the vertex
+    conditions, and for nodal data interior bumps probe the differential
+    equation.  Tests outside the operator domain are rejected.
 
     A one-mode call of :func:`compile_battery`; to check many modes, compile
     once and call :meth:`CompiledBattery.residuals`.
     """
-    cut_meshes = [phi.h_max] if isinstance(phi, GridFunction) else []
-    battery = compile_battery(g, bc, tests, None, cut_meshes)
-    return battery.residuals([phi], [lam])[0]
+    return compile_battery(g, bc, tests).residuals([phi], [lam])[0]
 
 
 def intertwining_gap(rep: DiscreteSpectralRep, coeffs: np.ndarray) -> float:

@@ -279,7 +279,7 @@ def perturbed_eigen_report(
     """
     phis = es.grid_functions()
     lams = [float(lam) for lam in es.eigenvalues]
-    battery = compile_battery(g, bc, potential=V, cut_meshes=(es.assembly.h_max, V.h_max))
+    battery = compile_battery(g, bc, potential=V)
     res = battery.residual_matrix(phis, lams)
     is_bump = np.array([isinstance(t, BumpTest) for t in battery.tests], dtype=bool)
     interior = np.max(res[is_bump], axis=0, initial=0.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricgraph import (
     BoundaryCondition,
@@ -17,6 +19,7 @@ from metricgraph import (
     edge_grid,
     eigensystem,
     eigenvalue_scan,
+    generalized_eigenfunction_residual,
     parse_potential_expr,
     perturbed_eigen_report,
     preset,
@@ -25,9 +28,10 @@ from metricgraph import (
 )
 from metricgraph import SecularSolution, boundary, expansion, potentials
 from metricgraph.expansion import BumpTest, compile_battery
+from metricgraph.functions import Mesh
 from metricgraph.graph import INIT
 
-from conftest import interval_graph
+from conftest import interval_graph, loop_edge_graph
 
 _GL24 = np.polynomial.legendre.leggauss(24)
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -84,7 +88,7 @@ def _reference_pieces(g, test):
             return np.where(np.abs(s) < 1.0, (1.0 - s**2) * (30.0 * s**2 - 6.0) / r**2, 0.0).astype(complex)
 
         return [(test.edge, c - r, c + r, f, d2)]
-    rho = test.rho
+    rho = expansion.STAR_RHO * g.u
     ramp = _ramp(rho / 2.0, rho)
     out = []
     for k, (eid, end) in enumerate(g.star(test.vertex).slots):
@@ -207,7 +211,7 @@ def test_compiled_battery_matches_reference_loop(name, g, bc, rep, es, V, h):
         runs.append((es.grid_functions(), list(es.eigenvalues), (h,)))
     assert all(len(phis) >= 3 for phis, _, _ in runs)
     for phis, energies, cuts in runs:
-        got = compile_battery(g, bc, potential=V, cut_meshes=cuts + pot_mesh).residual_matrix(phis, energies)
+        got = compile_battery(g, bc, potential=V).residual_matrix(phis, energies)
         assert got.shape == (len(tests), len(phis))
         for m, (phi, lam) in enumerate(zip(phis, energies)):
             ref = reference_residuals(g, bc, tests, phi, lam, V, cuts + pot_mesh)
@@ -257,11 +261,11 @@ def _refusal_case(kind):
         return compile_battery(g, bc), exact, [lam + 0.75 for lam in lams]
     if kind == "exact-against-a-potential":
         V = parse_potential_expr("const:1.0", g, h)
-        return compile_battery(g, bc, potential=V, cut_meshes=(h,)), exact, lams
+        return compile_battery(g, bc, potential=V), exact, lams
     if kind == "mixed":
-        return compile_battery(g, bc, cut_meshes=(h,)), nodal + exact, lams + lams
+        return compile_battery(g, bc), nodal + exact, lams + lams
     coarse = [GridFunction.from_callable(g, 2.0 * h, m.exact.evaluate) for m in modes]
-    return compile_battery(g, bc, cut_meshes=(h, 2.0 * h)), nodal + coarse, lams + lams
+    return compile_battery(g, bc), nodal + coarse, lams + lams
 
 
 @pytest.mark.parametrize("kind", ["exact-away-from-its-energy", "exact-against-a-potential", "mixed", "two-meshes"])
@@ -269,6 +273,98 @@ def test_residual_matrix_refuses_other_mode_lists(kind):
     battery, phis, lams = _refusal_case(kind)
     with pytest.raises(ValueError, match="own energies"):
         battery.residual_matrix(phis, lams)
+
+
+def _summed_norm(g, test):
+    """||f|| by a 24-point Gauss rule on the sum of a test's pieces, split at every kink of every edge."""
+    pieces = _reference_pieces(g, test)
+    norm_sq = 0.0
+    for e in g.edges:
+        mine = [p for p in pieces if p[0] == e.id]
+        kinks = np.unique([0.0, e.length] + [t for p in mine for t in p[1:3]])
+        for lo, hi in zip(kinks[:-1], kinks[1:]):
+            t, w = _gauss(lo, hi, _GL24)
+            f = sum(np.where((t > t0) & (t < t1), fn(t), 0.0) for _, t0, t1, fn, _ in mine)
+            norm_sq += float(np.sum(w * np.abs(f) ** 2))
+    return math.sqrt(norm_sq)
+
+
+def _norm_cases():
+    out = [(name, g, bc) for name, g, bc, *_ in CASES]
+    for loop_len, edge_len in ((2.0, 2.0), (1.0, 3.0)):
+        g = loop_edge_graph(loop_len, edge_len)
+        out += [(f"loop-{loop_len:g}-{edge_len:g}-{kind}", g, uniform_bc(g, kind, alpha)) for kind, alpha in
+                (("kirchhoff", None), ("delta", -1.5))]
+    return out
+
+
+NORM_CASES = _norm_cases()
+
+
+@pytest.mark.parametrize("name,g,bc", NORM_CASES, ids=[c[0] for c in NORM_CASES])
+def test_battery_norms_are_those_of_the_summed_tests(name, g, bc):
+    # on a loop both ramps of a star test lie on one edge: the norm is that of their sum
+    battery = compile_battery(g, bc)
+    summed = np.array([_summed_norm(g, test) for test in battery.tests])
+    assert np.all(np.abs(battery.norms - summed) <= 1e-13 * summed)
+
+
+def test_exact_modes_need_no_gauss_node(monkeypatch):
+    [(_, g, bc, rep, _, _, _)] = [c for c in CASES if c[0] == "general-lp-star"]
+
+    def no_panels(*args):
+        raise AssertionError("Gauss panels built")
+
+    monkeypatch.setattr(expansion, "_gl_panels", no_panels)
+    battery = compile_battery(g, bc)
+    reports = battery.residuals([m.exact for m in rep.modes], [m.lam for m in rep.modes])
+    assert max(r.max_residual for r in reports) < 1e-10
+    m = rep.modes[0]
+    assert generalized_eigenfunction_residual(g, bc, m.exact, m.lam).max_residual < 1e-10
+    with pytest.raises(AssertionError, match="Gauss panels built"):  # the nodal path does build them
+        battery.residuals([m.phi], [m.lam])
+
+
+def _within_reference_bound(got, r, size, n):
+    """The bound of test_compiled_battery_matches_reference_loop, which derives it."""
+    u = 2.0**-53
+    return abs(got - r) <= 1e-9 * r + (2.0 * n * u / (1.0 - n * u) + 8.0 * u) * size
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 10_000), st.booleans())
+def test_random_stars_meet_the_reference_loop(rays, seed, with_potential):
+    # rays in [u, 2u], a random rank-r P and Hermitian L on ker P up to norm 100,
+    # mixed tips; random nodal modes on one mesh, a potential on another
+    rng = np.random.default_rng(seed)
+    tips = tuple(f"t{i}" for i in range(rays))
+    edges = tuple(Edge(f"e{i}", float(rng.uniform(1.0, 2.0)), "c", tip) for i, tip in enumerate(tips))
+    g = MetricGraph(("c",) + tips, edges, 1.0)
+    Q, _ = np.linalg.qr(rng.standard_normal((rays, rays)) + 1j * rng.standard_normal((rays, rays)))
+    r = int(rng.integers(0, rays + 1))
+    G = rng.standard_normal((rays - r, rays - r)) + 1j * rng.standard_normal((rays - r, rays - r))
+    G = (G + G.conj().T) * rng.uniform(0.0, 100.0) / max(np.linalg.norm(G + G.conj().T, 2), 1e-300)
+    conds = {"c": (Q[:, r:] @ G @ Q[:, r:].conj().T, Q[:, :r] @ Q[:, :r].conj().T)}
+    for tip in tips:
+        kind = ("dirichlet", "neumann", "delta")[int(rng.integers(0, 3))]
+        conds[tip] = preset(kind, g.star(tip), float(rng.uniform(-1.0, 1.0)) if kind == "delta" else None)
+    bc = BoundaryCondition(conds)
+    h = float(rng.uniform(0.05, 0.3))
+    mesh = Mesh(g, h)
+    phis = [GridFunction.on(mesh, rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes))
+            for _ in range(3)]
+    lams = rng.uniform(-5.0, 50.0, 3).tolist()
+    V, cuts = None, (h,)
+    if with_potential:
+        h_v = h * float(rng.uniform(0.4, 0.9))
+        pot_mesh = Mesh(g, h_v)
+        V, cuts = potentials.Potential.on(pot_mesh, rng.uniform(-10.0, 10.0, pot_mesh.n_nodes)), (h, h_v)
+    battery = compile_battery(g, bc, potential=V)
+    got = battery.residual_matrix(phis, lams)
+    for m, (phi, lam) in enumerate(zip(phis, lams)):
+        ref = reference_residuals(g, bc, battery.tests, phi, lam, V, cuts)
+        for i, (res, size, n) in enumerate(ref):
+            assert _within_reference_bound(got[i, m], res, size, n), (battery.tests[i].label, m)
 
 
 def test_relative_bound_samples_once_for_many_a():

@@ -415,6 +415,22 @@ def test_scipy_free_modules_import_no_scipy(module):
     assert scipy_imports == []
 
 
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in Path(metricgraph.__file__).parent.glob("*.py") if p.stem != "__init__")
+)
+def test_modules_use_every_name_they_import(module):
+    # __init__ imports to re-export; every other module imports only what it uses
+    tree = ast.parse((Path(metricgraph.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
 # ---------------------------------------------------------------------------
 # expansion
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from metricgraph import (
     standard_test_battery,
     uniform_bc,
 )
-from metricgraph.expansion import BumpTest, StarTest, compile_battery, hs_kernel_cross_check, intertwining_gap
+from metricgraph.expansion import BumpTest, compile_battery, hs_kernel_cross_check, intertwining_gap
 from metricgraph.secular import RankAnomaly
 
 from conftest import interval_graph, loop_edge_graph, path_graph, spectral_fixture_list, star_graph
@@ -380,7 +380,6 @@ def test_battery_rejects_tests_that_leave_their_edges():
         BumpTest("past-the-start", "e", 0.2, 0.5),
         BumpTest("centred-off-the-edge", "e", -1.0, 0.5),
         BumpTest("no-radius", "e", 1.0, 0.0),
-        StarTest("wide-ramp", "v", np.zeros(1, dtype=complex), np.ones(1, dtype=complex), 1.5 * math.pi),
     ]
     for test in outside:
         with pytest.raises(ValueError, match="leaves its edges"):
