@@ -20,6 +20,7 @@ from metricgraph import (
     eigensystem,
     eigenvalue_scan,
     preset,
+    scan_window,
     uniform_bc,
 )
 from metricgraph.functions import edge_grid
@@ -48,7 +49,7 @@ def main() -> None:
     args = ap.parse_args()
 
     for name, g, bc in fixtures():
-        hits = eigenvalue_scan(g, bc, -1.0, 120.0, num=900)
+        hits = eigenvalue_scan(g, bc, *scan_window(g, bc, args.modes))
         exact = np.array([h.lam for h in hits for _ in range(h.multiplicity)][: args.modes])
         print(f"\n== {name} ==")
         print("exact:", np.array2string(exact, precision=6))

@@ -23,6 +23,7 @@ from metricgraph import (
     fourier_coefficients,
     hs_norm_sq,
     parseval,
+    scan_window,
     uniform_bc,
 )
 from metricgraph.expansion import compile_battery
@@ -36,8 +37,7 @@ def main() -> None:
 
     g = MetricGraph(("v", "w"), (Edge("e", math.pi, "v", "w"),), 1.0)
     bc = uniform_bc(g, "dirichlet")
-    lam_max = (args.modes + 0.7) ** 2
-    hits = eigenvalue_scan(g, bc, 0.5, lam_max, num=60 * args.modes)[: args.modes]
+    hits = eigenvalue_scan(g, bc, *scan_window(g, bc, args.modes))[: args.modes]
     rep = DiscreteSpectralRep.from_secular(g, bc, hits, args.mesh)
     print(f"modes: {[round(h.lam, 6) for h in hits[:6]]} ...")
 

@@ -73,6 +73,7 @@ from .secular import (
     basis_values,
     eigenfunction,
     eigenvalue_scan,
+    scan_window,
     secular_matrix,
     smallest_singular_value,
     weyl_count_estimate,

@@ -14,6 +14,7 @@ derived :class:`CoercivityConstant` makes that bound explicit.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,11 +54,21 @@ class BoundaryCondition:
         L, P = self.conditions[v]
         return np.linalg.norm(P @ value, axis=0) + np.linalg.norm(L @ value + deriv - P @ deriv, axis=0)
 
-    def worst_residual(self, g: MetricGraph, value: np.ndarray, deriv: np.ndarray) -> float | np.ndarray:
-        """The worst :meth:`vertex_residual` of any vertex, per column of slot arrays (:attr:`MetricGraph.slots`)."""
+    def residual_scale(self, v: VertexId) -> float:
+        """``max(1, ||L_v||)``: the scale of a vertex residual at v."""
+        return max(1.0, float(np.linalg.norm(self.L(v))))
+
+    def worst_residual(
+        self, g: MetricGraph, value: np.ndarray, deriv: np.ndarray, relative: bool = False
+    ) -> float | np.ndarray:
+        """The worst :meth:`vertex_residual` of any vertex, per column of slot arrays (:attr:`MetricGraph.slots`).
+
+        With ``relative``, each vertex's residual is divided by its own :meth:`residual_scale`.
+        """
         worst = np.zeros(np.shape(value)[1:])
         for v, sl in g.slots.items():
-            worst = np.maximum(worst, self.vertex_residual(v, value[sl], deriv[sl]))
+            res = self.vertex_residual(v, value[sl], deriv[sl])
+            worst = np.maximum(worst, res / self.residual_scale(v) if relative else res)
         return worst
 
     def vertices(self):
@@ -89,15 +100,24 @@ def positive_part_norm(L: np.ndarray) -> float:
     return float(max(0.0, ev[-1])) if ev.size else 0.0
 
 
+def _eps_C(S: float, u: float) -> tuple[float, float]:
+    """(eps, C) of :class:`CoercivityConstant`; once 4S overflows, eps is 0 and C is infinite.
+
+    :func:`validate_bc` reads C here, not through :func:`coercivity_constant`, so that
+    perfbench's ``boundary.coercivity_constant`` spans stay the calls that ask for C.
+    """
+    if S == 0:
+        return u, 0.5
+    eps = min(u, 1.0 / (4.0 * S))
+    return eps, 4.0 * S / eps + 0.5 if eps > 0 else math.inf
+
+
 def coercivity_constant(S: float, u: float) -> CoercivityConstant:
     if S < 0:
         raise ValueError("S must be nonnegative")
     if not (u > 0):
         raise ValueError("u must be positive")
-    if S == 0:
-        return CoercivityConstant(0.0, u, u, 0.5)
-    eps = min(u, 1.0 / (4.0 * S))
-    return CoercivityConstant(S, u, eps, 4.0 * S / eps + 0.5)
+    return CoercivityConstant(float(S), u, *_eps_C(S, u))
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +137,17 @@ def lp_mixing(L: np.ndarray, P: np.ndarray) -> bool:
     return bool(np.linalg.norm(mix) > DEFAULT_MATRIX_TOL * max(1.0, float(np.linalg.norm(L))))
 
 
+@np.errstate(over="ignore")  # a norm of entries above about 1e154 overflows to inf, a violation below
 def validate_bc(g: MetricGraph, bc: BoundaryCondition) -> tuple[list[Violation], float]:
     """Check self-adjointness/projection structure; return violations and S.
 
     Matrix sizes must match the vertex degrees (that is an input error, not a
     violation).  Deviations are measured in Frobenius norm relative to the
-    matrix scale, at the one tolerance ``DEFAULT_MATRIX_TOL``.  Vertices where
-    :func:`lp_mixing` holds get a warning-level violation (code ``lp-mixing``).
+    matrix scale, at the one tolerance ``DEFAULT_MATRIX_TOL``.  A non-finite
+    norm of L or P (a NaN or inf entry, or one so large that the norm
+    overflows), or a non-finite coercivity constant C, is a violation too.
+    Vertices where :func:`lp_mixing` holds get a warning-level violation
+    (code ``lp-mixing``).
     """
     out: list[Violation] = []
     missing = [v for v in g.vertices if v not in bc.conditions]
@@ -135,8 +159,12 @@ def validate_bc(g: MetricGraph, bc: BoundaryCondition) -> tuple[list[Violation],
         L, P = bc.L(v), bc.P(v)
         if L.shape != (d, d) or P.shape != (d, d):
             raise ValueError(f"vertex {v!r}: matrices must be {d}x{d}, got {L.shape} and {P.shape}")
-        scale_L = max(1.0, float(np.linalg.norm(L)))
-        scale_P = max(1.0, float(np.linalg.norm(P)))
+        norm_L, norm_P = float(np.linalg.norm(L)), float(np.linalg.norm(P))
+        if not math.isfinite(norm_L + norm_P):  # a NaN or inf entry, or a norm that overflows
+            out.append(Violation("non-finite", str(v), f"L or P at vertex {v!r} has a non-finite norm"))
+            continue
+        scale_L = max(1.0, norm_L)
+        scale_P = max(1.0, norm_P)
         if np.linalg.norm(L - L.conj().T) > DEFAULT_MATRIX_TOL * scale_L:
             out.append(Violation("L-selfadjoint", str(v), f"L at vertex {v!r} is not self-adjoint"))
         if np.linalg.norm(P - P.conj().T) > DEFAULT_MATRIX_TOL * scale_P:
@@ -146,6 +174,8 @@ def validate_bc(g: MetricGraph, bc: BoundaryCondition) -> tuple[list[Violation],
         if lp_mixing(L, P):
             out.append(Violation("lp-mixing", str(v), f"L at vertex {v!r} maps ker P into ran P"))
         S = max(S, positive_part_norm(0.5 * (L + L.conj().T)))
+    if not math.isfinite(_eps_C(S, g.u)[1]):
+        out.append(Violation("unbounded", "S", f"S = {S:.6g} has no finite coercivity constant"))
     return out, S
 
 
@@ -193,7 +223,7 @@ def preset(kind: str, star: VertexStar, alpha: float | None = None) -> tuple[np.
     if kind == "delta":
         if alpha is None:
             raise ValueError("delta coupling needs a strength alpha")
-        return -(alpha / d**2) * ones, P
+        return np.full((d, d), -alpha / d**2, dtype=complex), P
     raise ValueError(f"unknown preset {kind!r}")
 
 

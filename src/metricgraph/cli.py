@@ -74,19 +74,6 @@ def _parse_base_point(g: MetricGraph, spec: str | None) -> Point:
     return VertexPoint(v)
 
 
-def _scan(args: argparse.Namespace, g: MetricGraph, bc: boundary.BoundaryCondition):
-    """Coercivity constant and secular roots; the window must hold ``args.modes`` modes."""
-    const = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u)
-    lam_min = args.lambda_min
-    if lam_min is None:
-        lam_min = 0.5 - const.C - 1.0  # the form bound gives lambda >= 1/2 - C
-    hits = secular.eigenvalue_scan(g, bc, lam_min, args.lambda_max)
-    found = sum(h.multiplicity for h in hits)
-    if found < args.modes:
-        raise ValueError(f"scan up to lambda={args.lambda_max} found only {found} modes; raise --lambda-max")
-    return const, hits
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -122,7 +109,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "violations": [vars(v) for v in fatal],
         "warnings": [vars(v) for v in warn],
     }
-    report["coercivity"] = {"S": const.S, "u": const.u, "eps": const.eps, "C": const.C}
+    if math.isfinite(const.C):  # an infinite C is a violation above, and JSON has no inf
+        report["coercivity"] = {"S": const.S, "u": const.u, "eps": const.eps, "C": const.C}
     report["valid"] = not fatal
     _emit(args, "validate", report)
     return EXIT_OK if not fatal else EXIT_CHECK_FAILED
@@ -131,7 +119,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g, bc = _load_inputs(args)
     g.require_compact("spectral computation")
-    _, hits = _scan(args, g, bc)
+    hits = secular.eigenvalue_scan(g, bc, *secular.scan_window(g, bc, args.modes))
     exact = [h.lam for h in hits for _ in range(h.multiplicity)][: args.modes]
     fa = fem.assemble(g, bc, args.mesh)
     es = fem.eigensystem(fa, args.modes)
@@ -177,12 +165,13 @@ def cmd_expansion(args: argparse.Namespace) -> int:
         raise ValueError("--check-lambda needs --check-file")
     g, bc = _load_inputs(args)
     g.require_compact("the expansion report")
-    const, hits = _scan(args, g, bc)
+    hits = secular.eigenvalue_scan(g, bc, *secular.scan_window(g, bc, args.modes))
     # the roots up to the one that completes args.modes modes
     before = itertools.accumulate((h.multiplicity for h in hits), initial=0)
     kept = [h for h, n in zip(hits, before) if n < args.modes]
     rep = expansion.DiscreteSpectralRep.from_secular(g, bc, kept, args.mesh)
     wf = expansion.build_weight(g, _parse_base_point(g, args.weight_base), args.weight_eps)
+    const = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u)
     C = args.hs_c if args.hs_c is not None else const.C + 1.0
     hs = expansion.hs_norm_sq(rep, wf.sample(args.mesh), C, inverse_sup=wf.inverse_sup)
 
@@ -325,8 +314,6 @@ FLAGS: dict[str, dict] = {
     "--out": {"help": "directory for reports and CSV exports"},
     "--mesh": {"type": finite_float, "default": 0.02, "help": "grid width h_max"},
     "--modes": {"type": positive_int, "default": 8},
-    "--lambda-min": {"type": finite_float, "help": "scan start (default 1/2 - C - 1, below the proven bound 1/2 - C)"},
-    "--lambda-max": {"type": finite_float, "default": 50.0},
     "--tol": {"type": finite_float, "default": 1e-6, "help": "largest accepted weak residual"},
     "--seed": {"type": int, "default": 0},
     "--weight-eps": {"type": finite_float, "default": 1.0},
@@ -337,7 +324,7 @@ FLAGS: dict[str, dict] = {
     "--potential": {"required": True, "help": "CSV path or const:c / well:edge,t0,t1,d"},
 }
 _INPUTS = ("--graph", "--bc", "--out")
-_SPECTRUM = _INPUTS + ("--mesh", "--modes", "--lambda-min", "--lambda-max")
+_SPECTRUM = _INPUTS + ("--mesh", "--modes")
 _EXPANSION = _SPECTRUM + (
     "--tol", "--seed", "--weight-eps", "--weight-base", "--hs-c", "--check-file", "--check-lambda"
 )

@@ -39,7 +39,6 @@ from .graph import (
 )
 from .secular import RankAnomaly, SecularEigenvalue, SecularSolution, SecularSystem, eigenfunction
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 CONDITION_TOL = 1e-8  # vertex-condition residual of a test, relative to max(1, ||L_v||)
 
@@ -390,16 +389,12 @@ class StarTest:
 TestFunction = BumpTest | StarTest
 
 
-def _gl_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS
-
-
 def _gl_panels(a: float, b: float, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes on [a, b], split at any interior cuts (grid kinks)."""
+    """8-point Gauss panels on [a, b], split at any interior cuts (grid kinks).
+
+    Exact: on a panel every integrand is a polynomial of degree at most 8.
+    """
     inner_cuts = cuts[(cuts > a + 1e-14) & (cuts < b - 1e-14)]
-    if inner_cuts.size == 0:
-        return _gl_nodes(a, b)
     bounds = np.concatenate([[a], inner_cuts, [b]])
     mids = 0.5 * (bounds[1:] + bounds[:-1])
     halves = 0.5 * (bounds[1:] - bounds[:-1])
@@ -622,7 +617,7 @@ def compile_battery(
         else:
             value[i, g.slots[test.vertex]], deriv[i, g.slots[test.vertex]] = test.value, test.deriv
         bad = test.condition_residual(g, bc)
-        scale = max(1.0, float(np.linalg.norm(bc.L(test.vertex)))) if isinstance(test, StarTest) else 1.0
+        scale = bc.residual_scale(test.vertex) if isinstance(test, StarTest) else 1.0
         if bad > CONDITION_TOL * scale:
             raise ValueError(
                 f"test {test.label!r} violates the vertex conditions (residual {bad:.3e})"

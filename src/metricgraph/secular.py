@@ -46,7 +46,7 @@ from .graph import EdgeId, MetricGraph
 SERIES_THRESHOLD = 1e-6  # |lambda| below which the power series is used
 SINGULAR_RTOL = 1e-8  # numerical rank of M(lambda), relative to its largest singular value
 SCAN_POINTS = 600  # default sigma_min grid of eigenvalue_scan; it places cuts, not roots
-POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to max(1, lambda)
+POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to the energy
 CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
 MAX_KL = 300.0  # largest sqrt(-lambda) * l: e^600 ~ 4e260 leaves the squares in row norms and Gram matrices finite
 
@@ -300,14 +300,14 @@ def _cut_points(vals: np.ndarray, grid: np.ndarray) -> set[float]:
 
 
 def _pole_bands(system: SecularSystem, lo: float, hi: float) -> dict[float, tuple[float, list[float]]]:
-    """Bands ``p -+ POLE_RTOL max(1, p)`` around the decoupled energies near [lo, hi].
+    """Bands ``p -+ POLE_RTOL p`` around the decoupled energies near [lo, hi].
 
     Overlapping bands merge; each maps its lower end to its upper end and its distinct energies.
     """
     pad = 2 * POLE_RTOL * max(1.0, abs(lo), abs(hi))
     bands: list[list] = []  # [lower end, upper end, energies]
     for p in system.decoupled_energies(lo - pad, hi + pad).tolist():
-        w = POLE_RTOL * max(1.0, p)
+        w = POLE_RTOL * p
         if bands and p - w <= bands[-1][1]:
             bands[-1][1] = p + w
             if p - bands[-1][2][-1] > CLUSTER_RTOL * p:
@@ -373,7 +373,7 @@ def eigenvalue_scan(
     interval.  The ``num``-point grid of sigma_min (at least 2 points) only
     chooses where the window is first cut: at its ends and at the grid
     neighbours of each local minimum.  Each decoupled energy p gets a band
-    ``p -+ POLE_RTOL max(1, p)``, where D(lambda) is singular or
+    ``p -+ POLE_RTOL p``, where D(lambda) is singular or
     ill-conditioned; grid cuts inside a band are dropped, the count is
     taken at the band ends and p's multiplicity is the rank drop of M(p).
     Between cuts, bisection on the count isolates the roots and a simple
@@ -413,6 +413,20 @@ def eigenvalue_scan(
     ]
 
 
+def scan_window(g: MetricGraph, bc: BoundaryCondition, modes: int) -> tuple[float, float]:
+    """[lo, hi] holding the ``modes`` lowest eigenvalues: N(lo) = 0 and N(hi) >= N_D(hi) >= modes.
+
+    ``lo`` is the first of -eps, -2 eps, -4 eps, ... with count 0, eps = min(1, l_max^-2); ``hi``
+    lies just above the ``modes``-th decoupled energy (n pi / l_e)^2, counted with multiplicity.
+    """
+    system = SecularSystem(g, bc)
+    lo = -min(1.0, float(system.lengths.max()) ** -2)
+    while system.count(lo) > 0:  # raises RankAnomaly past MAX_KL
+        lo *= 2.0
+    p = (np.arange(1, modes + 1)[:, None] * math.pi / system.lengths) ** 2
+    return lo, float(np.sort(p, axis=None)[modes - 1]) * (1.0 + 4.0 * POLE_RTOL)
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions
 # ---------------------------------------------------------------------------
@@ -450,9 +464,9 @@ class SecularSolution:
         vals[term], ders[term] = c * alpha + s * beta, self.lam * s * alpha - c * beta
         return vals, ders
 
-    def vertex_residual(self, bc: BoundaryCondition) -> float:
-        """max_v ||P f(v)|| + ||L f(v) + (1 - P) f'(v)|| for this solution."""
-        return bc.worst_residual(self.graph, *self.trace_values())
+    def vertex_residual(self, bc: BoundaryCondition, relative: bool = False) -> float:
+        """max_v ||P f(v)|| + ||L f(v) + (1 - P) f'(v)|| for this solution (:meth:`BoundaryCondition.worst_residual`)."""
+        return bc.worst_residual(self.graph, *self.trace_values(), relative)
 
     def l2_norm_sq(self) -> float:
         return float(np.real(self.x.conj() @ _gram(self.graph, self.lam) @ self.x))
@@ -495,10 +509,10 @@ def eigenfunction(
 
     Each is a :class:`SecularSolution` holding an orthonormalized null
     vector of M(lambda).  Raises if M(lambda) is not numerically rank
-    deficient there.  Null vectors that fail the verbatim vertex conditions
-    (possible when L maps ker P into ran P) are discarded with a
-    rank-anomaly error rather than projected away.  ``system`` is (g, bc)
-    compiled, to share across roots.
+    deficient there.  Null vectors whose verbatim residual at some vertex v
+    exceeds ``100 SINGULAR_RTOL max(1, ||L_v||)`` (possible when L maps
+    ker P into ran P) are discarded with a rank-anomaly error rather than
+    projected away.  ``system`` is (g, bc) compiled, to share across roots.
     """
     system = system or SecularSystem(g, bc)
     null = _null_space(system.matrix(lam))
@@ -506,7 +520,7 @@ def eigenfunction(
         sigma = smallest_singular_value(g, bc, lam, system)
         raise ValueError(f"lambda={lam} is not an eigenvalue (sigma_min={sigma:.3e})")
     sols = [SecularSolution(g, lam, x) for x in _orthonormalize(g, lam, null).astype(complex).T]
-    kept = [s for s in sols if s.vertex_residual(bc) <= 100 * SINGULAR_RTOL]
+    kept = [s for s in sols if s.vertex_residual(bc, relative=True) <= 100 * SINGULAR_RTOL]
     if len(kept) < len(sols):
         raise RankAnomaly(
             f"rank anomaly at lambda={lam}: {len(sols) - len(kept)} null vector(s) violate the "

@@ -339,9 +339,8 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     bpath.write_text(json.dumps({"v": "dirichlet", "w": "dirichlet"}))
     commands = {
         "validate": [],
-        "spectrum": ["--mesh", "0.05", "--modes", "4", "--lambda-min", "0.5", "--lambda-max", "30"],
-        "expansion": ["--mesh", "0.05", "--modes", "4", "--lambda-min", "0.5",
-                      "--lambda-max", "30", "--seed", "11", "--weight-base", "v"],
+        "spectrum": ["--mesh", "0.05", "--modes", "4"],
+        "expansion": ["--mesh", "0.05", "--modes", "4", "--seed", "11", "--weight-base", "v"],
         "potential": ["--potential", "const:0.5", "--mesh", "0.05", "--modes", "4"],
     }
     ok = True

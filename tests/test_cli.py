@@ -107,12 +107,38 @@ def test_every_command_accepts_bc_under_one_tolerance(tmp_path, capsys):
     assert code == 1 and report["valid"] is False
     assert [v["code"] for v in report["boundary"]["violations"]] == ["P-idempotent"]
     common = ["--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2"]
-    window = ["--lambda-min", "0.5", "--lambda-max", "10"]
-    for argv in (["spectrum", *window], ["expansion", *window], ["potential", "--potential", "const:1.0"]):
+    for argv in (["spectrum"], ["expansion"], ["potential", "--potential", "const:1.0"]):
         assert main(argv + common) == 2
         assert "P at vertex 'v' is not idempotent" in capsys.readouterr().err
     with pytest.raises(SystemExit):  # no flag moves the tolerance
         main(["validate", "--graph", g, "--bc", b, "--bc-tol", "1e-6"])
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"delta": math.nan}, "L or P at vertex 'v' has a non-finite norm"),
+        ({"delta": math.inf}, "L or P at vertex 'v' has a non-finite norm"),
+        ({"L": [[0.0]], "P": [[math.nan]]}, "L or P at vertex 'v' has a non-finite norm"),
+        ({"delta": -1e308}, "L or P at vertex 'v' has a non-finite norm"),
+        ({"delta": 1e200}, "L or P at vertex 'v' has a non-finite norm"),
+        ({"delta": -1e154}, "S = 1e+154 has no finite coercivity constant"),
+    ],
+    ids=["delta-nan", "delta-inf", "p-nan", "delta-1e308", "repulsive-1e200", "delta-1e154"],
+)
+def test_non_finite_or_unbounded_bc_is_invalid(tmp_path, capsys, entry, message):
+    # Python's json reads NaN and Infinity, ||L||^2 overflows above about
+    # 1e154, and 16 S^2 in C just below; validate reports each, and every
+    # other command refuses it
+    g, b = write_interval(tmp_path, bc=(entry, "dirichlet"))
+    code, report = run_and_parse(capsys, ["validate", "--graph", g, "--bc", b])
+    assert code == 1 and report["valid"] is False
+    assert [v["message"] for v in report["boundary"]["violations"]] == [message]
+    jsonschema.validate(report, load_schema("validate"))
+    common = ["--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2"]
+    for argv in (["spectrum"], ["expansion"], ["potential", "--potential", "const:1.0"]):
+        assert main(argv + common) == 2
+        assert capsys.readouterr().err == f"error: invalid boundary condition: {message}\n"
 
 
 def test_empty_graph_is_invalid_for_every_command(tmp_path, capsys):
@@ -170,8 +196,7 @@ def test_malformed_documents_are_input_errors(tmp_path, capsys, graph, bc):
 )
 def test_unknown_ids_are_named(tmp_path, capsys, argv, message):
     g, b = write_interval(tmp_path)
-    window = ["--lambda-min", "0.5", "--lambda-max", "10"] if argv[0] == "expansion" else []
-    assert main([*argv, "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2", *window]) == 2
+    assert main([*argv, "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     Path(b).write_text(json.dumps({"v": "dirichlet", "w": "dirichlet", "x": "dirichlet"}))
     assert main(["validate", "--graph", g, "--bc", b]) == 2
@@ -187,8 +212,7 @@ def test_spectrum_interval(tmp_path, capsys):
     g, b = write_interval(tmp_path)
     code, report = run_and_parse(
         capsys,
-        ["spectrum", "--graph", g, "--bc", b, "--mesh", "0.0157", "--modes", "6",
-         "--lambda-min", "0.5", "--lambda-max", "40", "--out", str(tmp_path / "out")],
+        ["spectrum", "--graph", g, "--bc", b, "--mesh", "0.0157", "--modes", "6", "--out", str(tmp_path / "out")],
     )
     assert code == 0 and report["within_budget"]
     jsonschema.validate(report, load_schema("spectrum"))
@@ -204,8 +228,7 @@ def test_spectrum_neumann_zero_mode(tmp_path, capsys):
     g, b = write_interval(tmp_path, length=1.0, bc=("neumann", "neumann"))
     code, report = run_and_parse(
         capsys,
-        ["spectrum", "--graph", g, "--bc", b, "--mesh", "0.01", "--modes", "3",
-         "--lambda-min", "-0.5", "--lambda-max", "50"],
+        ["spectrum", "--graph", g, "--bc", b, "--mesh", "0.01", "--modes", "3"],
     )
     assert code == 0
     assert abs(report["eigenvalues"][0]["secular"]) < 1e-9
@@ -225,8 +248,7 @@ def test_spectrum_where_two_decoupled_energies_differ_by_rounding(tmp_path, caps
     bpath.write_text(json.dumps({"c": "kirchhoff", "t1": "dirichlet", "t2": "dirichlet", "t3": "dirichlet"}))
     code, _ = run_and_parse(
         capsys,
-        ["spectrum", "--graph", str(gpath), "--bc", str(bpath), "--mesh", "0.01", "--modes", "8",
-         "--lambda-max", "20"],
+        ["spectrum", "--graph", str(gpath), "--bc", str(bpath), "--mesh", "0.01", "--modes", "8"],
     )
     assert code == 0
 
@@ -251,8 +273,7 @@ def test_spectrum_residual_gate_is_check_failure(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(fem, "eigensystem", failing_gate)
     g, b = write_interval(tmp_path)
-    code = main(["spectrum", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "3",
-                 "--lambda-min", "0.5", "--lambda-max", "20"])
+    code = main(["spectrum", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "3"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: eigen residual") and "Traceback" not in err
@@ -263,10 +284,9 @@ def test_rank_anomaly_is_check_failure(tmp_path, capsys, monkeypatch):
 
     # every null vector now fails the verbatim vertex conditions, so the real
     # eigenfunction code raises its rank anomaly on valid input
-    monkeypatch.setattr(secular.SecularSolution, "vertex_residual", lambda self, bc: 1.0)
+    monkeypatch.setattr(secular.SecularSolution, "vertex_residual", lambda self, bc, relative=False: 1.0)
     g, b = write_interval(tmp_path)
-    code = main(["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2",
-                 "--lambda-min", "0.5", "--lambda-max", "10"])
+    code = main(["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: rank anomaly") and "Traceback" not in err
@@ -280,8 +300,7 @@ def test_lp_mixing_rank_anomaly_is_check_failure(tmp_path, capsys):
     gpath.write_text(json.dumps(graph_to_dict(g)))
     centre = {"L": L.real.tolist(), "P": P.real.tolist()}
     bpath.write_text(json.dumps({**{v: "kirchhoff" for v in g.vertices}, "c": centre}))
-    code = main(["expansion", "--graph", str(gpath), "--bc", str(bpath), "--mesh", "0.05", "--modes", "2",
-                 "--lambda-max", "10"])
+    code = main(["expansion", "--graph", str(gpath), "--bc", str(bpath), "--mesh", "0.05", "--modes", "2"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: rank anomaly") and "('c',)" in err and "Traceback" not in err
@@ -290,14 +309,11 @@ def test_lp_mixing_rank_anomaly_is_check_failure(tmp_path, capsys):
 @pytest.mark.parametrize(
     "length, bc, argv",
     [
-        # sqrt(170000) = 412 on a unit edge: too deep for the scan's window start
-        (1.0, ({"delta": -400}, "dirichlet"),
-         ["expansion", "--modes", "2", "--mesh", "0.05", "--lambda-min", "-170000"]),
-        # the default window starts at lambda = -1, and the edge is 800 long
-        (800.0, ("neumann", "neumann"), ["spectrum", "--modes", "2", "--mesh", "1", "--lambda-max", "0.001"]),
-        (800.0, ("neumann", "neumann"), ["expansion", "--modes", "2", "--mesh", "1", "--lambda-max", "0.001"]),
+        # the window start doubles until the count is 0, but the bound state
+        # near lambda = -160000 lies past sqrt(-lambda) l = MAX_KL on a unit edge
+        (1.0, ({"delta": -400}, "dirichlet"), ["expansion", "--modes", "2", "--mesh", "0.05"]),
     ],
-    ids=["deep-delta-expansion", "long-neumann-spectrum", "long-neumann-expansion"],
+    ids=["deep-delta-expansion"],
 )
 def test_basis_overflow_is_one_error_line(tmp_path, length, bc, argv):
     # a separate process, so no warning filter of the test session hides
@@ -311,6 +327,19 @@ def test_basis_overflow_is_one_error_line(tmp_path, length, bc, argv):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: the shooting basis overflows at lambda=")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "expansion"])
+def test_long_edges_scan_from_a_certified_window(tmp_path, capsys, command):
+    # on an edge 800 long the window starts at -1/800^2, far above the overflow of cosh
+    g, b = write_interval(tmp_path, length=800.0, bc=("neumann", "neumann"))
+    code = main([command, "--graph", g, "--bc", b, "--modes", "2", "--mesh", "1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    report = json.loads(captured.out, parse_constant=_reject_non_finite)
+    pairs = report["eigenvalues"] if command == "spectrum" else report["per_mode"]
+    lams = [p["secular" if command == "spectrum" else "lambda"] for p in pairs]
+    assert np.allclose(lams, [0.0, (math.pi / 800.0) ** 2], rtol=1e-10, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -333,6 +362,15 @@ def test_non_finite_or_unbounded_input_is_a_usage_error(tmp_path, flags):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("alpha", [1e8, 1e12])
+def test_strong_robin_end_passes_the_relative_vertex_gate(tmp_path, capsys, alpha):
+    # f'(v) = alpha f(v): the null vectors' vertex residual is about 4e-9 ||L||
+    # at alpha = 1e8, so the gate of eigenfunction scales with max_v ||L_v||
+    g, b = write_interval(tmp_path, bc=({"delta": alpha}, "dirichlet"))
+    code, report = run_and_parse(capsys, ["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2"])
+    assert code == 0 and report["modes"] == 2
+
+
 @pytest.mark.parametrize("command", ["spectrum", "potential"])
 def test_arpack_no_convergence_is_check_failure(tmp_path, capsys, monkeypatch, command):
     import scipy.sparse.linalg
@@ -343,9 +381,7 @@ def test_arpack_no_convergence_is_check_failure(tmp_path, capsys, monkeypatch, c
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", not_converging)
     g, b = write_interval(tmp_path)
     argv = [command, "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "3"]
-    if command == "spectrum":
-        argv += ["--lambda-min", "0.5", "--lambda-max", "20"]
-    else:
+    if command == "potential":
         argv += ["--potential", "const:1.0"]
     code = main(argv)
     err = capsys.readouterr().err
@@ -368,8 +404,8 @@ def write_strong_delta_star(tmp_path):
 
 
 def test_default_window_resolves_large_s_star(tmp_path, capsys):
-    # the default scan starts at 1/2 - C - 1, just below the proven bound,
-    # so its 600 points stay fine enough to separate the roots below 50
+    # the scan window starts where the count is 0, below the bound state of
+    # the attractive delta, and ends where it is at least --modes
     g, b = write_strong_delta_star(tmp_path)
     code, report = run_and_parse(capsys, ["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "4"])
     assert code == 0
@@ -382,9 +418,8 @@ SEED1_STARS = json.loads((Path(__file__).resolve().parent / "data" / "star_expan
 
 @pytest.mark.parametrize("op", sorted(SEED1_STARS))
 def test_default_window_keeps_roots_of_large_c_stars(tmp_path, capsys, op):
-    # C = 58.1 and 102.2 make the default window's 600-point grid coarse
-    # (steps 0.18 and 0.25), too coarse to show the roots 0.4627 (op2),
-    # 0.4049 and 1.1493 (op3) as local minima of sigma_min
+    # C = 58.1 and 102.2: the roots 0.4627 (op2), 0.4049 and 1.1493 (op3)
+    # come from the count, whatever the coercivity constant
     gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
     gpath.write_text(json.dumps(SEED1_STARS[op]["graph"]))
     bpath.write_text(json.dumps(SEED1_STARS[op]["bc"]))
@@ -440,8 +475,7 @@ def test_expansion_report_interval(tmp_path, capsys):
     g, b = write_interval(tmp_path)
     code, report = run_and_parse(
         capsys,
-        ["expansion", "--graph", g, "--bc", b, "--mesh", "0.00785", "--modes", "8",
-         "--lambda-min", "0.5", "--lambda-max", "75", "--hs-c", "1.0",
+        ["expansion", "--graph", g, "--bc", b, "--mesh", "0.00785", "--modes", "8", "--hs-c", "1.0",
          "--weight-base", "v", "--seed", "3"],
     )
     assert code == 0
@@ -464,7 +498,6 @@ def test_expansion_check_file_flags_kink(tmp_path, capsys):
     code, report = run_and_parse(
         capsys,
         ["expansion", "--graph", g, "--bc", b, "--mesh", "0.02", "--modes", "4",
-         "--lambda-min", "0.5", "--lambda-max", "25",
          "--check-file", str(check), "--check-lambda", "1.0"],
     )
     assert code == 1
@@ -530,8 +563,7 @@ def test_expansion_disconnected_graph_is_input_error(tmp_path):
     )
     bpath.write_text(json.dumps({v: "neumann" for v in "abcd"}))
     assert main(
-        ["expansion", "--graph", str(gpath), "--bc", str(bpath), "--lambda-min", "-0.5",
-         "--lambda-max", "30", "--modes", "3"]
+        ["expansion", "--graph", str(gpath), "--bc", str(bpath), "--modes", "3"]
     ) == 2
 
 
@@ -666,7 +698,7 @@ def test_check_file_defects_are_input_errors(tmp_path, capsys, content):
     fpath = tmp_path / "short.csv"
     fpath.write_text(content)
     code = main(["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2",
-                 "--lambda-min", "0.5", "--lambda-max", "10", "--check-file", str(fpath), "--check-lambda", "1.0"])
+                 "--check-file", str(fpath), "--check-lambda", "1.0"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: function CSV") and "Traceback" not in err
@@ -684,7 +716,7 @@ def test_csv_rows_for_unknown_edges_are_input_errors(tmp_path, capsys, kind):
         argv, extra = ["potential", "--potential", str(path), "--modes", "3"], "zzz,0.0,9.0\n"
     else:
         save_function_csv(GridFunction.ones(graph, 0.05), path)
-        argv = ["expansion", "--modes", "2", "--lambda-min", "0.5", "--lambda-max", "10",
+        argv = ["expansion", "--modes", "2",
                 "--check-file", str(path), "--check-lambda", "1.0"]
         extra = "zzz,0.0,9.0,0.0\n"
     with open(path, "a", encoding="utf-8") as fh:
@@ -736,16 +768,16 @@ def test_potential_builds_few_edge_grids(tmp_path, capsys, monkeypatch):
 
 KEPT_FLAGS = {
     "validate": ["--graph", "--bc", "--out"],
-    "spectrum": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max"],
-    "expansion": ["--graph", "--bc", "--out", "--mesh", "--modes", "--lambda-min", "--lambda-max",
+    "spectrum": ["--graph", "--bc", "--out", "--mesh", "--modes"],
+    "expansion": ["--graph", "--bc", "--out", "--mesh", "--modes",
                   "--tol", "--seed", "--weight-eps", "--weight-base", "--hs-c", "--check-file", "--check-lambda"],
     "potential": ["--graph", "--bc", "--out", "--mesh", "--modes", "--potential"],
 }
 UNREAD_FLAGS = [
     *(("validate", f) for f in ["--mesh", "--lambda-min", "--lambda-max", "--modes", "--tol", "--seed",
                                 "--scan-points", "--samples"]),
-    *(("spectrum", f) for f in ["--scan-points", "--tol", "--seed", "--samples"]),
-    *(("expansion", f) for f in ["--scan-points", "--samples"]),
+    *(("spectrum", f) for f in ["--lambda-min", "--lambda-max", "--scan-points", "--tol", "--seed", "--samples"]),
+    *(("expansion", f) for f in ["--lambda-min", "--lambda-max", "--scan-points", "--samples"]),
     *(("potential", f) for f in ["--lambda-min", "--lambda-max", "--scan-points", "--tol", "--samples", "--seed"]),
 ]
 
@@ -773,8 +805,7 @@ def test_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
 
 def test_check_lambda_needs_check_file(tmp_path, capsys):
     g, b = write_interval(tmp_path)
-    argv = ["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2",
-            "--lambda-min", "0.5", "--lambda-max", "10", "--check-lambda", "1.0"]
+    argv = ["expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2", "--check-lambda", "1.0"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --check-lambda needs --check-file\n"
 
@@ -783,7 +814,8 @@ def test_check_lambda_needs_check_file(tmp_path, capsys):
 def test_modes_below_one_names_the_flag(tmp_path, capsys, command, value):
     g, b = write_interval(tmp_path)
     argv = [command, "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", value]
-    argv += ["--potential", "const:1.0"] if command == "potential" else ["--lambda-min", "0.5", "--lambda-max", "10"]
+    if command == "potential":
+        argv += ["--potential", "const:1.0"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -799,8 +831,8 @@ def test_modes_below_one_names_the_flag(tmp_path, capsys, command, value):
     "argv_tail",
     [
         ["validate"],
-        ["spectrum", "--mesh", "0.05", "--modes", "4", "--lambda-min", "0.5", "--lambda-max", "30"],
-        ["expansion", "--mesh", "0.05", "--modes", "4", "--lambda-min", "0.5", "--lambda-max", "30",
+        ["spectrum", "--mesh", "0.05", "--modes", "4"],
+        ["expansion", "--mesh", "0.05", "--modes", "4",
          "--seed", "7", "--weight-base", "v"],
         ["potential", "--potential", "const:0.5", "--mesh", "0.05", "--modes", "4"],
     ],

@@ -346,6 +346,51 @@ def test_scan_count_matches_dense_p1(seed, family):
     assert checked >= 3
 
 
+def _long_ray_star(rng, n_rays, centre):
+    """A star with rays U[1, 3] and one ray U[50, 800]; a random delta or (L, P) at the centre.
+
+    Every positive part of L is at most 0.1, so even the long ray keeps the
+    bound states above the start of the basis overflow, (MAX_KL / 800)^2 / 4.
+    """
+    lengths = rng.uniform(1.0, 3.0, n_rays)
+    lengths[0] = rng.uniform(50.0, 800.0)
+    g = MetricGraph(
+        ("c",) + tuple(f"t{i}" for i in range(n_rays)),
+        tuple(Edge(f"e{i}", float(l), "c", f"t{i}") for i, l in enumerate(lengths)),
+        1.0,
+    )
+    if centre == "delta":
+        conds = {"c": preset("delta", g.star("c"), float(rng.uniform(-0.1, 10.0)))}
+    else:
+        _, P = _random_lp(rng, n_rays, int(rng.integers(0, n_rays)), False)
+        U, _ = np.linalg.qr(rng.standard_normal((n_rays, n_rays)))
+        K = np.eye(n_rays) - P
+        conds = {"c": (K @ U @ np.diag(rng.uniform(-10.0, 0.1, n_rays)) @ U.T @ K, P)}
+    for i in range(n_rays):
+        kind = ["dirichlet", "neumann", "delta"][int(rng.integers(0, 3))]
+        alpha = float(rng.uniform(-0.1, 5.0)) if kind == "delta" else None
+        conds[f"t{i}"] = preset(kind, g.star(f"t{i}"), alpha)
+    return g, BoundaryCondition(conds)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 6), st.sampled_from(["delta", "lp"]), st.integers(1, 12))
+def test_scan_window_is_certified(seed, n_rays, centre, modes):
+    # N(lo) = 0 and N(hi) >= N_D(hi) >= modes: a window twice as wide holds
+    # the same lowest modes
+    g, bc = _long_ray_star(np.random.default_rng(seed), n_rays, centre)
+    lo, hi = secular.scan_window(g, bc, modes)
+    system = SecularSystem(g, bc)
+    assert system.count(lo) == 0 and system.count(hi) >= modes
+
+    def lowest(a, b):
+        return [h.lam for h in eigenvalue_scan(g, bc, a, b) for _ in range(h.multiplicity)][:modes]
+
+    got, wide = lowest(lo, hi), lowest(2.0 * lo, 2.0 * hi)
+    assert len(got) == modes
+    assert np.allclose(got, wide, rtol=secular.CLUSTER_RTOL, atol=secular.CLUSTER_RTOL), (got, wide)
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions
 # ---------------------------------------------------------------------------
@@ -402,6 +447,24 @@ def test_lp_mixing_null_vectors_meet_the_full_conditions_or_raise():
     for s in sols:
         assert s.l2_norm_sq() == pytest.approx(1.0, abs=1e-10)
         assert s.vertex_residual(bc) < 1e-12
+
+
+def _strong_tip(g, bc):
+    """The same conditions with a Robin end ``{"delta": 1e8}`` at one tip."""
+    return g, BoundaryCondition({**bc.conditions, "t1": preset("delta", g.star("t1"), 1e8)})
+
+
+@pytest.mark.parametrize(
+    "g, bc",
+    [lp_mixing_star(1e8), _strong_tip(*lp_mixing_star(0.3))],
+    ids=["strong-mixing", "strong-tip"],
+)
+def test_lp_mixing_raises_at_any_scale_of_L(g, bc):
+    # the vertex gate is relative to each vertex's max(1, ||L_v||), and so is
+    # P L f(c); a strong condition at another vertex does not widen it at c
+    lowest = eigenvalue_scan(g, bc, -1.0, 1.0)[0].lam
+    with pytest.raises(secular.RankAnomaly, match=r"at vertices \('c',\)"):
+        eigenfunction(g, bc, lowest)
 
 
 def test_all_fixture_eigenfunctions_satisfy_conditions():
