@@ -18,6 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -28,11 +29,23 @@ DEFAULT_MATRIX_TOL = 1e-10
 KERNEL_EIGENVALUE_SPLIT = 0.5  # eigenvalues of P below this count as kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCondition:
-    """Per-vertex (L, P) matrices, aligned with the vertex star slots."""
+    """Per-vertex (L, P) matrices, aligned with the vertex star slots.
+
+    Immutable (read-only copies in a read-only mapping) and compared by identity,
+    so work cached on a condition (:func:`metricgraph.secular.compiled`) cannot go stale.
+    """
 
     conditions: Mapping[VertexId, tuple[np.ndarray, np.ndarray]]
+
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is a violation of validate_bc
+    def __post_init__(self) -> None:
+        conditions = {v: (np.array(L), np.array(P)) for v, (L, P) in self.conditions.items()}
+        for L, P in conditions.values():
+            L.flags.writeable = P.flags.writeable = False
+        object.__setattr__(self, "conditions", MappingProxyType(conditions))
+        object.__setattr__(self, "_scales", {v: max(1.0, float(np.linalg.norm(L))) for v, (L, _) in conditions.items()})
 
     def L(self, v: VertexId) -> np.ndarray:
         return self.conditions[v][0]
@@ -56,7 +69,7 @@ class BoundaryCondition:
 
     def residual_scale(self, v: VertexId) -> float:
         """``max(1, ||L_v||)``: the scale of a vertex residual at v."""
-        return max(1.0, float(np.linalg.norm(self.L(v))))
+        return self._scales[v]
 
     def worst_residual(
         self, g: MetricGraph, value: np.ndarray, deriv: np.ndarray, relative: bool = False

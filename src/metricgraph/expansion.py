@@ -18,6 +18,7 @@ Every truncated sum reports its tail estimate; nothing is dropped silently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -37,7 +38,7 @@ from .graph import (
     is_connected,
     vertex_distances,
 )
-from .secular import RankAnomaly, SecularEigenvalue, SecularSolution, SecularSystem, eigenfunction
+from .secular import COMPILED_PAIRS, RankAnomaly, SecularEigenvalue, SecularSolution, compiled, eigenfunction
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 CONDITION_TOL = 1e-8  # vertex-condition residual of a test, relative to max(1, ||L_v||)
@@ -210,10 +211,10 @@ class DiscreteSpectralRep:
     ) -> "DiscreteSpectralRep":
         """Modes of the scan hits; an eigenspace whose dimension is not the hit's multiplicity is a RankAnomaly."""
         grid = Mesh(g, h_max)
-        system = SecularSystem(g, bc)
+        compiled(g, bc)  # validates (g, bc) with no hits too; the eigenfunctions share this system
         found = []
         for hit in hits:
-            sols = eigenfunction(g, bc, hit.lam, system=system)
+            sols = eigenfunction(g, bc, hit.lam)
             if len(sols) != hit.multiplicity:
                 raise RankAnomaly(
                     f"M(lambda) has a {len(sols)}-dimensional null space at lambda={hit.lam}, "
@@ -605,7 +606,11 @@ def compile_battery(
     Every ||f||^2 is in closed form: ``r 2048/3003`` for a bump of radius
     r, and ``sum_k m_0 |a_k|^2 + 2 m_1 Re(conj(a_k) b_k) + m_2 |b_k|^2``
     for a star test, with ``m_j = int_0^rho tau^j chi^2 dtau``.
+
+    The standard battery without potential is cached per (g, bc), as :func:`secular.compiled` is.
     """
+    if tests is None and potential is None:
+        return _standard_battery(g, bc)
     tests = tuple(standard_test_battery(g, bc) if tests is None else tests)
     value, deriv = np.zeros((2, len(tests), sum(g.degree(v) for v in g.vertices)), dtype=complex)
     norm_sq = np.zeros(len(tests))
@@ -628,6 +633,11 @@ def compile_battery(
     return CompiledBattery(g, tests, potential, np.sqrt(norm_sq), value, deriv)
 
 
+@functools.lru_cache(maxsize=COMPILED_PAIRS)
+def _standard_battery(g: MetricGraph, bc: BoundaryCondition) -> CompiledBattery:
+    return compile_battery(g, bc, standard_test_battery(g, bc))
+
+
 def generalized_eigenfunction_residual(
     g: MetricGraph,
     bc: BoundaryCondition,
@@ -645,8 +655,8 @@ def generalized_eigenfunction_residual(
     conditions, and for nodal data interior bumps probe the differential
     equation.  Tests outside the operator domain are rejected.
 
-    A one-mode call of :func:`compile_battery`; to check many modes, compile
-    once and call :meth:`CompiledBattery.residuals`.
+    A one-mode call of :func:`compile_battery`: with the default ``tests``
+    every mode of one (g, bc) pair shares the pair's cached battery.
     """
     return compile_battery(g, bc, tests).residuals([phi], [lam])[0]
 

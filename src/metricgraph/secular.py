@@ -27,8 +27,8 @@ edge with (c, s) at the edge length.  By Sylvester's law of inertia the
 number of eigenvalues below lambda is ``N_D(lambda) + n_-(D(lambda))``,
 with N_D the decoupled count (Berkolaiko & Kuchment, *Introduction to
 Quantum Graphs*, ch. 3).  :class:`SecularSystem` validates the input and
-builds the constant parts of M and D once; every evaluation writes the
-per-edge (c, s) at lambda into them.
+builds the constant parts of M and D once per (g, bc) pair (:func:`compiled`);
+every evaluation combines them with the per-edge (c, s) at lambda.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ SCAN_POINTS = 600  # default sigma_min grid of eigenvalue_scan; it places cuts, 
 POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to the energy
 CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
 MAX_KL = 300.0  # largest sqrt(-lambda) * l: e^600 ~ 4e260 leaves the squares in row norms and Gram matrices finite
+COMPILED_PAIRS = 8  # (g, bc) pairs whose compiled system (and standard test battery) stay cached
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +114,10 @@ def basis_gram(lam: float, length: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _edge_columns(a: np.ndarray, b: np.ndarray, init: np.ndarray, term: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows ``a f + b f'`` over the slot traces, regrouped by edge and end."""
-    return a[:, init], b[:, init], a[:, term], b[:, term]
-
-
-def _fill(cols: tuple[np.ndarray, ...], lam: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate compiled rows on the column layout (alpha_e, beta_e) at lambda, by the end map of ``trace_values``."""
-    ia, ib, ta, tb = cols
-    out = np.empty((ia.shape[0], 2 * c.size), dtype=np.result_type(ia, ib, ta, tb, c))
-    out[:, 0::2] = ia + ta * c + tb * (lam * s)
-    out[:, 1::2] = ib + ta * s - tb * c
+def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Columns of x and y interleaved: x_k at 2k and y_k at 2k + 1, the (alpha_e, beta_e) layout."""
+    out = np.empty((*x.shape[:-1], 2 * x.shape[-1]), dtype=np.result_type(x, y))
+    out[..., 0::2], out[..., 1::2] = x, y
     return out
 
 
@@ -147,13 +141,13 @@ class SecularSystem:
     """The vertex-condition system of (g, bc), compiled once for every lambda.
 
     The one place where ``P f = 0, L f + (1 - P) f' = 0`` become rows: it
-    validates (g, bc), splits each P_v into ker/ran bases and stores the row
-    blocks ``[ran^H ; ker^H L]`` (on slot values) and ``[0 ; ker^H]`` (on
-    inward derivatives), regrouped by edge end; M(lambda) combines them with
-    the per-edge (c, s) at lambda.  For D(lambda) it keeps K's rows at each
-    edge's initial and terminal slot, and ``K^H L K``.  The rows omit
-    ``P L f(v)``, nonzero only at the lp-mixing ``anomaly_vertices``;
-    :func:`eigenfunction` checks null vectors against the full conditions.
+    validates (g, bc), splits each P_v into ker/ran bases and takes the rows
+    a = ``[ran^H ; ker^H L]`` on slot values and b = ``[0 ; ker^H]`` on inward
+    derivatives.  By the end map of ``trace_values``, M(lambda) = A + B1 x + B2 y,
+    x = (c, s) and y = (lambda s, c) per edge, with A = (a, b) at initial slots
+    and B1 = (a, a), B2 = (b, -b) at terminal ones.  D(lambda) keeps K's rows
+    at each edge's two slots and ``K^H L K``.  The rows omit ``P L f(v)``, nonzero
+    only at ``anomaly_vertices``; :func:`eigenfunction` checks the full conditions.
     """
 
     def __init__(self, g: MetricGraph, bc: BoundaryCondition) -> None:
@@ -175,10 +169,12 @@ class SecularSystem:
             kLks.append(kL @ ker)
             val.append(np.vstack([ran.conj().T, kL]))
             der.append(np.vstack([np.zeros((ran.shape[1], d)), ker.conj().T]))
-        self._rows = _edge_columns(_blocks(val), _blocks(der), init, term)
+        a, b = _blocks(val), _blocks(der)
+        self._A = _pairs(a[:, init], b[:, init])
+        self._B1, self._B2 = _pairs(a[:, term], a[:, term]), _pairs(b[:, term], -b[:, term])
         self.anomaly_vertices = tuple(v for v in g.vertices if lp_mixing(bc.L(v), bc.P(v)))
         K = _blocks(kers)
-        self._k_init, self._k_term = K[init], K[term]
+        self._k = K[init], K[term], K[init].conj().T, K[term].conj().T  # and their adjoints
         self._kLk = _blocks(kLks)
 
     def _basis(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +189,8 @@ class SecularSystem:
         """The Hermitian D(lambda) = K^H (Lambda(lambda) - L) K; lambda off the decoupled energies."""
         c, s = self._basis(lam)
         a, b = (c / s)[:, None], (1.0 / s)[:, None]
-        ki, kt = self._k_init, self._k_term
-        return ki.conj().T @ (a * ki - b * kt) + kt.conj().T @ (a * kt - b * ki) - self._kLk
+        ki, kt, ki_h, kt_h = self._k
+        return ki_h @ (a * ki - b * kt) + kt_h @ (a * kt - b * ki) - self._kLk
 
     def decoupled_count(self, lam: float) -> int:
         """N_D(lambda): how many decoupled energies (n pi / l_e)^2, n >= 1, lie below lambda."""
@@ -217,18 +213,28 @@ class SecularSystem:
 
     def matrix(self, lam: float) -> np.ndarray:
         """The square matrix M(lambda)."""
-        return _fill(self._rows, lam, *self._basis(lam))
+        c, s = self._basis(lam)
+        return self._A + self._B1 * _pairs(c, s) + self._B2 * _pairs(lam * s, c)
+
+
+@functools.lru_cache(maxsize=COMPILED_PAIRS)
+def compiled(g: MetricGraph, bc: BoundaryCondition) -> SecularSystem:
+    """The :class:`SecularSystem` of (g, bc), compiled once per pair (the last ``COMPILED_PAIRS`` are kept).
+
+    The graph is compared by value and the condition by identity; a loop over lambda holds the system.
+    """
+    return SecularSystem(g, bc)
 
 
 def secular_matrix(g: MetricGraph, bc: BoundaryCondition, lam: float) -> np.ndarray:
-    """M(lambda) of (g, bc), compiled for this one energy."""
-    return SecularSystem(g, bc).matrix(lam)
+    """M(lambda) of (g, bc), from the pair's :func:`compiled` system."""
+    return compiled(g, bc).matrix(lam)
 
 
 def _row_normalized(M: np.ndarray) -> np.ndarray:
     # row scaling does not move the null space but evens out the mix of
-    # value rows (O(1)) and derivative rows (O(sqrt(|lambda|)))
-    norms = np.linalg.norm(M, axis=1)
+    # value rows (O(1)) and derivative rows (O(sqrt(|lambda|))); norms as np.linalg.norm(M, axis=1)
+    norms = np.sqrt(np.add.reduce((M.conj() * M).real, axis=1))
     norms = np.where(norms > 0, norms, 1.0)
     return M / norms[:, None]
 
@@ -236,8 +242,8 @@ def _row_normalized(M: np.ndarray) -> np.ndarray:
 def smallest_singular_value(
     g: MetricGraph, bc: BoundaryCondition, lam: float, system: SecularSystem | None = None
 ) -> float:
-    """sigma_min of the row-normalized M(lambda); ``system`` is (g, bc) compiled."""
-    M = (system or SecularSystem(g, bc)).matrix(lam)
+    """sigma_min of the row-normalized M(lambda); a loop over lambda passes the :func:`compiled` ``system``."""
+    M = (system or compiled(g, bc)).matrix(lam)
     return float(np.linalg.svd(_row_normalized(M), compute_uv=False)[-1])
 
 
@@ -388,7 +394,7 @@ def eigenvalue_scan(
         raise ValueError("empty scan range")
     if num < 2:
         raise ValueError(f"a scan needs at least 2 points, got {num}")
-    system = SecularSystem(g, bc)
+    system = compiled(g, bc)
     grid = np.linspace(lam_min, lam_max, num)
     vals = np.array([smallest_singular_value(g, bc, x, system) for x in grid])
     bands = _pole_bands(system, lam_min, lam_max)
@@ -419,7 +425,7 @@ def scan_window(g: MetricGraph, bc: BoundaryCondition, modes: int) -> tuple[floa
     ``lo`` is the first of -eps, -2 eps, -4 eps, ... with count 0, eps = min(1, l_max^-2); ``hi``
     lies just above the ``modes``-th decoupled energy (n pi / l_e)^2, counted with multiplicity.
     """
-    system = SecularSystem(g, bc)
+    system = compiled(g, bc)
     lo = -min(1.0, float(system.lengths.max()) ** -2)
     while system.count(lo) > 0:  # raises RankAnomaly past MAX_KL
         lo *= 2.0
@@ -499,12 +505,7 @@ def _null_space(M: np.ndarray) -> np.ndarray:
     return Vh[rank:].conj().T
 
 
-def eigenfunction(
-    g: MetricGraph,
-    bc: BoundaryCondition,
-    lam: float,
-    system: SecularSystem | None = None,
-) -> list[SecularSolution]:
+def eigenfunction(g: MetricGraph, bc: BoundaryCondition, lam: float) -> list[SecularSolution]:
     """L2-orthonormal basis of exact eigenfunctions at an accepted energy.
 
     Each is a :class:`SecularSolution` holding an orthonormalized null
@@ -512,9 +513,9 @@ def eigenfunction(
     deficient there.  Null vectors whose verbatim residual at some vertex v
     exceeds ``100 SINGULAR_RTOL max(1, ||L_v||)`` (possible when L maps
     ker P into ran P) are discarded with a rank-anomaly error rather than
-    projected away.  ``system`` is (g, bc) compiled, to share across roots.
+    projected away.  Every root of (g, bc) shares the pair's :func:`compiled` system.
     """
-    system = system or SecularSystem(g, bc)
+    system = compiled(g, bc)
     null = _null_space(system.matrix(lam))
     if null.shape[1] == 0:
         sigma = smallest_singular_value(g, bc, lam, system)

@@ -1,6 +1,8 @@
 """The compiled weak-residual battery against a per-test reference loop."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +17,14 @@ from metricgraph import (
     MetricGraph,
     assemble,
     assemble_perturbed,
+    bc_from_mapping,
     check_relative_bound,
     edge_grid,
     eigensystem,
+    eigenfunction,
     eigenvalue_scan,
     generalized_eigenfunction_residual,
+    graph_from_dict,
     parse_potential_expr,
     perturbed_eigen_report,
     preset,
@@ -391,3 +396,20 @@ def test_relative_bound_partitions_once_per_edge_and_a(monkeypatch):
     monkeypatch.setattr(potentials, "_edge_partition", lambda *a: builds.append(a) or partition(*a))
     check_relative_bound(fa, V, a_values, C)
     assert 0 < len(builds) <= len(g.edges) * len(a_values)
+
+
+def test_one_mode_residuals_equal_the_battery_bit_for_bit():
+    # a one-mode call reuses the pair's cached standard battery, which scores
+    # each mode bit for bit as a fresh compile does; a batch of modes goes
+    # through one matrix product instead of one per mode, so it agrees to rounding
+    case = json.loads((Path(__file__).resolve().parent / "data" / "star_expansion_seed1.json").read_text())["op2"]
+    g = graph_from_dict(case["graph"])
+    bc = bc_from_mapping(g, case["bc"])
+    modes = [sol for hit in eigenvalue_scan(g, bc, -5.0, 40.0) for sol in eigenfunction(g, bc, hit.lam)]
+    cached, fresh = compile_battery(g, bc), compile_battery(g, bc, standard_test_battery(g, bc))
+    assert len(modes) > 3 and compile_battery(g, bc) is cached is not fresh
+    one = [generalized_eigenfunction_residual(g, bc, sol, sol.lam) for sol in modes]
+    assert one == [cached.residuals([sol], [sol.lam])[0] for sol in modes]
+    assert one == [fresh.residuals([sol], [sol.lam])[0] for sol in modes]
+    batch = cached.residual_matrix(modes, [sol.lam for sol in modes])
+    assert np.max(np.abs(batch - np.array([[r for _, r in rr.per_test] for rr in one]).T)) <= 4e-15

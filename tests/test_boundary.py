@@ -170,6 +170,22 @@ def test_lp_mixing_is_one_predicate(eps):
     assert warned == anomaly == dropped == (eps > 1e-10)
 
 
+def test_condition_is_read_only():
+    # a compile cached on the condition (secular.compiled) cannot go stale
+    g = star_graph(3)
+    L = np.zeros((3, 3))
+    bc = BoundaryCondition({"c": (L, np.eye(3) - np.ones((3, 3)) / 3), **uniform_bc(g, "neumann").conditions})
+    L[0, 0] = 1.0  # the condition holds its own copy
+    assert not np.any(bc.L("c"))
+    with pytest.raises(ValueError):
+        bc.L("c")[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        bc.P("t1")[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        bc.conditions["c"] = (np.ones((3, 3)), np.eye(3))
+    assert bc != BoundaryCondition(bc.conditions)  # compared by identity
+
+
 # ---------------------------------------------------------------------------
 # coercivity constant
 # ---------------------------------------------------------------------------

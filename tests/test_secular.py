@@ -19,6 +19,7 @@ from metricgraph import (
     eigenfunction,
     eigensystem,
     eigenvalue_scan,
+    generalized_eigenfunction_residual,
     preset,
     secular_matrix,
     smallest_singular_value,
@@ -604,11 +605,10 @@ def test_scan_validates_once(monkeypatch):
 
 
 def test_spectral_rep_validates_once(monkeypatch):
+    # the scan, every eigenfunction, the representation and the per-mode
+    # residuals share the pair's compiled system and standard battery
     import metricgraph.boundary as boundary_mod
 
-    name, g, bc = _general_lp_cases()[0]
-    hits = eigenvalue_scan(g, bc, -5.0, 30.0, num=200)
-    fresh = [eigenfunction(g, bc, h.lam) for h in hits]
     calls = []
     original = boundary_mod.validate_bc
 
@@ -617,8 +617,21 @@ def test_spectral_rep_validates_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(boundary_mod, "validate_bc", counting)
+    name, g, bc = _general_lp_cases()[0]
+    hits = eigenvalue_scan(g, bc, -5.0, 30.0, num=200)
+    fresh = [eigenfunction(g, bc, h.lam) for h in hits]
     rep = DiscreteSpectralRep.from_secular(g, bc, hits, 0.05)
+    for m in rep.modes:
+        generalized_eigenfunction_residual(g, bc, m.exact, m.lam)
     assert len(hits) > 1 and len(calls) == 1
     # the shared compiled system gives the same eigenfunctions, bit for bit
     flat = [s for sols in fresh for s in sols]
     assert len(rep.modes) == len(flat) and all(np.array_equal(m.exact.x, s.x) for m, s in zip(rep.modes, flat))
+
+
+def test_equal_conditions_do_not_share_a_compiled_system():
+    # the cache keys a condition by identity, so equal values compile twice
+    g = star_graph(3)
+    bc1, bc2 = uniform_bc(g, "kirchhoff"), uniform_bc(g, "kirchhoff")
+    assert secular.compiled(g, bc1) is secular.compiled(g, bc1)
+    assert secular.compiled(g, bc1) is not secular.compiled(g, bc2)
