@@ -310,7 +310,7 @@ def hs_norm_sq(
     if not rep.modes:
         raise ValueError("spectral representation has no modes")
     if not C > 0:
-        raise ValueError(f"the tail bound needs C > 0, got C={C}")
+        raise ValueError(f"the tail estimate needs C > 0, got C={C}")
     lam_min = min(lam for lam, _ in rep.eigenvalues)
     if C + lam_min <= 0:
         raise ValueError(f"need C + lambda_min > 0, got C={C}, lambda_min={lam_min}")
@@ -487,8 +487,10 @@ class CompiledBattery:
         functions; those rest on the Wronskian identity of
         :func:`secular.basis_values` and on ``spectrum``'s two-solver check.
         Nodal modes on one mesh meet the slot shapes and the bumps through
-        their P1 load vectors (:meth:`_load_sums`).  Any other list raises a
-        ``ValueError``.
+        their P1 load vectors (:meth:`_load_sums`): the Gauss nodes are laid
+        out once per call, and each mode is contracted with the loads alone,
+        so column m equals a one-mode call on mode m bit for bit.  Any other
+        list raises a ``ValueError``.
         """
         lams = np.asarray(lams, dtype=float)
         own = all(isinstance(phi, SecularSolution) and phi.lam == lam for phi, lam in zip(phis, lams))
@@ -500,7 +502,7 @@ class CompiledBattery:
             value, deriv = (np.conj(np.stack(col, axis=1)) for col in zip(*(phi.trace_values() for phi in phis)))
             sums = self.deriv @ value - self.value @ deriv
         elif len(phis):
-            sums = self._load_sums(phis[0].grid, np.stack([phi.data for phi in phis], axis=1), lams)
+            sums = self._load_sums(phis[0].grid, phis, lams)
         else:
             sums = np.zeros((len(self.tests), 0), dtype=complex)
         positive = self.norms > 0
@@ -508,61 +510,74 @@ class CompiledBattery:
         res[positive] = np.abs(sums[positive]) / self.norms[positive, None]
         return res
 
-    def _load_sums(self, mesh: Mesh, Phi: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        """``(H - lambda F) conj(Phi)`` for the nodal values ``Phi`` (mesh nodes x modes).
+    def _load_sums(self, mesh: Mesh, phis: Sequence[GridFunction], lams: np.ndarray) -> np.ndarray:
+        """``(H - lambda F) conj(phi)`` for nodal modes phi on ``mesh``, tests x modes.
 
-        The atoms are the shapes chi and tau chi of every slot, each with
-        the pieces ``[0, rho/2]`` and ``[rho/2, rho]`` in the inward
-        coordinate, and every bump.  Gauss panels cover each piece, split at
-        the nodes of ``mesh`` and of the potential's mesh, where phi and V
-        have kinks.  Each Gauss node splits its ``w (-f'' + V f)`` and
+        The atoms are the shapes chi and tau chi of every slot and every
+        bump.  Gauss panels are laid out once per shape family: over the
+        slot pieces ``[0, rho/2]`` and ``[rho/2, rho]`` in the inward
+        coordinate, which chi and tau chi share, and over the bumps.  They
+        split at the nodes of ``mesh`` and of the potential's mesh, where phi
+        and V have kinks.  Each Gauss node splits its ``w (-f'' + V f)`` and
         ``w f`` onto the two hat functions of its mesh cell with the weights
-        ``1 - theta`` and ``theta`` of linear interpolation.  The nodes of
-        one atom run along the edge, so the shares of one (atom, cell) pair
-        are consecutive and merge into one entry of the load matrices H and
-        F.  A star test sums ``value @ chi + deriv @ tau chi`` over the
-        slot atoms.
+        ``w (1 - theta)`` and ``w theta`` of linear interpolation.  The nodes
+        of one atom run along the edge, so the shares of one (atom, cell)
+        pair are consecutive and merge into one entry of the load vectors H
+        and F; chi and tau chi share their nodes, cells, weights and runs.
+        The modes then meet the loads one at a time, summed per atom by
+        ``np.bincount``, and a star test sums ``value @ chi + deriv @ tau chi``
+        over the slot atoms.  No array grows with nodes or runs times modes,
+        and a mode's column does not depend on the other modes.
         """
-        g, n_slots, rho = self.graph, self.value.shape[1], STAR_RHO * self.graph.u
-        meshes = [mesh] if self.potential is None else [mesh, self.potential.grid]
+        g, n_slots, rho, V = self.graph, self.value.shape[1], STAR_RHO * self.graph.u, self.potential
+        meshes = [mesh] if V is None else [mesh, V.grid]
         cuts = [np.unique(np.concatenate([m.nodes[m.edge(e.id)] for m in meshes])) for e in g.edges]
-        # atoms: chi on slot s is atom s, tau chi atom n_slots + s, bump b atom 2 n_slots + b
         init, term = g.slot_ends
         lengths = np.array([e.length for e in g.edges])
-        pieces = []  # edge index, t0, t1, atom (chi on the slot, or the bump)
+        slot_pieces = []  # edge index, t0, t1, slot
         for k, (s0, s1) in enumerate(zip(init, term)):
             lo, mid, hi = lengths[k] - rho, lengths[k] - rho / 2.0, lengths[k]
-            pieces += [(k, 0.0, rho / 2.0, s0), (k, rho / 2.0, rho, s0), (k, lo, mid, s1), (k, mid, hi, s1)]
+            slot_pieces += [(k, 0.0, rho / 2.0, s0), (k, rho / 2.0, rho, s0), (k, lo, mid, s1), (k, mid, hi, s1)]
         bumps = [i for i, test in enumerate(self.tests) if isinstance(test, BumpTest)]
         centers, radii = np.array([(self.tests[i].center, self.tests[i].radius) for i in bumps]).reshape(-1, 2).T
-        for b, i in enumerate(bumps):
-            k = g.edge_index[self.tests[i].edge]
-            pieces.append((k, centers[b] - radii[b], centers[b] + radii[b], 2 * n_slots + b))
-        panels = [_gl_panels(t0, t1, cuts[k]) for k, t0, t1, _ in pieces]
-        sizes = [ts.size for ts, _ in panels]
-        k, atom = (np.repeat([p[j] for p in pieces], sizes) for j in (0, 3))
-        t, w = (np.concatenate(col) for col in zip(*panels))
-        slot = atom < n_slots
-        chi, chi2, tchi, tchi2 = _slot_shapes(np.where(init[k] == atom, t, lengths[k] - t)[slot], rho)
-        b = atom[~slot] - 2 * n_slots
-        fb, fb2 = _bump_values(t[~slot], centers[b], radii[b])
-        # the nodes of every slot piece twice, once for chi and once for tau chi
-        k, t, w = (np.concatenate([x[slot], x[slot], x[~slot]]) for x in (k, t, w))
-        atom = np.concatenate([atom[slot], n_slots + atom[slot], atom[~slot]])
-        f, d2 = np.concatenate([chi, tchi, fb]), np.concatenate([chi2, tchi2, fb2])
-        hf = -d2
-        if self.potential is not None:  # nodal data, interpolated on its own mesh
-            left, theta = _cells(self.potential.grid, k, t)
-            hf = hf + ((1.0 - theta) * self.potential.data[left] + theta * self.potential.data[left + 1]) * f
-        left, theta = _cells(mesh, k, t)
-        runs = np.flatnonzero(np.r_[True, (left[1:] != left[:-1]) | (atom[1:] != atom[:-1])])
-        H0, H1, F0, F1 = (np.add.reduceat(w * x * c, runs) for x in (hf, f) for c in (1.0 - theta, theta))
-        conj_phi, left = np.conj(Phi), left[runs]
-        terms = (H0[:, None] - F0[:, None] * lams) * conj_phi[left]
-        terms += (H1[:, None] - F1[:, None] * lams) * conj_phi[left + 1]
-        sums_by_atom = _sum_by(atom[runs], terms, 2 * n_slots + len(bumps))
-        sums = self.value @ sums_by_atom[:n_slots] + self.deriv @ sums_by_atom[n_slots : 2 * n_slots]
-        sums[bumps] += sums_by_atom[2 * n_slots :]
+        bump_pieces = [  # edge index, t0, t1, bump
+            (g.edge_index[self.tests[i].edge], c - r, c + r, b) for b, (i, c, r) in enumerate(zip(bumps, centers, radii))
+        ]
+        # atoms: chi on slot s is atom s, tau chi atom n_slots + s, bump b atom 2 n_slots + b
+        left, atom, loads = [], [], []
+        for pieces, base in ((slot_pieces, 0), (bump_pieces, 2 * n_slots)):
+            if not pieces:  # a custom battery without bumps
+                continue
+            panels = [_gl_panels(t0, t1, cuts[k]) for k, t0, t1, _ in pieces]
+            sizes = [ts.size for ts, _ in panels]
+            k, a = (np.repeat([p[j] for p in pieces], sizes) for j in (0, 3))
+            t, w = (np.concatenate(col) for col in zip(*panels))
+            if base:
+                shapes = [_bump_values(t, centers[a], radii[a])]
+            else:
+                chi, chi2, tchi, tchi2 = _slot_shapes(np.where(init[k] == a, t, lengths[k] - t), rho)
+                shapes = [(chi, chi2), (tchi, tchi2)]
+            cell, theta = _cells(mesh, k, t)
+            if V is not None:  # nodal data, interpolated on its own mesh
+                v_cell, v_theta = (cell, theta) if V.grid == mesh else _cells(V.grid, k, t)
+                v = (1.0 - v_theta) * V.data[v_cell] + v_theta * V.data[v_cell + 1]
+            runs = np.flatnonzero(np.r_[True, (cell[1:] != cell[:-1]) | (a[1:] != a[:-1])])
+            w0, w1 = w * (1.0 - theta), w * theta
+            for j, (f, d2) in enumerate(shapes):
+                hf = -d2 if V is None else -d2 + v * f
+                left.append(cell[runs])
+                atom.append(base + j * n_slots + a[runs])
+                loads.append([np.add.reduceat(c * x, runs) for x in (hf, f) for c in (w0, w1)])
+        left, atom = np.concatenate(left), np.concatenate(atom)
+        H0, H1, F0, F1 = (np.concatenate(col) for col in zip(*loads))
+        n_atoms = 2 * n_slots + len(bumps)
+        sums = np.zeros((len(self.tests), len(phis)), dtype=complex)
+        for m, (phi, lam) in enumerate(zip(phis, lams)):
+            conj_phi = np.conj(phi.data)
+            terms = (H0 - F0 * lam) * conj_phi[left] + (H1 - F1 * lam) * conj_phi[left + 1]
+            by_atom = np.bincount(atom, terms.real, n_atoms) + 1j * np.bincount(atom, terms.imag, n_atoms)
+            sums[:, m] = self.value @ by_atom[:n_slots] + self.deriv @ by_atom[n_slots : 2 * n_slots]
+            sums[bumps, m] += by_atom[2 * n_slots :]
         return sums
 
     def residuals(self, phis: Sequence, lams: Sequence[float]) -> list[ResidualReport]:
@@ -578,15 +593,6 @@ def _cells(mesh: Mesh, k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.nda
     """Left node and linear-interpolation weight theta of the points t on the edges k (indices)."""
     cell = np.clip(np.floor(t / mesh.widths[k]).astype(int), 0, np.diff(mesh.offsets)[k] - 2)
     return mesh.offsets[k] + cell, t / mesh.widths[k] - cell
-
-
-def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
-    """Complex column sums of ``terms`` (rows x columns) grouped by the row ``index``, in row order."""
-    sums = np.zeros((n, terms.shape[1]), dtype=complex)
-    for m, col in enumerate(terms.T):
-        sums.real[:, m] = np.bincount(index, col.real, n)
-        sums.imag[:, m] = np.bincount(index, col.imag, n)
-    return sums
 
 
 def compile_battery(

@@ -270,12 +270,13 @@ def perturbed_eigen_report(
 
     Interior residual: ``|<f, -phi'' + V phi - lambda phi>| / ||f||`` against
     interior bump tests (weak form: V interpolated at the Gauss nodes, the
-    P1 modes paired with the tests through their load vectors, see
-    :meth:`CompiledBattery.residual_matrix`).
+    P1 modes paired with the tests through their load vectors one mode at a
+    time, see :meth:`CompiledBattery.residual_matrix`).
     Vertex residual: trace-condition defect ``||P phi(v)|| + ||L phi(v) +
     (1-P) phi'(v)||``, the worst over the vertices, from the grid traces of
     all modes at once (:meth:`Mesh.traces`, :meth:`BoundaryCondition.worst_residual`);
-    the conditions of H are those of H0, independent of V.
+    the conditions of H are those of H0, independent of V.  The modes are
+    stacked once, for the traces; the residuals read each mode's own data.
     """
     phis = es.grid_functions()
     lams = [float(lam) for lam in es.eigenvalues]
