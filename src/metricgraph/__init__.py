@@ -69,7 +69,6 @@ from .potentials import (
 from .secular import (
     SecularEigenvalue,
     SecularSolution,
-    basis_gram,
     basis_values,
     eigenfunction,
     eigenvalue_scan,

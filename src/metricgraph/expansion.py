@@ -217,7 +217,7 @@ class DiscreteSpectralRep:
             sols = eigenfunction(g, bc, hit.lam)
             if len(sols) != hit.multiplicity:
                 raise RankAnomaly(
-                    f"M(lambda) has a {len(sols)}-dimensional null space at lambda={hit.lam}, "
+                    f"D(lambda) has a {len(sols)}-dimensional null space at lambda={hit.lam}, "
                     f"but the eigenvalue count gives multiplicity {hit.multiplicity}"
                 )
             found.append((hit.lam, sols))
@@ -484,8 +484,8 @@ class CompiledBattery:
         trace datum (a, b) = (f(v), f'(v)) contributes ``b conj(phi(v)) - a
         conj(phi'(v))`` (inward derivatives), and a bump gives 0.  Caveat:
         this path tests the vertex conditions of the modes, not their edge
-        functions; those rest on the Wronskian identity of
-        :func:`secular.basis_values` and on ``spectrum``'s two-solver check.
+        functions; those rest on the closed-form end shapes of
+        :class:`secular.SecularSolution` and on ``spectrum``'s two-solver check.
         Nodal modes on one mesh meet the slot shapes and the bumps through
         their P1 load vectors (:meth:`_load_sums`): the Gauss nodes are laid
         out once per call, and each mode is contracted with the loads alone,

@@ -1,34 +1,27 @@
-"""Exact spectra on compact graphs via per-edge fundamental solutions.
+"""Exact spectra on compact graphs from the end values of edge solutions.
 
-Any solution of ``-f'' = lambda f`` on an edge is ``alpha c(t) + beta s(t)``
-in the basis with c(0) = 1, c'(0) = 0, s(0) = 0, s'(0) = 1:
+Off the decoupled energies (n pi / l)^2 a solution of ``-f'' = lambda f`` on
+an edge of length l is ``f(t) = (f(0) s(l - t) + f(l) s(t)) / s(l)``, with
+the fundamental basis c(0) = 1, c'(0) = 0, s(0) = 0, s'(0) = 1:
 
     lambda > 0:  c = cos(w t),  s = sin(w t)/w,   w = sqrt(lambda)
     lambda < 0:  c = cosh(k t), s = sinh(k t)/k,  k = sqrt(-lambda)
     lambda = 0:  c = 1,         s = t
 
-Both are entire in lambda (c' = -lambda s and s' = c for every lambda), so
-the basis passes through lambda = 0 without branching; a short power series
-is used near zero to avoid cancellation.
-
-Stacking the vertex conditions over all per-edge coefficient pairs yields a
-square matrix M(lambda) of order 2|E| that drops rank exactly at the
-spectrum; its null space gives the eigenfunctions.  The eigenvalues
-themselves are counted, not searched for.  Decouple the graph by Dirichlet
-conditions at every edge end.  Off the decoupled spectrum, the energies
-(n pi / l_e)^2, the form q - lambda ||.||^2 on the solutions of
-``-f'' = lambda f`` is the Hermitian vertex matrix
-
-    D(lambda) = K^H (Lambda(lambda) - L) K,
-
-where K stacks the ker P_v bases, L the L_v, and Lambda is the
-Dirichlet-to-Neumann map, a 2x2 block ``[[c/s, -1/s], [-1/s, c/s]]`` per
-edge with (c, s) at the edge length.  By Sylvester's law of inertia the
-number of eigenvalues below lambda is ``N_D(lambda) + n_-(D(lambda))``,
-with N_D the decoupled count (Berkolaiko & Kuchment, *Introduction to
-Quantum Graphs*, ch. 3).  :class:`SecularSystem` validates the input and
-builds the constant parts of M and D once per (g, bc) pair (:func:`compiled`);
-every evaluation combines them with the per-edge (c, s) at lambda.
+(a power series near zero).  The inward derivatives at the ends are -Lambda
+times the end values, with the Dirichlet-to-Neumann block ``[[a, -b], [-b,
+a]]``, a = c/s and b = 1/s at l (through e^(-kl) below zero, so nothing
+overflows).  Slot values x (:attr:`MetricGraph.slots`) meet ``P_v f = 0`` when
+x = K y, K stacking the ker P_v bases; the other conditions then read
+D(lambda) y = 0 for ``D(lambda) = K^H (Lambda(lambda) - L) K``, whose null
+vectors give the eigenfunctions.  By Sylvester's law of inertia the number
+of eigenvalues below lambda is ``N_D(lambda) + n_-(D(lambda))``, with N_D the
+decoupled count (Berkolaiko & Kuchment, *Introduction to Quantum Graphs*,
+ch. 3).  In a band ``p -+ POLE_RTOL p`` around a decoupled energy the same
+code runs with every edge cut at its golden point (:attr:`SecularSystem.split`).
+:class:`SecularSystem` builds the constant parts once per (g, bc) pair
+(:func:`compiled`).  M(lambda), the conditions on per-edge coefficients of
+(c, s), only places the scan's first cuts by its smallest singular value.
 """
 
 from __future__ import annotations
@@ -41,14 +34,15 @@ from typing import Iterable
 import numpy as np
 
 from .boundary import BoundaryCondition, lp_mixing, require_valid_bc
-from .graph import EdgeId, MetricGraph
+from .graph import Edge, EdgeId, MetricGraph
 
 SERIES_THRESHOLD = 1e-6  # |lambda| below which the power series is used
-SINGULAR_RTOL = 1e-8  # numerical rank of M(lambda), relative to its largest singular value
+SINGULAR_RTOL = 1e-8  # null eigenvalues of D(lambda), scaled by its coefficient scale (SecularSystem.null_vectors)
 SCAN_POINTS = 600  # default sigma_min grid of eigenvalue_scan; it places cuts, not roots
 POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to the energy
 CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
-MAX_KL = 300.0  # largest sqrt(-lambda) * l: e^600 ~ 4e260 leaves the squares in row norms and Gram matrices finite
+MAX_KL = 300.0  # largest sqrt(-lambda) * l of M(lambda): e^600 ~ 4e260 leaves the squares in its row norms finite
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the split system cuts each edge at GOLDEN * l
 COMPILED_PAIRS = 8  # (g, bc) pairs whose compiled system (and standard test battery) stay cached
 
 
@@ -80,33 +74,44 @@ def basis_values(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cosh(k * t), np.sinh(k * t) / k
 
 
-def basis_gram(lam: float, length: float) -> np.ndarray:
-    """Exact 2x2 Gram matrix of (c, s) on (0, length)."""
-    l = float(length)
-    if abs(lam) < SERIES_THRESHOLD:
-        # Gauss-Legendre on the series evaluator; the integrands are nearly
-        # polynomial there, so 32 nodes are exact to machine precision
-        x, w = np.polynomial.legendre.leggauss(32)
-        ts = 0.5 * l * (x + 1.0)
-        ws = 0.5 * l * w
-        c, s = basis_values(lam, ts)
-        return np.array(
-            [
-                [np.sum(ws * c * c), np.sum(ws * c * s)],
-                [np.sum(ws * c * s), np.sum(ws * s * s)],
-            ]
-        )
-    if lam > 0:
-        w = math.sqrt(lam)
-        cc = l / 2.0 + math.sin(2 * w * l) / (4 * w)
-        cs = math.sin(w * l) ** 2 / (2 * w * w)
-        ss = (l / 2.0 - math.sin(2 * w * l) / (4 * w)) / (w * w)
-    else:
+def _dtn(lam: float, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of each edge's Dirichlet-to-Neumann block ``[[a, -b], [-b, a]]``; off the decoupled energies."""
+    if lam < -SERIES_THRESHOLD:
         k = math.sqrt(-lam)
-        cc = l / 2.0 + math.sinh(2 * k * l) / (4 * k)
-        cs = math.sinh(k * l) ** 2 / (2 * k * k)
-        ss = (math.sinh(2 * k * l) / (4 * k) - l / 2.0) / (k * k)
-    return np.array([[cc, cs], [cs, ss]])
+        d = -np.expm1(-2.0 * k * lengths)  # 1 - q, q = e^(-2kl)
+        return k * (2.0 - d) / d, 2.0 * k * np.exp(-k * lengths) / d
+    c, s = basis_values(lam, lengths)
+    return c / s, 1.0 / s
+
+
+def _inward(a: np.ndarray, b: np.ndarray, init: np.ndarray, term: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inward derivatives -Lambda x of slot values x (a vector, or one per column), Lambda's blocks from (a, b)."""
+    a, b = (v.reshape(v.shape + (1,) * (x.ndim - 1)) for v in (a, b))
+    out = np.empty(x.shape, dtype=complex)
+    out[init], out[term] = b * x[term] - a * x[init], b * x[init] - a * x[term]
+    return out
+
+
+def _interpolate(lam: float, l: np.ndarray, t: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """``(f0 s(l - t) + f1 s(t)) / s(l)``: the solution on (0, l) with end values f0 and f1, at t."""
+    if lam > SERIES_THRESHOLD:  # f0 cos(w t) + f'(0) sin(w t) / w
+        w = math.sqrt(lam)
+        return f0 * np.cos(w * t) + (f1 - f0 * np.cos(w * l)) / np.sin(w * l) * np.sin(w * t)
+    if lam < -SERIES_THRESHOLD:  # sinh(k u) / sinh(k l) = (e^(-k (l - u)) - q e^(-k u)) / (1 - q^2), q = e^(-k l)
+        k = math.sqrt(-lam)
+        q = np.exp(-k * l)
+        return ((f0 - q * f1) * np.exp(-k * t) + (f1 - q * f0) * np.exp(-k * (l - t))) / -np.expm1(-2.0 * k * l)
+    return (f0 * basis_values(lam, l - t)[1] + f1 * basis_values(lam, t)[1]) / basis_values(lam, l)[1]
+
+
+@functools.lru_cache(maxsize=COMPILED_PAIRS)
+def golden_split(g: MetricGraph) -> MetricGraph:
+    """g with edge k cut at ``GOLDEN l`` into edges 2k, 2k + 1 joined at a vertex after g's: g's slots come first."""
+    edges: list[Edge] = []
+    for e in g.edges:
+        cut = GOLDEN * e.length
+        edges += [Edge((e.id, 0), cut, e.init, (e.id, "cut")), Edge((e.id, 1), e.length - cut, (e.id, "cut"), e.end)]
+    return MetricGraph(g.vertices + tuple((e.id, "cut") for e in g.edges), tuple(edges), (1.0 - GOLDEN) * g.u)
 
 
 # ---------------------------------------------------------------------------
@@ -143,39 +148,45 @@ class SecularSystem:
     The one place where ``P f = 0, L f + (1 - P) f' = 0`` become rows: it
     validates (g, bc), splits each P_v into ker/ran bases and takes the rows
     a = ``[ran^H ; ker^H L]`` on slot values and b = ``[0 ; ker^H]`` on inward
-    derivatives.  By the end map of ``trace_values``, M(lambda) = A + B1 x + B2 y,
-    x = (c, s) and y = (lambda s, c) per edge, with A = (a, b) at initial slots
-    and B1 = (a, a), B2 = (b, -b) at terminal ones.  D(lambda) keeps K's rows
-    at each edge's two slots and ``K^H L K``.  The rows omit ``P L f(v)``, nonzero
-    only at ``anomaly_vertices``; :func:`eigenfunction` checks the full conditions.
+    derivatives.  With the (alpha, beta) coefficients of (c, s) per edge,
+    M(lambda) = A + B1 x + B2 y, x = (c, s) and y = (lambda s, c) per edge, with
+    A = (a, b) at initial slots and B1 = (a, a), B2 = (b, -b) at terminal ones.
+    D(lambda) keeps K's rows at each edge's two slots and ``K^H L K``.  The rows
+    omit ``P L f(v)``, nonzero only at ``anomaly_vertices``; :func:`eigenfunction`
+    checks the full conditions.
     """
 
     def __init__(self, g: MetricGraph, bc: BoundaryCondition) -> None:
         g.require_valid()
         g.require_compact("the secular system")
         require_valid_bc(g, bc)
+        self.anomaly_vertices = tuple(v for v in g.vertices if lp_mixing(bc.L(v), bc.P(v)))
+        self._compile(g, [(*bc.ker_ran(v), bc.L(v)) for v in g.vertices])
+
+    def _compile(self, g: MetricGraph, stars: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        """The constant blocks from each vertex's (ker, ran, L), in ``g.vertices`` order."""
+        self.graph, self._stars = g, stars
         self.lengths = np.array([e.length for e in g.edges], dtype=float)
         init, term = g.slot_ends
         self._longest = max(g.edges, key=lambda e: e.length)
-        val: list[np.ndarray] = []
-        der: list[np.ndarray] = []
-        kers: list[np.ndarray] = []
-        kLks: list[np.ndarray] = []
-        for v in g.vertices:
-            d = g.degree(v)
-            ker, ran = bc.ker_ran(v)
-            kL = ker.conj().T @ bc.L(v)
-            kers.append(ker)
-            kLks.append(kL @ ker)
-            val.append(np.vstack([ran.conj().T, kL]))
-            der.append(np.vstack([np.zeros((ran.shape[1], d)), ker.conj().T]))
-        a, b = _blocks(val), _blocks(der)
+        a = _blocks(np.vstack([ran.conj().T, ker.conj().T @ L]) for ker, ran, L in stars)
+        b = _blocks(np.vstack([np.zeros((ran.shape[1], ker.shape[0])), ker.conj().T]) for ker, ran, _ in stars)
         self._A = _pairs(a[:, init], b[:, init])
         self._B1, self._B2 = _pairs(a[:, term], a[:, term]), _pairs(b[:, term], -b[:, term])
-        self.anomaly_vertices = tuple(v for v in g.vertices if lp_mixing(bc.L(v), bc.P(v)))
-        K = _blocks(kers)
-        self._k = K[init], K[term], K[init].conj().T, K[term].conj().T  # and their adjoints
-        self._kLk = _blocks(kLks)
+        self._K = K = _blocks(ker for ker, _, _ in stars)
+        self._k = np.vstack([K[init], K[term]]), np.vstack([K[term], K[init]])  # K at both ends, and swapped
+        self._kh = self._k[0].conj().T
+        self._kLk = _blocks(ker.conj().T @ L @ ker for ker, _, L in stars)
+        self._scale = np.abs(K[init]) ** 2 + np.abs(K[term]) ** 2, np.abs(np.diagonal(self._kLk))  # see null_vectors
+
+    @functools.cached_property
+    def split(self) -> SecularSystem:
+        """This system on :func:`golden_split` of its graph with Kirchhoff joints, from the compiled vertex data."""
+        joint = (np.array([[1.0], [1.0]]) / math.sqrt(2.0), np.array([[1.0], [-1.0]]) / math.sqrt(2.0), np.zeros((2, 2)))
+        split = SecularSystem.__new__(SecularSystem)
+        split.anomaly_vertices = self.anomaly_vertices
+        split._compile(golden_split(self.graph), self._stars + [joint] * len(self.lengths))
+        return split
 
     def _basis(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """(c, s) at the edge lengths; raises :class:`RankAnomaly` before cosh/sinh can overflow."""
@@ -185,12 +196,26 @@ class SecularSystem:
             raise RankAnomaly(f"the shooting basis overflows at lambda={lam}: sqrt(-lambda)*l = {kl:.6g} on edge {e!r}")
         return basis_values(lam, self.lengths)
 
-    def vertex_matrix(self, lam: float) -> np.ndarray:
-        """The Hermitian D(lambda) = K^H (Lambda(lambda) - L) K; lambda off the decoupled energies."""
-        c, s = self._basis(lam)
-        a, b = (c / s)[:, None], (1.0 / s)[:, None]
-        ki, kt, ki_h, kt_h = self._k
-        return ki_h @ (a * ki - b * kt) + kt_h @ (a * kt - b * ki) - self._kLk
+    def vertex_matrix(self, lam: float, ab: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """The Hermitian D(lambda) = K^H (Lambda - L) K off the decoupled energies; ``ab``: ``_dtn`` there, if known."""
+        a, b = (np.concatenate([v, v])[:, None] for v in ab or _dtn(lam, self.lengths))
+        return self._kh @ (a * self._k[0] - b * self._k[1]) - self._kLk
+
+    def null_vectors(self, lam: float) -> np.ndarray:
+        """Slot values K y of the null vectors y of D(lambda), one per column.
+
+        y = ``C^-1/2 z`` for the eigenvectors z of ``C^-1/2 D C^-1/2`` with eigenvalue at most
+        SINGULAR_RTOL in modulus; C is D's coefficient scale ``sum_s |K_si|^2 (|a_e| + |b_e|) + |(K^H L K)_ii|``.
+        """
+        a, b = _dtn(lam, self.lengths)
+        r = ((np.abs(a) + np.abs(b)) @ self._scale[0] + self._scale[1]) ** -0.5
+        mu, Z = np.linalg.eigh(r[:, None] * self.vertex_matrix(lam, (a, b)) * r)
+        return self._K @ (r[:, None] * Z[:, np.abs(mu) <= SINGULAR_RTOL])
+
+    def in_band(self, lam: float) -> bool:
+        """Whether some decoupled energy p has ``|lambda - p| <= POLE_RTOL p``."""
+        k = math.sqrt(max(lam, 0.0)) / math.pi * self.lengths  # p = (n pi / l)^2, n in [k / (1 + r)^.5, k / (1 - r)^.5]
+        return lam > 0 and bool((np.floor(k / (1.0 - POLE_RTOL) ** 0.5) >= np.ceil(k / (1.0 + POLE_RTOL) ** 0.5)).any())
 
     def decoupled_count(self, lam: float) -> int:
         """N_D(lambda): how many decoupled energies (n pi / l_e)^2, n >= 1, lie below lambda."""
@@ -260,7 +285,7 @@ class SecularEigenvalue:
 
 
 class RankAnomaly(ValueError):
-    """M(lambda) contradicts the count, its null vectors break the vertex conditions, or its basis overflows.
+    """The split or D's null space contradicts the count, a null vector breaks the conditions, or M's basis overflows.
 
     A failed check on valid input, not unusable input: the command line
     maps it to exit 1.  It stays a ``ValueError`` for library callers.
@@ -305,36 +330,26 @@ def _cut_points(vals: np.ndarray, grid: np.ndarray) -> set[float]:
     return set(grid[np.maximum(i - 1, 0)].tolist()) | set(grid[np.minimum(i + 1, grid.size - 1)].tolist())
 
 
-def _pole_bands(system: SecularSystem, lo: float, hi: float) -> dict[float, tuple[float, list[float]]]:
-    """Bands ``p -+ POLE_RTOL p`` around the decoupled energies near [lo, hi].
-
-    Overlapping bands merge; each maps its lower end to its upper end and its distinct energies.
-    """
+def _pole_bands(system: SecularSystem, lo: float, hi: float) -> dict[float, float]:
+    """Lower to upper ends of the bands ``p -+ POLE_RTOL p`` of the decoupled energies near [lo, hi]; overlaps merge."""
     pad = 2 * POLE_RTOL * max(1.0, abs(lo), abs(hi))
-    bands: list[list] = []  # [lower end, upper end, energies]
+    bands: dict[float, float] = {}
     for p in system.decoupled_energies(lo - pad, hi + pad).tolist():
-        w = POLE_RTOL * p
-        if bands and p - w <= bands[-1][1]:
-            bands[-1][1] = p + w
-            if p - bands[-1][2][-1] > CLUSTER_RTOL * p:
-                bands[-1][2].append(p)
-        else:
-            bands.append([p - w, p + w, [p]])
-    return {b_lo: (b_hi, poles) for b_lo, b_hi, poles in bands}
+        if not bands or p - POLE_RTOL * p > bands[last]:
+            last = p - POLE_RTOL * p
+        bands[last] = p + POLE_RTOL * p
+    return bands
 
 
-def _band_roots(system: SecularSystem, a: float, b: float, poles: list[float], count) -> list[tuple[float, int]]:
-    """(p, rank drop of M(p)) for the decoupled energies p of the band [a, b].
-
-    The drops must add up to the jump in the count across the band.
-    """
-    ranks = [_null_space(system.matrix(p)).shape[1] for p in poles]
-    if sum(ranks) != count(b) - count(a):
-        raise RankAnomaly(
-            f"M(lambda) drops rank by {ranks} at the decoupled energies {poles}, "
-            f"but the eigenvalue count rises by {count(b) - count(a)} across [{a}, {b}]"
-        )
-    return [(p, r) for p, r in zip(poles, ranks) if r]
+def _split_roots(system: SecularSystem, a: float, b: float, count) -> list[tuple[float, int]]:
+    """(root, multiplicity) in the pole band [a, b], from the golden split, which must agree with the count there."""
+    if count(b) == count(a):
+        return []
+    split, split_count = system.split, functools.cache(system.split.count)
+    ends, want = (split_count(a), split_count(b)), (count(a), count(b))
+    if ends != want or split.decoupled_energies(a, b).size:
+        raise RankAnomaly(f"the golden split counts {ends} eigenvalues below the band [{a}, {b}], the graph {want}")
+    return _settle(split, a, b, split_count)
 
 
 def _settle(system: SecularSystem, a: float, b: float, count) -> list[tuple[float, int]]:
@@ -378,17 +393,16 @@ def eigenvalue_scan(
     eigenvalues below lambda (:meth:`SecularSystem.count`) settles every
     interval.  The ``num``-point grid of sigma_min (at least 2 points) only
     chooses where the window is first cut: at its ends and at the grid
-    neighbours of each local minimum.  Each decoupled energy p gets a band
-    ``p -+ POLE_RTOL p``, where D(lambda) is singular or
-    ill-conditioned; grid cuts inside a band are dropped, the count is
-    taken at the band ends and p's multiplicity is the rank drop of M(p).
-    Between cuts, bisection on the count isolates the roots and a simple
-    root is refined to about CLUSTER_RTOL on the eigenvalue branch of D that
-    crosses zero there, which decreases in lambda between decoupled
+    neighbours of each local minimum.  Grid cuts inside the band ``p -+
+    POLE_RTOL p`` of a decoupled energy p are dropped; a band across which
+    the count jumps is settled on the golden split (:attr:`SecularSystem.split`),
+    which must count the same at the band ends or :class:`RankAnomaly` is
+    raised.  Between cuts, bisection on the count isolates the roots and a
+    simple root is refined to about CLUSTER_RTOL on the eigenvalue branch of
+    D that crosses zero there, which decreases in lambda between decoupled
     energies.  Roots within CLUSTER_RTOL of each other form one cluster,
-    whose multiplicity is the jump in the count.  Raises
-    :class:`RankAnomaly` when a rank drop disagrees with the count.
-    ``sigma_min`` of each hit is sigma_min of the row-normalized M at it.
+    whose multiplicity is the jump in the count.  ``sigma_min`` of each hit
+    is sigma_min of the row-normalized M at it.
     """
     if not (lam_max > lam_min):
         raise ValueError("empty scan range")
@@ -399,12 +413,12 @@ def eigenvalue_scan(
     vals = np.array([smallest_singular_value(g, bc, x, system) for x in grid])
     bands = _pole_bands(system, lam_min, lam_max)
     cuts = {lam_min, lam_max} | _cut_points(vals, grid)
-    cuts = {x for x in cuts if not any(lo < x < hi for lo, (hi, _) in bands.items())}
-    points = sorted(cuts | set(bands) | {hi for hi, _ in bands.values()})
+    cuts = {x for x in cuts if not any(lo < x < hi for lo, hi in bands.items())}
+    points = sorted(cuts | set(bands) | set(bands.values()))
     count = functools.cache(system.count)
     found: list[tuple[float, int]] = []
     for a, b in zip(points, points[1:]):
-        found += _band_roots(system, a, b, bands[a][1], count) if a in bands else _settle(system, a, b, count)
+        found += _split_roots(system, a, b, count) if a in bands else _settle(system, a, b, count)
     found.sort()
     merged: list[tuple[float, int]] = []
     for lam, mult in found:
@@ -427,7 +441,7 @@ def scan_window(g: MetricGraph, bc: BoundaryCondition, modes: int) -> tuple[floa
     """
     system = compiled(g, bc)
     lo = -min(1.0, float(system.lengths.max()) ** -2)
-    while system.count(lo) > 0:  # raises RankAnomaly past MAX_KL
+    while system.count(lo) > 0:
         lo *= 2.0
     p = (np.arange(1, modes + 1)[:, None] * math.pi / system.lengths) ** 2
     return lo, float(np.sort(p, axis=None)[modes - 1]) * (1.0 + 4.0 * POLE_RTOL)
@@ -440,87 +454,102 @@ def scan_window(g: MetricGraph, bc: BoundaryCondition, modes: int) -> tuple[floa
 
 @dataclass(frozen=True, eq=False)
 class SecularSolution:
-    """Exact solution ``f_e = alpha_e c + beta_e s`` at a fixed energy.
+    """Exact solution of ``-f'' = lambda f`` on every edge, held by its values at the slots.
 
-    ``x`` is a null vector of M(lambda) in its column layout: the complex
-    pairs (alpha_e, beta_e) edge by edge in ``graph.edges`` order, so edge k
-    owns ``x[2k]`` and ``x[2k + 1]`` (k from ``graph.edge_index``).
+    ``x`` holds f at the edge ends in :attr:`MetricGraph.slots` order.  A solution at a root inside
+    a pole band lives on :func:`golden_split` of the graph: then ``x`` has 4|E| entries, and its
+    first 2|E| are the graph's slots.
     """
 
     graph: MetricGraph
     lam: float
     x: np.ndarray
 
+    @functools.cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lengths, initial slots, terminal slots) of the edges ``x`` lives on."""
+        g = self.graph if self.x.size == 2 * len(self.graph.edges) else golden_split(self.graph)
+        return np.array([e.length for e in g.edges], dtype=float), *g.slot_ends
+
     def evaluate(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
-        k = self.graph.edge_index[edge_id]
-        c, s = basis_values(self.lam, t)
-        return self.x[2 * k] * c + self.x[2 * k + 1] * s
+        k, t = self.graph.edge_index[edge_id], np.asarray(t, dtype=float)
+        lengths, init, term = self._pieces
+        if lengths.size > len(self.graph.edges):  # piece 2k on [0, GOLDEN l], piece 2k + 1 past it
+            second = t > lengths[2 * k]
+            k, t = 2 * k + second, np.where(second, t - lengths[2 * k], t)
+        return _interpolate(self.lam, lengths[k], t, self.x[init[k]], self.x[term[k]])
 
     def trace_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact slot arrays (:attr:`MetricGraph.slots`) of values and inward derivatives.
+        """Exact slot arrays (:attr:`MetricGraph.slots`) of values and inward derivatives ``-Lambda(lambda) x``."""
+        return self._traces
 
-        Edge e has (alpha, beta) at its initial slot and ``(c alpha + s beta, lam s alpha - c beta)``
-        at its terminal slot, with (c, s) at the edge length.
-        """
-        g, alpha, beta = self.graph, self.x[0::2], self.x[1::2]
-        init, term = g.slot_ends
-        c, s = basis_values(self.lam, [e.length for e in g.edges])
-        vals, ders = np.empty(self.x.size, dtype=complex), np.empty(self.x.size, dtype=complex)
-        vals[init], ders[init] = alpha, beta
-        vals[term], ders[term] = c * alpha + s * beta, self.lam * s * alpha - c * beta
-        return vals, ders
+    @functools.cached_property
+    def _traces(self) -> tuple[np.ndarray, np.ndarray]:
+        n, (lengths, init, term) = 2 * len(self.graph.edges), self._pieces
+        return self.x[:n].astype(complex), _inward(*_dtn(self.lam, lengths), init, term, self.x)[:n]
 
     def vertex_residual(self, bc: BoundaryCondition, relative: bool = False) -> float:
         """max_v ||P f(v)|| + ||L f(v) + (1 - P) f'(v)|| for this solution (:meth:`BoundaryCondition.worst_residual`)."""
         return bc.worst_residual(self.graph, *self.trace_values(), relative)
 
     def l2_norm_sq(self) -> float:
-        return float(np.real(self.x.conj() @ _gram(self.graph, self.lam) @ self.x))
+        lengths, init, term = self._pieces
+        return float(np.real(_gram(self.lam, lengths, *_dtn(self.lam, lengths), init, term, self.x[:, None])[0, 0]))
 
 
-def _gram(g: MetricGraph, lam: float) -> np.ndarray:
-    """The L2 Gram matrix of the coefficient layout: one exact 2x2 block per edge."""
-    return _blocks(basis_gram(lam, e.length) for e in g.edges)
+def _gram(
+    lam: float, l: np.ndarray, a: np.ndarray, b: np.ndarray, init: np.ndarray, term: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """``X^H G X`` for slot values X, G the exact L2 Gram matrix of the end shapes: a block [[d, o], [o, d]] per edge.
+
+    d = ``(l b^2 - a) / (2 lambda)`` and o = ``b (1 - l a) / (2 lambda)`` from the DtN blocks (a, b); where
+    |lambda l^2| < 1e-3 they cancel, and the Taylor series in x = lambda l^2 is exact to rounding.
+    """
+    x = lam * l * l
+    near = np.abs(x) < 1e-3
+    if not near.all():
+        d, o = (l * b * b - a) / (2.0 * lam), b * (1.0 - l * a) / (2.0 * lam)
+    if near.any():
+        d0 = l * np.polyval([2 / 18711, 4 / 4725, 2 / 315, 2 / 45, 1 / 3], x)
+        o0 = l * np.polyval([73 / 684288, 127 / 151200, 31 / 5040, 7 / 180, 1 / 6], x)
+        d, o = (d0, o0) if near.all() else (np.where(near, d0, d), np.where(near, o0, o))
+    d, o, u, v = d[:, None], o[:, None], X[init], X[term]
+    return u.conj().T @ (d * u + o * v) + v.conj().T @ (d * v + o * u)
 
 
-def _orthonormalize(g: MetricGraph, lam: float, X: np.ndarray) -> np.ndarray:
-    gram = X.conj().T @ _gram(g, lam) @ X
-    gram = 0.5 * (gram + gram.conj().T)
-    w, U = np.linalg.eigh(gram)
-    keep = w > 1e-12 * max(w[-1], 1e-300)
-    Y = X @ U[:, keep] / np.sqrt(w[keep])
-    # canonical phase: the largest coefficient of each column is real positive
-    for j in range(Y.shape[1]):
-        i = int(np.argmax(np.abs(Y[:, j])))
-        z = Y[i, j]
-        if abs(z) > 0:
-            Y[:, j] *= np.conj(z) / abs(z)
-    return Y
-
-
-def _null_space(M: np.ndarray) -> np.ndarray:
-    """Orthonormal null-space basis of M; rank at SINGULAR_RTOL * sigma_max of the row-normalized M."""
-    _, svs, Vh = np.linalg.svd(_row_normalized(M))
-    rank = int(np.count_nonzero(svs > SINGULAR_RTOL * svs.max(initial=0.0)))
-    return Vh[rank:].conj().T
+def _orthonormalize(g: MetricGraph, system: SecularSystem, lam: float, X: np.ndarray) -> np.ndarray:
+    lengths, (init, term) = system.lengths, system.graph.slot_ends
+    a, b = _dtn(lam, lengths)
+    gram = _gram(lam, lengths, a, b, init, term, X)
+    if X.shape[1] == 1:  # a simple root needs no eigendecomposition
+        Y = X / math.sqrt(gram[0, 0].real)
+    else:
+        w, U = np.linalg.eigh(gram)  # reads one triangle
+        keep = w > 1e-12 * max(w[-1], 1e-300)
+        Y = X @ U[:, keep] / np.sqrt(w[keep])
+    # canonical phase: the largest of the per-edge (f(0), f'(0)) pairs of each column is real positive
+    pairs, edge_init = np.empty((2 * len(g.edges), Y.shape[1]), dtype=complex), g.slot_ends[0]
+    pairs[0::2], pairs[1::2] = Y[edge_init], _inward(a, b, init, term, Y)[edge_init]
+    z = pairs[np.argmax(np.abs(pairs), axis=0), np.arange(Y.shape[1])]
+    return Y * (np.conj(z) / np.abs(z))  # z != 0: a nonzero solution has some nonzero (f(0), f'(0))
 
 
 def eigenfunction(g: MetricGraph, bc: BoundaryCondition, lam: float) -> list[SecularSolution]:
     """L2-orthonormal basis of exact eigenfunctions at an accepted energy.
 
-    Each is a :class:`SecularSolution` holding an orthonormalized null
-    vector of M(lambda).  Raises if M(lambda) is not numerically rank
-    deficient there.  Null vectors whose verbatim residual at some vertex v
-    exceeds ``100 SINGULAR_RTOL max(1, ||L_v||)`` (possible when L maps
-    ker P into ran P) are discarded with a rank-anomaly error rather than
-    projected away.  Every root of (g, bc) shares the pair's :func:`compiled` system.
+    Each holds an orthonormalized null vector of D(lambda) (:meth:`SecularSystem.null_vectors`), of the
+    golden split in a pole band; raises if there is none.  Null vectors whose verbatim residual at some
+    vertex v exceeds ``100 SINGULAR_RTOL max(1, ||L_v||)`` (possible when L maps ker P into ran P) are
+    discarded with a rank-anomaly error rather than projected away.  Every root of (g, bc) shares the
+    pair's :func:`compiled` system.
     """
     system = compiled(g, bc)
-    null = _null_space(system.matrix(lam))
+    if system.in_band(lam):
+        system = system.split
+    null = system.null_vectors(lam)
     if null.shape[1] == 0:
-        sigma = smallest_singular_value(g, bc, lam, system)
-        raise ValueError(f"lambda={lam} is not an eigenvalue (sigma_min={sigma:.3e})")
-    sols = [SecularSolution(g, lam, x) for x in _orthonormalize(g, lam, null).astype(complex).T]
+        raise ValueError(f"lambda={lam} is not an eigenvalue: D(lambda) has no null vector")
+    sols = [SecularSolution(g, lam, x) for x in _orthonormalize(g, system, lam, null).T]
     kept = [s for s in sols if s.vertex_residual(bc, relative=True) <= 100 * SINGULAR_RTOL]
     if len(kept) < len(sols):
         raise RankAnomaly(

@@ -22,6 +22,36 @@ def star_graph(n_rays: int = 3, length: float = 1.0, u: float = 1.0) -> MetricGr
     return MetricGraph(verts, edges, u)
 
 
+def dirichlet_star_roots(rays, hi: float) -> list[tuple[float, int]]:
+    """Closed-form spectrum in (0, hi] of a Kirchhoff star with Dirichlet tips, as (lambda, multiplicity).
+
+    With k = sqrt(lambda), one root of sum_e cot(k l_e) = 0 lies in each gap
+    between consecutive distinct poles n pi / l_e (and below the first), and
+    a pole where m rays resonate is a root of multiplicity m - 1.  Poles
+    within 1e-12 of each other are one pole.
+    """
+    from scipy.optimize import brentq
+
+    k_hi = math.sqrt(hi)
+    poles = sorted(n * math.pi / l for l in rays for n in range(1, int(k_hi * l / math.pi) + 2))
+    distinct: list[list[float]] = []  # [pole, resonant rays]
+    for k in poles:
+        if distinct and k - distinct[-1][0] <= 1e-12 * k:
+            distinct[-1][1] += 1
+        else:
+            distinct.append([k, 1])
+    out = []
+    lower = 0.0
+    for k, m in distinct:
+        a, b = lower + 1e-6 * (k - lower), k - 1e-6 * (k - lower)  # far enough from the poles for cot to keep its sign
+        root = brentq(lambda x: sum(1.0 / math.tan(x * l) for l in rays), a, b, xtol=1e-15, rtol=1e-15)
+        out.append((root * root, 1))
+        if m > 1:
+            out.append((k * k, m - 1))
+        lower = k
+    return [(lam, m) for lam, m in out if lam <= hi]
+
+
 def lp_mixing_star(strength: float) -> tuple[MetricGraph, BoundaryCondition]:
     """Kirchhoff 3-star whose centre L = strength (p q^T + q p^T) maps ker P into ran P.
 

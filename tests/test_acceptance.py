@@ -195,7 +195,7 @@ def test_criterion_06_vertex_conditions():
     lam = math.pi**2
     base = eigenfunction(g, bc, lam)[0]
     broken = base.x.copy()
-    broken[2 * g.edge_index["e1"] + 1] += 0.5
+    broken[g.slot_ends[0][g.edge_index["e1"]]] += 0.5  # e1's value jumps at the center vertex
     kink_resid = generalized_eigenfunction_residual(
         g, bc, SecularSolution(g, lam, broken), lam
     ).max_residual

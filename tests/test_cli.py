@@ -10,12 +10,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import metricgraph
 from metricgraph.cli import main
 from metricgraph.graph import graph_to_dict
 
-from conftest import lp_mixing_star
+from conftest import dirichlet_star_roots, lp_mixing_star
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -327,6 +328,74 @@ def test_basis_overflow_is_one_error_line(tmp_path, length, bc, argv):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: the shooting basis overflows at lambda=")
+
+
+def _run_clean(tmp_path, capsys, graph, bc, argv):
+    """Run one command on the given graph and condition dicts; it must exit 0 with nothing on stderr."""
+    gpath, bpath = tmp_path / "g.json", tmp_path / "bc.json"
+    gpath.write_text(json.dumps(graph))
+    bpath.write_text(json.dumps(bc))
+    code = main([argv[0], "--graph", str(gpath), "--bc", str(bpath), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "", captured.err
+    return json.loads(captured.out, parse_constant=_reject_non_finite)
+
+
+def _loops(n):
+    """n unit loops at one Kirchhoff vertex."""
+    edges = [{"id": f"a{i}", "length": 1.0, "from": "v", "to": "v"} for i in range(n)]
+    return {"u": 1.0, "vertices": ["v"], "edges": edges}, {"v": "kirchhoff"}
+
+
+def _interval(length, a, b):
+    return {"u": 1.0, "vertices": ["v", "w"], "edges": [{"id": "e", "length": length, "from": "v", "to": "w"}]}, {"v": a, "w": b}
+
+
+@pytest.mark.parametrize("alpha", [-20.0, -30.0, -100.0, -200.0])
+def test_deep_robin_bound_state(tmp_path, capsys, alpha):
+    # the bound state sinh(k (1 - t)) has k coth k = -alpha
+    report = _run_clean(tmp_path, capsys, *_interval(1.0, {"delta": alpha}, "dirichlet"), ["expansion", "--modes", "2", "--mesh", "0.05"])
+    k = brentq(lambda k: k / math.tanh(k) + alpha, 1.0, 1e3)
+    assert report["per_mode"][0]["lambda"] == pytest.approx(-k * k, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_loops, mult", [(1, 2), (2, 3)], ids=["circle", "two-loops"])
+def test_equal_loops_at_a_kirchhoff_vertex(tmp_path, capsys, n_loops, mult):
+    # (2 pi)^2 takes a cosine and a sine on the circle, and on two loops also the
+    # sine of each loop that is odd about the vertex
+    modes, mesh = (3, "0.005") if n_loops == 1 else (5, "0.01")
+    report = _run_clean(tmp_path, capsys, *_loops(n_loops), ["spectrum", "--modes", str(modes), "--mesh", mesh])
+    levels = {round(m["lambda"], 6): m["multiplicity"] for m in report["multiplicities"]}
+    assert levels[round(4 * math.pi**2, 6)] == mult
+    if n_loops == 1:
+        assert list(levels.values()) == [1, 2] and abs(report["multiplicities"][0]["lambda"]) < 1e-12
+    _run_clean(tmp_path, capsys, *_loops(n_loops), ["expansion", "--modes", "8", "--mesh", "0.01"])
+
+
+def test_star_with_nearly_equal_rays(tmp_path, capsys):
+    # rays 1 and 1 + 5e-7 put two decoupled energies in one pole band, with a root between them
+    rays = [1.0, 1.0 + 5e-7, 2.0]
+    edges = [{"id": f"e{i}", "length": l, "from": "c", "to": f"t{i}"} for i, l in enumerate(rays, start=1)]
+    graph = {"u": 1.0, "vertices": ["c", "t1", "t2", "t3"], "edges": edges}
+    bc = {"c": "kirchhoff", **{f"t{i}": "dirichlet" for i in (1, 2, 3)}}
+    report = _run_clean(tmp_path, capsys, graph, bc, ["spectrum", "--modes", "6", "--mesh", "0.02"])
+    got = [(m["lambda"], m["multiplicity"]) for m in report["multiplicities"]]
+    want = dirichlet_star_roots(rays, got[-1][0] * (1 + 1e-9))
+    assert [m for _, m in got] == [m for _, m in want]
+    assert np.allclose([lam for lam, _ in got], [lam for lam, _ in want], rtol=1e-11, atol=0)
+    report = _run_clean(tmp_path, capsys, graph, bc, ["expansion", "--modes", "6", "--mesh", "0.02"])
+    assert np.allclose([m["lambda"] for m in report["per_mode"]], [lam for lam, _ in want[:6]], rtol=1e-11, atol=0)
+
+
+def test_strong_robin_end(tmp_path, capsys):
+    # f = sin(w (pi - t)) meets f'(0) = alpha f(0) where w cos(w pi) + alpha sin(w pi) = 0, just below w = n
+    alpha = 1e6
+    graph, bc = _interval(math.pi, {"delta": alpha}, "dirichlet")
+    want = [brentq(lambda w: w * math.cos(w * math.pi) + alpha * math.sin(w * math.pi), n - 0.5, n) ** 2 for n in (1, 2)]
+    report = _run_clean(tmp_path, capsys, graph, bc, ["spectrum", "--modes", "2", "--mesh", "0.05"])
+    assert np.allclose([p["secular"] for p in report["eigenvalues"]], want, rtol=1e-11, atol=0)
+    report = _run_clean(tmp_path, capsys, graph, bc, ["expansion", "--modes", "2", "--mesh", "0.05"])
+    assert np.allclose([m["lambda"] for m in report["per_mode"]], want, rtol=1e-11, atol=0)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "expansion"])

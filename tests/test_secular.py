@@ -14,7 +14,6 @@ from metricgraph import (
     MetricGraph,
     SecularSolution,
     assemble,
-    basis_gram,
     basis_values,
     eigenfunction,
     eigensystem,
@@ -29,7 +28,7 @@ from metricgraph import (
 from metricgraph import boundary, secular
 from metricgraph.secular import SecularSystem
 
-from conftest import interval_graph, loop_edge_graph, lp_mixing_star, spectral_fixture_list, star_graph
+from conftest import dirichlet_star_roots, interval_graph, loop_edge_graph, lp_mixing_star, spectral_fixture_list, star_graph
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +66,17 @@ def test_basis_solves_the_ode():
 
 
 def test_gram_matches_quadrature():
+    # the end shapes s(l - t)/s(l) and s(t)/s(l) of the slot-value layout
     for lam in (-3.0, -1e-7, 0.0, 1e-7, 2.0, 50.0):
-        G = basis_gram(lam, 1.7)
+        l = np.array([1.7])
+        G = secular._gram(lam, l, *secular._dtn(lam, l), [0], [1], np.eye(2))
         ts = np.linspace(0, 1.7, 20001)
-        c, s = basis_values(lam, ts)
+        s = basis_values(lam, ts)[1]
+        u0, u1 = s[::-1] / s[-1], s / s[-1]
         ref = np.array(
             [
-                [np.trapezoid(c * c, ts), np.trapezoid(c * s, ts)],
-                [np.trapezoid(c * s, ts), np.trapezoid(s * s, ts)],
+                [np.trapezoid(u0 * u0, ts), np.trapezoid(u0 * u1, ts)],
+                [np.trapezoid(u0 * u1, ts), np.trapezoid(u1 * u1, ts)],
             ]
         )
         assert np.allclose(G, ref, rtol=1e-6, atol=1e-9)
@@ -229,21 +231,24 @@ def test_count_matches_closed_form_spectra():
     assert [interval.count(lam) for lam in (0.5, 1.5, 8.9, 9.1)] == [0, 1, 2, 3]
 
 
-def test_count_raises_where_the_basis_would_overflow():
+def test_only_the_matrix_raises_where_the_basis_would_overflow():
     # cosh(sqrt(-lambda) l) overflows on a Neumann interval of length 800 at
-    # lambda = -1, which leaves D(lambda) all NaN: no count may come from it
+    # lambda = -1; D(lambda) is written through e^(-kl) and still counts, M(lambda) raises
     g = interval_graph(800.0)
     system = SecularSystem(g, uniform_bc(g, "neumann"))
     with pytest.raises(secular.RankAnomaly, match=r"lambda=-1.0: sqrt\(-lambda\)\*l = 800 on edge 'e'"):
-        system.count(-1.0)
-    assert system.count(-0.01) == 0
+        system.matrix(-1.0)
+    assert system.count(-1.0) == 0 and system.count(-0.01) == 0
 
 
 def test_rank_drop_disagreeing_with_the_count_is_an_anomaly(monkeypatch):
+    # the count rises by 1 across the band at the pole 1; a golden split that
+    # counts otherwise at the band ends stops the scan
     g = interval_graph(math.pi)
-    monkeypatch.setattr(secular, "_null_space", lambda M: np.zeros((M.shape[1], 0)))
-    with pytest.raises(secular.RankAnomaly, match="count rises by 1"):
-        eigenvalue_scan(g, uniform_bc(g, "dirichlet"), 0.5, 2.0, num=10)
+    bc = uniform_bc(g, "dirichlet")
+    monkeypatch.setattr(secular.compiled(g, bc).split, "count", lambda lam: 0)
+    with pytest.raises(secular.RankAnomaly, match=r"golden split counts \(0, 0\)"):
+        eigenvalue_scan(g, bc, 0.5, 2.0, num=10)
 
 
 def dirichlet_tip_star(*rays):
@@ -253,6 +258,25 @@ def dirichlet_tip_star(*rays):
     conds = {"c": preset("kirchhoff", g.star("c"))}
     conds.update({t: preset("dirichlet", g.star(t)) for t in tips})
     return g, BoundaryCondition(conds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from([1.0, 2.0, 3.0, 1.5, 1.0 + 5e-7]), min_size=2, max_size=5),
+    st.floats(1.0, 2.0),
+)
+def test_dirichlet_tip_stars_meet_the_closed_form(factors, l):
+    # equal, commensurate and nearly equal rays put several rays in one pole
+    # band; the golden split settles those bands
+    rays = [f * l for f in factors]
+    g, bc = dirichlet_tip_star(*rays)
+    lo, hi = secular.scan_window(g, bc, 12)
+    hits = eigenvalue_scan(g, bc, lo, hi)
+    want = dirichlet_star_roots(rays, hi)
+    assert [h.multiplicity for h in hits] == [m for _, m in want], ([(h.lam, h.multiplicity) for h in hits], want)
+    for h, (lam, _) in zip(hits, want):
+        assert abs(h.lam - lam) <= 10 * secular.CLUSTER_RTOL * max(1.0, lam), (h.lam, lam)
+        assert len(eigenfunction(g, bc, h.lam)) == h.multiplicity, h.lam
 
 
 def close_pair_star():
@@ -419,12 +443,10 @@ def test_star_degenerate_level_orthonormal_basis():
         assert s.vertex_residual(bc) < 1e-10
         # these modes vanish at the center
         assert abs(s.evaluate("e1", np.array([0.0]))[0]) < 1e-10
-    # cross inner product vanishes (exact per-edge Gram blocks)
-    cross = 0.0
-    for e in g.edges:
-        k = g.edge_index[e.id]
-        u, v = sols[0].x[2 * k : 2 * k + 2], sols[1].x[2 * k : 2 * k + 2]
-        cross += np.conj(v) @ basis_gram(lam, e.length) @ u
+    # cross inner product vanishes (exact per-edge Gram blocks of the end values)
+    lengths = np.array([e.length for e in g.edges])
+    X = np.stack([s.x for s in sols], axis=1)
+    cross = secular._gram(lam, lengths, *secular._dtn(lam, lengths), *g.slot_ends, X)[1, 0]
     assert abs(cross) < 1e-10
 
 
@@ -507,14 +529,14 @@ def test_weyl_count_on_fixtures():
 
 
 def _per_vertex_secular(g, bc, lam):
-    """Independent builder: per-vertex trace maps and an eigh split of each P.
+    """Independent builder of M(lambda): per-vertex trace maps and an eigh split of each P.
 
-    Returns M(lambda) and, per vertex, the trace maps (F, Fp) from the
-    coefficients to the star-ordered values and inward derivatives.
+    The trace maps (F, Fp) take the (alpha_e, beta_e) coefficients to the
+    star-ordered values and inward derivatives.
     """
     col = {e.id: 2 * i for i, e in enumerate(g.edges)}
     n = 2 * len(g.edges)
-    rows, maps = [], {}
+    rows = []
     for v in g.vertices:
         star = g.star(v)
         F = np.zeros((star.degree, n), dtype=complex)
@@ -529,12 +551,34 @@ def _per_vertex_secular(g, bc, lam):
                 dc, ds = -lam * s, c
                 F[k, j], F[k, j + 1] = c, s
                 Fp[k, j], Fp[k, j + 1] = -dc, -ds
-        maps[v] = (F, Fp)
         L, P = bc.L(v), bc.P(v)
         w, vecs = np.linalg.eigh(P)
         ker, ran = vecs[:, w < 0.5], vecs[:, w >= 0.5]
         rows += list(ran.conj().T @ F) + list(ker.conj().T @ (L @ F + Fp))
-    return np.array(rows), maps
+    return np.array(rows)
+
+
+def _per_vertex_traces(g, lam):
+    """Per vertex, the maps (F, Fp) from slot values to its star-ordered values and inward derivatives.
+
+    F = I on the star's slots and Fp = -Lambda, with the Dirichlet-to-Neumann
+    block [[c/s, -1/s], [-1/s, c/s]] of each edge at its length.
+    """
+    slot = {(eid, end): g.slots[v].start + k for v in g.vertices for k, (eid, end) in enumerate(g.star(v).slots)}
+    n = len(slot)
+    maps = {}
+    for v in g.vertices:
+        star = g.star(v)
+        F = np.zeros((star.degree, n))
+        Fp = np.zeros((star.degree, n))
+        for k, (eid, end) in enumerate(star.slots):
+            other = "term" if end == "init" else "init"
+            c, s = (float(a) for a in basis_values(lam, g.edge(eid).length))
+            F[k, slot[eid, end]] = 1.0
+            Fp[k, slot[eid, end]] = -c / s
+            Fp[k, slot[eid, other]] = 1.0 / s
+        maps[v] = (F, Fp)
+    return maps
 
 
 def _random_lp(rng, d, rank, mixing):
@@ -572,14 +616,14 @@ def test_compiled_system_matches_per_vertex_builder(name, g, bc):
     rng = np.random.default_rng(3)
     for lam in (-9.0, -1e-7, 0.0, 1e-7, 2.5, 40.0):
         sm = secular_matrix(g, bc, lam)
-        M_ref, maps = _per_vertex_secular(g, bc, lam)
+        M_ref, maps = _per_vertex_secular(g, bc, lam), _per_vertex_traces(g, lam)
         scale = max(1.0, float(np.max(np.abs(M_ref))))
         assert np.allclose(sm, M_ref, rtol=0, atol=1e-13 * scale), (name, lam)
         sv = np.linalg.svd(_row_normalize(sm), compute_uv=False)
         sv_ref = np.linalg.svd(_row_normalize(M_ref), compute_uv=False)
         assert np.max(np.abs(sv - sv_ref)) <= 1e-13, (name, lam)
         assert smallest_singular_value(g, bc, lam) == pytest.approx(sv_ref[-1], rel=0, abs=1e-13)
-        # edge-end traces of random coefficients x against F x and Fp x
+        # edge-end traces of random slot values x against F x and Fp x
         x = rng.standard_normal(M_ref.shape[1]) + 1j * rng.standard_normal(M_ref.shape[1])
         sol = SecularSolution(g, lam, x)
         for got, k in zip(sol.trace_values(), (0, 1)):
