@@ -18,7 +18,8 @@ vectors give the eigenfunctions.  By Sylvester's law of inertia the number
 of eigenvalues below lambda is ``N_D(lambda) + n_-(D(lambda))``, with N_D the
 decoupled count (Berkolaiko & Kuchment, *Introduction to Quantum Graphs*,
 ch. 3).  In a band ``p -+ POLE_RTOL p`` around a decoupled energy the same
-code runs with every edge cut at its golden point (:attr:`SecularSystem.split`).
+code runs with every edge cut at its golden point, or at its silver point
+where a golden piece resonates near the band (:meth:`SecularSystem.split`).
 :class:`SecularSystem` builds the constant parts once per (g, bc) pair
 (:func:`compiled`).  M(lambda), the conditions on per-edge coefficients of
 (c, s), only places the scan's first cuts by its smallest singular value.
@@ -42,7 +43,7 @@ SCAN_POINTS = 600  # default sigma_min grid of eigenvalue_scan; it places cuts, 
 POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to the energy
 CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
 MAX_KL = 300.0  # largest sqrt(-lambda) * l of M(lambda): e^600 ~ 4e260 leaves the squares in its row norms finite
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the split system cuts each edge at GOLDEN * l
+CUTS = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)  # a split system cuts each edge at cut * l; golden first
 COMPILED_PAIRS = 8  # (g, bc) pairs whose compiled system (and standard test battery) stay cached
 
 
@@ -104,14 +105,13 @@ def _interpolate(lam: float, l: np.ndarray, t: np.ndarray, f0: np.ndarray, f1: n
     return (f0 * basis_values(lam, l - t)[1] + f1 * basis_values(lam, t)[1]) / basis_values(lam, l)[1]
 
 
-@functools.lru_cache(maxsize=COMPILED_PAIRS)
-def golden_split(g: MetricGraph) -> MetricGraph:
-    """g with edge k cut at ``GOLDEN l`` into edges 2k, 2k + 1 joined at a vertex after g's: g's slots come first."""
+def split_graph(g: MetricGraph, cut: float) -> MetricGraph:
+    """g with edge k cut at ``cut l`` into edges 2k, 2k + 1 joined at a vertex after g's: g's slots come first."""
     edges: list[Edge] = []
     for e in g.edges:
-        cut = GOLDEN * e.length
-        edges += [Edge((e.id, 0), cut, e.init, (e.id, "cut")), Edge((e.id, 1), e.length - cut, (e.id, "cut"), e.end)]
-    return MetricGraph(g.vertices + tuple((e.id, "cut") for e in g.edges), tuple(edges), (1.0 - GOLDEN) * g.u)
+        t = cut * e.length
+        edges += [Edge((e.id, 0), t, e.init, (e.id, "cut")), Edge((e.id, 1), e.length - t, (e.id, "cut"), e.end)]
+    return MetricGraph(g.vertices + tuple((e.id, "cut") for e in g.edges), tuple(edges), min(cut, 1.0 - cut) * g.u)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ class SecularSystem:
 
     def _compile(self, g: MetricGraph, stars: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         """The constant blocks from each vertex's (ker, ran, L), in ``g.vertices`` order."""
-        self.graph, self._stars = g, stars
+        self.graph, self._stars, self._splits = g, stars, {}
         self.lengths = np.array([e.length for e in g.edges], dtype=float)
         init, term = g.slot_ends
         self._longest = max(g.edges, key=lambda e: e.length)
@@ -179,14 +179,20 @@ class SecularSystem:
         self._kLk = _blocks(ker.conj().T @ L @ ker for ker, _, L in stars)
         self._scale = np.abs(K[init]) ** 2 + np.abs(K[term]) ** 2, np.abs(np.diagonal(self._kLk))  # see null_vectors
 
-    @functools.cached_property
-    def split(self) -> SecularSystem:
-        """This system on :func:`golden_split` of its graph with Kirchhoff joints, from the compiled vertex data."""
-        joint = (np.array([[1.0], [1.0]]) / math.sqrt(2.0), np.array([[1.0], [-1.0]]) / math.sqrt(2.0), np.zeros((2, 2)))
-        split = SecularSystem.__new__(SecularSystem)
-        split.anomaly_vertices = self.anomaly_vertices
-        split._compile(golden_split(self.graph), self._stars + [joint] * len(self.lengths))
-        return split
+    def split(self, lo: float, hi: float) -> SecularSystem:
+        """This system on ``split_graph(g, cut)`` for the first of CUTS none of whose pole bands meets [lo, hi].
+
+        A root in [lo, hi] then keeps at least the band margin from the split's decoupled energies.
+        """
+        for cut in CUTS:
+            if cut not in self._splits:
+                joint = (*np.array([[[1.0], [1.0]], [[1.0], [-1.0]]]) / math.sqrt(2.0), np.zeros((2, 2)))  # Kirchhoff
+                split = self._splits[cut] = SecularSystem.__new__(SecularSystem)
+                split.anomaly_vertices = self.anomaly_vertices
+                split._compile(split_graph(self.graph, cut), self._stars + [joint] * len(self.lengths))
+            if not self._splits[cut].decoupled_energies(lo / (1.0 + POLE_RTOL), hi / (1.0 - POLE_RTOL)).size:
+                return self._splits[cut]
+        raise RankAnomaly(f"a piece of every split graph resonates within the band margin of [{lo}, {hi}]")
 
     def _basis(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """(c, s) at the edge lengths; raises :class:`RankAnomaly` before cosh/sinh can overflow."""
@@ -196,9 +202,9 @@ class SecularSystem:
             raise RankAnomaly(f"the shooting basis overflows at lambda={lam}: sqrt(-lambda)*l = {kl:.6g} on edge {e!r}")
         return basis_values(lam, self.lengths)
 
-    def vertex_matrix(self, lam: float, ab: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """The Hermitian D(lambda) = K^H (Lambda - L) K off the decoupled energies; ``ab``: ``_dtn`` there, if known."""
-        a, b = (np.concatenate([v, v])[:, None] for v in ab or _dtn(lam, self.lengths))
+    def vertex_matrix(self, lam: float) -> np.ndarray:
+        """The Hermitian D(lambda) = K^H (Lambda - L) K off the decoupled energies."""
+        a, b = (np.concatenate([v, v])[:, None] for v in _dtn(lam, self.lengths))
         return self._kh @ (a * self._k[0] - b * self._k[1]) - self._kLk
 
     def null_vectors(self, lam: float) -> np.ndarray:
@@ -209,7 +215,7 @@ class SecularSystem:
         """
         a, b = _dtn(lam, self.lengths)
         r = ((np.abs(a) + np.abs(b)) @ self._scale[0] + self._scale[1]) ** -0.5
-        mu, Z = np.linalg.eigh(r[:, None] * self.vertex_matrix(lam, (a, b)) * r)
+        mu, Z = np.linalg.eigh(r[:, None] * self.vertex_matrix(lam) * r)
         return self._K @ (r[:, None] * Z[:, np.abs(mu) <= SINGULAR_RTOL])
 
     def in_band(self, lam: float) -> bool:
@@ -342,13 +348,14 @@ def _pole_bands(system: SecularSystem, lo: float, hi: float) -> dict[float, floa
 
 
 def _split_roots(system: SecularSystem, a: float, b: float, count) -> list[tuple[float, int]]:
-    """(root, multiplicity) in the pole band [a, b], from the golden split, which must agree with the count there."""
+    """(root, multiplicity) in the pole band [a, b], from a split system, which must agree with the count there."""
     if count(b) == count(a):
         return []
-    split, split_count = system.split, functools.cache(system.split.count)
+    split = system.split(a, b)
+    split_count = functools.cache(split.count)
     ends, want = (split_count(a), split_count(b)), (count(a), count(b))
-    if ends != want or split.decoupled_energies(a, b).size:
-        raise RankAnomaly(f"the golden split counts {ends} eigenvalues below the band [{a}, {b}], the graph {want}")
+    if ends != want:
+        raise RankAnomaly(f"the split graph counts {ends} eigenvalues below the band [{a}, {b}], the graph {want}")
     return _settle(split, a, b, split_count)
 
 
@@ -395,7 +402,7 @@ def eigenvalue_scan(
     chooses where the window is first cut: at its ends and at the grid
     neighbours of each local minimum.  Grid cuts inside the band ``p -+
     POLE_RTOL p`` of a decoupled energy p are dropped; a band across which
-    the count jumps is settled on the golden split (:attr:`SecularSystem.split`),
+    the count jumps is settled on a split system (:meth:`SecularSystem.split`),
     which must count the same at the band ends or :class:`RankAnomaly` is
     raised.  Between cuts, bisection on the count isolates the roots and a
     simple root is refined to about CLUSTER_RTOL on the eigenvalue branch of
@@ -456,25 +463,26 @@ def scan_window(g: MetricGraph, bc: BoundaryCondition, modes: int) -> tuple[floa
 class SecularSolution:
     """Exact solution of ``-f'' = lambda f`` on every edge, held by its values at the slots.
 
-    ``x`` holds f at the edge ends in :attr:`MetricGraph.slots` order.  A solution at a root inside
-    a pole band lives on :func:`golden_split` of the graph: then ``x`` has 4|E| entries, and its
-    first 2|E| are the graph's slots.
+    ``x`` holds f at the edge ends of ``pieces`` (default: ``graph``) in :attr:`MetricGraph.slots`
+    order.  At a root inside a pole band ``pieces`` is :func:`split_graph` of ``graph``: then ``x`` has
+    4|E| entries, and its first 2|E| are the graph's slots.
     """
 
     graph: MetricGraph
     lam: float
     x: np.ndarray
+    pieces: MetricGraph | None = None
 
     @functools.cached_property
-    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lengths, initial slots, terminal slots) of the edges ``x`` lives on."""
-        g = self.graph if self.x.size == 2 * len(self.graph.edges) else golden_split(self.graph)
+        g = self.graph if self.pieces is None else self.pieces
         return np.array([e.length for e in g.edges], dtype=float), *g.slot_ends
 
     def evaluate(self, edge_id: EdgeId, t: np.ndarray) -> np.ndarray:
         k, t = self.graph.edge_index[edge_id], np.asarray(t, dtype=float)
-        lengths, init, term = self._pieces
-        if lengths.size > len(self.graph.edges):  # piece 2k on [0, GOLDEN l], piece 2k + 1 past it
+        lengths, init, term = self._layout
+        if lengths.size > len(self.graph.edges):  # piece 2k on [0, cut l], piece 2k + 1 past it
             second = t > lengths[2 * k]
             k, t = 2 * k + second, np.where(second, t - lengths[2 * k], t)
         return _interpolate(self.lam, lengths[k], t, self.x[init[k]], self.x[term[k]])
@@ -485,7 +493,7 @@ class SecularSolution:
 
     @functools.cached_property
     def _traces(self) -> tuple[np.ndarray, np.ndarray]:
-        n, (lengths, init, term) = 2 * len(self.graph.edges), self._pieces
+        n, (lengths, init, term) = 2 * len(self.graph.edges), self._layout
         return self.x[:n].astype(complex), _inward(*_dtn(self.lam, lengths), init, term, self.x)[:n]
 
     def vertex_residual(self, bc: BoundaryCondition, relative: bool = False) -> float:
@@ -493,7 +501,7 @@ class SecularSolution:
         return bc.worst_residual(self.graph, *self.trace_values(), relative)
 
     def l2_norm_sq(self) -> float:
-        lengths, init, term = self._pieces
+        lengths, init, term = self._layout
         return float(np.real(_gram(self.lam, lengths, *_dtn(self.lam, lengths), init, term, self.x[:, None])[0, 0]))
 
 
@@ -520,13 +528,9 @@ def _gram(
 def _orthonormalize(g: MetricGraph, system: SecularSystem, lam: float, X: np.ndarray) -> np.ndarray:
     lengths, (init, term) = system.lengths, system.graph.slot_ends
     a, b = _dtn(lam, lengths)
-    gram = _gram(lam, lengths, a, b, init, term, X)
-    if X.shape[1] == 1:  # a simple root needs no eigendecomposition
-        Y = X / math.sqrt(gram[0, 0].real)
-    else:
-        w, U = np.linalg.eigh(gram)  # reads one triangle
-        keep = w > 1e-12 * max(w[-1], 1e-300)
-        Y = X @ U[:, keep] / np.sqrt(w[keep])
+    w, U = np.linalg.eigh(_gram(lam, lengths, a, b, init, term, X))  # reads one triangle
+    keep = w > 1e-12 * max(w[-1], 1e-300)
+    Y = X @ U[:, keep] / np.sqrt(w[keep])
     # canonical phase: the largest of the per-edge (f(0), f'(0)) pairs of each column is real positive
     pairs, edge_init = np.empty((2 * len(g.edges), Y.shape[1]), dtype=complex), g.slot_ends[0]
     pairs[0::2], pairs[1::2] = Y[edge_init], _inward(a, b, init, term, Y)[edge_init]
@@ -538,18 +542,18 @@ def eigenfunction(g: MetricGraph, bc: BoundaryCondition, lam: float) -> list[Sec
     """L2-orthonormal basis of exact eigenfunctions at an accepted energy.
 
     Each holds an orthonormalized null vector of D(lambda) (:meth:`SecularSystem.null_vectors`), of the
-    golden split in a pole band; raises if there is none.  Null vectors whose verbatim residual at some
+    split system in a pole band; raises if there is none.  Null vectors whose verbatim residual at some
     vertex v exceeds ``100 SINGULAR_RTOL max(1, ||L_v||)`` (possible when L maps ker P into ran P) are
     discarded with a rank-anomaly error rather than projected away.  Every root of (g, bc) shares the
     pair's :func:`compiled` system.
     """
     system = compiled(g, bc)
-    if system.in_band(lam):
-        system = system.split
+    if system.in_band(lam):  # the scan's band holds lam, so a split clear of the band is clear of lam
+        system = system.split(lam, lam)
     null = system.null_vectors(lam)
     if null.shape[1] == 0:
         raise ValueError(f"lambda={lam} is not an eigenvalue: D(lambda) has no null vector")
-    sols = [SecularSolution(g, lam, x) for x in _orthonormalize(g, system, lam, null).T]
+    sols = [SecularSolution(g, lam, x, system.graph) for x in _orthonormalize(g, system, lam, null).T]
     kept = [s for s in sols if s.vertex_residual(bc, relative=True) <= 100 * SINGULAR_RTOL]
     if len(kept) < len(sols):
         raise RankAnomaly(

@@ -372,9 +372,13 @@ def test_equal_loops_at_a_kirchhoff_vertex(tmp_path, capsys, n_loops, mult):
     _run_clean(tmp_path, capsys, *_loops(n_loops), ["expansion", "--modes", "8", "--mesh", "0.01"])
 
 
-def test_star_with_nearly_equal_rays(tmp_path, capsys):
-    # rays 1 and 1 + 5e-7 put two decoupled energies in one pole band, with a root between them
-    rays = [1.0, 1.0 + 5e-7, 2.0]
+@pytest.mark.parametrize(
+    "rays", [[1.0, 1.0 + 5e-7, 2.0], [1.0, 1.0, 2.0 / (math.sqrt(5.0) - 1.0)]], ids=["nearly-equal", "golden-ratio"]
+)
+def test_star_with_nearly_equal_rays(tmp_path, capsys, rays):
+    # rays 1 and 1 + 5e-7 put two decoupled energies in one pole band, with a
+    # root between them; on rays 1, 1 and 1 / GOLDEN the golden cut of the last
+    # ray is a piece of length 1, resonant at the double pole pi^2
     edges = [{"id": f"e{i}", "length": l, "from": "c", "to": f"t{i}"} for i, l in enumerate(rays, start=1)]
     graph = {"u": 1.0, "vertices": ["c", "t1", "t2", "t3"], "edges": edges}
     bc = {"c": "kirchhoff", **{f"t{i}": "dirichlet" for i in (1, 2, 3)}}

@@ -242,12 +242,12 @@ def test_only_the_matrix_raises_where_the_basis_would_overflow():
 
 
 def test_rank_drop_disagreeing_with_the_count_is_an_anomaly(monkeypatch):
-    # the count rises by 1 across the band at the pole 1; a golden split that
-    # counts otherwise at the band ends stops the scan
+    # the count rises by 1 across the band at the pole 1; a split that counts
+    # otherwise at the band ends stops the scan
     g = interval_graph(math.pi)
     bc = uniform_bc(g, "dirichlet")
-    monkeypatch.setattr(secular.compiled(g, bc).split, "count", lambda lam: 0)
-    with pytest.raises(secular.RankAnomaly, match=r"golden split counts \(0, 0\)"):
+    monkeypatch.setattr(secular.compiled(g, bc).split(1.0, 1.0), "count", lambda lam: 0)
+    with pytest.raises(secular.RankAnomaly, match=r"split graph counts \(0, 0\)"):
         eigenvalue_scan(g, bc, 0.5, 2.0, num=10)
 
 
@@ -262,12 +262,13 @@ def dirichlet_tip_star(*rays):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.sampled_from([1.0, 2.0, 3.0, 1.5, 1.0 + 5e-7]), min_size=2, max_size=5),
+    st.lists(st.sampled_from([1.0, 2.0, 3.0, 1.5, 1.0 + 5e-7, 1 / secular.CUTS[0]]), min_size=2, max_size=5),
     st.floats(1.0, 2.0),
 )
 def test_dirichlet_tip_stars_meet_the_closed_form(factors, l):
     # equal, commensurate and nearly equal rays put several rays in one pole
-    # band; the golden split settles those bands
+    # band; a split system settles those bands, the silver one where a golden
+    # piece of a 1 / GOLDEN ray resonates
     rays = [f * l for f in factors]
     g, bc = dirichlet_tip_star(*rays)
     lo, hi = secular.scan_window(g, bc, 12)
@@ -277,6 +278,40 @@ def test_dirichlet_tip_stars_meet_the_closed_form(factors, l):
     for h, (lam, _) in zip(hits, want):
         assert abs(h.lam - lam) <= 10 * secular.CLUSTER_RTOL * max(1.0, lam), (h.lam, lam)
         assert len(eigenfunction(g, bc, h.lam)) == h.multiplicity, h.lam
+
+
+GOLDEN, SILVER = secular.CUTS
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [(1.0, 1.0, 1 / GOLDEN), (1.0, 1.0, GOLDEN**-2), (1.0, 1.0, 1 / SILVER), (1.0 + 5e-7,) * 3 + (1 / GOLDEN,)],
+    ids=["golden", "golden-squared", "silver", "golden-at-the-band-edge"],
+)
+def test_stars_with_a_resonant_piece_meet_the_closed_form(rays):
+    # the golden (or silver) cut of the last ray leaves a piece of length 1,
+    # resonant at pi^2, the double pole of the unit rays, or just past the
+    # edge of the band of the three rays 1 + 5e-7: that band is settled on
+    # the other cut
+    g, bc = dirichlet_tip_star(*rays)
+    lo, hi = secular.scan_window(g, bc, 12)
+    hits = eigenvalue_scan(g, bc, lo, hi)
+    want = dirichlet_star_roots(rays, hi)
+    assert [h.multiplicity for h in hits] == [m for _, m in want]
+    for h, (lam, _) in zip(hits, want):
+        assert abs(h.lam - lam) <= 10 * secular.CLUSTER_RTOL * max(1.0, lam), (h.lam, lam)
+        assert len(eigenfunction(g, bc, h.lam)) == h.multiplicity, h.lam
+    band_root = min(hits, key=lambda h: abs(h.lam - math.pi**2))
+    for sol in eigenfunction(g, bc, band_root.lam):
+        assert sol.pieces is not None and sol.vertex_residual(bc, relative=True) <= 1e-12
+        assert sol.l2_norm_sq() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_a_band_where_every_cut_resonates_is_an_anomaly():
+    # both cuts leave a piece of length 1 at the pole pi^2 of the unit rays
+    g, bc = dirichlet_tip_star(1.0, 1.0, 1 / GOLDEN, 1 / SILVER)
+    with pytest.raises(secular.RankAnomaly, match=r"a piece of every split graph resonates"):
+        eigenvalue_scan(g, bc, 9.0, 10.5)
 
 
 def close_pair_star():
