@@ -21,8 +21,8 @@ ch. 3).  In a band ``p -+ POLE_RTOL p`` around a decoupled energy the same
 code runs with every edge cut at its golden point, or at its silver point
 where a golden piece resonates near the band (:meth:`SecularSystem.split`).
 :class:`SecularSystem` builds the constant parts once per (g, bc) pair
-(:func:`compiled`).  M(lambda), the conditions on per-edge coefficients of
-(c, s), only places the scan's first cuts by its smallest singular value.
+(:func:`compiled`).  D is its only matrix: the smallest |eigenvalue| of the
+scaled D places the scan's first cuts and is each root's ``sigma_min``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ SINGULAR_RTOL = 1e-8  # null eigenvalues of D(lambda), scaled by its coefficient
 SCAN_POINTS = 600  # default sigma_min grid of eigenvalue_scan; it places cuts, not roots
 POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to the energy
 CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
-MAX_KL = 300.0  # largest sqrt(-lambda) * l of M(lambda): e^600 ~ 4e260 leaves the squares in its row norms finite
 CUTS = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)  # a split system cuts each edge at cut * l; golden first
 COMPILED_PAIRS = 8  # (g, bc) pairs whose compiled system (and standard test battery) stay cached
 
@@ -119,18 +118,11 @@ def split_graph(g: MetricGraph, cut: float) -> MetricGraph:
 # ---------------------------------------------------------------------------
 
 
-def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Columns of x and y interleaved: x_k at 2k and y_k at 2k + 1, the (alpha_e, beta_e) layout."""
-    out = np.empty((*x.shape[:-1], 2 * x.shape[-1]), dtype=np.result_type(x, y))
-    out[..., 0::2], out[..., 1::2] = x, y
-    return out
-
-
 def _blocks(arrays: Iterable[np.ndarray]) -> np.ndarray:
     """Block-diagonal matrix of 2-d blocks, real when no entry has an imaginary part.
 
-    Real (L, P) data then gives real M and D, whose SVD and eigvalsh take
-    about half the time of their complex forms.  (``scipy.linalg.block_diag``
+    Real (L, P) data then gives a real D, whose eigvalsh and eigh take about
+    half the time of their complex forms.  (``scipy.linalg.block_diag``
     takes about 1 ms a call in scipy 1.17, as long as the rest of a compile.)
     """
     arrays = list(arrays)
@@ -145,14 +137,11 @@ def _blocks(arrays: Iterable[np.ndarray]) -> np.ndarray:
 class SecularSystem:
     """The vertex-condition system of (g, bc), compiled once for every lambda.
 
-    The one place where ``P f = 0, L f + (1 - P) f' = 0`` become rows: it
-    validates (g, bc), splits each P_v into ker/ran bases and takes the rows
-    a = ``[ran^H ; ker^H L]`` on slot values and b = ``[0 ; ker^H]`` on inward
-    derivatives.  With the (alpha, beta) coefficients of (c, s) per edge,
-    M(lambda) = A + B1 x + B2 y, x = (c, s) and y = (lambda s, c) per edge, with
-    A = (a, b) at initial slots and B1 = (a, a), B2 = (b, -b) at terminal ones.
-    D(lambda) keeps K's rows at each edge's two slots and ``K^H L K``.  The rows
-    omit ``P L f(v)``, nonzero only at ``anomaly_vertices``; :func:`eigenfunction`
+    The one place where ``P f = 0, L f + (1 - P) f' = 0`` become a matrix: it
+    validates (g, bc), splits each P_v into ker/ran bases, stacks the ker bases
+    into K and keeps K's rows at each edge's two slots and ``K^H L K``, so that
+    D(lambda) = K^H (Lambda - L) K costs one DtN evaluation per lambda.  D omits
+    ``P L f(v)``, nonzero only at ``anomaly_vertices``; :func:`eigenfunction`
     checks the full conditions.
     """
 
@@ -168,16 +157,11 @@ class SecularSystem:
         self.graph, self._stars, self._splits = g, stars, {}
         self.lengths = np.array([e.length for e in g.edges], dtype=float)
         init, term = g.slot_ends
-        self._longest = max(g.edges, key=lambda e: e.length)
-        a = _blocks(np.vstack([ran.conj().T, ker.conj().T @ L]) for ker, ran, L in stars)
-        b = _blocks(np.vstack([np.zeros((ran.shape[1], ker.shape[0])), ker.conj().T]) for ker, ran, _ in stars)
-        self._A = _pairs(a[:, init], b[:, init])
-        self._B1, self._B2 = _pairs(a[:, term], a[:, term]), _pairs(b[:, term], -b[:, term])
         self._K = K = _blocks(ker for ker, _, _ in stars)
         self._k = np.vstack([K[init], K[term]]), np.vstack([K[term], K[init]])  # K at both ends, and swapped
         self._kh = self._k[0].conj().T
         self._kLk = _blocks(ker.conj().T @ L @ ker for ker, _, L in stars)
-        self._scale = np.abs(K[init]) ** 2 + np.abs(K[term]) ** 2, np.abs(np.diagonal(self._kLk))  # see null_vectors
+        self._scale = np.abs(K[init]) ** 2 + np.abs(K[term]) ** 2, np.abs(np.diagonal(self._kLk))  # see scaled
 
     def split(self, lo: float, hi: float) -> SecularSystem:
         """This system on ``split_graph(g, cut)`` for the first of CUTS none of whose pole bands meets [lo, hi].
@@ -194,29 +178,30 @@ class SecularSystem:
                 return self._splits[cut]
         raise RankAnomaly(f"a piece of every split graph resonates within the band margin of [{lo}, {hi}]")
 
-    def _basis(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """(c, s) at the edge lengths; raises :class:`RankAnomaly` before cosh/sinh can overflow."""
-        kl = math.sqrt(max(-lam, 0.0)) * self._longest.length
-        if kl > MAX_KL:
-            e = self._longest.id
-            raise RankAnomaly(f"the shooting basis overflows at lambda={lam}: sqrt(-lambda)*l = {kl:.6g} on edge {e!r}")
-        return basis_values(lam, self.lengths)
-
     def vertex_matrix(self, lam: float) -> np.ndarray:
         """The Hermitian D(lambda) = K^H (Lambda - L) K off the decoupled energies."""
-        a, b = (np.concatenate([v, v])[:, None] for v in _dtn(lam, self.lengths))
+        return self._vertex_matrix(*_dtn(lam, self.lengths))
+
+    def _vertex_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = np.concatenate([a, a])[:, None], np.concatenate([b, b])[:, None]
         return self._kh @ (a * self._k[0] - b * self._k[1]) - self._kLk
 
-    def null_vectors(self, lam: float) -> np.ndarray:
-        """Slot values K y of the null vectors y of D(lambda), one per column.
-
-        y = ``C^-1/2 z`` for the eigenvectors z of ``C^-1/2 D C^-1/2`` with eigenvalue at most
-        SINGULAR_RTOL in modulus; C is D's coefficient scale ``sum_s |K_si|^2 (|a_e| + |b_e|) + |(K^H L K)_ii|``.
-        """
+    def scaled(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """(r, ``r D(lambda) r``) for r = C^-1/2, C the coefficient scale of D: with (a, b) the DtN blocks,
+        ``sum_s |K_si|^2 (|a_e| + |b_e|) + |(K^H L K)_ii|``.  However strong L or close a pole, entries stay O(1)."""
         a, b = _dtn(lam, self.lengths)
         r = ((np.abs(a) + np.abs(b)) @ self._scale[0] + self._scale[1]) ** -0.5
-        mu, Z = np.linalg.eigh(r[:, None] * self.vertex_matrix(lam) * r)
+        return r, r[:, None] * self._vertex_matrix(a, b) * r
+
+    def null_vectors(self, lam: float) -> np.ndarray:
+        """Slot values K r z, one per column: z the eigenvectors of the :meth:`scaled` D with |mu| <= SINGULAR_RTOL."""
+        r, S = self.scaled(lam)
+        mu, Z = np.linalg.eigh(S)
         return self._K @ (r[:, None] * Z[:, np.abs(mu) <= SINGULAR_RTOL])
+
+    def at(self, lam: float) -> SecularSystem:
+        """The system whose D holds the eigenspace at lambda: its :meth:`split` in a pole band, else this one."""
+        return self.split(lam, lam) if self.in_band(lam) else self
 
     def in_band(self, lam: float) -> bool:
         """Whether some decoupled energy p has ``|lambda - p| <= POLE_RTOL p``."""
@@ -242,11 +227,6 @@ class SecularSystem:
         """Eigenvalues below lambda, with multiplicity: N_D(lambda) + n_-(D(lambda))."""
         return self.decoupled_count(lam) + int(np.count_nonzero(np.linalg.eigvalsh(self.vertex_matrix(lam)) < 0))
 
-    def matrix(self, lam: float) -> np.ndarray:
-        """The square matrix M(lambda)."""
-        c, s = self._basis(lam)
-        return self._A + self._B1 * _pairs(c, s) + self._B2 * _pairs(lam * s, c)
-
 
 @functools.lru_cache(maxsize=COMPILED_PAIRS)
 def compiled(g: MetricGraph, bc: BoundaryCondition) -> SecularSystem:
@@ -258,24 +238,19 @@ def compiled(g: MetricGraph, bc: BoundaryCondition) -> SecularSystem:
 
 
 def secular_matrix(g: MetricGraph, bc: BoundaryCondition, lam: float) -> np.ndarray:
-    """M(lambda) of (g, bc), from the pair's :func:`compiled` system."""
-    return compiled(g, bc).matrix(lam)
-
-
-def _row_normalized(M: np.ndarray) -> np.ndarray:
-    # row scaling does not move the null space but evens out the mix of
-    # value rows (O(1)) and derivative rows (O(sqrt(|lambda|))); norms as np.linalg.norm(M, axis=1)
-    norms = np.sqrt(np.add.reduce((M.conj() * M).real, axis=1))
-    norms = np.where(norms > 0, norms, 1.0)
-    return M / norms[:, None]
+    """D(lambda) of (g, bc), whose null space off the pole bands is the eigenspace (:func:`compiled` system)."""
+    return compiled(g, bc).vertex_matrix(lam)
 
 
 def smallest_singular_value(
     g: MetricGraph, bc: BoundaryCondition, lam: float, system: SecularSystem | None = None
 ) -> float:
-    """sigma_min of the row-normalized M(lambda); a loop over lambda passes the :func:`compiled` ``system``."""
-    M = (system or compiled(g, bc)).matrix(lam)
-    return float(np.linalg.svd(_row_normalized(M), compute_uv=False)[-1])
+    """Smallest |eigenvalue| of the :meth:`~SecularSystem.scaled` D(lambda) of ``system.at(lambda)``, inf if D is 0 x 0.
+
+    :meth:`SecularSystem.null_vectors` compares it with SINGULAR_RTOL; a loop passes the :func:`compiled` ``system``.
+    """
+    _, S = (system or compiled(g, bc)).at(lam).scaled(lam)
+    return float(np.min(np.abs(np.linalg.eigvalsh(S)), initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +260,15 @@ def smallest_singular_value(
 
 @dataclass(frozen=True)
 class SecularEigenvalue:
+    """A root, its multiplicity (the jump in the count) and its :func:`smallest_singular_value`."""
+
     lam: float
     multiplicity: int
     sigma_min: float
 
 
 class RankAnomaly(ValueError):
-    """The split or D's null space contradicts the count, a null vector breaks the conditions, or M's basis overflows.
+    """The split or D's null space contradicts the count, or a null vector breaks the full vertex conditions.
 
     A failed check on valid input, not unusable input: the command line
     maps it to exit 1.  It stays a ``ValueError`` for library callers.
@@ -330,9 +307,9 @@ def _branch_root(branch, a: float, b: float, xtol: float, max_iter: int = 100) -
 
 
 def _cut_points(vals: np.ndarray, grid: np.ndarray) -> set[float]:
-    """The grid neighbours of every local minimum of sigma_min."""
+    """The grid neighbours of every finite local minimum of sigma_min (inf: D has order 0, and nothing to cut at)."""
     padded = np.concatenate([[math.inf], vals, [math.inf]])
-    i = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]))
+    i = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]) & (vals < math.inf))
     return set(grid[np.maximum(i - 1, 0)].tolist()) | set(grid[np.minimum(i + 1, grid.size - 1)].tolist())
 
 
@@ -398,29 +375,31 @@ def eigenvalue_scan(
 
     Completeness does not depend on ``num``: the count N(lambda) of
     eigenvalues below lambda (:meth:`SecularSystem.count`) settles every
-    interval.  The ``num``-point grid of sigma_min (at least 2 points) only
-    chooses where the window is first cut: at its ends and at the grid
-    neighbours of each local minimum.  Grid cuts inside the band ``p -+
-    POLE_RTOL p`` of a decoupled energy p are dropped; a band across which
-    the count jumps is settled on a split system (:meth:`SecularSystem.split`),
-    which must count the same at the band ends or :class:`RankAnomaly` is
-    raised.  Between cuts, bisection on the count isolates the roots and a
-    simple root is refined to about CLUSTER_RTOL on the eigenvalue branch of
-    D that crosses zero there, which decreases in lambda between decoupled
-    energies.  Roots within CLUSTER_RTOL of each other form one cluster,
-    whose multiplicity is the jump in the count.  ``sigma_min`` of each hit
-    is sigma_min of the row-normalized M at it.
+    interval.  The ``num``-point grid (at least 2 points) of
+    :func:`smallest_singular_value` only chooses where the window is first
+    cut: at its ends and at the grid neighbours of each local minimum.  No
+    grid point inside the band ``p -+ POLE_RTOL p`` of a decoupled energy p
+    is evaluated or cut at; a band across which the count jumps is settled
+    on a split system (:meth:`SecularSystem.split`), which must count the
+    same at the band ends or :class:`RankAnomaly` is raised.  Between cuts,
+    bisection on the count isolates the roots and a simple root is refined
+    to about CLUSTER_RTOL on the eigenvalue branch of D that crosses zero
+    there, which decreases in lambda between decoupled energies.  Roots
+    within CLUSTER_RTOL of each other form one cluster, whose multiplicity
+    is the jump in the count.  ``sigma_min`` of each hit is read on the
+    system that holds its eigenspace (:meth:`SecularSystem.at`).
     """
     if not (lam_max > lam_min):
         raise ValueError("empty scan range")
     if num < 2:
         raise ValueError(f"a scan needs at least 2 points, got {num}")
     system = compiled(g, bc)
-    grid = np.linspace(lam_min, lam_max, num)
-    vals = np.array([smallest_singular_value(g, bc, x, system) for x in grid])
     bands = _pole_bands(system, lam_min, lam_max)
-    cuts = {lam_min, lam_max} | _cut_points(vals, grid)
-    cuts = {x for x in cuts if not any(lo < x < hi for lo, hi in bands.items())}
+    grid = np.linspace(lam_min, lam_max, num)  # its ends are lam_min and lam_max exactly
+    ends = np.array(list(bands.items())).reshape(-1, 2)  # one (lower, upper) row per band
+    grid = grid[~((grid[:, None] >= ends[:, 0]) & (grid[:, None] <= ends[:, 1])).any(axis=1)]
+    vals = np.array([smallest_singular_value(g, bc, x, system) for x in grid])
+    cuts = ({lam_min, lam_max} & set(grid.tolist())) | _cut_points(vals, grid)
     points = sorted(cuts | set(bands) | set(bands.values()))
     count = functools.cache(system.count)
     found: list[tuple[float, int]] = []
@@ -547,9 +526,7 @@ def eigenfunction(g: MetricGraph, bc: BoundaryCondition, lam: float) -> list[Sec
     discarded with a rank-anomaly error rather than projected away.  Every root of (g, bc) shares the
     pair's :func:`compiled` system.
     """
-    system = compiled(g, bc)
-    if system.in_band(lam):  # the scan's band holds lam, so a split clear of the band is clear of lam
-        system = system.split(lam, lam)
+    system = compiled(g, bc).at(lam)  # the scan's band holds lam, so a split clear of the band is clear of lam
     null = system.null_vectors(lam)
     if null.shape[1] == 0:
         raise ValueError(f"lambda={lam} is not an eigenvalue: D(lambda) has no null vector")

@@ -307,27 +307,23 @@ def test_lp_mixing_rank_anomaly_is_check_failure(tmp_path, capsys):
     assert err.startswith("error: rank anomaly") and "('c',)" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "length, bc, argv",
-    [
-        # the window start doubles until the count is 0, but the bound state
-        # near lambda = -160000 lies past sqrt(-lambda) l = MAX_KL on a unit edge
-        (1.0, ({"delta": -400}, "dirichlet"), ["expansion", "--modes", "2", "--mesh", "0.05"]),
-    ],
-    ids=["deep-delta-expansion"],
-)
-def test_basis_overflow_is_one_error_line(tmp_path, length, bc, argv):
-    # a separate process, so no warning filter of the test session hides
-    # what numpy would print to stderr
-    g, b = write_interval(tmp_path, length=length, bc=bc)
+@pytest.mark.parametrize("alpha", [-400.0, -1000.0])
+def test_deep_robin_past_the_cosh_overflow(tmp_path, alpha):
+    # the window start doubles until the count is 0, down past the bound state
+    # near -alpha^2, where cosh(sqrt(-lambda) l) of a unit edge is about e^alpha;
+    # a separate process, so no warning filter of the test session hides what
+    # numpy would print to stderr
+    g, b = write_interval(tmp_path, length=1.0, bc=({"delta": alpha}, "dirichlet"))
     env = {**os.environ, "PYTHONPATH": str(Path(metricgraph.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-m", "metricgraph.cli", argv[0], "--graph", g, "--bc", b, *argv[1:]],
+        [sys.executable, "-m", "metricgraph.cli", "expansion", "--graph", g, "--bc", b,
+         "--modes", "2", "--mesh", "0.05"],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: the shooting basis overflows at lambda=")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    k = brentq(lambda k: k / math.tanh(k) + alpha, 1.0, 1e4)  # the bound state sinh(k (1 - t)) has k coth k = -alpha
+    report = json.loads(proc.stdout, parse_constant=_reject_non_finite)
+    assert report["per_mode"][0]["lambda"] == pytest.approx(-k * k, rel=1e-12)
 
 
 def _run_clean(tmp_path, capsys, graph, bc, argv):

@@ -88,15 +88,21 @@ def test_gram_matches_quadrature():
 
 
 def test_secular_matrix_interval_dirichlet_closed_form():
+    # every slot is Dirichlet, so D(lambda) has order 0 and sigma_min is inf
+    # off the poles n^2; the golden split's joint has the 1 x 1 D = (w cot(w
+    # phi pi) + w cot(w (1 - phi) pi)) / 2, which vanishes with sin(w pi)
     g = interval_graph(math.pi)
     bc = uniform_bc(g, "dirichlet")
+    phi = secular.CUTS[0]
     for lam in (0.7, 2.0, 9.0):
-        sm = secular_matrix(g, bc, lam)
-        assert sm.shape == (2, 2)
-        # rows: f(0) = alpha, f(pi) = alpha c + beta s; singular iff s(pi) = 0
-        s = float(basis_values(lam, math.pi)[1])
-        det = np.linalg.det(sm)
-        assert abs(det) == pytest.approx(abs(s), rel=1e-10, abs=1e-12)
+        assert secular_matrix(g, bc, lam).shape == (0, 0)
+        D = secular.compiled(g, bc).split(lam, lam).vertex_matrix(lam)
+        w = math.sqrt(lam)
+        want = w * math.sin(w * math.pi) / (2 * math.sin(w * phi * math.pi) * math.sin(w * (1 - phi) * math.pi))
+        assert D.shape == (1, 1) and D[0, 0] == pytest.approx(want, rel=1e-12, abs=1e-14)
+    assert smallest_singular_value(g, bc, 2.0) == math.inf
+    assert secular._cut_points(np.full(3, math.inf), np.arange(3.0)) == set()  # no D, so no grid minimum to cut at
+    assert smallest_singular_value(g, bc, 9.0) < 1e-14  # on the split, since 9 lies in a pole band
 
 
 def test_secular_matrix_neumann_singular_at_zero():
@@ -111,21 +117,30 @@ def test_secular_matrix_neumann_singular_at_zero():
 
 
 def test_secular_matrix_robin_row():
+    # ker P is the Robin end's slot alone, so D = Lambda_vv - L = a + 2.5 with
+    # a = w cot(w) above zero and k coth(k) below it
     g = interval_graph(1.0)
     bc = BoundaryCondition(
         {"v": preset("delta", g.star("v"), 2.5), "w": preset("dirichlet", g.star("w"))}
     )
-    sm = secular_matrix(g, bc, 3.0)
-    # the Robin row reads [-alpha, 1] in the (alpha_e, beta_e) coordinates
-    robin_rows = [r for r in sm if abs(r[1]) > 0.5]
-    assert any(np.allclose(r, [-2.5, 1.0]) for r in robin_rows)
+    for lam, a in ((3.0, math.sqrt(3.0) / math.tan(math.sqrt(3.0))), (-4.0, 2.0 / math.tanh(2.0))):
+        sm = secular_matrix(g, bc, lam)
+        assert sm.shape == (1, 1) and sm[0, 0] == pytest.approx(a + 2.5, rel=1e-13)
 
 
 def test_secular_matrix_square_order():
+    # order sum_v dim ker P_v: one per Kirchhoff vertex.  With (a, b) = (w cot(w l),
+    # w / sin(w l)) per edge and K = 1 / sqrt(deg) at a vertex, the loop adds
+    # 2 (a - b) / 3 at a, and the bridge a / 3 at a, a at b and -b / sqrt(3) between
     g = loop_edge_graph()
     bc = uniform_bc(g, "kirchhoff")
     sm = secular_matrix(g, bc, 1.0)
-    assert sm.shape == (4, 4)  # sum of degrees = 2 |E|
+    assert sm.shape == (2, 2) == (sum(bc.ker_ran(v)[0].shape[1] for v in g.vertices),) * 2
+    a, b = 1.0 / math.tan(2.0), 1.0 / math.sin(2.0)  # both edges have length 2
+    want = [[(2 * (a - b) + a) / 3, -b / math.sqrt(3)], [-b / math.sqrt(3), a]]
+    assert np.allclose(sm, want, rtol=0, atol=1e-14)
+    bc = BoundaryCondition({"a": preset("kirchhoff", g.star("a")), "b": preset("dirichlet", g.star("b"))})
+    assert secular_matrix(g, bc, 1.0).shape == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +246,11 @@ def test_count_matches_closed_form_spectra():
     assert [interval.count(lam) for lam in (0.5, 1.5, 8.9, 9.1)] == [0, 1, 2, 3]
 
 
-def test_only_the_matrix_raises_where_the_basis_would_overflow():
+def test_count_holds_where_cosh_would_overflow():
     # cosh(sqrt(-lambda) l) overflows on a Neumann interval of length 800 at
-    # lambda = -1; D(lambda) is written through e^(-kl) and still counts, M(lambda) raises
+    # lambda = -1; D(lambda) is written through e^(-kl) and still counts
     g = interval_graph(800.0)
     system = SecularSystem(g, uniform_bc(g, "neumann"))
-    with pytest.raises(secular.RankAnomaly, match=r"lambda=-1.0: sqrt\(-lambda\)\*l = 800 on edge 'e'"):
-        system.matrix(-1.0)
     assert system.count(-1.0) == 0 and system.count(-0.01) == 0
 
 
@@ -277,6 +290,7 @@ def test_dirichlet_tip_stars_meet_the_closed_form(factors, l):
     assert [h.multiplicity for h in hits] == [m for _, m in want], ([(h.lam, h.multiplicity) for h in hits], want)
     for h, (lam, _) in zip(hits, want):
         assert abs(h.lam - lam) <= 10 * secular.CLUSTER_RTOL * max(1.0, lam), (h.lam, lam)
+        assert h.sigma_min <= secular.SINGULAR_RTOL, (h.lam, h.sigma_min)  # the quantity null_vectors thresholds
         assert len(eigenfunction(g, bc, h.lam)) == h.multiplicity, h.lam
 
 
@@ -312,6 +326,18 @@ def test_a_band_where_every_cut_resonates_is_an_anomaly():
     g, bc = dirichlet_tip_star(1.0, 1.0, 1 / GOLDEN, 1 / SILVER)
     with pytest.raises(secular.RankAnomaly, match=r"a piece of every split graph resonates"):
         eigenvalue_scan(g, bc, 9.0, 10.5)
+
+
+def test_scan_from_a_band_no_split_clears():
+    # the golden piece of the ray 1 / GOLDEN and the silver piece of the ray
+    # 1 / SILVER both have length 1, resonant at pi^2, the decoupled energy of
+    # the unit ray; the band there holds no root, so a scan that starts in it
+    # evaluates no grid point there and needs no split
+    g, bc = dirichlet_tip_star(1.0, 1 / GOLDEN, 1 / SILVER)
+    hits = eigenvalue_scan(g, bc, math.pi**2, 30.0, num=50)
+    wide = [h for h in eigenvalue_scan(g, bc, 0.5, 30.0, num=50) if h.lam >= math.pi**2]
+    assert len(hits) == 4 and [h.multiplicity for h in hits] == [h.multiplicity for h in wide]
+    assert [h.lam for h in hits] == pytest.approx([h.lam for h in wide], rel=1e-13)
 
 
 def close_pair_star():
@@ -409,8 +435,7 @@ def test_scan_count_matches_dense_p1(seed, family):
 def _long_ray_star(rng, n_rays, centre):
     """A star with rays U[1, 3] and one ray U[50, 800]; a random delta or (L, P) at the centre.
 
-    Every positive part of L is at most 0.1, so even the long ray keeps the
-    bound states above the start of the basis overflow, (MAX_KL / 800)^2 / 4.
+    Every positive part of L is at most 0.1.
     """
     lengths = rng.uniform(1.0, 3.0, n_rays)
     lengths[0] = rng.uniform(50.0, 800.0)
@@ -492,8 +517,8 @@ def test_eigenfunction_rejects_non_eigenvalue():
 
 
 def test_lp_mixing_null_vectors_meet_the_full_conditions_or_raise():
-    # the rows of M(lambda) leave out P L f(v); at lambda = 0 the constant
-    # solves them but has P L f(c) != 0, while the pair at (pi/2)^2 vanishes
+    # D(lambda) leaves out P L f(v); at lambda = 0 the constant is its null
+    # vector but has P L f(c) != 0, while the pair at (pi/2)^2 vanishes
     # at the centre and meets every condition
     g, bc = lp_mixing_star(0.3)
     with pytest.raises(secular.RankAnomaly, match=r"at vertices \('c',\)"):
@@ -563,36 +588,6 @@ def test_weyl_count_on_fixtures():
 # ---------------------------------------------------------------------------
 
 
-def _per_vertex_secular(g, bc, lam):
-    """Independent builder of M(lambda): per-vertex trace maps and an eigh split of each P.
-
-    The trace maps (F, Fp) take the (alpha_e, beta_e) coefficients to the
-    star-ordered values and inward derivatives.
-    """
-    col = {e.id: 2 * i for i, e in enumerate(g.edges)}
-    n = 2 * len(g.edges)
-    rows = []
-    for v in g.vertices:
-        star = g.star(v)
-        F = np.zeros((star.degree, n), dtype=complex)
-        Fp = np.zeros((star.degree, n), dtype=complex)
-        for k, (eid, end) in enumerate(star.slots):
-            j = col[eid]
-            if end == "init":
-                F[k, j] = 1.0
-                Fp[k, j + 1] = 1.0
-            else:
-                c, s = (float(a) for a in basis_values(lam, g.edge(eid).length))
-                dc, ds = -lam * s, c
-                F[k, j], F[k, j + 1] = c, s
-                Fp[k, j], Fp[k, j + 1] = -dc, -ds
-        L, P = bc.L(v), bc.P(v)
-        w, vecs = np.linalg.eigh(P)
-        ker, ran = vecs[:, w < 0.5], vecs[:, w >= 0.5]
-        rows += list(ran.conj().T @ F) + list(ker.conj().T @ (L @ F + Fp))
-    return np.array(rows)
-
-
 def _per_vertex_traces(g, lam):
     """Per vertex, the maps (F, Fp) from slot values to its star-ordered values and inward derivatives.
 
@@ -642,24 +637,25 @@ def _general_lp_cases():
     ]
 
 
-def _row_normalize(M):
-    return M / np.linalg.norm(M, axis=1)[:, None]
-
-
 @pytest.mark.parametrize("name,g,bc", _general_lp_cases())
 def test_compiled_system_matches_per_vertex_builder(name, g, bc):
+    # an independent D(lambda): per vertex, an eigh split of P and the trace
+    # maps (F, Fp); K stacks F^T ker per vertex and D = -[ker^H (L F + Fp)] K
     rng = np.random.default_rng(3)
+    kers = {}
+    for v in g.vertices:
+        w, vecs = np.linalg.eigh(bc.P(v))
+        kers[v] = vecs[:, w < 0.5]
     for lam in (-9.0, -1e-7, 0.0, 1e-7, 2.5, 40.0):
-        sm = secular_matrix(g, bc, lam)
-        M_ref, maps = _per_vertex_secular(g, bc, lam), _per_vertex_traces(g, lam)
-        scale = max(1.0, float(np.max(np.abs(M_ref))))
-        assert np.allclose(sm, M_ref, rtol=0, atol=1e-13 * scale), (name, lam)
-        sv = np.linalg.svd(_row_normalize(sm), compute_uv=False)
-        sv_ref = np.linalg.svd(_row_normalize(M_ref), compute_uv=False)
-        assert np.max(np.abs(sv - sv_ref)) <= 1e-13, (name, lam)
-        assert smallest_singular_value(g, bc, lam) == pytest.approx(sv_ref[-1], rel=0, abs=1e-13)
+        maps = _per_vertex_traces(g, lam)
+        K = np.hstack([maps[v][0].T @ kers[v] for v in g.vertices])
+        D_ref = -np.vstack([kers[v].conj().T @ (bc.L(v) @ F + Fp) for v, (F, Fp) in maps.items()]) @ K
+        scale = max(1.0, float(np.max(np.abs(D_ref))))
+        assert np.allclose(D_ref, D_ref.conj().T, rtol=0, atol=1e-13 * scale), (name, lam)
+        mu, mu_ref = np.linalg.eigvalsh(secular_matrix(g, bc, lam)), np.linalg.eigvalsh(D_ref)
+        assert np.max(np.abs(mu - mu_ref)) <= 1e-13 * scale, (name, lam)
         # edge-end traces of random slot values x against F x and Fp x
-        x = rng.standard_normal(M_ref.shape[1]) + 1j * rng.standard_normal(M_ref.shape[1])
+        x = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
         sol = SecularSolution(g, lam, x)
         for got, k in zip(sol.trace_values(), (0, 1)):
             want = np.concatenate([maps[v][k] @ x for v in g.vertices])
