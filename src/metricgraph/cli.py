@@ -45,6 +45,14 @@ def _emit(args: argparse.Namespace, name: str, report: dict) -> None:
         (out / f"{name}.json").write_text(text + "\n", encoding="utf-8")
 
 
+def _verdict(checks: list[tuple[str, object, object, bool]]) -> int:
+    """EXIT_OK if every (report key, value, bound, holds) check holds; else one stderr line per failed check."""
+    failed = [c for c in checks if not c[3]]
+    for key, value, bound, _ in failed:
+        print(f"check failed: {key}: {value} against {bound}", file=sys.stderr)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
 def _write_csv(args: argparse.Namespace, name: str, header: list[str], rows: list) -> None:
     if not args.out:
         return
@@ -97,7 +105,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if graph_violations:
         report["valid"] = False
         _emit(args, "validate", report)
-        return EXIT_CHECK_FAILED
+        return _verdict([("graph.violations", len(graph_violations), 0, False)])
     bc = boundary.load_bc(args.bc, g)
     bc_violations, S = boundary.validate_bc(g, bc)
     fatal = [v for v in bc_violations if v.code != "lp-mixing"]
@@ -113,7 +121,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         report["coercivity"] = {"S": const.S, "u": const.u, "eps": const.eps, "C": const.C}
     report["valid"] = not fatal
     _emit(args, "validate", report)
-    return EXIT_OK if not fatal else EXIT_CHECK_FAILED
+    return _verdict([("boundary.violations", len(fatal), 0, not fatal)])
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -124,16 +132,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     fa = fem.assemble(g, bc, args.mesh)
     es = fem.eigensystem(fa, args.modes)
     h = float(np.max(fa.grid.widths))
-    pairs = []
+    pairs, checks = [], []
     worst = 0.0
-    ok = True
     for i in range(args.modes):
         lam_s = exact[i]
         lam_f = float(es.eigenvalues[i])
         budget = 10.0 * h * h * max(1.0, abs(lam_s))
         diff = abs(lam_s - lam_f)
         worst = max(worst, diff)
-        ok = ok and diff <= budget
+        checks.append((f"eigenvalues[{i}].diff", diff, budget, diff <= budget))
         pairs.append(
             {"index": i, "secular": lam_s, "fem": lam_f, "diff": diff, "budget": budget}
         )
@@ -144,7 +151,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "eigenvalues": pairs,
         "multiplicities": [{"lambda": hh.lam, "multiplicity": hh.multiplicity} for hh in hits],
         "max_disagreement": worst,
-        "within_budget": ok,
+        "within_budget": all(c[3] for c in checks),
     }
     _write_csv(args, "secular_spectrum", ["index", "eigenvalue"], list(enumerate(exact)))
     _write_csv(
@@ -155,7 +162,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     )
     _write_csv(args, "fem_spectrum", ["index", "eigenvalue"], list(enumerate(es.eigenvalues.tolist())))
     _emit(args, "spectrum", report)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _verdict(checks)
 
 
 def cmd_expansion(args: argparse.Namespace) -> int:
@@ -231,7 +238,7 @@ def cmd_expansion(args: argparse.Namespace) -> int:
     if check_result is not None:
         report["check_file"] = check_result
     _emit(args, "expansion", report)
-    return EXIT_OK if worst_resid <= args.tol else EXIT_CHECK_FAILED
+    return _verdict([("worst_genef_residual", worst_resid, args.tol, worst_resid <= args.tol)])
 
 
 def cmd_potential(args: argparse.Namespace) -> int:
@@ -284,8 +291,10 @@ def cmd_potential(args: argparse.Namespace) -> int:
     if shift_check is not None:
         report["constant_shift_error"] = shift_check
     _emit(args, "potential", report)
-    ok = worst_margin >= -1e-8 and (shift_check is None or shift_check <= 1e-8)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _verdict([
+        ("relative_bound.worst_margin", worst_margin, -1e-8, worst_margin >= -1e-8),
+        ("constant_shift_error", shift_check, 1e-8, shift_check is None or shift_check <= 1e-8),
+    ])
 
 
 # ---------------------------------------------------------------------------

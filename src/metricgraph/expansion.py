@@ -38,7 +38,7 @@ from .graph import (
     is_connected,
     vertex_distances,
 )
-from .secular import COMPILED_PAIRS, RankAnomaly, SecularEigenvalue, SecularSolution, compiled, eigenfunction
+from .secular import COMPILED_PAIRS, SecularEigenvalue, SecularSolution, compiled, eigenfunction
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 CONDITION_TOL = 1e-8  # vertex-condition residual of a test, relative to max(1, ||L_v||)
@@ -209,18 +209,10 @@ class DiscreteSpectralRep:
         hits: Sequence[SecularEigenvalue],
         h_max: float,
     ) -> "DiscreteSpectralRep":
-        """Modes of the scan hits; an eigenspace whose dimension is not the hit's multiplicity is a RankAnomaly."""
+        """Modes of the scan hits, each eigenspace sized by the hit's multiplicity (:func:`eigenfunction`)."""
         grid = Mesh(g, h_max)
         compiled(g, bc)  # validates (g, bc) with no hits too; the eigenfunctions share this system
-        found = []
-        for hit in hits:
-            sols = eigenfunction(g, bc, hit.lam)
-            if len(sols) != hit.multiplicity:
-                raise RankAnomaly(
-                    f"D(lambda) has a {len(sols)}-dimensional null space at lambda={hit.lam}, "
-                    f"but the eigenvalue count gives multiplicity {hit.multiplicity}"
-                )
-            found.append((hit.lam, sols))
+        found = [(hit.lam, eigenfunction(g, bc, hit.lam, hit.multiplicity)) for hit in hits]
         layers = [(j, lam, sol) for lam, sols in found for j, sol in enumerate(sols, start=1)]
         rows = (grid.sample(sol.evaluate) for _, _, sol in layers)
         return cls._on(grid, [(lam, len(sols)) for lam, sols in found], rows, layers)

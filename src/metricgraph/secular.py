@@ -17,12 +17,11 @@ D(lambda) y = 0 for ``D(lambda) = K^H (Lambda(lambda) - L) K``, whose null
 vectors give the eigenfunctions.  By Sylvester's law of inertia the number
 of eigenvalues below lambda is ``N_D(lambda) + n_-(D(lambda))``, with N_D the
 decoupled count (Berkolaiko & Kuchment, *Introduction to Quantum Graphs*,
-ch. 3).  In a band ``p -+ POLE_RTOL p`` around a decoupled energy the same
-code runs with every edge cut at its golden point, or at its silver point
-where a golden piece resonates near the band (:meth:`SecularSystem.split`).
-:class:`SecularSystem` builds the constant parts once per (g, bc) pair
-(:func:`compiled`).  D is its only matrix: the smallest |eigenvalue| of the
-scaled D places the scan's first cuts and is each root's ``sigma_min``.
+ch. 3), whose jump at a root sizes its eigenspace.  In a band ``p -+ POLE_RTOL
+p`` around a decoupled energy each edge is cut at the first of CUTS whose
+pieces clear it (:meth:`SecularSystem.split`).  :class:`SecularSystem` builds
+the constant parts once per (g, bc) pair (:func:`compiled`).  D is its only
+matrix; counts and null vectors read the :meth:`~SecularSystem.scaled` D.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ SINGULAR_RTOL = 1e-8  # null eigenvalues of D(lambda), scaled by its coefficient
 SCAN_POINTS = 600  # default sigma_min grid of eigenvalue_scan; it places cuts, not roots
 POLE_RTOL = 1e-6  # half-width of the band around a decoupled energy, relative to the energy
 CLUSTER_RTOL = 1e-12  # roots closer than this, relative to max(1, |lambda|), form one cluster
-CUTS = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)  # a split system cuts each edge at cut * l; golden first
+PHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden cut; CUTS holds a split's cut fractions, preferred first
+CUTS = (PHI, math.sqrt(2.0) - 1.0) + tuple(0.3 + 0.4 * (j * PHI % 1.0) for j in range(1, 40))
 COMPILED_PAIRS = 8  # (g, bc) pairs whose compiled system (and standard test battery) stay cached
 
 
@@ -104,13 +104,20 @@ def _interpolate(lam: float, l: np.ndarray, t: np.ndarray, f0: np.ndarray, f1: n
     return (f0 * basis_values(lam, l - t)[1] + f1 * basis_values(lam, t)[1]) / basis_values(lam, l)[1]
 
 
-def split_graph(g: MetricGraph, cut: float) -> MetricGraph:
-    """g with edge k cut at ``cut l`` into edges 2k, 2k + 1 joined at a vertex after g's: g's slots come first."""
+def split_graph(g: MetricGraph, cuts: tuple[float, ...]) -> MetricGraph:
+    """g with edge k cut at ``cuts[k] l`` into edges 2k, 2k + 1 joined at a vertex after g's: g's slots come first."""
     edges: list[Edge] = []
-    for e in g.edges:
+    for e, cut in zip(g.edges, cuts):
         t = cut * e.length
         edges += [Edge((e.id, 0), t, e.init, (e.id, "cut")), Edge((e.id, 1), e.length - t, (e.id, "cut"), e.end)]
-    return MetricGraph(g.vertices + tuple((e.id, "cut") for e in g.edges), tuple(edges), min(cut, 1.0 - cut) * g.u)
+    u = min(min(cut, 1.0 - cut) for cut in cuts) * g.u
+    return MetricGraph(g.vertices + tuple((e.id, "cut") for e in g.edges), tuple(edges), u)
+
+
+def _resonant(lengths: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Per length l, whether the band p -+ POLE_RTOL p of some p = (n pi / l)^2, n >= 1, meets [lo, hi]."""
+    n_lo = np.ceil(math.sqrt(max(lo, 0.0) / (1.0 + POLE_RTOL)) / math.pi * lengths)  # p (1 + r) >= lo
+    return np.floor(math.sqrt(max(hi, 0.0) / (1.0 - POLE_RTOL)) / math.pi * lengths) >= np.maximum(n_lo, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +171,20 @@ class SecularSystem:
         self._scale = np.abs(K[init]) ** 2 + np.abs(K[term]) ** 2, np.abs(np.diagonal(self._kLk))  # see scaled
 
     def split(self, lo: float, hi: float) -> SecularSystem:
-        """This system on ``split_graph(g, cut)`` for the first of CUTS none of whose pole bands meets [lo, hi].
-
-        A root in [lo, hi] then keeps at least the band margin from the split's decoupled energies.
-        """
-        for cut in CUTS:
-            if cut not in self._splits:
-                joint = (*np.array([[[1.0], [1.0]], [[1.0], [-1.0]]]) / math.sqrt(2.0), np.zeros((2, 2)))  # Kirchhoff
-                split = self._splits[cut] = SecularSystem.__new__(SecularSystem)
-                split.anomaly_vertices = self.anomaly_vertices
-                split._compile(split_graph(self.graph, cut), self._stars + [joint] * len(self.lengths))
-            if not self._splits[cut].decoupled_energies(lo / (1.0 + POLE_RTOL), hi / (1.0 - POLE_RTOL)).size:
-                return self._splits[cut]
-        raise RankAnomaly(f"a piece of every split graph resonates within the band margin of [{lo}, {hi}]")
+        """This system on ``split_graph(g, cuts)``, each edge cut at the first of CUTS with no :func:`_resonant`
+        piece in [lo, hi], so a root there keeps the band margin from the split's decoupled energies.  Only
+        sqrt(lambda) l / pi near 1 / POLE_RTOL, where the bands of consecutive n overlap, leaves an edge no cut."""
+        pieces = np.array(CUTS)[:, None] * self.lengths  # one row per fraction, one column per edge
+        clear = ~(_resonant(pieces, lo, hi) | _resonant(self.lengths - pieces, lo, hi))
+        if not clear.any(axis=0).all():
+            raise RankAnomaly(f"a piece of every cut of some edge resonates within the band margin of [{lo}, {hi}]")
+        cuts = tuple(np.array(CUTS)[clear.argmax(axis=0)].tolist())
+        if cuts not in self._splits:
+            joint = (*np.array([[[1.0], [1.0]], [[1.0], [-1.0]]]) / math.sqrt(2.0), np.zeros((2, 2)))  # Kirchhoff
+            split = self._splits[cuts] = SecularSystem.__new__(SecularSystem)
+            split.anomaly_vertices = self.anomaly_vertices
+            split._compile(split_graph(self.graph, cuts), self._stars + [joint] * len(self.lengths))
+        return self._splits[cuts]
 
     def vertex_matrix(self, lam: float) -> np.ndarray:
         """The Hermitian D(lambda) = K^H (Lambda - L) K off the decoupled energies."""
@@ -193,20 +201,27 @@ class SecularSystem:
         r = ((np.abs(a) + np.abs(b)) @ self._scale[0] + self._scale[1]) ** -0.5
         return r, r[:, None] * self._vertex_matrix(a, b) * r
 
-    def null_vectors(self, lam: float) -> np.ndarray:
-        """Slot values K r z, one per column: z the eigenvectors of the :meth:`scaled` D with |mu| <= SINGULAR_RTOL."""
+    def null_vectors(self, lam: float, m: int | None = None) -> np.ndarray:
+        """Slot values K r z, z the eigenvectors of the :meth:`scaled` D with |mu| <= SINGULAR_RTOL; fewer than m (the
+        count's multiplicity) are a :class:`RankAnomaly`, and more hold nearby roots or near-pole shapes: a Ritz step
+        against -D' = K^H G K (G the end shapes' Gram) keeps the m Ritz values nearest 0, ~ lambda* - lambda."""
         r, S = self.scaled(lam)
         mu, Z = np.linalg.eigh(S)
-        return self._K @ (r[:, None] * Z[:, np.abs(mu) <= SINGULAR_RTOL])
+        near = np.abs(mu) <= SINGULAR_RTOL
+        X = self._K @ (r[:, None] * Z[:, near])
+        if m is not None and m > X.shape[1]:
+            msg = f"D(lambda) has a {X.shape[1]}-dimensional null space at lambda={lam}, but the eigenvalue count gives"
+            raise RankAnomaly(f"{msg} multiplicity {m}")
+        if m is not None and m < X.shape[1]:
+            w, U = np.linalg.eigh(_gram(lam, self.lengths, *_dtn(lam, self.lengths), *self.graph.slot_ends, X))
+            U = U / np.sqrt(w)  # U^H (X^H G X) U = I
+            theta, Y = np.linalg.eigh(U.conj().T @ (mu[near, None] * U))
+            X = X @ (U @ Y[:, np.sort(np.argsort(np.abs(theta), kind="stable")[:m])])
+        return X
 
     def at(self, lam: float) -> SecularSystem:
         """The system whose D holds the eigenspace at lambda: its :meth:`split` in a pole band, else this one."""
-        return self.split(lam, lam) if self.in_band(lam) else self
-
-    def in_band(self, lam: float) -> bool:
-        """Whether some decoupled energy p has ``|lambda - p| <= POLE_RTOL p``."""
-        k = math.sqrt(max(lam, 0.0)) / math.pi * self.lengths  # p = (n pi / l)^2, n in [k / (1 + r)^.5, k / (1 - r)^.5]
-        return lam > 0 and bool((np.floor(k / (1.0 - POLE_RTOL) ** 0.5) >= np.ceil(k / (1.0 + POLE_RTOL) ** 0.5)).any())
+        return self.split(lam, lam) if _resonant(self.lengths, lam, lam).any() else self
 
     def decoupled_count(self, lam: float) -> int:
         """N_D(lambda): how many decoupled energies (n pi / l_e)^2, n >= 1, lie below lambda."""
@@ -224,8 +239,8 @@ class SecularSystem:
         return np.unique(p[(p >= lo) & (p <= hi)])
 
     def count(self, lam: float) -> int:
-        """Eigenvalues below lambda, with multiplicity: N_D(lambda) + n_-(D(lambda))."""
-        return self.decoupled_count(lam) + int(np.count_nonzero(np.linalg.eigvalsh(self.vertex_matrix(lam)) < 0))
+        """Eigenvalues below lambda, with multiplicity: N_D(lambda) + n_-(D(lambda)), n_- of the :meth:`scaled` D."""
+        return self.decoupled_count(lam) + int(np.count_nonzero(np.linalg.eigvalsh(self.scaled(lam)[1]) < 0))
 
 
 @functools.lru_cache(maxsize=COMPILED_PAIRS)
@@ -268,11 +283,8 @@ class SecularEigenvalue:
 
 
 class RankAnomaly(ValueError):
-    """The split or D's null space contradicts the count, or a null vector breaks the full vertex conditions.
-
-    A failed check on valid input, not unusable input: the command line
-    maps it to exit 1.  It stays a ``ValueError`` for library callers.
-    """
+    """The split or D's null space contradicts the count, no cut clears an edge, or a null vector breaks the full
+    conditions: a failed check on valid input (exit 1 on the command line), still a ``ValueError`` for callers."""
 
 
 def _branch_root(branch, a: float, b: float, xtol: float, max_iter: int = 100) -> float:
@@ -517,17 +529,17 @@ def _orthonormalize(g: MetricGraph, system: SecularSystem, lam: float, X: np.nda
     return Y * (np.conj(z) / np.abs(z))  # z != 0: a nonzero solution has some nonzero (f(0), f'(0))
 
 
-def eigenfunction(g: MetricGraph, bc: BoundaryCondition, lam: float) -> list[SecularSolution]:
+def eigenfunction(g: MetricGraph, bc: BoundaryCondition, lam: float, multiplicity=None) -> list[SecularSolution]:
     """L2-orthonormal basis of exact eigenfunctions at an accepted energy.
 
-    Each holds an orthonormalized null vector of D(lambda) (:meth:`SecularSystem.null_vectors`), of the
-    split system in a pole band; raises if there is none.  Null vectors whose verbatim residual at some
-    vertex v exceeds ``100 SINGULAR_RTOL max(1, ||L_v||)`` (possible when L maps ker P into ran P) are
-    discarded with a rank-anomaly error rather than projected away.  Every root of (g, bc) shares the
-    pair's :func:`compiled` system.
+    Each holds an orthonormalized null vector of D(lambda) (:meth:`SecularSystem.null_vectors`), of the split
+    system in a pole band: ``multiplicity`` (an int, a scan hit's count jump; None: the threshold) of them,
+    or raises if there are none.  Null vectors whose verbatim residual at some vertex v exceeds ``100
+    SINGULAR_RTOL max(1, ||L_v||)`` (possible when L maps ker P into ran P) are discarded with a rank-anomaly
+    error rather than projected away.  Every root of (g, bc) shares the pair's :func:`compiled` system.
     """
     system = compiled(g, bc).at(lam)  # the scan's band holds lam, so a split clear of the band is clear of lam
-    null = system.null_vectors(lam)
+    null = system.null_vectors(lam, multiplicity)
     if null.shape[1] == 0:
         raise ValueError(f"lambda={lam} is not an eigenvalue: D(lambda) has no null vector")
     sols = [SecularSolution(g, lam, x, system.graph) for x in _orthonormalize(g, system, lam, null).T]

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from metricgraph import BoundaryCondition, Edge, MetricGraph, preset, uniform_bc
+
+# a deep, reproducible run: pytest --hypothesis-profile=fuzz (tier-1 keeps hypothesis's default profile)
+settings.register_profile("fuzz", max_examples=1000, deadline=None, derandomize=True)
 
 
 def interval_graph(length: float, u: float = 1.0) -> MetricGraph:

@@ -369,22 +369,33 @@ def test_equal_loops_at_a_kirchhoff_vertex(tmp_path, capsys, n_loops, mult):
 
 
 @pytest.mark.parametrize(
-    "rays", [[1.0, 1.0 + 5e-7, 2.0], [1.0, 1.0, 2.0 / (math.sqrt(5.0) - 1.0)]], ids=["nearly-equal", "golden-ratio"]
+    "rays",
+    [
+        [1.0, 1.0 + 5e-7, 2.0],
+        [1.0, 1.0, 2.0 / (math.sqrt(5.0) - 1.0)],
+        [1.0, 1.0 + 1e-9, 2.0],
+        [1.0, 1.0, 2.0 / (math.sqrt(5.0) - 1.0), 1.0 / (math.sqrt(2.0) - 1.0)],
+    ],
+    ids=["nearly-equal", "golden-ratio", "close-roots", "both-cuts-resonate"],
 )
 def test_star_with_nearly_equal_rays(tmp_path, capsys, rays):
     # rays 1 and 1 + 5e-7 put two decoupled energies in one pole band, with a
     # root between them; on rays 1, 1 and 1 / GOLDEN the golden cut of the last
-    # ray is a piece of length 1, resonant at the double pole pi^2
-    edges = [{"id": f"e{i}", "length": l, "from": "c", "to": f"t{i}"} for i, l in enumerate(rays, start=1)]
-    graph = {"u": 1.0, "vertices": ["c", "t1", "t2", "t3"], "edges": edges}
-    bc = {"c": "kirchhoff", **{f"t{i}": "dirichlet" for i in (1, 2, 3)}}
+    # ray is a piece of length 1, resonant at the double pole pi^2.  Rays 1 and
+    # 1 + 1e-9 give two roots closer than SINGULAR_RTOL, which the count's
+    # multiplicities part; on the last star the golden and the silver cut each
+    # leave a piece of length 1 on some ray, so each ray takes its own cut
+    tips = [f"t{i}" for i in range(1, len(rays) + 1)]
+    edges = [{"id": f"e{t}", "length": l, "from": "c", "to": t} for t, l in zip(tips, rays)]
+    graph, bc = {"u": 1.0, "vertices": ["c", *tips], "edges": edges}, {"c": "kirchhoff", **{t: "dirichlet" for t in tips}}
     report = _run_clean(tmp_path, capsys, graph, bc, ["spectrum", "--modes", "6", "--mesh", "0.02"])
     got = [(m["lambda"], m["multiplicity"]) for m in report["multiplicities"]]
     want = dirichlet_star_roots(rays, got[-1][0] * (1 + 1e-9))
     assert [m for _, m in got] == [m for _, m in want]
-    assert np.allclose([lam for lam, _ in got], [lam for lam, _ in want], rtol=1e-11, atol=0)
+    assert np.allclose([lam for lam, _ in got], [lam for lam, _ in want], rtol=1e-12, atol=0)
     report = _run_clean(tmp_path, capsys, graph, bc, ["expansion", "--modes", "6", "--mesh", "0.02"])
-    assert np.allclose([m["lambda"] for m in report["per_mode"]], [lam for lam, _ in want[:6]], rtol=1e-11, atol=0)
+    want = [lam for lam, m in want for _ in range(m)][:6]
+    assert np.allclose([m["lambda"] for m in report["per_mode"]], want, rtol=1e-12, atol=0)
 
 
 def test_strong_robin_end(tmp_path, capsys):
@@ -573,6 +584,38 @@ def test_expansion_check_file_flags_kink(tmp_path, capsys):
     assert report["check_file"]["residual"] > 1e-2
 
 
+def _failing_run(tmp_path, kind):
+    """argv of a run on which one check fails: the key of that check in the report, and the argv."""
+    g, b = write_interval(tmp_path, length=0.5) if kind == "validate" else write_interval(tmp_path)
+    if kind == "validate":  # the edge is shorter than u
+        return "graph.violations", ["validate", "--graph", g, "--bc", b]
+    if kind == "spectrum":  # the P1 error at lambda = 121 exceeds the budget 10 h^2 lambda
+        return "eigenvalues[10].diff", ["spectrum", "--graph", g, "--bc", b, "--modes", "11", "--mesh", "0.05"]
+    if kind == "potential":  # the P1 pencil loses the shift of V = 1e30 to rounding
+        return "constant_shift_error", [
+            "potential", "--graph", g, "--bc", b, "--potential", "const:1e30", "--modes", "2", "--mesh", "0.05"
+        ]
+    from metricgraph import GridFunction, load_graph, save_function_csv
+
+    # cos(t) solves the equation at lambda=1 but breaks both Dirichlet ends
+    phi = GridFunction.from_callable(load_graph(g), 0.05, lambda eid, ts: np.cos(ts).astype(complex))
+    save_function_csv(phi, tmp_path / "phi.csv")
+    return "worst_genef_residual", [
+        "expansion", "--graph", g, "--bc", b, "--mesh", "0.05", "--modes", "2",
+        "--check-file", str(tmp_path / "phi.csv"), "--check-lambda", "1.0",
+    ]
+
+
+@pytest.mark.parametrize("kind", ["validate", "spectrum", "expansion", "potential"])
+def test_a_failed_check_prints_one_line(tmp_path, capsys, kind):
+    # exit 1 names the failed check on stderr; the report on stdout is unchanged
+    key, argv = _failing_run(tmp_path, kind)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and json.loads(captured.out)
+    assert re.fullmatch(rf"check failed: {re.escape(key)}: \S+ against \S+\n", captured.err), captured.err
+
+
 def test_weight_base_accepts_edge_endpoints(tmp_path, capsys):
     # e:0 is vertex v; only the echoed base differs from the vertex report
     g, b = write_interval(tmp_path)
@@ -659,13 +702,14 @@ def test_potential_constant_shift(tmp_path, capsys):
 def test_singular_factor_is_check_failure(tmp_path, capsys):
     # V = 1e30 swamps the stiffness, and the first shift of the perturbed
     # solve rounds to a singular pencil: the certificate lowers it, and the
-    # report shows the lost accuracy as a failed constant-shift check
+    # report shows the lost accuracy as a failed constant-shift check, which
+    # stderr names in one line
     g, b = write_interval(tmp_path)
     argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1e30", "--modes", "2", "--mesh", "0.05"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["constant_shift_error"] > 1e-8
-    assert captured.err == ""
+    assert re.fullmatch(r"check failed: constant_shift_error: \S+ against 1e-08\n", captured.err), captured.err
 
 
 def test_non_finite_m_v_is_input_error(tmp_path, capsys):

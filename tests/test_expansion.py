@@ -185,9 +185,12 @@ def star_rep():
     return g, bc, DiscreteSpectralRep.from_secular(g, bc, hits, 0.01)
 
 
-@pytest.mark.parametrize("index,multiplicity", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("index,multiplicity", [(2, 2)])
 def test_from_secular_rejects_a_wrong_multiplicity(index, multiplicity):
-    # the star's second level is double and its third simple
+    # the star's third level is simple: a count of 2 there finds a null space
+    # of dimension 1.  An under-count is not an error: the count sizes the
+    # eigenspace, and D cannot tell it from a neighbouring root within
+    # SINGULAR_RTOL
     g = star_graph(3)
     bc = uniform_bc(g, "kirchhoff")
     hits = eigenvalue_scan(g, bc, -0.5, 25.0, num=400)
