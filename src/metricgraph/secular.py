@@ -21,7 +21,7 @@ ch. 3), whose jump at a root sizes its eigenspace.  In a band ``p -+ POLE_RTOL
 p`` around a decoupled energy each edge is cut at the first of CUTS whose
 pieces clear it (:meth:`SecularSystem.split`).  :class:`SecularSystem` builds
 the constant parts once per (g, bc) pair (:func:`compiled`).  D is its only
-matrix; counts and null vectors read the :meth:`~SecularSystem.scaled` D.
+matrix; counts, roots and null vectors read the :meth:`~SecularSystem.scaled` D.
 """
 
 from __future__ import annotations
@@ -287,35 +287,26 @@ class RankAnomaly(ValueError):
     conditions: a failed check on valid input (exit 1 on the command line), still a ``ValueError`` for callers."""
 
 
-def _branch_root(branch, a: float, b: float, xtol: float, max_iter: int = 100) -> float:
-    """Root of a decreasing function with branch(a) >= 0 > branch(b).
+def _newton_root(system: SecularSystem, j: int, a: float, b: float, xtol: float) -> float:
+    """The root in [a, b] of mu_j, the j-th eigenvalue of the :meth:`~SecularSystem.scaled` D, with
+    mu_j(a) >= 0 > mu_j(b) by the count.
 
-    Regula falsi with the Illinois modification: the end kept twice in a row
-    has its value halved.  A step that leaves the bracket, or two steps that
-    fail to halve it, are replaced by bisection.
+    Newton's step is mu_j / ||f||^2 for the mode f = K r z_j (-D' = K^H G K; the scale's derivative enters
+    times mu_j, so the slope is exact at the root); a step that leaves the bracket is a bisection.
     """
-    fa, fb = branch(a), branch(b)
-    kept, width, slow = 0, b - a, 0
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        x = b - fb * (b - a) / (fb - fa)
-        if slow >= 2 or not a < x < b:
-            x, slow = 0.5 * (a + b), 0
-        fx = branch(x)
-        if fx == 0.0:
+    x = 0.5 * (a + b)
+    while b - a > xtol:
+        r, S = system.scaled(x)
+        mu, Z = np.linalg.eigh(S)
+        if mu[j] == 0.0:
             return x
-        if fx > 0:
-            a, fa = x, fx
-            fb = 0.5 * fb if kept == 1 else fb
-            kept = 1
-        else:
-            b, fb = x, fx
-            fa = 0.5 * fa if kept == -1 else fa
-            kept = -1
-        slow = slow + 1 if b - a > 0.5 * width else 0
-        width = b - a
-    return b - fb * (b - a) / (fb - fa)
+        a, b = (x, b) if mu[j] > 0 else (a, x)
+        X = system._K @ (r * Z[:, j])[:, None]
+        step = mu[j] / _gram(x, system.lengths, *_dtn(x, system.lengths), *system.graph.slot_ends, X)[0, 0].real
+        if abs(step) <= xtol:
+            return x + step
+        x = x + step if a < x + step < b else 0.5 * (a + b)
+    return 0.5 * (a + b)
 
 
 def _cut_points(vals: np.ndarray, grid: np.ndarray) -> set[float]:
@@ -351,8 +342,9 @@ def _split_roots(system: SecularSystem, a: float, b: float, count) -> list[tuple
 def _settle(system: SecularSystem, a: float, b: float, count) -> list[tuple[float, int]]:
     """(root, multiplicity) in [a, b), which holds no decoupled energy.
 
-    Bisection on the count isolates the roots; a simple root is refined on
-    the eigenvalue branch of D(lambda) that crosses zero, and a cluster
+    Bisection on the count isolates the roots; a simple root is refined by
+    Newton on the eigenvalue branch of the scaled D that crosses zero, kept
+    inside the count's bracket (:func:`_newton_root`), and a cluster
     narrower than CLUSTER_RTOL takes its multiplicity from the count jump.
     """
     out = []
@@ -368,7 +360,7 @@ def _settle(system: SecularSystem, a: float, b: float, count) -> list[tuple[floa
             out.append((0.5 * (a + b), nb - na))
         elif nb - na == 1:
             j = na - system.decoupled_count(a)  # D(a) has j negative eigenvalues, D(b) has j + 1
-            out.append((_branch_root(lambda x: np.linalg.eigvalsh(system.vertex_matrix(x))[j], a, b, xtol), 1))
+            out.append((_newton_root(system, j, a, b, xtol), 1))
         else:
             m = 0.5 * (a + b)
             nm = count(m)
@@ -395,8 +387,9 @@ def eigenvalue_scan(
     on a split system (:meth:`SecularSystem.split`), which must count the
     same at the band ends or :class:`RankAnomaly` is raised.  Between cuts,
     bisection on the count isolates the roots and a simple root is refined
-    to about CLUSTER_RTOL on the eigenvalue branch of D that crosses zero
-    there, which decreases in lambda between decoupled energies.  Roots
+    to about CLUSTER_RTOL by Newton on the eigenvalue branch of the scaled D
+    that crosses zero there, with its slope from ``-D' = K^H G K`` (G the
+    end shapes' Gram), kept inside the count's bracket.  Roots
     within CLUSTER_RTOL of each other form one cluster, whose multiplicity
     is the jump in the count.  ``sigma_min`` of each hit is read on the
     system that holds its eigenspace (:meth:`SecularSystem.at`).

@@ -408,6 +408,44 @@ def test_a_root_beside_a_band_keeps_its_own_mode(offset):
     assert np.max(np.abs(sol.evaluate(1, np.linspace(0.0, 1.0, 5)))) <= 1e-12  # nothing on the short edge
 
 
+@pytest.mark.parametrize("num", [2, 600])
+def test_a_root_beside_a_band_is_refined_on_the_scaled_d(num):
+    # the Dirichlet-Neumann edge of length 0.5 has the root pi^2, and the
+    # Neumann edge 1 + 5e-7 sits 1e-6 from its own pole there: the rounding
+    # of the unscaled D grows like eps / sin(sqrt(lambda) l) on that edge and
+    # put the root 4.6e-11 (relative) high; the scaled D keeps it in place
+    g = MetricGraph(
+        (0, 1, 2, 3),
+        (
+            Edge(0, 1 / SILVER, 1, 0),
+            Edge(1, 1.0 + 5e-7, 2, 1),
+            Edge(2, 1 / GOLDEN, 3, 0),
+            Edge(3, 0.5, 1, 0),
+            Edge(4, 1 / SILVER, 1, 0),
+        ),
+        0.25,
+    )
+    bc = BoundaryCondition({v: preset("dirichlet" if v == 0 else "neumann", g.star(v)) for v in g.vertices})
+    hits = eigenvalue_scan(g, bc, *secular.scan_window(g, bc, 8), num=num)
+    hit = min(hits, key=lambda h: abs(h.lam - math.pi**2))
+    assert hit.multiplicity == 1
+    assert abs(hit.lam - math.pi**2) <= secular.CLUSTER_RTOL * math.pi**2, hit.lam
+
+
+@pytest.mark.parametrize("rays", [(1.0, 1.3, 1.7), (1.0, 2.0, 1.5, 1.2), (1.1, 1.9, 1.35, 1.6, 1.25)])
+def test_scan_evaluates_d_a_few_times_per_root(rays, monkeypatch):
+    # bisection on the count plus Newton on the scaled branch: about 8
+    # evaluations of D a root on a 2-point grid (Illinois regula falsi on
+    # the unscaled D took 23-27), counted by calls, which host noise cannot move
+    g, bc = dirichlet_tip_star(*rays)
+    lo, hi = secular.scan_window(g, bc, 12)
+    calls = []
+    vertex_matrix = SecularSystem._vertex_matrix
+    monkeypatch.setattr(SecularSystem, "_vertex_matrix", lambda s, a, b: calls.append(1) or vertex_matrix(s, a, b))
+    hits = eigenvalue_scan(g, bc, lo, hi, num=2)
+    assert len(calls) <= 12 * len(hits), (len(calls), len(hits))
+
+
 def test_scan_from_a_band_no_split_clears():
     # the golden piece of the ray 1 / GOLDEN and the silver piece of the ray
     # 1 / SILVER both have length 1, resonant at pi^2, the decoupled energy of
