@@ -13,7 +13,7 @@ Three ingredients:
   battery of compactly supported test functions that satisfy the vertex
   conditions by construction.
 
-Every truncated sum reports its tail estimate; nothing is dropped silently.
+Every truncated sum reports its tail; nothing is dropped silently.
 """
 
 from __future__ import annotations
@@ -293,16 +293,22 @@ def hs_norm_sq(
     """Squared Hilbert-Schmidt norm of (weight multiplication)^-1 (C + H)^-1/2.
 
     Computed as ``sum_m (C + lambda_m)^-1 ||phi_m / w||^2`` over the modes at
-    hand, plus a tail estimate for everything above the highest computed
-    energy: each missing mode contributes at most
-    ``(C + lambda)^-1 sup(1/w)^2``, and the leading eigenvalue count
-    ``N(lambda) ~ total_length sqrt(lambda)/pi`` turns the sum over missing
-    modes into an explicit arctangent integral, finite only for C > 0.
+    hand, plus a bound on the rest, which assumes the modes are the N lowest.
+    Each missing mode contributes at most ``s^2 / (C + lambda_n)``, s =
+    sup(1/w).  Dirichlet bracketing (Berkolaiko & Kuchment, *Introduction to
+    Quantum Graphs*, ch. 3) gives ``N(lambda) <= L sqrt(lambda)/pi + d``, d =
+    2|E|, so ``lambda_n >= max(lambda_N, ((n - d) pi / L)^2)`` for n > N.
+    Bounding the nonincreasing sum by its terms up to ``x0 = max(x*, N + 1)``,
+    ``x* = d + L sqrt(max(lambda_N, 0))/pi``, plus an integral beyond gives
+
+        s^2 [(x0 - N)/(C + lambda_N) + L/(pi sqrt C) (pi/2 - atan((x0 - d) pi / (L sqrt C)))],
+
+    finite only for C > 0.
     """
     if not rep.modes:
         raise ValueError("spectral representation has no modes")
     if not C > 0:
-        raise ValueError(f"the tail estimate needs C > 0, got C={C}")
+        raise ValueError(f"the tail bound needs C > 0, got C={C}")
     lam_min = min(lam for lam, _ in rep.eigenvalues)
     if C + lam_min <= 0:
         raise ValueError(f"need C + lambda_min > 0, got C={C}, lambda_min={lam_min}")
@@ -312,10 +318,10 @@ def hs_norm_sq(
     terms = (np.abs(rep.Phi) ** 2 @ (rep.grid.weights / weight.data.real**2)) / (C + lams)
     if inverse_sup is None:
         inverse_sup = float(np.max(1.0 / np.abs(weight.data)))
-    n_modes = len(rep.modes)
-    L = rep.graph.total_length
-    lam_cut = ((n_modes + 0.5) * math.pi / L) ** 2
-    tail = inverse_sup**2 * (L / (math.pi * math.sqrt(C))) * (math.pi / 2.0 - math.atan(math.sqrt(lam_cut / C)))
+    n, d, L, lam_n = len(rep.modes), 2 * len(rep.graph.edges), rep.graph.total_length, float(np.max(lams))
+    x0 = max(d + L * math.sqrt(max(lam_n, 0.0)) / math.pi, n + 1)
+    integral = L / (math.pi * math.sqrt(C)) * (math.pi / 2.0 - math.atan((x0 - d) * math.pi / (L * math.sqrt(C))))
+    tail = inverse_sup**2 * ((x0 - n) / (C + lam_n) + integral)
     return HilbertSchmidtReport(float(np.sum(terms)), float(tail), tuple(terms.tolist()))
 
 

@@ -11,11 +11,10 @@ operator inequality
 
 holds for 0 < a <= u with C the coercivity shift, which makes V an
 infinitesimally small perturbation: the coefficient of the form can be made
-arbitrarily small at the price of a large constant.  The checks in this
-module evaluate both the final inequality and the window-wise sup bound it
-rests on, with quadrature chosen so the discrete chain of estimates is exact
-for nodal data.  Each reports the exact minimum of its margin over the
-piecewise-linear functions, not a minimum over samples.
+arbitrarily small at the price of a large constant.  The inequality is
+checked by its exact minimum over the piecewise-linear functions, and the
+window lemma it rests on, ``sup_I |f|^2 <= (a/2)||f'||^2_I + (4/a)||f||^2_I``
+for |I| in [a, 2a], by its sharp margin over all of H^1(I), in closed form.
 
 A :class:`Potential` is a real :class:`GridFunction`: its samples share the
 flat :class:`Mesh` layout of the finite-element nodal vectors, so the
@@ -138,96 +137,48 @@ class RelativeBoundReport:
     worst_window_margin: float
 
 
-def _edge_partition(length: float, a: float, h: float, n: int) -> list[tuple[int, int]]:
-    """Split [0, length] into pieces of length in [a, 2a] (possible as length >= a).
-
-    Each piece comes back as the node index bounds (i0, i1) on the edge's
-    grid of width h and n nodes, snapped outward so its length stays >= a,
-    which the window estimate needs.
-    """
-    k = max(1, math.ceil(length / (2.0 * a)))
-    cuts = np.linspace(0.0, length, k + 1)
-    out = []
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        i0 = int(math.floor(t0 / h + 1e-9))
-        out.append((i0, max(min(int(math.ceil(t1 / h - 1e-9)), n - 1), i0 + 1)))
-    return out
-
-
-def _window_margin(n: np.ndarray, h: np.ndarray, a: float) -> np.ndarray:
-    """Exact ``min (1 - max_i |f_i|^2)`` over P1 f on n[k] nodes of spacing
-    h[k] with ``(a/2)||f'||^2 + (4/a)||f||^2 = 1``, for every window k.
-
-    For the window's tridiagonal form K_w, the largest ``|f_i|^2 / f* K_w f``
-    over f is ``(K_w^-1)_ii``, so the value is ``1 - max_i (K_w^-1)_ii``.
-    With p the forward and q the backward pivots of the two-sided LDL^T
-    factorization of K_w, ``(K_w^-1)_ii = 1 / (p_i + q_i - d_i)`` (Meurant,
-    SIAM J. Matrix Anal. Appl. 1992), and ``q_i = p_(n-1-i)`` because K_w
-    reads the same from either end.  K_w is strictly diagonally dominant
-    (end rows: ``d + off = 2h/a`` and ``d - off > a/h``), so every pivot is
-    positive.  All windows run in one pass, padded to the longest.
-    """
-    # each cell adds (a/2) [1 -1; -1 1] / h + (4/a) h [2 1; 1 2] / 6
-    d = a / (2.0 * h) + 4.0 * h / (3.0 * a)
-    off_sq = (2.0 * h / (3.0 * a) - a / (2.0 * h)) ** 2
-    windows, i = np.arange(n.size), np.arange(n.max())
-    p = np.empty((n.size, i.size))  # pivots of the interior rows 2d; the last row of K_w is d
-    p[:, 0] = d
-    for j in i[1:]:
-        p[:, j] = 2.0 * d - off_sq / p[:, j - 1]
-    p[windows, n - 1] = d - off_sq / p[windows, n - 2]
-    inside = i < n[:, None]
-    mirror = np.where(inside, n[:, None] - 1 - i, 0)
-    diag = np.where((i == 0) | (i == n[:, None] - 1), d[:, None], 2.0 * d[:, None])
-    s = np.where(inside, p + np.take_along_axis(p, mirror, axis=1) - diag, np.inf)
-    return 1.0 - 1.0 / np.min(s, axis=1)
-
-
 def check_relative_bound(
     fa: FormAssembly,
     V: Potential,
-    a: float | Sequence[float],
+    a_values: Sequence[float],
     coercivity_C: float,
-) -> RelativeBoundReport | list[RelativeBoundReport]:
-    """Exact minima of the relative bound over the constrained P1 space.
+) -> list[RelativeBoundReport]:
+    """One report per a in ``a_values``, in order.
 
     worst_margin = min over f with ||f|| = 1 of
         M^2 a q(f,f) + C(a)||f||^2 - ||V f||^2,        C(a) = M^2 (C + 4/a)
 
-    with ||V f||^2 by nodal trapezoid quadrature (the same quadrature that
-    defines M), so the chain sup-bound -> window decomposition -> coercivity
-    holds exactly for piecewise-linear functions.  The minimum is the lowest
-    eigenvalue of ``M^2 a (A - R) + C(a) B - W`` against B, with the
-    assembly's stiffness A, boundary R, mass B and constraint map C, and
-    ``W = C* diag(w V^2) C`` for the trapezoid weights w.
-    Also reports the worst margin of the window inequality
-        max_I |f|^2  <=  (a/2)||f'||^2_I + (4/a)||f||^2_I
-    over all partition windows I, exactly (see :func:`_window_margin`).
+    over the constrained P1 space, with ||V f||^2 by nodal trapezoid
+    quadrature (the quadrature that defines M), so the chain sup-bound ->
+    window decomposition -> coercivity holds exactly for P1 functions: the
+    lowest eigenvalue of ``M^2 a (A - R) + C(a) B - W`` against the mass B,
+    with ``W = C* diag(w V^2) C`` for the trapezoid weights w.
 
-    ``a`` may be a sequence: one report per value comes back, in order, each
-    equal to the report of a separate call with that value.
+    worst_window_margin is the window lemma's sharp margin over H^1 of the
+    shortest window, ``1 - coth(k l) / sqrt(2)`` with k = sqrt(8)/a: at unit
+    form value the largest |f(x)|^2 is the diagonal of the form's Neumann
+    Green's function, ``cosh(k x) cosh(k (l - x)) / (sqrt(2) sinh(k l))``,
+    largest at an end, and the margin grows with l.  Edge e splits into
+    ceil(l_e / 2a) equal windows, of length in [a, 2a] as l_e >= u >= a,
+    each inside a window of length min(2u, l_e) that M covers.
     """
-    a_values = list(a) if np.ndim(a) else [a]
-    for a_k in a_values:
-        if not (0 < a_k <= fa.graph.u):
-            raise ValueError(f"a={a_k} must lie in (0, u={fa.graph.u}]")
+    for a in a_values:
+        if not (0 < a <= fa.graph.u):
+            raise ValueError(f"a={a} must lie in (0, u={fa.graph.u}]")
     if V.grid != fa.grid:
         raise ValueError("potential sampled on a different mesh than the assembly")
     M = uniform_l2_norm(fa.graph, V).M
     nodes = np.arange(V.data.size)
     W = fa.constrain(_triplets((V.data.size, V.data.size), [nodes], [nodes], [fa.grid.weights * V.data**2]))
+    lengths = np.array([e.length for e in fa.graph.edges])
     reports = []
-    for a_k in a_values:
-        C_a = M**2 * (coercivity_C + 4.0 / a_k)
-        margin = _min_eigenvalue(M**2 * a_k * (fa.stiffness - fa.boundary) + C_a * fa.mass - W, fa.mass)
-        sizes, widths = zip(*(
-            (i1 - i0 + 1, h)
-            for e, h, n in zip(fa.graph.edges, fa.grid.widths, np.diff(fa.grid.offsets))
-            for i0, i1 in _edge_partition(e.length, a_k, h, n)
-        ))
-        window = float(np.min(_window_margin(np.array(sizes), np.array(widths), a_k)))
-        reports.append(RelativeBoundReport(a_k, M, C_a, margin, window))
-    return reports if np.ndim(a) else reports[0]
+    for a in a_values:
+        C_a = M**2 * (coercivity_C + 4.0 / a)
+        margin = _min_eigenvalue(M**2 * a * (fa.stiffness - fa.boundary) + C_a * fa.mass - W, fa.mass)
+        shortest = float(np.min(lengths / np.ceil(lengths / (2.0 * a))))
+        window = 1.0 - 1.0 / (math.sqrt(2.0) * math.tanh(math.sqrt(8.0) * shortest / a))
+        reports.append(RelativeBoundReport(a, M, C_a, margin, window))
+    return reports
 
 
 # ---------------------------------------------------------------------------

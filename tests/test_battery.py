@@ -379,24 +379,22 @@ def test_relative_bound_samples_once_for_many_a():
     V = parse_potential_expr("well:e05,0.2,0.8,3.0", g, 0.05)
     C = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u).C
     a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
-    single = [check_relative_bound(fa, V, a, C) for a in a_values]
+    single = [rb for a in a_values for rb in check_relative_bound(fa, V, [a], C)]
     many = check_relative_bound(fa, V, a_values, C)
     assert many == single  # the same floats, not merely close ones
     with pytest.raises(ValueError):
         check_relative_bound(fa, V, [0.5, 2.0], C)
 
 
-def test_relative_bound_partitions_once_per_edge_and_a(monkeypatch):
+def test_window_margin_does_not_depend_on_the_mesh():
     g, bc = _grid4()
-    fa = assemble(g, bc, 0.05)
-    V = parse_potential_expr("well:e05,0.2,0.8,3.0", g, 0.05)
     C = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u).C
     a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
-    builds = []
-    partition = potentials._edge_partition
-    monkeypatch.setattr(potentials, "_edge_partition", lambda *a: builds.append(a) or partition(*a))
-    check_relative_bound(fa, V, a_values, C)
-    assert 0 < len(builds) <= len(g.edges) * len(a_values)
+    margins = []
+    for h in (0.05, 0.02):
+        V = parse_potential_expr("well:e05,0.2,0.8,3.0", g, h)
+        margins.append([rb.worst_window_margin for rb in check_relative_bound(assemble(g, bc, h), V, a_values, C)])
+    assert margins[0] == margins[1]  # the same floats, not merely close ones
 
 
 def test_one_mode_residuals_equal_the_battery_bit_for_bit():

@@ -285,10 +285,22 @@ def test_hs_interval_series():
     w = GridFunction.ones(g, rep.h_max)
     hs = hs_norm_sq(rep, w, 1.0)
     target = (math.pi / math.tanh(math.pi) - 1.0) / 2.0
-    assert hs.total == pytest.approx(target, abs=1e-3)
+    assert target <= hs.total <= target + 1e-2  # the tail is a bound, not an estimate
     # partial sums alone match the truncated series tightly
     partial_exact = sum(1.0 / (1 + n * n) for n in range(1, 21))
     assert hs.partial == pytest.approx(partial_exact, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_modes", [1, 5, 20])
+def test_hs_total_bounds_the_neumann_interval(n_modes):
+    # sum_{n >= 0} 1/(1 + n^2) = (pi coth pi + 1)/2; the count exceeds L sqrt(lambda)/pi by one here
+    g = interval_graph(math.pi)
+    bc = uniform_bc(g, "neumann")
+    hits = eigenvalue_scan(g, bc, -0.5, (n_modes - 0.5) ** 2, num=60 * n_modes)
+    assert [h.multiplicity for h in hits] == [1] * n_modes
+    rep = DiscreteSpectralRep.from_secular(g, bc, hits, 0.005)
+    hs = hs_norm_sq(rep, GridFunction.ones(g, rep.h_max), 1.0)
+    assert hs.total >= (math.pi / math.tanh(math.pi) + 1.0) / 2.0
 
 
 def test_hs_scaling_in_weight():
@@ -498,9 +510,10 @@ def test_matrix_products_match_per_mode_loops(name, rep, C):
     assert np.allclose(hs.per_mode, terms, rtol=1e-12, atol=0.0)
     assert hs.partial == pytest.approx(sum(terms), rel=1e-12)
     inv_sup = max(float(np.max(1.0 / np.abs(np.asarray(weight.values[e.id])))) for e in g.edges)
-    L = g.total_length
-    lam_cut = ((n + 0.5) * math.pi / L) ** 2
-    tail = inv_sup**2 * (L / (math.pi * math.sqrt(C))) * (math.pi / 2.0 - math.atan(math.sqrt(lam_cut / C)))
+    d, L, lam_n = 2 * len(g.edges), g.total_length, max(m.lam for m in rep.modes)
+    x0 = max(d + L * math.sqrt(max(lam_n, 0.0)) / math.pi, n + 1)
+    beyond = L / (math.pi * math.sqrt(C)) * (math.pi / 2.0 - math.atan((x0 - d) * math.pi / (L * math.sqrt(C))))
+    tail = inv_sup**2 * ((x0 - n) / (C + lam_n) + beyond)
     assert hs.tail == pytest.approx(tail, rel=1e-12)
 
     kernel = 0.0

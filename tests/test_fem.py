@@ -18,8 +18,8 @@ from metricgraph import (
     edge_grid,
     eigensystem,
     fem,
-    potentials,
     preset,
+    secular,
     uniform_bc,
     uniform_l2_norm,
     validate_bc,
@@ -175,6 +175,53 @@ def test_sparse_eigensystem_matches_dense_eigh(name, g, bc, h, k):
     assert fa.stiffness.nnz <= 5 * fa.dim
 
 
+def _p1_count(fa, tau):
+    """Constrained P1 eigenvalues below tau for V = 0, by Haynsworth's inertia formula.
+
+    Each edge's interior block T_e(tau) (stiffness - tau mass) has the Toeplitz eigenvalues
+    (2 - 2 cos t)/h - tau h (2 + cos t)/3, t = j pi / n; its 2x2 Schur complement onto the edge
+    ends, by a banded solve, sits at the edge's slots, and the vertex term is
+    n_-(K^H S K - K^H L K) with K and K^H L K from the secular system, not from the assembly.
+    """
+    system = secular.SecularSystem(fa.graph, fa.bc)
+    init, term = fa.graph.slot_ends
+    S = np.zeros((2 * len(fa.graph.edges),) * 2)
+    count = 0
+    for k, (h, n) in enumerate(zip(fa.grid.widths, np.diff(fa.grid.offsets) - 1)):
+        c = np.cos(np.arange(1, n) * math.pi / n)
+        count += int(np.sum((2.0 - 2.0 * c) / h - tau * h * (2.0 + c) / 3.0 < 0))
+        end, off = 1.0 / h - tau * h / 3.0, -1.0 / h - tau * h / 6.0
+        block = np.array([[end, off], [off, end]])
+        if n > 1:
+            band = np.zeros((3, n - 1))
+            band[0], band[1], band[2] = off, 2.0 * end, off
+            x = scipy.linalg.solve_banded((1, 1), band, np.eye(n - 1)[:, [0, -1]])
+            block = end * np.eye(2) - off**2 * x[[0, -1]]
+        S[np.ix_([init[k], term[k]], [init[k], term[k]])] = block
+    D = system._K.conj().T @ S @ system._K - system._kLk
+    return count + int(np.sum(np.linalg.eigvalsh(D) < 0))
+
+
+def _assert_complete(fa, lams):
+    """N_h is 0 below the lowest eigenvalue and equals the index between distinct ones."""
+    lams = np.sort(lams)
+    distinct = np.flatnonzero(np.diff(lams) > 1e-8 * np.maximum(1.0, np.abs(lams[1:])))
+    taus = [lams[0] - 0.5 * (lams[distinct[0] + 1] - lams[0])] + [0.5 * (lams[i] + lams[i + 1]) for i in distinct]
+    assert [_p1_count(fa, tau) for tau in taus] == [0] + [i + 1 for i in distinct]
+
+
+@pytest.mark.parametrize("name,g,bc,h,k", _oracle_cases(), ids=[c[0] for c in _oracle_cases()])
+def test_p1_count_finds_every_eigenvalue(name, g, bc, h, k):
+    fa = assemble(g, bc, h)
+    _assert_complete(fa, eigensystem(fa, k).eigenvalues)
+
+
+def test_p1_count_finds_every_eigenvalue_on_a_fine_grid():
+    fa = assemble(*_grid4_delta(), 0.002)
+    assert fa.dim > 14_000
+    _assert_complete(fa, eigensystem(fa, 20).eigenvalues)
+
+
 # ---------------------------------------------------------------------------
 # the two form inequalities
 # ---------------------------------------------------------------------------
@@ -264,25 +311,15 @@ def test_inequality_checks_are_dense_minima(name, g, bc, h):
     w = np.concatenate([np.r_[0.5, np.ones(ts.size - 2), 0.5] * (ts[1] - ts[0]) for ts in grids])
     W = C.conj().T @ np.diag(w * V.data**2) @ C
     M = uniform_l2_norm(g, V).M
-    stiff_cell = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    mass_cell = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     for a in (g.u / 4, g.u / 2, g.u):
-        rb = check_relative_bound(fa, V, a, const.C)
+        [rb] = check_relative_bound(fa, V, [a], const.C)
         C_a = M**2 * (const.C + 4.0 / a)
         check(rb.worst_margin, lowest(M**2 * a * (A - R) + C_a * B - W))
-        margins = []
-        for e, ts in zip(g.edges, grids):
-            dt = ts[1] - ts[0]
-            cell = (a / 2.0) * stiff_cell / dt + (4.0 / a) * mass_cell * dt
-            for i0, i1 in potentials._edge_partition(e.length, a, dt, ts.size):
-                n = i1 - i0 + 1
-                Kw = np.zeros((n, n))
-                for c in range(n - 1):
-                    Kw[c : c + 2, c : c + 2] += cell
-                # sup |y_i|^2 / y* Kw y is the top eigenvalue of the pencil (e_i e_i^T, Kw)
-                peak = max(scipy.linalg.eigh(np.diag(np.eye(n)[i]), Kw, eigvals_only=True)[-1] for i in range(n))
-                margins.append(1.0 - peak)
-        check(rb.worst_window_margin, min(margins))
+        # the shortest window of ceil(l / 2a) equal pieces per edge, at the sharp H^1 constant
+        shortest = min(e.length / math.ceil(e.length / (2.0 * a)) for e in g.edges)
+        k = math.sqrt(8.0) / a
+        want = 1.0 - math.cosh(k * shortest) / (math.sqrt(2.0) * math.sinh(k * shortest))
+        assert abs(rb.worst_window_margin - want) <= 1e-14 * want, (rb.worst_window_margin, want)
 
 
 def test_min_eigenvalue_lowers_past_a_singular_shift():

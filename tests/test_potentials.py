@@ -23,8 +23,6 @@ from metricgraph import (
     uniform_l2_norm,
 )
 
-from metricgraph.potentials import _window_margin
-
 from conftest import interval_graph, star_graph
 
 
@@ -176,7 +174,7 @@ def test_mesh_mismatch_rejected():
 def test_relative_bound_zero_potential():
     g = interval_graph(math.pi)
     fa = assemble(g, uniform_bc(g, "dirichlet"), H)
-    rb = check_relative_bound(fa, Potential.constant(g, H, 0.0), 1.0, 0.5)
+    [rb] = check_relative_bound(fa, Potential.constant(g, H, 0.0), [1.0], 0.5)
     assert rb.M == 0.0 and rb.C_a == 0.0
     assert rb.worst_margin >= -1e-12  # inequality degenerates to 0 <= 0
 
@@ -187,7 +185,7 @@ def test_relative_bound_unit_potential(frac):
     bc = uniform_bc(g, "dirichlet")
     fa = assemble(g, bc, H)
     const = coercivity_constant(0.0, g.u)
-    rb = check_relative_bound(fa, Potential.constant(g, H, 1.0), frac * g.u, const.C)
+    [rb] = check_relative_bound(fa, Potential.constant(g, H, 1.0), [frac * g.u], const.C)
     assert rb.worst_margin >= -1e-8
     assert rb.worst_window_margin >= -1e-8
 
@@ -199,7 +197,7 @@ def test_relative_bound_rough_potential():
     rng = np.random.default_rng(11)
     V = Potential.from_callable(g, H, lambda eid, ts: rng.uniform(-4, 4, ts.shape))
     const = coercivity_constant(0.0, g.u)
-    rb = check_relative_bound(fa, V, g.u, const.C)
+    [rb] = check_relative_bound(fa, V, [g.u], const.C)
     assert rb.M <= 5.0
     assert rb.worst_margin >= -1e-8
     assert rb.worst_window_margin >= -1e-8
@@ -210,18 +208,17 @@ def test_relative_bound_rough_potential():
     st.floats(0.001, 1.0),
     st.lists(st.tuples(st.integers(2, 150), st.floats(1.0, 4.0)), min_size=1, max_size=8),
 )
-def test_window_margin_recurrence_matches_dense_inverse(a, windows):
-    # (n - 1) h in [a, 4a] covers the partition's windows (length in [a, 2a], snapped
-    # outward to the grid); all windows go through one call
-    n = np.array([k for k, _ in windows])
-    h = np.array([r * a / (k - 1) for k, r in windows])
-    got = _window_margin(n, h, a)
-    for k, w, margin in zip(n, h, got):
+def test_window_margin_closed_form_bounds_the_p1_minimum(a, windows):
+    # P1 functions lie in H^1, so a window's exact P1 margin 1 - max_i (K_w^-1)_ii is at
+    # least the sharp H^1 margin 1 - coth(sqrt(8) l / a) / sqrt(2), and exceeds it by O((h/a)^2)
+    for k, r in windows:
+        w = r * a / (k - 1)
         d = a / (2.0 * w) + 4.0 * w / (3.0 * a)
         off = 2.0 * w / (3.0 * a) - a / (2.0 * w)
         K_w = np.diag(np.r_[d, np.full(k - 2, 2.0 * d), d]) + off * (np.eye(k, k=1) + np.eye(k, k=-1))
-        peak = float(np.max(np.diag(np.linalg.inv(K_w))))
-        assert abs((1.0 - margin) - peak) <= 1e-12 * peak, (k, w, a)
+        p1 = 1.0 - float(np.max(np.diag(np.linalg.inv(K_w))))
+        sharp = 1.0 - 1.0 / (math.sqrt(2.0) * math.tanh(math.sqrt(8.0) * r))
+        assert sharp - 1e-14 <= p1 <= sharp + 0.3 * (w / a) ** 2, (k, r, a)
 
 
 def test_relative_bound_ground_state_with_spike():
@@ -254,7 +251,7 @@ def test_relative_bound_invalid_a():
     g = interval_graph(math.pi)
     fa = assemble(g, uniform_bc(g, "dirichlet"), H)
     with pytest.raises(ValueError):
-        check_relative_bound(fa, Potential.constant(g, H, 1.0), 2.0, 0.5)
+        check_relative_bound(fa, Potential.constant(g, H, 1.0), [2.0], 0.5)
 
 
 # ---------------------------------------------------------------------------
