@@ -171,6 +171,7 @@ class DiscreteSpectralRep:
     eigenvalues: tuple[tuple[float, int], ...]  # (lambda, multiplicity)
     modes: tuple[SpectralMode, ...]
     Phi: np.ndarray
+    codim: int  # sum_v dim ker P_v: the codimension of the edgewise H^1_0 in the form domain
 
     @property
     def graph(self) -> MetricGraph:
@@ -191,7 +192,7 @@ class DiscreteSpectralRep:
         }
 
     @classmethod
-    def _on(cls, grid: Mesh, eigenvalues, rows, layers) -> "DiscreteSpectralRep":
+    def _on(cls, grid: Mesh, eigenvalues, rows, layers, codim: int) -> "DiscreteSpectralRep":
         """From the nodal rows of the modes (any iterable) and their (j, lambda, exact)."""
         Phi = np.empty((len(layers), grid.n_nodes), dtype=complex)
         for k, row in enumerate(rows):
@@ -199,7 +200,7 @@ class DiscreteSpectralRep:
         modes = tuple(
             SpectralMode(j, lam, GridFunction.on(grid, row), exact) for (j, lam, exact), row in zip(layers, Phi)
         )
-        return cls(grid, tuple(eigenvalues), modes, Phi)
+        return cls(grid, tuple(eigenvalues), modes, Phi, codim)
 
     @classmethod
     def from_secular(
@@ -211,11 +212,11 @@ class DiscreteSpectralRep:
     ) -> "DiscreteSpectralRep":
         """Modes of the scan hits, each eigenspace sized by the hit's multiplicity (:func:`eigenfunction`)."""
         grid = Mesh(g, h_max)
-        compiled(g, bc)  # validates (g, bc) with no hits too; the eigenfunctions share this system
+        system = compiled(g, bc)  # validates (g, bc) with no hits too; the eigenfunctions share this system
         found = [(hit.lam, eigenfunction(g, bc, hit.lam, hit.multiplicity)) for hit in hits]
         layers = [(j, lam, sol) for lam, sols in found for j, sol in enumerate(sols, start=1)]
         rows = (grid.sample(sol.evaluate) for _, _, sol in layers)
-        return cls._on(grid, [(lam, len(sols)) for lam, sols in found], rows, layers)
+        return cls._on(grid, [(lam, len(sols)) for lam, sols in found], rows, layers, system._K.shape[1])
 
     @classmethod
     def from_fem(cls, es, mult_tol: float = 1e-6) -> "DiscreteSpectralRep":
@@ -233,7 +234,9 @@ class DiscreteSpectralRep:
             eigenvalues.append((lam, mult))
             layers += [(j + 1, lam, None) for j in range(mult)]
             i = jmax + 1
-        return cls._on(es.assembly.grid, eigenvalues, es.assembly.nodal_vector(es.vectors).T, layers)
+        fa = es.assembly  # its coordinates: the interior nodes, then the sum_v dim ker P_v vertex coordinates
+        codim = fa.dim - fa.grid.n_nodes + 2 * len(fa.graph.edges)
+        return cls._on(fa.grid, eigenvalues, fa.nodal_vector(es.vectors).T, layers, codim)
 
 
 def fourier_coefficients(rep: DiscreteSpectralRep, f: GridFunction) -> np.ndarray:
@@ -295,9 +298,10 @@ def hs_norm_sq(
     Computed as ``sum_m (C + lambda_m)^-1 ||phi_m / w||^2`` over the modes at
     hand, plus a bound on the rest, which assumes the modes are the N lowest.
     Each missing mode contributes at most ``s^2 / (C + lambda_n)``, s =
-    sup(1/w).  Dirichlet bracketing (Berkolaiko & Kuchment, *Introduction to
-    Quantum Graphs*, ch. 3) gives ``N(lambda) <= L sqrt(lambda)/pi + d``, d =
-    2|E|, so ``lambda_n >= max(lambda_N, ((n - d) pi / L)^2)`` for n > N.
+    sup(1/w).  The form is the Dirichlet form on the edgewise H^1_0, of
+    codimension d = ``rep.codim`` in the form domain, so min-max (Berkolaiko &
+    Kuchment, *Introduction to Quantum Graphs*, ch. 3) gives ``N(lambda) <= L
+    sqrt(lambda)/pi + d`` and ``lambda_n >= max(lambda_N, ((n - d) pi / L)^2)`` for n > N.
     Bounding the nonincreasing sum by its terms up to ``x0 = max(x*, N + 1)``,
     ``x* = d + L sqrt(max(lambda_N, 0))/pi``, plus an integral beyond gives
 
@@ -318,7 +322,7 @@ def hs_norm_sq(
     terms = (np.abs(rep.Phi) ** 2 @ (rep.grid.weights / weight.data.real**2)) / (C + lams)
     if inverse_sup is None:
         inverse_sup = float(np.max(1.0 / np.abs(weight.data)))
-    n, d, L, lam_n = len(rep.modes), 2 * len(rep.graph.edges), rep.graph.total_length, float(np.max(lams))
+    n, d, L, lam_n = len(rep.modes), rep.codim, rep.graph.total_length, float(np.max(lams))
     x0 = max(d + L * math.sqrt(max(lam_n, 0.0)) / math.pi, n + 1)
     integral = L / (math.pi * math.sqrt(C)) * (math.pi / 2.0 - math.atan((x0 - d) * math.pi / (L * math.sqrt(C))))
     tail = inverse_sup**2 * ((x0 - n) / (C + lam_n) + integral)

@@ -12,13 +12,15 @@ operator inequality
 holds for 0 < a <= u with C the coercivity shift, which makes V an
 infinitesimally small perturbation: the coefficient of the form can be made
 arbitrarily small at the price of a large constant.  The inequality is
-checked by its exact minimum over the piecewise-linear functions, and the
-window lemma it rests on, ``sup_I |f|^2 <= (a/2)||f'||^2_I + (4/a)||f||^2_I``
-for |I| in [a, 2a], by its sharp margin over all of H^1(I), in closed form.
+checked on the continuum form with V^2 raised to a piecewise-constant W, as
+the lowest eigenvalue of H plus a constant on each piece of W (a shifted
+:class:`~metricgraph.secular.SecularSystem`), and the window lemma it rests
+on, ``sup_I |f|^2 <= (a/2)||f'||^2_I + (4/a)||f||^2_I`` for |I| in [a, 2a],
+by its sharp margin over all of H^1(I), in closed form.
 
 A :class:`Potential` is a real :class:`GridFunction`: its samples share the
-flat :class:`Mesh` layout of the finite-element nodal vectors, so the
-checks read V and the trapezoid weights node by node.
+flat :class:`Mesh` layout of the finite-element nodal vectors.  The presets
+also carry V^2 exactly, which makes M_V and the margins exact for them.
 """
 
 from __future__ import annotations
@@ -26,19 +28,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .boundary import BoundaryCondition
 from .expansion import BumpTest, compile_battery
-from .fem import DiscreteEigensystem, FormAssembly, SparseMatrix, _min_eigenvalue, _triplets, element_matrix
+from .fem import DiscreteEigensystem, FormAssembly, SparseMatrix, element_matrix
 from .functions import GridFunction, read_edge_csv, write_edge_csv
-from .graph import EdgeSegment, MetricGraph, ids_from_text
+from .graph import EdgeId, EdgeSegment, MetricGraph, ids_from_text
+from .secular import compiled, lowest_eigenvalue
 
 
 class Potential(GridFunction):
-    """A real :class:`GridFunction`: nodal samples of V on its mesh."""
+    """A real :class:`GridFunction`: nodal samples of V on its mesh.  A piecewise-constant V also has ``steps``:
+    per edge, its breakpoints 0 = s_0 < ... < s_m = l and V^2 on each piece."""
+
+    steps: Mapping[EdgeId, tuple[np.ndarray, np.ndarray]] | None = None
 
     @staticmethod
     def _cast(data) -> np.ndarray:
@@ -49,7 +55,27 @@ class Potential(GridFunction):
 
     @classmethod
     def constant(cls, g: MetricGraph, h_max: float, c: float) -> "Potential":
-        return cls.from_callable(g, h_max, lambda eid, ts: np.full_like(ts, c))
+        return cls.stepwise(g, h_max, lambda eid, ts: np.full_like(ts, c), {})
+
+    @classmethod
+    def stepwise(cls, g: MetricGraph, h_max: float, fn: Callable, breaks: Mapping[EdgeId, list]) -> "Potential":
+        """The samples of ``fn``, constant between the ``breaks`` of each edge (default: its ends), and its steps."""
+        V, cuts = cls.from_callable(g, h_max, fn), {e.id: np.array(breaks.get(e.id, [0.0, e.length])) for e in g.edges}
+        with np.errstate(over="ignore"):  # an overflow makes M_V infinite, an input error
+            V.steps = {eid: (s, fn(eid, 0.5 * (s[1:] + s[:-1])) ** 2) for eid, s in cuts.items()}
+        return V
+
+    def squares(self) -> Mapping[EdgeId, tuple[np.ndarray, np.ndarray]]:
+        """A piecewise-constant W >= V^2 as ``steps``: these, or the largest nodal V^2 (V^2 is convex on a cell) on
+        each of floor(4 l / u) runs of cells, about u/4 (the smallest a) or more long, which bound D's order."""
+        if self.steps is not None:
+            return self.steps
+        out = {}
+        for e in self.graph.edges:
+            ts, v2 = self.nodes(e.id), self.values[e.id] ** 2
+            ends = np.unique(np.linspace(0, ts.size - 1, max(1, int(4.0 * e.length / self.graph.u)) + 1).astype(int))
+            out[e.id] = ts[ends], np.maximum(np.maximum.reduceat(v2[:-1], ends[:-1]), v2[ends[1:]])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -63,28 +89,24 @@ class UniformL2Norm:
     segment: EdgeSegment
 
 
-def _cumulative_sq(v: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid cumulative integral of v^2 at the nodes; inf where v^2 overflows."""
-    with np.errstate(over="ignore"):  # the caller reports the overflow as an input error
-        y = np.asarray(v, dtype=float) ** 2
-        inc = 0.5 * h * (y[1:] + y[:-1])
-        return np.concatenate([[0.0], np.cumsum(inc)])
-
-
 def uniform_l2_norm(g: MetricGraph, V: Potential) -> UniformL2Norm:
     """Exact max of ||V||_{L2} over the windows of length w = min(2u, l(e)).
 
     Windows of maximal admissible length dominate all shorter ones, as V^2 >= 0.
-    With ``cum`` the trapezoid cumulative integral of V^2, linear between
-    nodes, ``cum(t0 + w) - cum(t0)`` is piecewise linear in t0 with kinks only
-    where t0 or t0 + w meets a node, so its max over [0, l - w] is at one of
-    the starts ``t_i`` or ``t_i - w``, clipped to that range.
+    With ``cum`` the cumulative integral of V^2 (exact for ``steps``, else by
+    the trapezoid rule), linear between breakpoints or nodes t_i,
+    ``cum(t0 + w) - cum(t0)`` is piecewise linear in t0 with kinks only where
+    t0 or t0 + w meets a t_i, so its max over [0, l - w] is at one of the
+    starts ``t_i`` or ``t_i - w``, clipped to that range.
     """
     best = -1.0
     best_seg: EdgeSegment | None = None
-    values = V.values
     for e in g.edges:
-        ts, cum = V.nodes(e.id), _cumulative_sq(values[e.id], V.mesh(e.id))
+        ts, v2 = (V.nodes(e.id), V.values[e.id]) if V.steps is None else V.steps[e.id]
+        if V.steps is None:  # the trapezoid rule: on each cell, the mean of V^2 at its ends
+            with np.errstate(over="ignore"):  # reported below as an input error
+                v2 = 0.5 * (v2[1:] ** 2 + v2[:-1] ** 2)
+        cum = np.concatenate([[0.0], np.cumsum(v2 * np.diff(ts))])
         if not math.isfinite(cum[-1]):
             raise ValueError("the potential's uniform local L2 norm M_V is not finite: V^2 overflows")
         w = min(2.0 * g.u, e.length)
@@ -145,14 +167,15 @@ def check_relative_bound(
 ) -> list[RelativeBoundReport]:
     """One report per a in ``a_values``, in order.
 
-    worst_margin = min over f with ||f|| = 1 of
-        M^2 a q(f,f) + C(a)||f||^2 - ||V f||^2,        C(a) = M^2 (C + 4/a)
+    worst_margin = min over f in the form domain with ||f|| = 1 of
+        M^2 a q(f,f) + C(a)||f||^2 - int W |f|^2,        C(a) = M^2 (C + 4/a),
 
-    over the constrained P1 space, with ||V f||^2 by nodal trapezoid
-    quadrature (the quadrature that defines M), so the chain sup-bound ->
-    window decomposition -> coercivity holds exactly for P1 functions: the
-    lowest eigenvalue of ``M^2 a (A - R) + C(a) B - W`` against the mass B,
-    with ``W = C* diag(w V^2) C`` for the trapezoid weights w.
+    for the W >= V^2 of :meth:`Potential.squares`, so a margin >= 0 proves
+    the bound: the continuum minimum for the presets (W = V^2), a lower bound
+    of it for nodal data.  For M > 0 it is M^2 a lambda_1(H + c), with c =
+    (C + 4/a - W / M^2) / a constant on each piece of W: the lowest eigenvalue
+    of the secular system on W's pieces (compiled once; only c changes with
+    a), from ``1/2 - C + min c - 1``, below it by coercivity.  M = 0 gives 0.
 
     worst_window_margin is the window lemma's sharp margin over H^1 of the
     shortest window, ``1 - coth(k l) / sqrt(2)`` with k = sqrt(8)/a: at unit
@@ -162,20 +185,22 @@ def check_relative_bound(
     ceil(l_e / 2a) equal windows, of length in [a, 2a] as l_e >= u >= a,
     each inside a window of length min(2u, l_e) that M covers.
     """
-    for a in a_values:
-        if not (0 < a <= fa.graph.u):
-            raise ValueError(f"a={a} must lie in (0, u={fa.graph.u}]")
+    if bad := [a for a in a_values if not 0 < a <= fa.graph.u]:
+        raise ValueError(f"a={bad[0]} must lie in (0, u={fa.graph.u}]")
     if V.grid != fa.grid:
         raise ValueError("potential sampled on a different mesh than the assembly")
-    M = uniform_l2_norm(fa.graph, V).M
-    nodes = np.arange(V.data.size)
-    W = fa.constrain(_triplets((V.data.size, V.data.size), [nodes], [nodes], [fa.grid.weights * V.data**2]))
-    lengths = np.array([e.length for e in fa.graph.edges])
+    g, M = fa.graph, uniform_l2_norm(fa.graph, V).M
+    by_edge = V.squares()
+    squares = [by_edge[e.id] for e in g.edges]
+    W, system = np.concatenate([w2 for _, w2 in squares]), compiled(g, fa.bc)
+    pieces = system.cut(tuple(tuple((s[1:-1] / e.length).tolist()) for e, (s, _) in zip(g.edges, squares)))
     reports = []
     for a in a_values:
-        C_a = M**2 * (coercivity_C + 4.0 / a)
-        margin = _min_eigenvalue(M**2 * a * (fa.stiffness - fa.boundary) + C_a * fa.mass - W, fa.mass)
-        shortest = float(np.min(lengths / np.ceil(lengths / (2.0 * a))))
+        C_a, margin = M**2 * (coercivity_C + 4.0 / a), 0.0
+        if M > 0:
+            c = (coercivity_C + 4.0 / a - W / M**2) / a
+            margin = M**2 * a * lowest_eigenvalue(pieces.shifted(c), 0.5 - coercivity_C + float(np.min(c)) - 1.0)
+        shortest = float(np.min(system.lengths / np.ceil(system.lengths / (2.0 * a))))
         window = 1.0 - 1.0 / (math.sqrt(2.0) * math.tanh(math.sqrt(8.0) * shortest / a))
         reports.append(RelativeBoundReport(a, M, C_a, margin, window))
     return reports
@@ -277,5 +302,5 @@ def parse_potential_expr(expr: str, g: MetricGraph, h_max: float) -> Potential:
                 return np.zeros_like(ts)
             return np.where((ts >= t0) & (ts <= t1), -depth, 0.0)
 
-        return Potential.from_callable(g, h_max, fn)
+        return Potential.stepwise(g, h_max, fn, {eid: sorted({0.0, t0, t1, e.length})})
     raise ValueError(f"unknown potential expression {expr!r}")

@@ -22,6 +22,9 @@ p`` around a decoupled energy each edge is cut at the first of CUTS whose
 pieces clear it (:meth:`SecularSystem.split`).  :class:`SecularSystem` builds
 the constant parts once per (g, bc) pair (:func:`compiled`).  D is its only
 matrix; counts, roots and null vectors read the :meth:`~SecularSystem.scaled` D.
+A system may also be cut (:meth:`~SecularSystem.cut`) and shifted by c_e on
+each edge, which then solves ``-f'' + c_e f = lambda f``: (a, b) and N_D read
+the energy lambda - c_e per edge (:func:`lowest_eigenvalue`).
 """
 
 from __future__ import annotations
@@ -74,8 +77,20 @@ def basis_values(lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cosh(k * t), np.sinh(k * t) / k
 
 
-def _dtn(lam: float, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of each edge's Dirichlet-to-Neumann block ``[[a, -b], [-b, a]]``; off the decoupled energies."""
+def _dtn(lam, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of each edge's Dirichlet-to-Neumann block ``[[a, -b], [-b, a]]``; off the decoupled energies.  With one
+    energy per edge (an array) each edge takes the branch of its own scalar call, bit for bit."""
+    if isinstance(lam, np.ndarray):
+        a, b = np.empty_like(lengths), np.empty_like(lengths)
+        low, up = lam < -SERIES_THRESHOLD, lam >= SERIES_THRESHOLD
+        k, w = np.sqrt(-lam[low]), np.sqrt(lam[up])
+        d = -np.expm1(-2.0 * k * lengths[low])
+        a[low], b[low] = k * (2.0 - d) / d, 2.0 * k * np.exp(-k * lengths[low]) / d
+        s = np.sin(w * lengths[up]) / w
+        a[up], b[up] = np.cos(w * lengths[up]) / s, 1.0 / s
+        for i in np.flatnonzero(~(low | up)):  # the series near 0, and cosh at -SERIES_THRESHOLD: rare
+            (a[i],), (b[i],) = _dtn(float(lam[i]), lengths[i : i + 1])
+        return a, b
     if lam < -SERIES_THRESHOLD:
         k = math.sqrt(-lam)
         d = -np.expm1(-2.0 * k * lengths)  # 1 - q, q = e^(-2kl)
@@ -104,20 +119,26 @@ def _interpolate(lam: float, l: np.ndarray, t: np.ndarray, f0: np.ndarray, f1: n
     return (f0 * basis_values(lam, l - t)[1] + f1 * basis_values(lam, t)[1]) / basis_values(lam, l)[1]
 
 
-def split_graph(g: MetricGraph, cuts: tuple[float, ...]) -> MetricGraph:
-    """g with edge k cut at ``cuts[k] l`` into edges 2k, 2k + 1 joined at a vertex after g's: g's slots come first."""
+def split_graph(g: MetricGraph, cuts: tuple[tuple[float, ...], ...]) -> MetricGraph:
+    """g with edge k cut at the ascending fractions ``cuts[k]`` into pieces (k, 0), (k, 1), ... (k: its id), joined
+    at vertices after g's, (k, "cut") for one cut and (k, "cut", j) for several: g's slots come first."""
     edges: list[Edge] = []
-    for e, cut in zip(g.edges, cuts):
-        t = cut * e.length
-        edges += [Edge((e.id, 0), t, e.init, (e.id, "cut")), Edge((e.id, 1), e.length - t, (e.id, "cut"), e.end)]
-    u = min(min(cut, 1.0 - cut) for cut in cuts) * g.u
-    return MetricGraph(g.vertices + tuple((e.id, "cut") for e in g.edges), tuple(edges), u)
+    for e, fracs in zip(g.edges, cuts):
+        ts = [0.0, *(f * e.length for f in fracs), e.length]
+        names = [(e.id, "cut")] if len(fracs) == 1 else [(e.id, "cut", j) for j in range(len(fracs))]
+        ends = [e.init, *names, e.end]
+        edges += [Edge((e.id, j), ts[j + 1] - ts[j], ends[j], ends[j + 1]) for j in range(len(ts) - 1)]
+    u = min(float(np.min(np.diff([0.0, *fracs, 1.0]))) for fracs in cuts) * g.u
+    joints = tuple(piece.init for piece in edges if piece.id[1])  # every piece but an edge's first starts at one
+    return MetricGraph(g.vertices + joints, tuple(edges), u)
 
 
-def _resonant(lengths: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Per length l, whether the band p -+ POLE_RTOL p of some p = (n pi / l)^2, n >= 1, meets [lo, hi]."""
-    n_lo = np.ceil(math.sqrt(max(lo, 0.0) / (1.0 + POLE_RTOL)) / math.pi * lengths)  # p (1 + r) >= lo
-    return np.floor(math.sqrt(max(hi, 0.0) / (1.0 - POLE_RTOL)) / math.pi * lengths) >= np.maximum(n_lo, 1.0)
+def _resonant(lengths: np.ndarray, lo, hi) -> np.ndarray:
+    """Per length l, whether the band p -+ POLE_RTOL p of some p = (n pi / l)^2, n >= 1, meets [lo, hi]: numbers,
+    or arrays of one energy per length."""
+    sqrt, clip = (np.sqrt, np.maximum) if isinstance(lo, np.ndarray) else (math.sqrt, max)
+    n_lo = np.ceil(sqrt(clip(lo, 0.0) / (1.0 + POLE_RTOL)) / math.pi * lengths)  # p (1 + r) >= lo
+    return np.floor(sqrt(clip(hi, 0.0) / (1.0 - POLE_RTOL)) / math.pi * lengths) >= np.maximum(n_lo, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +180,9 @@ class SecularSystem:
         self.anomaly_vertices = tuple(v for v in g.vertices if lp_mixing(bc.L(v), bc.P(v)))
         self._compile(g, [(*bc.ker_ran(v), bc.L(v)) for v in g.vertices])
 
-    def _compile(self, g: MetricGraph, stars: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+    def _compile(self, g: MetricGraph, stars: list[tuple[np.ndarray, np.ndarray, np.ndarray]], shift=0.0) -> None:
         """The constant blocks from each vertex's (ker, ran, L), in ``g.vertices`` order."""
-        self.graph, self._stars, self._splits = g, stars, {}
+        self.graph, self._stars, self._splits, self.shift = g, stars, {}, shift
         self.lengths = np.array([e.length for e in g.edges], dtype=float)
         init, term = g.slot_ends
         self._K = K = _blocks(ker for ker, _, _ in stars)
@@ -170,25 +191,37 @@ class SecularSystem:
         self._kLk = _blocks(ker.conj().T @ L @ ker for ker, _, L in stars)
         self._scale = np.abs(K[init]) ** 2 + np.abs(K[term]) ** 2, np.abs(np.diagonal(self._kLk))  # see scaled
 
+    def cut(self, cuts: tuple[tuple[float, ...], ...], shift: np.ndarray | float = 0.0) -> SecularSystem:
+        """This system on ``split_graph(g, cuts)``, each cut a Kirchhoff joint of degree 2, with ``shift``."""
+        joint = (*np.array([[[1.0], [1.0]], [[1.0], [-1.0]]]) / math.sqrt(2.0), np.zeros((2, 2)))
+        out = SecularSystem.__new__(SecularSystem)
+        out.anomaly_vertices = self.anomaly_vertices
+        out._compile(split_graph(self.graph, cuts), self._stars + [joint] * sum(map(len, cuts)), shift)
+        return out
+
+    def shifted(self, shift: np.ndarray) -> SecularSystem:
+        """This system plus ``shift[k]`` on edge k: ``lambda - shift`` holds each edge's energy (0.0: unshifted)."""
+        out = SecularSystem.__new__(SecularSystem)
+        out.__dict__.update(self.__dict__, shift=shift, _splits={})  # the compiled blocks are shared
+        return out
+
     def split(self, lo: float, hi: float) -> SecularSystem:
         """This system on ``split_graph(g, cuts)``, each edge cut at the first of CUTS with no :func:`_resonant`
         piece in [lo, hi], so a root there keeps the band margin from the split's decoupled energies.  Only
         sqrt(lambda) l / pi near 1 / POLE_RTOL, where the bands of consecutive n overlap, leaves an edge no cut."""
         pieces = np.array(CUTS)[:, None] * self.lengths  # one row per fraction, one column per edge
-        clear = ~(_resonant(pieces, lo, hi) | _resonant(self.lengths - pieces, lo, hi))
+        e_lo, e_hi = lo - self.shift, hi - self.shift
+        clear = ~(_resonant(pieces, e_lo, e_hi) | _resonant(self.lengths - pieces, e_lo, e_hi))
         if not clear.any(axis=0).all():
             raise RankAnomaly(f"a piece of every cut of some edge resonates within the band margin of [{lo}, {hi}]")
-        cuts = tuple(np.array(CUTS)[clear.argmax(axis=0)].tolist())
+        cuts = tuple((cut,) for cut in np.array(CUTS)[clear.argmax(axis=0)].tolist())
         if cuts not in self._splits:
-            joint = (*np.array([[[1.0], [1.0]], [[1.0], [-1.0]]]) / math.sqrt(2.0), np.zeros((2, 2)))  # Kirchhoff
-            split = self._splits[cuts] = SecularSystem.__new__(SecularSystem)
-            split.anomaly_vertices = self.anomaly_vertices
-            split._compile(split_graph(self.graph, cuts), self._stars + [joint] * len(self.lengths))
+            self._splits[cuts] = self.cut(cuts, np.repeat(self.shift, 2) if isinstance(self.shift, np.ndarray) else 0.0)
         return self._splits[cuts]
 
     def vertex_matrix(self, lam: float) -> np.ndarray:
         """The Hermitian D(lambda) = K^H (Lambda - L) K off the decoupled energies."""
-        return self._vertex_matrix(*_dtn(lam, self.lengths))
+        return self._vertex_matrix(*_dtn(lam - self.shift, self.lengths))
 
     def _vertex_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.concatenate([a, a])[:, None], np.concatenate([b, b])[:, None]
@@ -197,7 +230,7 @@ class SecularSystem:
     def scaled(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """(r, ``r D(lambda) r``) for r = C^-1/2, C the coefficient scale of D: with (a, b) the DtN blocks,
         ``sum_s |K_si|^2 (|a_e| + |b_e|) + |(K^H L K)_ii|``.  However strong L or close a pole, entries stay O(1)."""
-        a, b = _dtn(lam, self.lengths)
+        a, b = _dtn(lam - self.shift, self.lengths)
         r = ((np.abs(a) + np.abs(b)) @ self._scale[0] + self._scale[1]) ** -0.5
         return r, r[:, None] * self._vertex_matrix(a, b) * r
 
@@ -213,7 +246,8 @@ class SecularSystem:
             msg = f"D(lambda) has a {X.shape[1]}-dimensional null space at lambda={lam}, but the eigenvalue count gives"
             raise RankAnomaly(f"{msg} multiplicity {m}")
         if m is not None and m < X.shape[1]:
-            w, U = np.linalg.eigh(_gram(lam, self.lengths, *_dtn(lam, self.lengths), *self.graph.slot_ends, X))
+            e = lam - self.shift
+            w, U = np.linalg.eigh(_gram(e, self.lengths, *_dtn(e, self.lengths), *self.graph.slot_ends, X))
             U = U / np.sqrt(w)  # U^H (X^H G X) U = I
             theta, Y = np.linalg.eigh(U.conj().T @ (mu[near, None] * U))
             X = X @ (U @ Y[:, np.sort(np.argsort(np.abs(theta), kind="stable")[:m])])
@@ -221,13 +255,15 @@ class SecularSystem:
 
     def at(self, lam: float) -> SecularSystem:
         """The system whose D holds the eigenspace at lambda: its :meth:`split` in a pole band, else this one."""
-        return self.split(lam, lam) if _resonant(self.lengths, lam, lam).any() else self
+        e = lam - self.shift
+        return self.split(lam, lam) if _resonant(self.lengths, e, e).any() else self
 
     def decoupled_count(self, lam: float) -> int:
-        """N_D(lambda): how many decoupled energies (n pi / l_e)^2, n >= 1, lie below lambda."""
-        if lam <= 0:
-            return 0
-        return int(np.sum(np.ceil(math.sqrt(lam) * self.lengths / math.pi) - 1))
+        """N_D(lambda): how many decoupled energies (n pi / l_e)^2 + shift_e, n >= 1, lie below lambda."""
+        if isinstance(self.shift, np.ndarray):  # one energy per edge
+            n = np.ceil(np.sqrt(np.maximum(lam - self.shift, 0.0)) * self.lengths / math.pi) - 1
+            return int(np.sum(np.maximum(n, 0.0)))
+        return int(np.sum(np.ceil(math.sqrt(lam) * self.lengths / math.pi) - 1)) if lam > 0 else 0
 
     def decoupled_energies(self, lo: float, hi: float) -> np.ndarray:
         """The distinct decoupled energies in [lo, hi], ascending."""
@@ -301,12 +337,31 @@ def _newton_root(system: SecularSystem, j: int, a: float, b: float, xtol: float)
         if mu[j] == 0.0:
             return x
         a, b = (x, b) if mu[j] > 0 else (a, x)
-        X = system._K @ (r * Z[:, j])[:, None]
-        step = mu[j] / _gram(x, system.lengths, *_dtn(x, system.lengths), *system.graph.slot_ends, X)[0, 0].real
+        X, e = system._K @ (r * Z[:, j])[:, None], x - system.shift
+        step = mu[j] / _gram(e, system.lengths, *_dtn(e, system.lengths), *system.graph.slot_ends, X)[0, 0].real
         if abs(step) <= xtol:
             return x + step
         x = x + step if a < x + step < b else 0.5 * (a + b)
     return 0.5 * (a + b)
+
+
+def lowest_eigenvalue(system: SecularSystem, lo: float) -> float:
+    """The lowest eigenvalue of ``system``, from a ``lo`` below it (count(lo) > 0 is a :class:`RankAnomaly`).
+
+    Dirichlet bracketing on one edge gives count(hi) >= 1 at ``hi = min_e (pi / l_e)^2 (1 + 4 POLE_RTOL) + shift_e``.
+    Bisection on the count of ``system.at(x)`` (split in a pole band) narrows [lo, hi] to one root and no decoupled
+    energy, where :func:`_newton_root` refines it; a multiple root is bisected to CLUSTER_RTOL."""
+    hi = float(np.min((math.pi / system.lengths) ** 2 * (1.0 + 4.0 * POLE_RTOL) + system.shift))
+    if n := system.at(lo).count(lo):
+        raise RankAnomaly(f"the count at lo={lo} is {n}, not 0: lo must lie below the spectrum")
+    n_hi, xtol = system.at(hi).count(hi), CLUSTER_RTOL * max(1.0, abs(lo), abs(hi))
+    while hi - lo > xtol:
+        if n_hi == 1 and not _resonant(system.lengths, lo - system.shift, hi - system.shift).any():
+            return _newton_root(system, 0, lo, hi, xtol)
+        mid = 0.5 * (lo + hi)
+        n = system.at(mid).count(mid)
+        lo, hi, n_hi = (mid, hi, n_hi) if n == 0 else (lo, mid, n)
+    return 0.5 * (lo + hi)
 
 
 def _cut_points(vals: np.ndarray, grid: np.ndarray) -> set[float]:

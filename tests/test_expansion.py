@@ -303,6 +303,23 @@ def test_hs_total_bounds_the_neumann_interval(n_modes):
     assert hs.total >= (math.pi / math.tanh(math.pi) + 1.0) / 2.0
 
 
+@pytest.mark.parametrize("n_modes,total", [(1, 1.464), (20, 1.0780)])
+def test_hs_tail_counts_the_free_vertex_values(n_modes, total):
+    # sum_{n >= 1} 1/(1 + n^2) = (pi coth pi - 1)/2.  No vertex value is free on the Dirichlet interval, so
+    # the count is at most L sqrt(lambda)/pi, and the tail is far smaller than with d = 2|E| (2.285 and
+    # 1.0829); on the Neumann interval d = 2 = 2|E|
+    g = interval_graph(math.pi)
+    hits = eigenvalue_scan(g, uniform_bc(g, "dirichlet"), 0.5, n_modes**2 + 0.5, num=60 * n_modes)
+    assert [h.multiplicity for h in hits] == [1] * n_modes
+    rep = DiscreteSpectralRep.from_secular(g, uniform_bc(g, "dirichlet"), hits, 0.005)
+    hs = hs_norm_sq(rep, GridFunction.ones(g, rep.h_max), 1.0)
+    assert rep.codim == 0
+    assert hs.total >= (math.pi / math.tanh(math.pi) - 1.0) / 2.0
+    assert hs.total == pytest.approx(total, abs=5e-4)
+    neumann = uniform_bc(g, "neumann")
+    assert DiscreteSpectralRep.from_secular(g, neumann, eigenvalue_scan(g, neumann, -0.5, 0.5), 0.005).codim == 2
+
+
 def test_hs_scaling_in_weight():
     g, bc, rep = interval_rep(n_modes=6)
     w = GridFunction.ones(g, rep.h_max)
@@ -462,21 +479,23 @@ def _oracle_grid4():
 
 def _oracle_reps():
     out = []
+    # the last entry is sum_v dim ker P_v, by hand: no vertex value is free on the Dirichlet interval; the
+    # star's centre keeps 5 - 2 of its values and its Neumann and delta tips one each; a Kirchhoff vertex one
     g, bc, rep = interval_rep(n_modes=8, h_max=math.pi / 200)
-    out.append(("dirichlet-interval", rep, 1.0))
+    out.append(("dirichlet-interval", rep, 1.0, 0))
     g, bc = _oracle_lp_star()
     hits = eigenvalue_scan(g, bc, -3.0, 30.0, num=600)
-    out.append(("general-lp-star", DiscreteSpectralRep.from_secular(g, bc, hits, 0.01), 3.5))
+    out.append(("general-lp-star", DiscreteSpectralRep.from_secular(g, bc, hits, 0.01), 3.5, 6))
     g, bc = _oracle_grid4()
-    out.append(("grid4-kirchhoff", DiscreteSpectralRep.from_fem(eigensystem(assemble(g, bc, 0.05), 8)), 1.0))
+    out.append(("grid4-kirchhoff", DiscreteSpectralRep.from_fem(eigensystem(assemble(g, bc, 0.05), 8)), 1.0, 16))
     return out
 
 
 ORACLE_REPS = _oracle_reps()
 
 
-@pytest.mark.parametrize("name,rep,C", ORACLE_REPS, ids=[c[0] for c in ORACLE_REPS])
-def test_matrix_products_match_per_mode_loops(name, rep, C):
+@pytest.mark.parametrize("name,rep,C,d", ORACLE_REPS, ids=[c[0] for c in ORACLE_REPS])
+def test_matrix_products_match_per_mode_loops(name, rep, C, d):
     g = rep.graph
     weight = build_weight(g, VertexPoint(g.vertices[0]), 1.0).sample(rep.h_max)
     f = GridFunction.from_callable(
@@ -510,7 +529,8 @@ def test_matrix_products_match_per_mode_loops(name, rep, C):
     assert np.allclose(hs.per_mode, terms, rtol=1e-12, atol=0.0)
     assert hs.partial == pytest.approx(sum(terms), rel=1e-12)
     inv_sup = max(float(np.max(1.0 / np.abs(np.asarray(weight.values[e.id])))) for e in g.edges)
-    d, L, lam_n = 2 * len(g.edges), g.total_length, max(m.lam for m in rep.modes)
+    assert rep.codim == d
+    L, lam_n = g.total_length, max(m.lam for m in rep.modes)
     x0 = max(d + L * math.sqrt(max(lam_n, 0.0)) / math.pi, n + 1)
     beyond = L / (math.pi * math.sqrt(C)) * (math.pi / 2.0 - math.atan((x0 - d) * math.pi / (L * math.sqrt(C))))
     tail = inv_sup**2 * ((x0 - n) / (C + lam_n) + beyond)

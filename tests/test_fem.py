@@ -280,6 +280,23 @@ def _delta_star():
     return g, BoundaryCondition({"c": preset("delta", g.star("c"), -5.0), **tips})
 
 
+def _weighted_mass(g, h, squares):
+    """Nodal P1 matrix of ``int W f conj(g)`` for W constant on each piece of ``squares``: Simpson's rule, exact
+    for the product of two hats, on each overlap of a cell and a piece."""
+    grids = [edge_grid(g, e.id, h) for e in g.edges]
+    out, start = np.zeros((sum(ts.size for ts in grids),) * 2), 0
+    for e, ts in zip(g.edges, grids):
+        s, w = squares[e.id]
+        for i, (x0, x1) in enumerate(zip(ts, ts[1:])):
+            for lo, hi, value in zip(np.maximum(s[:-1], x0), np.minimum(s[1:], x1), w):
+                for x, weight in ((lo, 1.0), (0.5 * (lo + hi), 4.0), (hi, 1.0)):
+                    hat = np.array([x1 - x, x - x0]) / (x1 - x0)
+                    cell = slice(start + i, start + i + 2)
+                    out[cell, cell] += value * weight * max(hi - lo, 0.0) / 6.0 * np.outer(hat, hat)
+        start += ts.size
+    return out
+
+
 def _minimum_cases():
     g = interval_graph(math.pi)
     return [
@@ -307,14 +324,25 @@ def test_inequality_checks_are_dense_minima(name, g, bc, h):
 
     rng = np.random.default_rng(7)
     V = Potential.from_callable(g, h, lambda eid, ts: rng.uniform(-3.0, 3.0, ts.shape))
-    grids = [edge_grid(g, e.id, h) for e in g.edges]
-    w = np.concatenate([np.r_[0.5, np.ones(ts.size - 2), 0.5] * (ts[1] - ts[0]) for ts in grids])
-    W = C.conj().T @ np.diag(w * V.data**2) @ C
+    squares = V.squares()
+    p1 = {}  # mesh width -> (A - R, B, C* W C) with W's integral exact on every cell
+    for mesh in (h, h / 2):
+        fm = assemble(g, bc, mesh)
+        C_m = fm.constraint.toarray()
+        W = C_m.conj().T @ _weighted_mass(g, mesh, squares) @ C_m
+        p1[mesh] = (fm.stiffness - fm.boundary).toarray(), fm.mass.toarray(), W
     M = uniform_l2_norm(g, V).M
     for a in (g.u / 4, g.u / 2, g.u):
         [rb] = check_relative_bound(fa, V, [a], const.C)
         C_a = M**2 * (const.C + 4.0 / a)
-        check(rb.worst_margin, lowest(M**2 * a * (A - R) + C_a * B - W))
+        assert (rb.M, rb.C_a) == (M, C_a)
+        # the continuum minimum of M^2 a q + C_a ||f||^2 - int W |f|^2 lies below its P1 minimum, by O(h^2)
+        gaps = []
+        for mesh, (K, Bm, Wm) in p1.items():
+            ref = scipy.linalg.eigh(M**2 * a * K + C_a * Bm - Wm, Bm, eigvals_only=True)[0]
+            assert rb.worst_margin <= ref + 1e-9 * max(1.0, abs(ref)), (rb.worst_margin, ref)
+            gaps.append(ref - rb.worst_margin)
+        assert gaps[0] >= 3.5 * gaps[1], gaps
         # the shortest window of ceil(l / 2a) equal pieces per edge, at the sharp H^1 constant
         shortest = min(e.length / math.ceil(e.length / (2.0 * a)) for e in g.edges)
         k = math.sqrt(8.0) / a

@@ -247,6 +247,83 @@ def test_relative_bound_ground_state_with_spike():
     assert margin > 0
 
 
+@pytest.mark.parametrize("c", [0.5, -2.0, 7.0])
+def test_constant_margin_is_the_closed_form(c):
+    # V = c shifts H by the constant (C + 4/a - c^2 / M^2) / a, so the margin is M^2 a lambda_1(H) + C_a - c^2:
+    # lambda_1 = 0 on a Kirchhoff star, 1 on the Dirichlet pi-interval
+    for g, bc, lam_1 in (
+        (star_graph(3), uniform_bc(star_graph(3), "kirchhoff"), 0.0),
+        (interval_graph(math.pi), uniform_bc(interval_graph(math.pi), "dirichlet"), 1.0),
+    ):
+        fa = assemble(g, bc, H)
+        C = coercivity_constant(0.0, g.u).C
+        for rb in check_relative_bound(fa, Potential.constant(g, H, c), [g.u / 4, g.u / 2, g.u], C):
+            want = rb.M**2 * rb.a * lam_1 + rb.C_a - c * c
+            assert rb.worst_margin == pytest.approx(want, rel=1e-11, abs=1e-11 * rb.C_a), (rb, want)
+
+
+def test_nodal_squares_bound_v_squared():
+    # for nodal data W is the largest nodal V^2 on runs of whole cells about u/4 long: it bounds the
+    # piecewise-linear V's square everywhere (a rising V puts each run's maximum at its right end), which
+    # makes the margin a lower bound of the one with V^2
+    g = star_graph(3, length=1.3)
+    for fn in (lambda eid, ts: np.random.default_rng(5).uniform(-4.0, 4.0, ts.shape), lambda eid, ts: 3.0 * ts):
+        V = Potential.from_callable(g, H, fn)
+        for e in g.edges:
+            s, w = V.squares()[e.id]
+            ts = np.linspace(0.0, e.length, 20001)
+            assert np.isin(s, V.nodes(e.id)).all() and s[0] == 0.0 and s[-1] == e.length
+            assert np.min(np.diff(s)) >= g.u / 4 - V.mesh(e.id)
+            assert np.all(w[np.searchsorted(s, ts, side="right").clip(1, w.size) - 1] >= V.evaluate(e.id, ts) ** 2)
+
+
+def _transfer_ground_state(pieces, lo, hi):
+    """The lowest lambda with f(l) = 0 for -f'' + c f = lambda f, f(0) = 0, f'(0) = 1, through the (length, c)
+    pieces by their transfer matrices: the first sign change of f(l) on a grid, then bisection."""
+
+    def end_value(lam):
+        y = np.array([0.0, 1.0])
+        for length, c in pieces:
+            mu = lam - c
+            k = math.sqrt(abs(mu))
+            if mu > 0:
+                cs, sn = math.cos(k * length), math.sin(k * length)
+                T = [[cs, sn / k], [-k * sn, cs]]
+            elif mu < 0:
+                cs, sn = math.cosh(k * length), math.sinh(k * length)
+                T = [[cs, sn / k], [k * sn, cs]]
+            else:
+                T = [[1.0, length], [0.0, 1.0]]
+            y = np.array(T) @ y
+        return y[0]
+
+    grid = np.linspace(lo, hi, 4001)
+    vals = np.array([end_value(x) for x in grid])
+    i = int(np.flatnonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0])
+    a, b = grid[i], grid[i + 1]
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        a, b = (m, b) if np.sign(end_value(m)) == np.sign(vals[i]) else (a, m)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("expr", ["well:e,0.4,1.9,3.0", "well:e,0.0,0.8,6.0", "well:e,1.2,2.5,1.5"])
+def test_well_margin_matches_a_transfer_matrix_root(expr):
+    # the margin of a well on a Dirichlet interval is M^2 a lambda_1 for three constant pieces: an
+    # independent root of the transfer-matrix end value, with no secular system
+    g = interval_graph(2.5)
+    fa = assemble(g, uniform_bc(g, "dirichlet"), H)
+    V = parse_potential_expr(expr, g, H)
+    t0, t1, depth = (float(x) for x in expr.split(",")[1:])
+    assert uniform_l2_norm(g, V).M == pytest.approx(depth * math.sqrt(min(t1 - t0, 2.0 * g.u)), rel=1e-14)
+    C = coercivity_constant(0.0, g.u).C
+    for rb in check_relative_bound(fa, V, [g.u / 4, g.u / 2, g.u], C):
+        outside, inside = (C + 4.0 / rb.a) / rb.a, (C + 4.0 / rb.a - depth**2 / rb.M**2) / rb.a
+        pieces = [(l, c) for l, c in ((t0, outside), (t1 - t0, inside), (2.5 - t1, outside)) if l > 0]
+        lam_1 = _transfer_ground_state(pieces, min(outside, inside) - 1.0, outside + (math.pi / 2.5) ** 2 + 1.0)
+        assert rb.worst_margin == pytest.approx(rb.M**2 * rb.a * lam_1, rel=1e-10), (rb, lam_1)
+
+
 def test_relative_bound_invalid_a():
     g = interval_graph(math.pi)
     fa = assemble(g, uniform_bc(g, "dirichlet"), H)

@@ -828,3 +828,65 @@ def test_equal_conditions_do_not_share_a_compiled_system():
     bc1, bc2 = uniform_bc(g, "kirchhoff"), uniform_bc(g, "kirchhoff")
     assert secular.compiled(g, bc1) is secular.compiled(g, bc1)
     assert secular.compiled(g, bc1) is not secular.compiled(g, bc2)
+
+
+# ---------------------------------------------------------------------------
+# per-edge shifts and cut pieces
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_graphs(), st.floats(-20.0, 20.0))
+def test_a_uniform_shift_moves_every_count(graph, c):
+    # H + c has the spectrum of H moved by c: off the roots, the shifted count at lambda + c is the count
+    # at lambda, each read on the system that holds lambda (a split one in a pole band)
+    g, bc = graph
+    system = secular.compiled(g, bc)
+    shifted = system.shifted(np.full(len(g.edges), c))
+    lo, hi = secular.scan_window(g, bc, 6)
+    roots = sorted({h.lam for h in eigenvalue_scan(g, bc, lo, hi, num=2)})
+    points = [lo, hi] + [0.5 * (x + y) for x, y in zip(roots, roots[1:])]
+    for lam in [x for x in points if min(abs(x - r) for r in roots) > 1e-6 * max(1.0, abs(x))]:
+        assert shifted.at(lam + c).count(lam + c) == system.at(lam).count(lam), (lam, roots)
+
+
+def test_cut_pieces_count_like_the_uncut_graph():
+    # degree-2 Kirchhoff joints change no eigenvalue: with zero shift the count of several cuts on one
+    # edge, one on another and none on the third is the graph's, and so is the lowest eigenvalue
+    g, bc = dirichlet_tip_star(1.0, 1.5, 2.0)
+    system = secular.compiled(g, bc)
+    cuts = ((0.2, 0.5, 0.9), (), (0.25,))
+    pieces = system.cut(cuts, np.zeros(7))
+    assert [e.id for e in pieces.graph.edges] == [("e1", j) for j in range(4)] + [("e2", 0), ("e3", 0), ("e3", 1)]
+    assert pieces.graph.vertices[len(g.vertices) :] == (("e1", "cut", 0), ("e1", "cut", 1), ("e1", "cut", 2), ("e3", "cut"))
+    roots = [h.lam for h in eigenvalue_scan(g, bc, -1.0, 60.0)]
+    for lam in [-1.0, 60.0] + [0.5 * (x + y) for x, y in zip(roots, roots[1:])]:
+        assert pieces.at(lam).count(lam) == system.at(lam).count(lam), lam
+    assert secular.lowest_eigenvalue(pieces, -1.0) == pytest.approx(roots[0], rel=1e-11)
+
+
+def test_one_cut_per_edge_keeps_the_split_layout():
+    g, _ = dirichlet_tip_star(1.0, 1.5, 2.0)
+    fracs = (0.3, 0.6, 0.7)
+    edges = []
+    for e, f in zip(g.edges, fracs):
+        t = f * e.length
+        edges += [Edge((e.id, 0), t, e.init, (e.id, "cut")), Edge((e.id, 1), e.length - t, (e.id, "cut"), e.end)]
+    u = min(min(f, 1.0 - f) for f in fracs) * g.u
+    want = MetricGraph(g.vertices + tuple((e.id, "cut") for e in g.edges), tuple(edges), u)
+    assert secular.split_graph(g, tuple((f,) for f in fracs)) == want
+
+
+def test_mixed_energies_take_each_edges_scalar_branch():
+    # at lambda = 3 the four pieces have energies -2, -0.3 eps, 0 and 4 (eps = SERIES_THRESHOLD): the
+    # exponential, series and trigonometric branches in one call, each edge bit for bit its scalar call
+    g = interval_graph(2.0)
+    eps, lam = secular.SERIES_THRESHOLD, 3.0
+    pieces = secular.compiled(g, uniform_bc(g, "dirichlet")).cut(((0.2, 0.5, 0.7),))
+    system = pieces.shifted(np.array([lam + 2.0, lam + 0.3 * eps, lam, lam - 4.0]))
+    mu = lam - system.shift
+    assert mu[0] < -eps and -eps < mu[1] < 0.0 and mu[2] == 0.0 and mu[3] > eps
+    a, b = secular._dtn(mu, system.lengths)
+    for k in range(4):
+        ak, bk = secular._dtn(float(mu[k]), system.lengths[k : k + 1])
+        assert (a[k], b[k]) == (ak[0], bk[0]), k
