@@ -65,15 +65,15 @@ class Potential(GridFunction):
             V.steps = {eid: (s, fn(eid, 0.5 * (s[1:] + s[:-1])) ** 2) for eid, s in cuts.items()}
         return V
 
-    def squares(self) -> Mapping[EdgeId, tuple[np.ndarray, np.ndarray]]:
+    def squares(self, run: float) -> Mapping[EdgeId, tuple[np.ndarray, np.ndarray]]:
         """A piecewise-constant W >= V^2 as ``steps``: these, or the largest nodal V^2 (V^2 is convex on a cell) on
-        each of floor(4 l / u) runs of cells, about u/4 (the smallest a) or more long, which bound D's order."""
+        each of floor(l / run) runs of cells, about ``run`` or more long, which bound D's order."""
         if self.steps is not None:
             return self.steps
         out = {}
         for e in self.graph.edges:
             ts, v2 = self.nodes(e.id), self.values[e.id] ** 2
-            ends = np.unique(np.linspace(0, ts.size - 1, max(1, int(4.0 * e.length / self.graph.u)) + 1).astype(int))
+            ends = np.unique(np.linspace(0, ts.size - 1, max(1, int(e.length / run)) + 1).astype(int))
             out[e.id] = ts[ends], np.maximum(np.maximum.reduceat(v2[:-1], ends[:-1]), v2[ends[1:]])
         return out
 
@@ -172,10 +172,10 @@ def check_relative_bound(
 
     for the W >= V^2 of :meth:`Potential.squares`, so a margin >= 0 proves
     the bound: the continuum minimum for the presets (W = V^2), a lower bound
-    of it for nodal data.  For M > 0 it is M^2 a lambda_1(H + c), with c =
-    (C + 4/a - W / M^2) / a constant on each piece of W: the lowest eigenvalue
-    of the secular system on W's pieces (compiled once; only c changes with
-    a), from ``1/2 - C + min c - 1``, below it by coercivity.  M = 0 gives 0.
+    of it for nodal data.  For M > 0 it is M^2 a lambda_1(H + c), c = (C +
+    4/a - W / M^2) / a on each piece of W, lambda_1 read from below by
+    :func:`lowest_eigenvalue` on the system of W's pieces (compiled once; c
+    changes with a) from ``1/2 - C + min c - 1``, below it by coercivity; M = 0 gives 0.
 
     worst_window_margin is the window lemma's sharp margin over H^1 of the
     shortest window, ``1 - coth(k l) / sqrt(2)`` with k = sqrt(8)/a: at unit
@@ -190,7 +190,7 @@ def check_relative_bound(
     if V.grid != fa.grid:
         raise ValueError("potential sampled on a different mesh than the assembly")
     g, M = fa.graph, uniform_l2_norm(fa.graph, V).M
-    by_edge = V.squares()
+    by_edge = V.squares(min(a_values, default=g.u))  # runs as long as the smallest a
     squares = [by_edge[e.id] for e in g.edges]
     W, system = np.concatenate([w2 for _, w2 in squares]), compiled(g, fa.bc)
     pieces = system.cut(tuple(tuple((s[1:-1] / e.length).tolist()) for e, (s, _) in zip(g.edges, squares)))

@@ -260,10 +260,8 @@ class SecularSystem:
 
     def decoupled_count(self, lam: float) -> int:
         """N_D(lambda): how many decoupled energies (n pi / l_e)^2 + shift_e, n >= 1, lie below lambda."""
-        if isinstance(self.shift, np.ndarray):  # one energy per edge
-            n = np.ceil(np.sqrt(np.maximum(lam - self.shift, 0.0)) * self.lengths / math.pi) - 1
-            return int(np.sum(np.maximum(n, 0.0)))
-        return int(np.sum(np.ceil(math.sqrt(lam) * self.lengths / math.pi) - 1)) if lam > 0 else 0
+        n = np.ceil(np.sqrt(np.maximum(lam - self.shift, 0.0)) * self.lengths / math.pi) - 1  # -1 at energy <= 0
+        return int(np.sum(np.maximum(n, 0.0)))
 
     def decoupled_energies(self, lo: float, hi: float) -> np.ndarray:
         """The distinct decoupled energies in [lo, hi], ascending."""
@@ -346,22 +344,24 @@ def _newton_root(system: SecularSystem, j: int, a: float, b: float, xtol: float)
 
 
 def lowest_eigenvalue(system: SecularSystem, lo: float) -> float:
-    """The lowest eigenvalue of ``system``, from a ``lo`` below it (count(lo) > 0 is a :class:`RankAnomaly`).
+    """A lower end, within CLUSTER_RTOL, of the lowest eigenvalue of ``system``, from a ``lo`` below it.
 
-    Dirichlet bracketing on one edge gives count(hi) >= 1 at ``hi = min_e (pi / l_e)^2 (1 + 4 POLE_RTOL) + shift_e``.
-    Bisection on the count of ``system.at(x)`` (split in a pole band) narrows [lo, hi] to one root and no decoupled
-    energy, where :func:`_newton_root` refines it; a multiple root is bisected to CLUSTER_RTOL."""
+    Dirichlet bracketing on one edge gives count(hi) >= 1 at ``hi = min_e (pi / l_e)^2 (1 + 4 POLE_RTOL) + shift_e``;
+    count(lo) > 0 or count(hi) = 0 is a :class:`RankAnomaly`.  Bisection on the count of ``system.at(x)`` (split in
+    a pole band) narrows [lo, hi] to one root and no decoupled energy, where :func:`_newton_root` refines it (less
+    its tolerance); a multiple root is bisected to CLUSTER_RTOL, and the bracket's lower end returned."""
     hi = float(np.min((math.pi / system.lengths) ** 2 * (1.0 + 4.0 * POLE_RTOL) + system.shift))
-    if n := system.at(lo).count(lo):
-        raise RankAnomaly(f"the count at lo={lo} is {n}, not 0: lo must lie below the spectrum")
-    n_hi, xtol = system.at(hi).count(hi), CLUSTER_RTOL * max(1.0, abs(lo), abs(hi))
+    n_lo, n_hi = system.at(lo).count(lo), system.at(hi).count(hi)
+    if n_lo or not n_hi:
+        raise RankAnomaly(f"the counts at lo={lo} and hi={hi} are {n_lo} and {n_hi}, not 0 and at least 1")
+    xtol = CLUSTER_RTOL * max(1.0, abs(lo), abs(hi))
     while hi - lo > xtol:
         if n_hi == 1 and not _resonant(system.lengths, lo - system.shift, hi - system.shift).any():
-            return _newton_root(system, 0, lo, hi, xtol)
+            return max(lo, _newton_root(system, 0, lo, hi, xtol) - xtol)
         mid = 0.5 * (lo + hi)
         n = system.at(mid).count(mid)
         lo, hi, n_hi = (mid, hi, n_hi) if n == 0 else (lo, mid, n)
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def _cut_points(vals: np.ndarray, grid: np.ndarray) -> set[float]:

@@ -324,21 +324,18 @@ def test_inequality_checks_are_dense_minima(name, g, bc, h):
 
     rng = np.random.default_rng(7)
     V = Potential.from_callable(g, h, lambda eid, ts: rng.uniform(-3.0, 3.0, ts.shape))
-    squares = V.squares()
-    p1 = {}  # mesh width -> (A - R, B, C* W C) with W's integral exact on every cell
-    for mesh in (h, h / 2):
-        fm = assemble(g, bc, mesh)
-        C_m = fm.constraint.toarray()
-        W = C_m.conj().T @ _weighted_mass(g, mesh, squares) @ C_m
-        p1[mesh] = (fm.stiffness - fm.boundary).toarray(), fm.mass.toarray(), W
+    fms = [assemble(g, bc, mesh) for mesh in (h, h / 2)]
     M = uniform_l2_norm(g, V).M
     for a in (g.u / 4, g.u / 2, g.u):
         [rb] = check_relative_bound(fa, V, [a], const.C)
         C_a = M**2 * (const.C + 4.0 / a)
         assert (rb.M, rb.C_a) == (M, C_a)
-        # the continuum minimum of M^2 a q + C_a ||f||^2 - int W |f|^2 lies below its P1 minimum, by O(h^2)
+        # the continuum minimum of M^2 a q + C_a ||f||^2 - int W |f|^2 (W on runs as long as a, its
+        # integral exact on every cell) lies below its P1 minimum, by O(h^2)
         gaps = []
-        for mesh, (K, Bm, Wm) in p1.items():
+        for fm in fms:
+            K, Bm, C_m = (fm.stiffness - fm.boundary).toarray(), fm.mass.toarray(), fm.constraint.toarray()
+            Wm = C_m.conj().T @ _weighted_mass(g, fm.h_max, V.squares(a)) @ C_m
             ref = scipy.linalg.eigh(M**2 * a * K + C_a * Bm - Wm, Bm, eigvals_only=True)[0]
             assert rb.worst_margin <= ref + 1e-9 * max(1.0, abs(ref)), (rb.worst_margin, ref)
             gaps.append(ref - rb.worst_margin)

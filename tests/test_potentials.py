@@ -263,17 +263,17 @@ def test_constant_margin_is_the_closed_form(c):
 
 
 def test_nodal_squares_bound_v_squared():
-    # for nodal data W is the largest nodal V^2 on runs of whole cells about u/4 long: it bounds the
-    # piecewise-linear V's square everywhere (a rising V puts each run's maximum at its right end), which
+    # for nodal data W is the largest nodal V^2 on runs of whole cells about a run length long: it bounds
+    # the piecewise-linear V's square everywhere (a rising V puts each run's maximum at its right end), which
     # makes the margin a lower bound of the one with V^2
     g = star_graph(3, length=1.3)
     for fn in (lambda eid, ts: np.random.default_rng(5).uniform(-4.0, 4.0, ts.shape), lambda eid, ts: 3.0 * ts):
         V = Potential.from_callable(g, H, fn)
-        for e in g.edges:
-            s, w = V.squares()[e.id]
+        for e, run in zip(g.edges, (g.u / 4, g.u / 2, g.u)):
+            s, w = V.squares(run)[e.id]
             ts = np.linspace(0.0, e.length, 20001)
             assert np.isin(s, V.nodes(e.id)).all() and s[0] == 0.0 and s[-1] == e.length
-            assert np.min(np.diff(s)) >= g.u / 4 - V.mesh(e.id)
+            assert np.min(np.diff(s)) >= run - V.mesh(e.id) and s.size - 1 == int(e.length / run)
             assert np.all(w[np.searchsorted(s, ts, side="right").clip(1, w.size) - 1] >= V.evaluate(e.id, ts) ** 2)
 
 

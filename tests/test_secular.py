@@ -865,6 +865,20 @@ def test_cut_pieces_count_like_the_uncut_graph():
     assert secular.lowest_eigenvalue(pieces, -1.0) == pytest.approx(roots[0], rel=1e-11)
 
 
+def test_lowest_eigenvalue_is_a_lower_end_of_a_checked_bracket(monkeypatch):
+    # the Dirichlet pi-interval's lowest eigenvalue 1 sits on a pole: the bisection returns its bracket's
+    # lower end, within the tolerance below 1; a count above 0 at lo, or of 0 at hi (Dirichlet bracketing
+    # gives at least 1 there), is an anomaly rather than a bound read off the wrong end
+    g = interval_graph(math.pi)
+    system = SecularSystem(g, uniform_bc(g, "dirichlet"))
+    assert 1.0 - 2.0 * secular.CLUSTER_RTOL <= secular.lowest_eigenvalue(system, -1.0) <= 1.0
+    with pytest.raises(secular.RankAnomaly, match=r"counts at lo=2.0 and hi=1.0000\d+ are 1 and 1"):
+        secular.lowest_eigenvalue(system, 2.0)
+    monkeypatch.setattr(system, "count", lambda lam: 0)
+    with pytest.raises(secular.RankAnomaly, match=r"are 0 and 0, not 0 and at least 1"):
+        secular.lowest_eigenvalue(system, -1.0)
+
+
 def test_one_cut_per_edge_keeps_the_split_layout():
     g, _ = dirichlet_tip_star(1.0, 1.5, 2.0)
     fracs = (0.3, 0.6, 0.7)
