@@ -54,7 +54,7 @@ class BoundaryCondition:
         return self.conditions[v][1]
 
     def ker_ran(self, v: VertexId) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal bases of ker P_v and ran P_v, from one ``eigh`` of P_v."""
+        """Orthonormal bases of ker P_v and ran P_v, from one ``eigh`` of P_v: the split a compiled secular system keeps."""
         w, vecs = np.linalg.eigh(self.P(v))
         return vecs[:, w < KERNEL_EIGENVALUE_SPLIT], vecs[:, w >= KERNEL_EIGENVALUE_SPLIT]
 

@@ -178,7 +178,7 @@ def cmd_expansion(args: argparse.Namespace) -> int:
     kept = [h for h, n in zip(hits, before) if n < args.modes]
     rep = expansion.DiscreteSpectralRep.from_secular(g, bc, kept, args.mesh)
     wf = expansion.build_weight(g, _parse_base_point(g, args.weight_base), args.weight_eps)
-    const = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u)
+    const = boundary.coercivity_constant(secular.compiled(g, bc).S, g.u)
     C = args.hs_c if args.hs_c is not None else const.C + 1.0
     hs = expansion.hs_norm_sq(rep, wf.sample(args.mesh), C, inverse_sup=wf.inverse_sup)
 

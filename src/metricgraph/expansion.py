@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boundary import BoundaryCondition, lp_mixing
+from .boundary import BoundaryCondition
 from .functions import GridFunction, Mesh, _smoothstep, _smoothstep_d1, _smoothstep_d2, inner
 from .graph import (
     EdgeId,
@@ -216,7 +216,7 @@ class DiscreteSpectralRep:
         found = [(hit.lam, eigenfunction(g, bc, hit.lam, hit.multiplicity)) for hit in hits]
         layers = [(j, lam, sol) for lam, sols in found for j, sol in enumerate(sols, start=1)]
         rows = (grid.sample(sol.evaluate) for _, _, sol in layers)
-        return cls._on(grid, [(lam, len(sols)) for lam, sols in found], rows, layers, system._K.shape[1])
+        return cls._on(grid, [(lam, len(sols)) for lam, sols in found], rows, layers, system.K.shape[1])
 
     @classmethod
     def from_fem(cls, es, mult_tol: float = 1e-6) -> "DiscreteSpectralRep":
@@ -429,18 +429,17 @@ def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[TestFun
     The star tests realize every admissible trace datum: for each kernel
     basis vector q of P_v the pair ``(f(v), f'(v)) = (q, -(1-P) L q)`` and for
     each range basis vector p the pair ``(0, p)``; both satisfy
-    ``P f(v) = 0`` and ``L f(v) + (1-P) f'(v) = 0`` identically.  Where L
-    maps ker P into ran P (:func:`boundary.lp_mixing`) the kernel data leave
-    the residual ``P L q`` and are dropped.
+    ``P f(v) = 0`` and ``L f(v) + (1-P) f'(v) = 0`` identically, with the
+    bases of the :func:`secular.compiled` ``stars``.  At its ``anomaly_vertices``
+    L maps ker P into ran P: the kernel data leave ``P L q`` and are dropped.
     """
     tests: list[TestFunction] = []
     for e in g.edges:
         tests.append(BumpTest(f"bump:{e.id}", e.id, 0.5 * e.length, 0.4 * min(e.length, 2.0 * g.u)))
-    for v in g.vertices:
-        L, P = bc.L(v), bc.P(v)
-        d = g.degree(v)
-        K, Rb = bc.ker_ran(v)
-        data = [] if lp_mixing(L, P) else [(q, P @ (L @ q) - L @ q) for q in K.T]
+    system = compiled(g, bc)
+    for v, (K, Rb, L) in zip(g.vertices, system.stars):
+        P, d = bc.P(v), g.degree(v)
+        data = [] if v in system.anomaly_vertices else [(q, P @ (L @ q) - L @ q) for q in K.T]
         data += [(np.zeros(d, dtype=complex), p) for p in Rb.T]
         for idx, (a_vec, b_vec) in enumerate(data):
             a_vec, b_vec = np.asarray(a_vec, dtype=complex), np.asarray(b_vec, dtype=complex)
@@ -608,8 +607,8 @@ def compile_battery(
     ``tests`` defaults to :func:`standard_test_battery`.  Tests outside the
     operator domain are rejected with a ``ValueError``: a bump that leaves
     its edge, and a star test at v whose residual exceeds
-    ``CONDITION_TOL max(1, ||L_v||)``, the scale at which
-    :func:`boundary.lp_mixing` accepts kernel data.  A star ramp ends at
+    ``CONDITION_TOL max(1, ||L_v||)``, the scale of the ``lp-mixing`` check
+    of :func:`boundary.validate_bc`.  A star ramp ends at
     ``STAR_RHO u``, at most ``0.45 l_e`` on a valid graph, so it fits.
     Every ||f||^2 is in closed form: ``r 2048/3003`` for a bump of radius
     r, and ``sum_k m_0 |a_k|^2 + 2 m_1 Re(conj(a_k) b_k) + m_2 |b_k|^2``

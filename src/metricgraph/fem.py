@@ -5,8 +5,9 @@ The form is
     q(f, g) = sum_e int f' conj(g)' dt  -  sum_v <L_v f(v), g(v)>
 
 on functions with ``P_v f(v) = 0``.  Degrees of freedom are the interior
-nodes of every edge plus, per vertex, coordinates over an orthonormal basis
-of ``ker P_v``; the vertex constraint is eliminated exactly rather than
+nodes of every edge plus the columns of K, the orthonormal ker P_v bases that
+the pair's compiled :class:`~metricgraph.secular.SecularSystem` owns with
+``K^H L K`` and S; the vertex constraint is eliminated exactly rather than
 penalized, so low eigenvalues are not polluted.
 
 For piecewise-linear functions the assembled matrices are exact: the
@@ -34,9 +35,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .boundary import BoundaryCondition, CoercivityConstant, coercivity_constant, require_valid_bc
+from .boundary import BoundaryCondition, CoercivityConstant, coercivity_constant
 from .functions import GridFunction, Mesh
 from .graph import MetricGraph
+from .secular import compiled
 
 RESIDUAL_RTOL = 1e-8
 
@@ -135,43 +137,24 @@ class FormAssembly:
 
 
 def assemble(g: MetricGraph, bc: BoundaryCondition, h_max: float) -> FormAssembly:
-    """Build the constrained P1 system for a compact valid graph."""
+    """The constrained P1 system of a compact valid graph, from the pair's :func:`secular.compiled` system:
+    C maps each slot row of its K to that slot's mesh node, and R is its ``K^H L K``, symmetrized."""
     g.require_valid()
     g.require_compact("finite-element assembly")
-    S = require_valid_bc(g, bc)
+    system = compiled(g, bc)
 
     # full nodal layout: the mesh's; constrained layout: interior nodes edge
-    # by edge, then per-vertex kernel coordinates
+    # by edge, then K's columns (per-vertex kernel coordinates)
     grid = Mesh(g, h_max)
     interior = np.delete(np.arange(grid.n_nodes), np.concatenate([grid.offsets[:-1], grid.offsets[1:] - 1]))
-    n_interior = interior.size
-    c_rows: list[np.ndarray] = [interior]
-    c_cols: list[np.ndarray] = [np.arange(n_interior)]
-    c_vals: list[np.ndarray] = [np.ones(n_interior)]
-    r_rows: list[np.ndarray] = []
-    r_cols: list[np.ndarray] = []
-    r_vals: list[np.ndarray] = []
-    col = n_interior
-    for v in g.vertices:
-        K = bc.ker_ran(v)[0]
-        d, m = K.shape
-        idx = np.arange(col, col + m)
-        c_rows.append(np.repeat(grid.slot_stencil[0][g.slots[v]], m))
-        c_cols.append(np.tile(idx, d))
-        c_vals.append(K.ravel())
-        # R is block diagonal: one K* L_v K block per vertex
-        r_rows.append(np.repeat(idx, m))
-        r_cols.append(np.tile(idx, m))
-        r_vals.append((K.conj().T @ bc.L(v) @ K).ravel())
-        col += m
-    dim = col
-    C = _triplets((grid.n_nodes, dim), c_rows, c_cols, c_vals)
-    R = _triplets((dim, dim), r_rows, r_cols, r_vals)
-    R = SparseMatrix(0.5 * (R + R.conj().T))
-    R.eliminate_zeros()
+    K, kLk, n = system.K, 0.5 * (system.kLk + system.kLk.conj().T), interior.size
+    dim, (slot, col), (i, j) = n + K.shape[1], np.nonzero(K), np.nonzero(kLk)
+    rows, cols = [interior, grid.slot_stencil[0][slot]], [np.arange(n), n + col]
+    C = _triplets((grid.n_nodes, dim), rows, cols, [np.ones(n), K[slot, col]])
+    R = SparseMatrix(_triplets((dim, dim), [n + i], [n + j], [kLk[i, j]]))
 
     # the constraint fixed so far maps the mesh's cell matrices to A and B
-    fa = FormAssembly(grid, bc, None, R, None, C, None, S)
+    fa = FormAssembly(grid, bc, None, R, None, C, None, system.S)
     left, h = grid.cells()
     A = fa.constrain(element_matrix(grid.n_nodes, left, 1.0 / h, -1.0 / h, 1.0 / h))
     B = fa.constrain(element_matrix(grid.n_nodes, left, h / 3.0, h / 6.0, h / 3.0))

@@ -19,9 +19,9 @@ of eigenvalues below lambda is ``N_D(lambda) + n_-(D(lambda))``, with N_D the
 decoupled count (Berkolaiko & Kuchment, *Introduction to Quantum Graphs*,
 ch. 3), whose jump at a root sizes its eigenspace.  In a band ``p -+ POLE_RTOL
 p`` around a decoupled energy each edge is cut at the first of CUTS whose
-pieces clear it (:meth:`SecularSystem.split`).  :class:`SecularSystem` builds
-the constant parts once per (g, bc) pair (:func:`compiled`).  D is its only
-matrix; counts, roots and null vectors read the :meth:`~SecularSystem.scaled` D.
+pieces clear it (:meth:`SecularSystem.split`).  :class:`SecularSystem` owns S, K
+and K^H L K, built once per (g, bc) pair (:func:`compiled`).  D is its only
+matrix in lambda; counts, roots and null vectors read the :meth:`~SecularSystem.scaled` D.
 A system may also be cut (:meth:`~SecularSystem.cut`) and shifted by c_e on
 each edge, which then solves ``-f'' + c_e f = lambda f``: (a, b) and N_D read
 the energy lambda - c_e per edge (:func:`lowest_eigenvalue`).
@@ -165,38 +165,39 @@ def _blocks(arrays: Iterable[np.ndarray]) -> np.ndarray:
 class SecularSystem:
     """The vertex-condition system of (g, bc), compiled once for every lambda.
 
-    The one place where ``P f = 0, L f + (1 - P) f' = 0`` become a matrix: it
-    validates (g, bc), splits each P_v into ker/ran bases, stacks the ker bases
-    into K and keeps K's rows at each edge's two slots and ``K^H L K``, so that
-    D(lambda) = K^H (Lambda - L) K costs one DtN evaluation per lambda.  D omits
-    ``P L f(v)``, nonzero only at ``anomaly_vertices``; :func:`eigenfunction`
-    checks the full conditions.
+    The one place where ``P f = 0, L f + (1 - P) f' = 0`` become matrices: it
+    validates (g, bc) into ``S``, splits each P_v once (``stars``: ker basis, ran
+    basis and L_v per vertex), stacks the ker bases into ``K`` (slots x columns,
+    a block per vertex) and keeps ``kLk = K^H L K``, which the P1 assembly and
+    the test battery read too; D(lambda) = K^H (Lambda - L) K then costs one DtN
+    evaluation per lambda.  D omits ``P L f(v)``, nonzero only at
+    ``anomaly_vertices``; :func:`eigenfunction` checks the full conditions.
     """
 
     def __init__(self, g: MetricGraph, bc: BoundaryCondition) -> None:
         g.require_valid()
         g.require_compact("the secular system")
-        require_valid_bc(g, bc)
+        self.S = require_valid_bc(g, bc)
         self.anomaly_vertices = tuple(v for v in g.vertices if lp_mixing(bc.L(v), bc.P(v)))
         self._compile(g, [(*bc.ker_ran(v), bc.L(v)) for v in g.vertices])
 
     def _compile(self, g: MetricGraph, stars: list[tuple[np.ndarray, np.ndarray, np.ndarray]], shift=0.0) -> None:
         """The constant blocks from each vertex's (ker, ran, L), in ``g.vertices`` order."""
-        self.graph, self._stars, self._splits, self.shift = g, stars, {}, shift
+        self.graph, self.stars, self._splits, self.shift = g, stars, {}, shift
         self.lengths = np.array([e.length for e in g.edges], dtype=float)
         init, term = g.slot_ends
-        self._K = K = _blocks(ker for ker, _, _ in stars)
+        self.K = K = _blocks(ker for ker, _, _ in stars)
         self._k = np.vstack([K[init], K[term]]), np.vstack([K[term], K[init]])  # K at both ends, and swapped
         self._kh = self._k[0].conj().T
-        self._kLk = _blocks(ker.conj().T @ L @ ker for ker, _, L in stars)
-        self._scale = np.abs(K[init]) ** 2 + np.abs(K[term]) ** 2, np.abs(np.diagonal(self._kLk))  # see scaled
+        self.kLk = _blocks(ker.conj().T @ L @ ker for ker, _, L in stars)
+        self._scale = np.abs(K[init]) ** 2 + np.abs(K[term]) ** 2, np.abs(np.diagonal(self.kLk))  # see scaled
 
     def cut(self, cuts: tuple[tuple[float, ...], ...], shift: np.ndarray | float = 0.0) -> SecularSystem:
         """This system on ``split_graph(g, cuts)``, each cut a Kirchhoff joint of degree 2, with ``shift``."""
         joint = (*np.array([[[1.0], [1.0]], [[1.0], [-1.0]]]) / math.sqrt(2.0), np.zeros((2, 2)))
         out = SecularSystem.__new__(SecularSystem)
-        out.anomaly_vertices = self.anomaly_vertices
-        out._compile(split_graph(self.graph, cuts), self._stars + [joint] * sum(map(len, cuts)), shift)
+        out.S, out.anomaly_vertices = self.S, self.anomaly_vertices
+        out._compile(split_graph(self.graph, cuts), self.stars + [joint] * sum(map(len, cuts)), shift)
         return out
 
     def shifted(self, shift: np.ndarray) -> SecularSystem:
@@ -225,7 +226,7 @@ class SecularSystem:
 
     def _vertex_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.concatenate([a, a])[:, None], np.concatenate([b, b])[:, None]
-        return self._kh @ (a * self._k[0] - b * self._k[1]) - self._kLk
+        return self._kh @ (a * self._k[0] - b * self._k[1]) - self.kLk
 
     def scaled(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """(r, ``r D(lambda) r``) for r = C^-1/2, C the coefficient scale of D: with (a, b) the DtN blocks,
@@ -241,7 +242,7 @@ class SecularSystem:
         r, S = self.scaled(lam)
         mu, Z = np.linalg.eigh(S)
         near = np.abs(mu) <= SINGULAR_RTOL
-        X = self._K @ (r[:, None] * Z[:, near])
+        X = self.K @ (r[:, None] * Z[:, near])
         if m is not None and m > X.shape[1]:
             msg = f"D(lambda) has a {X.shape[1]}-dimensional null space at lambda={lam}, but the eigenvalue count gives"
             raise RankAnomaly(f"{msg} multiplicity {m}")
@@ -335,7 +336,7 @@ def _newton_root(system: SecularSystem, j: int, a: float, b: float, xtol: float)
         if mu[j] == 0.0:
             return x
         a, b = (x, b) if mu[j] > 0 else (a, x)
-        X, e = system._K @ (r * Z[:, j])[:, None], x - system.shift
+        X, e = system.K @ (r * Z[:, j])[:, None], x - system.shift
         step = mu[j] / _gram(e, system.lengths, *_dtn(e, system.lengths), *system.graph.slot_ends, X)[0, 0].real
         if abs(step) <= xtol:
             return x + step

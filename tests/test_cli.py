@@ -116,6 +116,24 @@ def test_every_command_accepts_bc_under_one_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["spectrum", "--modes", "3", "--mesh", "0.05"], ["expansion", "--modes", "3", "--mesh", "0.05"],
+     ["potential", "--modes", "3", "--mesh", "0.05", "--potential", "const:1.0"]],
+    ids=["validate", "spectrum", "expansion", "potential"],
+)
+def test_each_command_validates_the_condition_once(tmp_path, capsys, monkeypatch, argv):
+    # the scan, the P1 assembly, the battery and S all read the pair's compiled system
+    from metricgraph import boundary
+
+    original, calls = boundary.validate_bc, []
+    monkeypatch.setattr(boundary, "validate_bc", lambda *a: calls.append(1) or original(*a))
+    edges = [{"id": f"e{k}", "length": 1.0 + 0.2 * k, "from": "c", "to": f"t{k}"} for k in range(3)]
+    star = {"u": 1.0, "vertices": ["c", "t0", "t1", "t2"], "edges": edges}
+    _run_clean(tmp_path, capsys, star, {v: "kirchhoff" for v in star["vertices"]}, argv)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         ({"delta": math.nan}, "L or P at vertex 'v' has a non-finite norm"),

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from metricgraph import (
     BoundaryCondition,
@@ -175,13 +176,42 @@ def test_sparse_eigensystem_matches_dense_eigh(name, g, bc, h, k):
     assert fa.stiffness.nnz <= 5 * fa.dim
 
 
+def _per_vertex_constraint(fa):
+    """Dense (C, R) built vertex by vertex from ``bc.ker_ran``: kernel coordinates after the interior nodes, and
+    one symmetrized ``K^H L_v K`` block per vertex."""
+    g, bc, grid = fa.graph, fa.bc, fa.grid
+    interior = np.delete(np.arange(grid.n_nodes), np.concatenate([grid.offsets[:-1], grid.offsets[1:] - 1]))
+    C, R = np.zeros((grid.n_nodes, fa.dim), dtype=complex), np.zeros((fa.dim, fa.dim), dtype=complex)
+    C[interior, np.arange(interior.size)] = 1.0
+    col = interior.size
+    for v in g.vertices:
+        K = bc.ker_ran(v)[0]
+        idx = np.arange(col, col + K.shape[1])
+        C[np.ix_(grid.slot_stencil[0][g.slots[v]], idx)] = K
+        R[np.ix_(idx, idx)] = K.conj().T @ bc.L(v) @ K
+        col += K.shape[1]
+    assert col == fa.dim
+    return C, 0.5 * (R + R.conj().T)
+
+
+@pytest.mark.parametrize("name,g,bc,h,k", _oracle_cases(), ids=[c[0] for c in _oracle_cases()])
+def test_constraint_map_matches_the_per_vertex_construction(name, g, bc, h, k):
+    # the assembly reads the secular system's K and K^H L K; the reference splits each P_v itself
+    fa = assemble(g, bc, h)
+    C, R = _per_vertex_constraint(fa)
+    for got, want in ((fa.constraint, C), (fa.boundary, R)):
+        got, want = got.copy(), scipy.sparse.csr_matrix(want)
+        got.eliminate_zeros(), want.eliminate_zeros()
+        assert (got != want).nnz == 0 and got.nnz == want.nnz
+
+
 def _p1_count(fa, tau):
     """Constrained P1 eigenvalues below tau for V = 0, by Haynsworth's inertia formula.
 
     Each edge's interior block T_e(tau) (stiffness - tau mass) has the Toeplitz eigenvalues
     (2 - 2 cos t)/h - tau h (2 + cos t)/3, t = j pi / n; its 2x2 Schur complement onto the edge
     ends, by a banded solve, sits at the edge's slots, and the vertex term is
-    n_-(K^H S K - K^H L K) with K and K^H L K from the secular system, not from the assembly.
+    n_-(K^H S K - K^H L K) with K and K^H L K from a fresh secular system, not from the assembly's matrices.
     """
     system = secular.SecularSystem(fa.graph, fa.bc)
     init, term = fa.graph.slot_ends
@@ -198,7 +228,7 @@ def _p1_count(fa, tau):
             x = scipy.linalg.solve_banded((1, 1), band, np.eye(n - 1)[:, [0, -1]])
             block = end * np.eye(2) - off**2 * x[[0, -1]]
         S[np.ix_([init[k], term[k]], [init[k], term[k]])] = block
-    D = system._K.conj().T @ S @ system._K - system._kLk
+    D = system.K.conj().T @ S @ system.K - system.kLk
     return count + int(np.sum(np.linalg.eigvalsh(D) < 0))
 
 

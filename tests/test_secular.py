@@ -778,7 +778,11 @@ def test_compiled_system_matches_per_vertex_builder(name, g, bc):
         for got, k in zip(sol.trace_values(), (0, 1)):
             want = np.concatenate([maps[v][k] @ x for v in g.vertices])
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (name, lam, k)
-    assert SecularSystem(g, bc).anomaly_vertices == (("c",) if name == "lp-mixing" else ())
+    system = SecularSystem(g, bc)
+    assert system.anomaly_vertices == (("c",) if name == "lp-mixing" else ())
+    assert system.S == boundary.validate_bc(g, bc)[1] > 0
+    for derived in (system.cut(((0.5,),) * len(g.edges)), system.shifted(np.ones(len(g.edges)))):
+        assert (derived.S, derived.anomaly_vertices) == (system.S, system.anomaly_vertices)
 
 
 def test_scan_validates_once(monkeypatch):
