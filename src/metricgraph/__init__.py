@@ -20,7 +20,6 @@ from .expansion import (
     hs_norm_sq,
     parseval,
     reconstruct,
-    standard_test_battery,
 )
 from .fem import FormAssembly, DiscreteEigensystem, assemble, check_boundary_bound, check_coercivity, eigensystem
 from .functions import (

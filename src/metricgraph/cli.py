@@ -2,9 +2,11 @@
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical check
 fails (inequality violated, solver disagreement over budget, residual above
-tolerance), 2 on unusable input.  The inequality checks are exact minima
-and the one randomized check (``expansion``'s random span) takes a seed, so
-the reports are deterministic byte-for-byte given the same configuration.
+tolerance), 2 on unusable input.  ``potential``'s margins are proven lower
+ends read from an exact count or in closed form, and ``expansion``'s random
+span takes a seed, so the reports are byte-for-byte deterministic for a fixed
+configuration, BLAS thread count included (``spectrum``'s FEM eigenvalues on
+complex vertex conditions move in their last digits with it).
 Each command reads the parsed arguments directly.  Every flag and its
 default is defined once, in :data:`FLAGS`, and each subcommand accepts only
 the flags its command reads: any other flag is a usage error (exit 2).

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -352,46 +352,6 @@ _BUMP_NORM_SQ = 2048.0 / 3003.0  # int (1 - s^2)^6 ds over [-1, 1]: a bump's ||f
 _CHI_MOMENTS = (643.0 / 924.0, 151.0 / 616.0, 8399.0 / 72072.0)  # int_0^1 x^j chi(x)^2 dx, chi ramping over [1/2, 1]
 
 
-@dataclass(frozen=True)
-class BumpTest:
-    """Interior bump ``(1 - s^2)^3`` with ``s = (t - center) / radius`` on one edge.
-
-    It vanishes to second order at ``center +- radius``, inside the edge, so
-    it meets every vertex condition trivially.
-    """
-
-    label: str
-    edge: EdgeId
-    center: float
-    radius: float
-
-    def condition_residual(self, g: MetricGraph, bc: BoundaryCondition) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class StarTest:
-    """Star-supported test with trace datum ``(f(v), f'(v)) = (value, deriv)``.
-
-    On slot k of the vertex star it is ``(a_k + b_k tau) chi(tau)`` in the
-    inward coordinate tau, with ``a = value``, ``b = deriv`` and chi a C^2
-    quintic ramp from 1 to 0 over ``[rho/2, rho]``, ``rho = STAR_RHO u``.
-    So the test is linear in its datum: per slot, ``a_k`` times the shape
-    chi plus ``b_k`` times the shape tau chi.
-    """
-
-    label: str
-    vertex: VertexId
-    value: np.ndarray
-    deriv: np.ndarray
-
-    def condition_residual(self, g: MetricGraph, bc: BoundaryCondition) -> float:
-        return bc.vertex_residual(self.vertex, self.value, self.deriv)
-
-
-TestFunction = BumpTest | StarTest
-
-
 def _gl_panels(a: float, b: float, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """8-point Gauss panels on [a, b], split at any interior cuts (grid kinks).
 
@@ -404,6 +364,15 @@ def _gl_panels(a: float, b: float, cuts: np.ndarray) -> tuple[np.ndarray, np.nda
     ts = (mids[:, None] + halves[:, None] * _GL8_NODES[None, :]).ravel()
     ws = (halves[:, None] * _GL8_WEIGHTS[None, :]).ravel()
     return ts, ws
+
+
+def _bumps(g: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Centre l/2 and radius 0.4 min(l, 2u) of each edge's bump, in ``g.edges`` order.
+
+    The radius is at most 0.4 l, so every bump lies inside its edge.
+    """
+    lengths = np.array([e.length for e in g.edges])
+    return 0.5 * lengths, 0.4 * np.minimum(lengths, 2.0 * g.u)
 
 
 def _bump_values(t: np.ndarray, center: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -423,30 +392,6 @@ def _slot_shapes(tau: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, n
     return chi, d2, tau * chi, 2.0 * d1 + tau * d2
 
 
-def standard_test_battery(g: MetricGraph, bc: BoundaryCondition) -> list[TestFunction]:
-    """One interior bump per edge plus d_v star-supported tests per vertex.
-
-    The star tests realize every admissible trace datum: for each kernel
-    basis vector q of P_v the pair ``(f(v), f'(v)) = (q, -(1-P) L q)`` and for
-    each range basis vector p the pair ``(0, p)``; both satisfy
-    ``P f(v) = 0`` and ``L f(v) + (1-P) f'(v) = 0`` identically, with the
-    bases of the :func:`secular.compiled` ``stars``.  At its ``anomaly_vertices``
-    L maps ker P into ran P: the kernel data leave ``P L q`` and are dropped.
-    """
-    tests: list[TestFunction] = []
-    for e in g.edges:
-        tests.append(BumpTest(f"bump:{e.id}", e.id, 0.5 * e.length, 0.4 * min(e.length, 2.0 * g.u)))
-    system = compiled(g, bc)
-    for v, (K, Rb, L) in zip(g.vertices, system.stars):
-        P, d = bc.P(v), g.degree(v)
-        data = [] if v in system.anomaly_vertices else [(q, P @ (L @ q) - L @ q) for q in K.T]
-        data += [(np.zeros(d, dtype=complex), p) for p in Rb.T]
-        for idx, (a_vec, b_vec) in enumerate(data):
-            a_vec, b_vec = np.asarray(a_vec, dtype=complex), np.asarray(b_vec, dtype=complex)
-            tests.append(StarTest(f"star:{v}:{idx}", v, a_vec, b_vec))
-    return tests
-
-
 # ---------------------------------------------------------------------------
 # generalized eigenfunction residuals
 # ---------------------------------------------------------------------------
@@ -460,17 +405,24 @@ class ResidualReport:
 
 @dataclass(frozen=True, eq=False)
 class CompiledBattery:
-    """A checked test battery as slot data, independent of the mode.
+    """The checked standard test battery of a (g, bc) pair as slot data, independent of the mode.
 
-    ``value`` and ``deriv`` (tests x slots, :attr:`MetricGraph.slots`) hold
-    each star test's trace datum (f(v), f'(v)), which are also its
-    coefficients on the slot shapes chi and tau chi; bumps have zero rows.
+    Row i is the test ``labels[i]``: first one interior bump
+    ``(1 - s^2)^3``, ``s = (t - l/2) / r``, per edge in ``g.edges`` order
+    (``bump:<edge>``, :func:`_bumps`), then the star tests vertex by vertex
+    (``star:<v>:<i>``).  ``value`` and ``deriv`` (tests x slots,
+    :attr:`MetricGraph.slots`) hold each star test's trace datum (f(v),
+    f'(v)); on slot k the test is ``(value_k + deriv_k tau) chi(tau)`` in
+    the inward coordinate tau, with chi a C^2 quintic ramp from 1 to 0 over
+    ``[rho/2, rho]``, ``rho = STAR_RHO u``, so the datum is also its
+    coefficients on the slot shapes chi and tau chi.  Bumps have zero rows.
     ``norms`` holds every ||f||, in closed form.  No Gauss node is laid out
-    here: only nodal modes need them (:meth:`_load_sums`).
+    here: only nodal modes need them (:meth:`_load_sums`).  The arrays are
+    read-only: every caller of the pair shares them.
     """
 
     graph: MetricGraph
-    tests: tuple[TestFunction, ...]
+    labels: tuple[str, ...]
     potential: GridFunction | None
     norms: np.ndarray
     value: np.ndarray
@@ -505,30 +457,28 @@ class CompiledBattery:
         elif len(phis):
             sums = self._load_sums(phis[0].grid, phis, lams)
         else:
-            sums = np.zeros((len(self.tests), 0), dtype=complex)
-        positive = self.norms > 0
-        res = np.zeros(sums.shape)
-        res[positive] = np.abs(sums[positive]) / self.norms[positive, None]
-        return res
+            sums = np.zeros((len(self.labels), 0), dtype=complex)
+        return np.abs(sums) / self.norms[:, None]
 
     def _load_sums(self, mesh: Mesh, phis: Sequence[GridFunction], lams: np.ndarray) -> np.ndarray:
         """``(H - lambda F) conj(phi)`` for nodal modes phi on ``mesh``, tests x modes.
 
         The atoms are the shapes chi and tau chi of every slot and every
-        bump.  Gauss panels are laid out once per shape family: over the
-        slot pieces ``[0, rho/2]`` and ``[rho/2, rho]`` in the inward
-        coordinate, which chi and tau chi share, and over the bumps.  They
-        split at the nodes of ``mesh`` and of the potential's mesh, where phi
-        and V have kinks.  Each Gauss node splits its ``w (-f'' + V f)`` and
-        ``w f`` onto the two hat functions of its mesh cell with the weights
-        ``w (1 - theta)`` and ``w theta`` of linear interpolation.  The nodes
-        of one atom run along the edge, so the shares of one (atom, cell)
-        pair are consecutive and merge into one entry of the load vectors H
-        and F; chi and tau chi share their nodes, cells, weights and runs.
-        The modes then meet the loads one at a time, summed per atom by
-        ``np.bincount``, and a star test sums ``value @ chi + deriv @ tau chi``
-        over the slot atoms.  No array grows with nodes or runs times modes,
-        and a mode's column does not depend on the other modes.
+        bump (the first ``len(g.edges)`` rows).  Gauss panels are laid out
+        once per shape family: over the slot pieces ``[0, rho/2]`` and
+        ``[rho/2, rho]`` in the inward coordinate, which chi and tau chi
+        share, and over the bumps.  They split at the nodes of ``mesh`` and
+        of the potential's mesh, where phi and V have kinks.  Each Gauss node
+        splits its ``w (-f'' + V f)`` and ``w f`` onto the two hat functions
+        of its mesh cell with the weights ``w (1 - theta)`` and ``w theta`` of
+        linear interpolation.  The nodes of one atom run along the edge, so
+        the shares of one (atom, cell) pair are consecutive and merge into
+        one entry of the load vectors H and F; chi and tau chi share their
+        nodes, cells, weights and runs.  The modes then meet the loads one at
+        a time, summed per atom by ``np.bincount``, and a star test sums
+        ``value @ chi + deriv @ tau chi`` over the slot atoms.  No array grows
+        with nodes or runs times modes, and a mode's column does not depend
+        on the other modes.
         """
         g, n_slots, rho, V = self.graph, self.value.shape[1], STAR_RHO * self.graph.u, self.potential
         meshes = [mesh] if V is None else [mesh, V.grid]
@@ -539,16 +489,11 @@ class CompiledBattery:
         for k, (s0, s1) in enumerate(zip(init, term)):
             lo, mid, hi = lengths[k] - rho, lengths[k] - rho / 2.0, lengths[k]
             slot_pieces += [(k, 0.0, rho / 2.0, s0), (k, rho / 2.0, rho, s0), (k, lo, mid, s1), (k, mid, hi, s1)]
-        bumps = [i for i, test in enumerate(self.tests) if isinstance(test, BumpTest)]
-        centers, radii = np.array([(self.tests[i].center, self.tests[i].radius) for i in bumps]).reshape(-1, 2).T
-        bump_pieces = [  # edge index, t0, t1, bump
-            (g.edge_index[self.tests[i].edge], c - r, c + r, b) for b, (i, c, r) in enumerate(zip(bumps, centers, radii))
-        ]
+        centers, radii = _bumps(g)
+        bump_pieces = [(k, c - r, c + r, k) for k, (c, r) in enumerate(zip(centers, radii))]  # edge index, t0, t1, bump
         # atoms: chi on slot s is atom s, tau chi atom n_slots + s, bump b atom 2 n_slots + b
         left, atom, loads = [], [], []
         for pieces, base in ((slot_pieces, 0), (bump_pieces, 2 * n_slots)):
-            if not pieces:  # a custom battery without bumps
-                continue
             panels = [_gl_panels(t0, t1, cuts[k]) for k, t0, t1, _ in pieces]
             sizes = [ts.size for ts, _ in panels]
             k, a = (np.repeat([p[j] for p in pieces], sizes) for j in (0, 3))
@@ -571,21 +516,21 @@ class CompiledBattery:
                 loads.append([np.add.reduceat(c * x, runs) for x in (hf, f) for c in (w0, w1)])
         left, atom = np.concatenate(left), np.concatenate(atom)
         H0, H1, F0, F1 = (np.concatenate(col) for col in zip(*loads))
-        n_atoms = 2 * n_slots + len(bumps)
-        sums = np.zeros((len(self.tests), len(phis)), dtype=complex)
+        n_bumps = len(g.edges)
+        n_atoms = 2 * n_slots + n_bumps
+        sums = np.zeros((len(self.labels), len(phis)), dtype=complex)
         for m, (phi, lam) in enumerate(zip(phis, lams)):
             conj_phi = np.conj(phi.data)
             terms = (H0 - F0 * lam) * conj_phi[left] + (H1 - F1 * lam) * conj_phi[left + 1]
             by_atom = np.bincount(atom, terms.real, n_atoms) + 1j * np.bincount(atom, terms.imag, n_atoms)
             sums[:, m] = self.value @ by_atom[:n_slots] + self.deriv @ by_atom[n_slots : 2 * n_slots]
-            sums[bumps, m] += by_atom[2 * n_slots :]
+            sums[:n_bumps, m] += by_atom[2 * n_slots :]
         return sums
 
     def residuals(self, phis: Sequence, lams: Sequence[float]) -> list[ResidualReport]:
         """One :class:`ResidualReport` per mode (phi, lambda)."""
-        labels = [t.label for t in self.tests]
         return [
-            ResidualReport(float(np.max(col, initial=0.0)), tuple(zip(labels, col.tolist())))
+            ResidualReport(float(np.max(col, initial=0.0)), tuple(zip(self.labels, col.tolist())))
             for col in self.residual_matrix(phis, lams).T
         ]
 
@@ -596,63 +541,62 @@ def _cells(mesh: Mesh, k: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.nda
     return mesh.offsets[k] + cell, t / mesh.widths[k] - cell
 
 
-def compile_battery(
-    g: MetricGraph,
-    bc: BoundaryCondition,
-    tests: Sequence[TestFunction] | None = None,
-    potential: GridFunction | None = None,
-) -> CompiledBattery:
-    """Check a test battery once and lay out its slot data and norms for many modes.
+def compile_battery(g: MetricGraph, bc: BoundaryCondition, potential: GridFunction | None = None) -> CompiledBattery:
+    """The pair's checked standard battery (:func:`_standard_battery`), carrying ``potential`` if one is given.
 
-    ``tests`` defaults to :func:`standard_test_battery`.  Tests outside the
-    operator domain are rejected with a ``ValueError``: a bump that leaves
-    its edge, and a star test at v whose residual exceeds
-    ``CONDITION_TOL max(1, ||L_v||)``, the scale of the ``lp-mixing`` check
-    of :func:`boundary.validate_bc`.  A star ramp ends at
-    ``STAR_RHO u``, at most ``0.45 l_e`` on a valid graph, so it fits.
-    Every ||f||^2 is in closed form: ``r 2048/3003`` for a bump of radius
-    r, and ``sum_k m_0 |a_k|^2 + 2 m_1 Re(conj(a_k) b_k) + m_2 |b_k|^2``
-    for a star test, with ``m_j = int_0^rho tau^j chi^2 dtau``.
-
-    The standard battery without potential is cached per (g, bc), as :func:`secular.compiled` is.
+    The battery is built and checked once per (g, bc), as :func:`secular.compiled`
+    is; a call with a potential shares its arrays.
     """
-    if tests is None and potential is None:
-        return _standard_battery(g, bc)
-    tests = tuple(standard_test_battery(g, bc) if tests is None else tests)
-    value, deriv = np.zeros((2, len(tests), sum(g.degree(v) for v in g.vertices)), dtype=complex)
-    norm_sq = np.zeros(len(tests))
-    for i, test in enumerate(tests):
-        if isinstance(test, BumpTest):
-            if not 0.0 < test.radius <= test.center <= g.edge(test.edge).length - test.radius:
-                raise ValueError(f"test {test.label!r} leaves its edges, so it is not in the operator domain")
-            norm_sq[i] = _BUMP_NORM_SQ * test.radius
-        else:
-            value[i, g.slots[test.vertex]], deriv[i, g.slots[test.vertex]] = test.value, test.deriv
-        bad = test.condition_residual(g, bc)
-        scale = bc.residual_scale(test.vertex) if isinstance(test, StarTest) else 1.0
-        if bad > CONDITION_TOL * scale:
-            raise ValueError(
-                f"test {test.label!r} violates the vertex conditions (residual {bad:.3e})"
-            )
-    m0, m1, m2 = (c * (STAR_RHO * g.u) ** (j + 1) for j, c in enumerate(_CHI_MOMENTS))
-    norm_sq += m0 * np.sum(np.abs(value) ** 2, axis=1) + m2 * np.sum(np.abs(deriv) ** 2, axis=1)
-    norm_sq += 2.0 * m1 * np.sum((np.conj(value) * deriv).real, axis=1)
-    return CompiledBattery(g, tests, potential, np.sqrt(norm_sq), value, deriv)
+    battery = _standard_battery(g, bc)
+    return battery if potential is None else replace(battery, potential=potential)
 
 
 @functools.lru_cache(maxsize=COMPILED_PAIRS)
 def _standard_battery(g: MetricGraph, bc: BoundaryCondition) -> CompiledBattery:
-    return compile_battery(g, bc, standard_test_battery(g, bc))
+    """One interior bump per edge plus d_v star-supported tests per vertex, as slot arrays.
+
+    The star tests realize every admissible trace datum: for each kernel
+    basis vector q of P_v the pair ``(f(v), f'(v)) = (q, -(1-P) L q)`` and for
+    each range basis vector p the pair ``(0, p)``; both satisfy
+    ``P f(v) = 0`` and ``L f(v) + (1-P) f'(v) = 0`` identically, with the
+    bases of the :func:`secular.compiled` ``stars``.  At its ``anomaly_vertices``
+    L maps ker P into ran P: the kernel data leave ``P L q`` and are dropped.
+    All rows are then checked against the raw (L, P) at once, which guards
+    the shared ker bases: a row whose residual exceeds ``CONDITION_TOL
+    max(1, ||L_v||)``, the scale of the ``lp-mixing`` check of
+    :func:`boundary.validate_bc`, raises a ``ValueError``.  Every ||f||^2 is
+    in closed form: ``r 2048/3003`` for a bump of radius r, and ``sum_k m_0
+    |a_k|^2 + 2 m_1 Re(conj(a_k) b_k) + m_2 |b_k|^2`` for a star test with
+    datum (a, b), with ``m_j = int_0^rho tau^j chi^2 dtau``.
+    """
+    system = compiled(g, bc)
+    labels, rows = [f"bump:{e.id}" for e in g.edges], []
+    for v, (K, Rb, L) in zip(g.vertices, system.stars):
+        P = bc.P(v)
+        data = [] if v in system.anomaly_vertices else [(q, P @ (L @ q) - L @ q) for q in K.T]
+        data += [(0.0, p) for p in Rb.T]
+        labels += [f"star:{v}:{idx}" for idx in range(len(data))]
+        rows += [(g.slots[v], a, b) for a, b in data]
+    value, deriv = np.zeros((2, len(labels), sum(g.degree(v) for v in g.vertices)), dtype=complex)
+    for i, (sl, a, b) in enumerate(rows, start=len(g.edges)):
+        value[i, sl], deriv[i, sl] = a, b
+    bad = bc.worst_residual(g, value.T, deriv.T, relative=True)
+    worst = int(np.argmax(bad))
+    if bad[worst] > CONDITION_TOL:
+        raise ValueError(f"test {labels[worst]!r} violates the vertex conditions (relative residual {bad[worst]:.3e})")
+    norm_sq = np.zeros(len(labels))
+    norm_sq[: len(g.edges)] = _BUMP_NORM_SQ * _bumps(g)[1]
+    m0, m1, m2 = (c * (STAR_RHO * g.u) ** (j + 1) for j, c in enumerate(_CHI_MOMENTS))
+    norm_sq += m0 * np.sum(np.abs(value) ** 2, axis=1) + m2 * np.sum(np.abs(deriv) ** 2, axis=1)
+    norm_sq += 2.0 * m1 * np.sum((np.conj(value) * deriv).real, axis=1)
+    norms = np.sqrt(norm_sq)
+    for arr in (norms, value, deriv):
+        arr.flags.writeable = False
+    return CompiledBattery(g, tuple(labels), None, norms, value, deriv)
 
 
-def generalized_eigenfunction_residual(
-    g: MetricGraph,
-    bc: BoundaryCondition,
-    phi,
-    lam: float,
-    tests: Sequence[TestFunction] | None = None,
-) -> ResidualReport:
-    """max over tests of |<H f, phi> - lambda <f, phi>| / ||f||.
+def generalized_eigenfunction_residual(g: MetricGraph, bc: BoundaryCondition, phi, lam: float) -> ResidualReport:
+    """max over the standard tests of |<H f, phi> - lambda <f, phi>| / ||f||.
 
     ``phi`` is an exact :class:`SecularSolution` at its own energy, scored
     by Green's identity from its vertex traces with no Gauss node, or nodal
@@ -660,12 +604,12 @@ def generalized_eigenfunction_residual(
     Gauss-Legendre panels split at its mesh nodes
     (:meth:`CompiledBattery.residual_matrix`).  Star tests probe the vertex
     conditions, and for nodal data interior bumps probe the differential
-    equation.  Tests outside the operator domain are rejected.
+    equation.
 
-    A one-mode call of :func:`compile_battery`: with the default ``tests``
-    every mode of one (g, bc) pair shares the pair's cached battery.
+    A one-mode call of :func:`compile_battery`: every mode of one (g, bc)
+    pair shares the pair's cached battery.
     """
-    return compile_battery(g, bc, tests).residuals([phi], [lam])[0]
+    return compile_battery(g, bc).residuals([phi], [lam])[0]
 
 
 def intertwining_gap(rep: DiscreteSpectralRep, coeffs: np.ndarray) -> float:

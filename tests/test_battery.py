@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +30,14 @@ from metricgraph import (
     parse_potential_expr,
     perturbed_eigen_report,
     preset,
-    standard_test_battery,
     uniform_bc,
 )
 from metricgraph import SecularSolution, boundary, expansion, potentials
-from metricgraph.expansion import BumpTest, compile_battery
+from metricgraph.expansion import compile_battery
 from metricgraph.functions import Mesh
 from metricgraph.graph import INIT
 
-from conftest import interval_graph, loop_edge_graph
+from conftest import interval_graph, loop_edge_graph, spectral_fixture_list
 
 _GL24 = np.polynomial.legendre.leggauss(24)
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -46,6 +46,53 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 # ---------------------------------------------------------------------------
 # reference: one test at a time, closures per smooth piece
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Bump:
+    """Interior bump ``(1 - s^2)^3``, ``s = (t - center) / radius``, on one edge."""
+
+    label: str
+    edge: str
+    center: float
+    radius: float
+
+
+@dataclass(frozen=True, eq=False)
+class Star:
+    """Star test ``(value_k + deriv_k tau) chi(tau)`` on slot k of one vertex."""
+
+    label: str
+    vertex: str
+    value: np.ndarray
+    deriv: np.ndarray
+
+
+def reference_tests(g, bc):
+    """The standard battery one test at a time, from each vertex's own ker/ran split of P_v and the edge lengths."""
+    tests = [Bump(f"bump:{e.id}", e.id, 0.5 * e.length, 0.4 * min(e.length, 2.0 * g.u)) for e in g.edges]
+    for v in g.vertices:
+        (ker, ran), L, P = bc.ker_ran(v), bc.L(v), bc.P(v)
+        data = [] if boundary.lp_mixing(L, P) else [(q, P @ (L @ q) - L @ q) for q in ker.T]
+        data += [(np.zeros(g.degree(v)), p) for p in ran.T]
+        for idx, (a, b) in enumerate(data):
+            tests.append(Star(f"star:{v}:{idx}", v, np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    return tests
+
+
+def reference_rows(g, tests):
+    """(value, deriv, norms): the tests' slot rows and closed-form norms, filled in one test at a time."""
+    value, deriv = np.zeros((2, len(tests), sum(g.degree(v) for v in g.vertices)), dtype=complex)
+    norm_sq = np.zeros(len(tests))
+    for i, test in enumerate(tests):
+        if isinstance(test, Bump):
+            norm_sq[i] = expansion._BUMP_NORM_SQ * test.radius
+        else:
+            value[i, g.slots[test.vertex]], deriv[i, g.slots[test.vertex]] = test.value, test.deriv
+    m0, m1, m2 = (c * (expansion.STAR_RHO * g.u) ** (j + 1) for j, c in enumerate(expansion._CHI_MOMENTS))
+    norm_sq += m0 * np.sum(np.abs(value) ** 2, axis=1) + m2 * np.sum(np.abs(deriv) ** 2, axis=1)
+    norm_sq += 2.0 * m1 * np.sum((np.conj(value) * deriv).real, axis=1)
+    return value, deriv, np.sqrt(norm_sq)
 
 
 def _gauss(a, b, rule):
@@ -82,7 +129,7 @@ def _ramp(a, b):
 
 def _reference_pieces(g, test):
     """(edge, t0, t1, f, f'') per smooth piece, as closures."""
-    if isinstance(test, BumpTest):
+    if isinstance(test, Bump):
         c, r = test.center, test.radius
 
         def f(t):
@@ -124,7 +171,8 @@ def reference_residuals(g, bc, tests, phi, lam, potential=None, cut_meshes=()):
     """Per test: (residual, sum of |terms| / ||f||, node count), one piece at a time."""
     out = []
     for test in tests:
-        assert test.condition_residual(g, bc) <= 1e-8
+        if isinstance(test, Star):
+            assert bc.vertex_residual(test.vertex, test.value, test.deriv) <= 1e-8 * bc.residual_scale(test.vertex)
         acc, size, norm_sq, nodes = 0.0j, 0.0, 0.0, 0
         for eid, t0, t1, f, d2 in _reference_pieces(g, test):
             cuts = None
@@ -200,7 +248,7 @@ CASES = _cases()
 
 @pytest.mark.parametrize("name,g,bc,rep,es,V,h", CASES, ids=[c[0] for c in CASES])
 def test_compiled_battery_matches_reference_loop(name, g, bc, rep, es, V, h):
-    tests = standard_test_battery(g, bc)
+    tests = reference_tests(g, bc)
     exact = [m.exact for m in rep.modes]
     lams = [m.lam for m in rep.modes]
     pot_mesh = (V.h_max,) if V is not None else ()
@@ -238,23 +286,39 @@ def test_compiled_battery_matches_reference_loop(name, g, bc, rep, es, V, h):
                 assert abs(got[i, m] - r) <= 1e-9 * r + (2.0 * gamma_n + 8.0 * u) * size, (tests[i].label, m)
 
 
+ROW_CASES = [(name, g, bc) for name, g, bc, *_ in CASES] + spectral_fixture_list()
+
+
+@pytest.mark.parametrize("name,g,bc", ROW_CASES, ids=[c[0] for c in ROW_CASES])
+def test_battery_rows_equal_the_reference_construction(name, g, bc):
+    battery = compile_battery(g, bc)
+    tests = reference_tests(g, bc)
+    assert battery.labels == tuple(test.label for test in tests)
+    for got, ref in zip((battery.value, battery.deriv, battery.norms), reference_rows(g, tests)):
+        assert np.array_equal(got, ref) and not got.flags.writeable  # bit for bit, and shared read-only
+
+
 def test_perturbed_report_checks_battery_once(monkeypatch):
+    # the pair's battery is built and checked once: the potential path shares
+    # the arrays of the plain one, and no mode is evaluated through a closure
     g, bc = _grid4()
     V = parse_potential_expr("well:e05,0.2,0.8,3.0", g, 0.05)
     es = eigensystem(assemble_perturbed(assemble(g, bc, 0.05), V), 4)
-    n_tests = len(standard_test_battery(g, bc))
-    builds, checks, evals = [], [], []
-    build = expansion.standard_test_battery
-    monkeypatch.setattr(expansion, "standard_test_battery", lambda *a: builds.append(1) or build(*a))
-    for cls in (expansion.BumpTest, expansion.StarTest):
-        check = cls.condition_residual
-        monkeypatch.setattr(cls, "condition_residual", lambda t, *a, check=check: checks.append(t.label) or check(t, *a))
+    expansion._standard_battery.cache_clear()
+    shapes, evals = [], []
+    worst = BoundaryCondition.worst_residual
+    monkeypatch.setattr(
+        BoundaryCondition, "worst_residual", lambda b, g, value, *a, **k: shapes.append(value.shape) or worst(b, g, value, *a, **k)
+    )
     evaluate = GridFunction.evaluate
     monkeypatch.setattr(GridFunction, "evaluate", lambda f, *a: evals.append(1) or evaluate(f, *a))
     rep = perturbed_eigen_report(g, bc, V, es)
-    assert len(rep.modes) == 4
-    assert len(builds) == 1
-    assert len(checks) == n_tests and len(set(checks)) == n_tests
+    battery = compile_battery(g, bc)
+    assert len(rep.modes) == 4 and battery.potential is None
+    assert compile_battery(g, bc, potential=V).value is battery.value
+    assert compile_battery(g, bc, potential=V).potential is V
+    n_slots, n_tests = battery.value.shape[1], len(battery.labels)
+    assert shapes.count((n_slots, n_tests)) == 1  # the vertex check of all rows at once
     assert evals == []  # nodal modes enter only through their data
 
 
@@ -311,7 +375,7 @@ NORM_CASES = _norm_cases()
 def test_battery_norms_are_those_of_the_summed_tests(name, g, bc):
     # on a loop both ramps of a star test lie on one edge: the norm is that of their sum
     battery = compile_battery(g, bc)
-    summed = np.array([_summed_norm(g, test) for test in battery.tests])
+    summed = np.array([_summed_norm(g, test) for test in reference_tests(g, bc)])
     assert np.all(np.abs(battery.norms - summed) <= 1e-13 * summed)
 
 
@@ -368,9 +432,9 @@ def test_random_stars_meet_the_reference_loop(rays, seed, with_potential):
     battery = compile_battery(g, bc, potential=V)
     got = battery.residual_matrix(phis, lams)
     for m, (phi, lam) in enumerate(zip(phis, lams)):
-        ref = reference_residuals(g, bc, battery.tests, phi, lam, V, cuts)
+        ref = reference_residuals(g, bc, reference_tests(g, bc), phi, lam, V, cuts)
         for i, (res, size, n) in enumerate(ref):
-            assert _within_reference_bound(got[i, m], res, size, n), (battery.tests[i].label, m)
+            assert _within_reference_bound(got[i, m], res, size, n), (battery.labels[i], m)
 
 
 def test_relative_bound_samples_once_for_many_a():
@@ -405,8 +469,10 @@ def test_one_mode_residuals_equal_the_battery_bit_for_bit():
     g = graph_from_dict(case["graph"])
     bc = bc_from_mapping(g, case["bc"])
     modes = [sol for hit in eigenvalue_scan(g, bc, -5.0, 40.0) for sol in eigenfunction(g, bc, hit.lam)]
-    cached, fresh = compile_battery(g, bc), compile_battery(g, bc, standard_test_battery(g, bc))
-    assert len(modes) > 3 and compile_battery(g, bc) is cached is not fresh
+    cached = compile_battery(g, bc)
+    expansion._standard_battery.cache_clear()
+    fresh = compile_battery(g, bc)
+    assert len(modes) > 3 and compile_battery(g, bc) is fresh is not cached
     one = [generalized_eigenfunction_residual(g, bc, sol, sol.lam) for sol in modes]
     assert one == [cached.residuals([sol], [sol.lam])[0] for sol in modes]
     assert one == [fresh.residuals([sol], [sol.lam])[0] for sol in modes]
@@ -426,7 +492,7 @@ def test_nodal_residuals_are_per_mode():
     # column depends on the other modes, not even by rounding
     battery, phis, lams = _grid4_well_modes(0.05, 6)
     res = battery.residual_matrix(phis, lams)
-    assert res.shape == (len(battery.tests), 6) and np.all(res > 0)
+    assert res.shape == (len(battery.labels), 6) and np.all(res > 0)
     for m, (phi, lam) in enumerate(zip(phis, lams)):
         assert np.array_equal(res[:, m], battery.residual_matrix([phi], [lam])[:, 0]), m
 

@@ -22,10 +22,10 @@ from metricgraph import (
     hs_norm_sq,
     parseval,
     reconstruct,
-    standard_test_battery,
     uniform_bc,
 )
-from metricgraph.expansion import BumpTest, compile_battery, hs_kernel_cross_check, intertwining_gap
+from metricgraph import expansion, secular
+from metricgraph.expansion import compile_battery, hs_kernel_cross_check, intertwining_gap
 from metricgraph.secular import RankAnomaly
 
 from conftest import interval_graph, loop_edge_graph, path_graph, spectral_fixture_list, star_graph
@@ -394,43 +394,43 @@ def test_residual_works_on_grid_functions():
     assert rr.max_residual < 5e-5  # linear interpolation noise only
 
 
-def test_battery_rejects_condition_violations():
+def test_battery_rejects_condition_violations(monkeypatch):
+    # the vertex check guards the compiled ker/ran split the battery shares:
+    # a Dirichlet system carrying the Neumann stars builds star rows that
+    # break the raw Dirichlet condition
     g = interval_graph(math.pi)
     bc_d = uniform_bc(g, "dirichlet")
-    bc_n = uniform_bc(g, "neumann")
-    tests_n = standard_test_battery(g, bc_n)
+    monkeypatch.setattr(secular.compiled(g, bc_d), "stars", secular.compiled(g, uniform_bc(g, "neumann")).stars)
+    expansion._standard_battery.cache_clear()
     phi = GridFunction.ones(g, 0.05)
-    with pytest.raises(ValueError):
-        generalized_eigenfunction_residual(g, bc_d, phi, 1.0, tests=tests_n)
+    with pytest.raises(ValueError, match="test 'star:.*' violates the vertex conditions"):
+        compile_battery(g, bc_d)
+    with pytest.raises(ValueError, match="test 'star:.*' violates the vertex conditions"):
+        generalized_eigenfunction_residual(g, bc_d, phi, 1.0)
 
 
-def test_battery_rejects_tests_that_leave_their_edges():
-    g = interval_graph(math.pi)
-    bc = uniform_bc(g, "dirichlet")
-    phi = GridFunction.ones(g, 0.05)
-    outside = [
-        BumpTest("past-the-start", "e", 0.2, 0.5),
-        BumpTest("centred-off-the-edge", "e", -1.0, 0.5),
-        BumpTest("no-radius", "e", 1.0, 0.0),
-    ]
-    for test in outside:
-        with pytest.raises(ValueError, match="leaves its edges"):
-            compile_battery(g, bc, tests=[test])
-        with pytest.raises(ValueError, match="leaves its edges"):
-            generalized_eigenfunction_residual(g, bc, phi, 1.0, tests=[test])
-    # rho = 0.45 u <= 0.45 l_e: the standard battery stays on every fixture
+def test_standard_bumps_stay_inside_their_edges():
+    # radius 0.4 min(l, 2u) around l/2, and rho = 0.45 u <= 0.45 l_e: the
+    # standard battery stays on every fixture
     for _, g, bc in spectral_fixture_list():
-        assert compile_battery(g, bc).tests
+        battery = compile_battery(g, bc)
+        assert battery.labels[: len(g.edges)] == tuple(f"bump:{e.id}" for e in g.edges)
+        centers, radii = expansion._bumps(g)
+        lengths = np.array([e.length for e in g.edges])
+        assert np.all((0.0 < radii) & (radii <= centers) & (centers <= lengths - radii))
+        assert expansion.STAR_RHO * g.u <= 0.45 * lengths.min()
 
 
 def test_battery_spans_trace_space():
     g = star_graph(3)
     bc = uniform_bc(g, "kirchhoff")
-    battery = standard_test_battery(g, bc)
-    star_tests = [t for t in battery if t.label.startswith("star:c")]
-    assert len(star_tests) == 3  # one continuity datum + two flux-free data
-    for t in star_tests:
-        assert t.condition_residual(g, bc) < 1e-12
+    battery = compile_battery(g, bc)
+    rows = [i for i, label in enumerate(battery.labels) if label.startswith("star:c")]
+    assert len(rows) == 3  # one continuity datum + two flux-free data
+    sl = g.slots["c"]
+    for i in rows:
+        assert bc.vertex_residual("c", battery.value[i, sl], battery.deriv[i, sl]) < 1e-12
+    assert np.linalg.matrix_rank(np.hstack([battery.value[rows, sl], battery.deriv[rows, sl]])) == 3
 
 
 # ---------------------------------------------------------------------------
