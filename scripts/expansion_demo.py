@@ -48,7 +48,7 @@ def main() -> None:
     print(f"parseval: ||f||^2 = {pr.norm_sq:.8f}  sum|c|^2 = {pr.coeff_sq:.8f}  gap = {pr.gap:.2e}")
 
     w = GridFunction.ones(g, args.mesh)
-    hs = hs_norm_sq(rep, w, 1.0)
+    hs = hs_norm_sq(rep, w, 1.0, inverse_sup=1.0)  # w = 1
     target = (math.pi / math.tanh(math.pi) - 1.0) / 2.0
     print(
         f"hs norm^2: partial {hs.partial:.6f} + tail {hs.tail:.6f} = {hs.total:.6f}"

@@ -21,7 +21,7 @@ from .expansion import (
     parseval,
     reconstruct,
 )
-from .fem import FormAssembly, DiscreteEigensystem, assemble, check_boundary_bound, check_coercivity, eigensystem
+from .fem import FormAssembly, DiscreteEigensystem, assemble, eigensystem
 from .functions import (
     CutoffFunction,
     GridFunction,
@@ -58,6 +58,8 @@ from .potentials import (
     Potential,
     UniformL2Norm,
     assemble_perturbed,
+    check_boundary_bound,
+    check_coercivity,
     check_relative_bound,
     load_potential_csv,
     parse_potential_expr,

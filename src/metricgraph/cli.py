@@ -259,13 +259,16 @@ def cmd_potential(args: argparse.Namespace) -> int:
     es1 = fem.eigensystem(fa_v, args.modes)
 
     a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
-    bounds = potentials.check_relative_bound(fa, V, a_values, const.C)
+    bounds = potentials.check_relative_bound(g, bc, V, a_values, const.C)
     worst_margin = min(rb.worst_margin for rb in bounds)  # the window margin is >= 0.2879 for every a
 
-    shift_check = None
+    shift_check = shift_bound = None
     if float(np.max(V.data) - np.min(V.data)) < 1e-12:
         c = float(V.data[0])
         shift_check = float(np.max(np.abs(es1.eigenvalues - (es0.eigenvalues + c))))
+        # rounding: Q is c B to ~8 roundings an entry (|B| <= 3 B on a cell), a Ritz value a quotient of dim-term sums
+        # each off by dim eps of terms up to 3 max(|c|, |lambda|) (Higham): (6 dim + 32) eps <= 16 max(dim, 4) eps
+        shift_bound = 1e-8 + 16.0 * max(fa.dim, 4) * np.finfo(float).eps * float(np.max(np.abs([c, *es1.eigenvalues])))
 
     pr = potentials.perturbed_eigen_report(g, bc, V, es1)
     report = {
@@ -295,7 +298,7 @@ def cmd_potential(args: argparse.Namespace) -> int:
     _emit(args, "potential", report)
     return _verdict([
         ("relative_bound.worst_margin", worst_margin, -1e-8, worst_margin >= -1e-8),
-        ("constant_shift_error", shift_check, 1e-8, shift_check is None or shift_check <= 1e-8),
+        ("constant_shift_error", shift_check, shift_bound, shift_check is None or shift_check <= shift_bound),
     ])
 
 

@@ -291,15 +291,15 @@ def hs_norm_sq(
     rep: DiscreteSpectralRep,
     weight: GridFunction,
     C: float,
-    inverse_sup: float | None = None,
+    inverse_sup: float,
 ) -> HilbertSchmidtReport:
     """Squared Hilbert-Schmidt norm of (weight multiplication)^-1 (C + H)^-1/2.
 
     Computed as ``sum_m (C + lambda_m)^-1 ||phi_m / w||^2`` over the modes at
     hand, plus a bound on the rest, which assumes the modes are the N lowest.
-    Each missing mode contributes at most ``s^2 / (C + lambda_n)``, s =
-    sup(1/w).  The form is the Dirichlet form on the edgewise H^1_0, of
-    codimension d = ``rep.codim`` in the form domain, so min-max (Berkolaiko &
+    Each missing mode contributes at most ``s^2 / (C + lambda_n)``, s = ``inverse_sup``,
+    sup(1/w) over the graph, not the nodes.  The form is the Dirichlet form on the
+    edgewise H^1_0, of codimension d = ``rep.codim`` in the form domain, so min-max (Berkolaiko &
     Kuchment, *Introduction to Quantum Graphs*, ch. 3) gives ``N(lambda) <= L
     sqrt(lambda)/pi + d`` and ``lambda_n >= max(lambda_N, ((n - d) pi / L)^2)`` for n > N.
     Bounding the nonincreasing sum by its terms up to ``x0 = max(x*, N + 1)``,
@@ -320,8 +320,6 @@ def hs_norm_sq(
         raise ValueError("weight mesh does not match the spectral representation")
     lams = np.array([m.lam for m in rep.modes])
     terms = (np.abs(rep.Phi) ** 2 @ (rep.grid.weights / weight.data.real**2)) / (C + lams)
-    if inverse_sup is None:
-        inverse_sup = float(np.max(1.0 / np.abs(weight.data)))
     n, d, L, lam_n = len(rep.modes), rep.codim, rep.graph.total_length, float(np.max(lams))
     x0 = max(d + L * math.sqrt(max(lam_n, 0.0)) / math.pi, n + 1)
     integral = L / (math.pi * math.sqrt(C)) * (math.pi / 2.0 - math.atan((x0 - d) * math.pi / (L * math.sqrt(C))))

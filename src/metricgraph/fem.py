@@ -12,19 +12,16 @@ penalized, so low eigenvalues are not polluted.
 
 For piecewise-linear functions the assembled matrices are exact: the
 stiffness form is the exact Dirichlet integral, the mass form the exact L2
-inner product, and vertex traces are nodal values.  The inequality checks in
-this module therefore hold up to floating-point roundoff, not quadrature
-error.
+inner product, and vertex traces are nodal values.  The P1 space lies in the
+form domain, so each discrete eigenvalue is an upper bound of the exact one;
+the form inequalities are read on the exact count (:mod:`.potentials`).
 
 All matrices are sparse (about three nonzeros per row), assembled from
-per-cell triplets.  Every eigenvalue question goes through one solver,
-:func:`_lowest`: the pivot signs of an unpivoted symmetric LU certify a shift
-below the spectrum (Sylvester's law of inertia), and one shift-invert
-Lanczos run (ARPACK) from that factor returns the lowest eigenpairs.
-:func:`eigensystem` gates their residuals against the largest column norm of
-the operator matrix.  Each inequality check reports the exact minimum of its
-margin form over the constrained P1 space: the lowest eigenvalue of that
-form against the mass matrix.
+per-cell triplets.  :func:`eigensystem` solves through :func:`_lowest`: the
+pivot signs of an unpivoted symmetric LU certify a shift below the spectrum
+(Sylvester's law of inertia), and one shift-invert Lanczos run (ARPACK) from
+that factor returns the lowest eigenpairs, whose residuals are gated against
+the largest column norm of the operator matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .boundary import BoundaryCondition, CoercivityConstant, coercivity_constant
+from .boundary import BoundaryCondition, coercivity_constant
 from .functions import GridFunction, Mesh
 from .graph import MetricGraph
 from .secular import compiled
@@ -96,10 +93,6 @@ class FormAssembly:
         return self.grid.graph
 
     @property
-    def h_max(self) -> float:
-        return self.grid.h_max
-
-    @property
     def dim(self) -> int:
         return self.stiffness.shape[0]
 
@@ -119,8 +112,6 @@ class FormAssembly:
         """The assembly plus ``x* Q x``, a term bounded below by ``potential_min x* B x``."""
         return replace(self, potential_term=Q, potential_min=float(potential_min))
 
-    # -- nodal data -------------------------------------------------------
-
     def constrain(self, F: scipy.sparse.spmatrix) -> SparseMatrix:
         """``C* F C`` for a Hermitian nodal matrix F, symmetrized against roundoff."""
         M = (self.constraint.conj().T @ F @ self.constraint).tocsr()
@@ -128,12 +119,6 @@ class FormAssembly:
 
     def nodal_vector(self, x: np.ndarray) -> np.ndarray:
         return self.constraint @ x
-
-    # -- quadratic forms --------------------------------------------------
-
-    def form_value(self, x: np.ndarray) -> float:
-        """q(f, f), exactly, for the piecewise-linear f with coefficients x."""
-        return float(np.real(x.conj() @ (self.stiffness - self.boundary) @ x))
 
 
 def assemble(g: MetricGraph, bc: BoundaryCondition, h_max: float) -> FormAssembly:
@@ -246,35 +231,3 @@ def eigensystem(fa: FormAssembly, k: int) -> DiscreteEigensystem:
     if res > limit > 0:
         raise ResidualCheckFailed(f"eigen residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * max column norm = {limit:.3e}")
     return DiscreteEigensystem(fa, w, vecs, res)
-
-
-# ---------------------------------------------------------------------------
-# inequality checks
-# ---------------------------------------------------------------------------
-
-
-def _min_eigenvalue(K: scipy.sparse.spmatrix, B: scipy.sparse.spmatrix) -> float:
-    """Exact ``min x* K x`` over ``x* B x = 1``: the lowest eigenvalue of (K, B)."""
-    return float(_lowest(K, B, 1, -1.0)[0][0])
-
-
-def check_coercivity(fa: FormAssembly, const: CoercivityConstant) -> float:
-    """Exact minimum of  q(f,f) + C||f||^2 - (1/2)||f||_{W12}^2  over unit ||f||.
-
-    Nonnegative (up to roundoff) when C comes from :func:`coercivity_constant`
-    with the graph's S and u.
-    """
-    A, R, B = fa.stiffness, fa.boundary, fa.mass
-    return _min_eigenvalue((A - R) + const.C * B - 0.5 * (A + B), B)
-
-
-def check_boundary_bound(fa: FormAssembly, eps: float) -> float:
-    """Exact minimum of  (4S/eps)||f||^2 + 2 S eps ||f'||^2 - sum_v <L_v f(v), f(v)>  over unit ||f||.
-
-    Requires 0 < eps <= u; the one-sided trace estimate used to derive the
-    bound needs windows of length eps inside every edge.
-    """
-    if not (0 < eps <= fa.graph.u):
-        raise ValueError(f"eps={eps} must lie in (0, u={fa.graph.u}]")
-    S = fa.S_bound
-    return _min_eigenvalue((4.0 * S / eps) * fa.mass + 2.0 * S * eps * fa.stiffness - fa.boundary, fa.mass)

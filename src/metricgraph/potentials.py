@@ -13,10 +13,11 @@ holds for 0 < a <= u with C the coercivity shift, which makes V an
 infinitesimally small perturbation: the coefficient of the form can be made
 arbitrarily small at the price of a large constant.  The inequality is
 checked on the continuum form with V^2 raised to a piecewise-constant W, as
-the lowest eigenvalue of H plus a constant on each piece of W (a shifted
-:class:`~metricgraph.secular.SecularSystem`), and the window lemma it rests
-on, ``sup_I |f|^2 <= (a/2)||f'||^2_I + (4/a)||f||^2_I`` for |I| in [a, 2a],
-by its sharp margin over all of H^1(I), in closed form.
+lambda_1 of H plus a constant on each piece of W, from the exact count of a
+shifted :class:`~metricgraph.secular.SecularSystem`; so are coercivity and the
+vertex-term bound behind C, as lambda_1 of H with every L_v scaled.  The window
+lemma, ``sup_I |f|^2 <= (a/2)||f'||^2_I + (4/a)||f||^2_I`` for |I| in [a, 2a],
+is checked by its sharp margin over all of H^1(I), in closed form.
 
 A :class:`Potential` is a real :class:`GridFunction`: its samples share the
 flat :class:`Mesh` layout of the finite-element nodal vectors.  The presets
@@ -32,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .boundary import BoundaryCondition
+from .boundary import BoundaryCondition, CoercivityConstant, coercivity_constant
 from .expansion import compile_battery
 from .fem import DiscreteEigensystem, FormAssembly, SparseMatrix, element_matrix
 from .functions import GridFunction, read_edge_csv, write_edge_csv
@@ -99,6 +100,8 @@ def uniform_l2_norm(g: MetricGraph, V: Potential) -> UniformL2Norm:
     t0 or t0 + w meets a t_i, so its max over [0, l - w] is at one of the
     starts ``t_i`` or ``t_i - w``, clipped to that range.
     """
+    if V.graph != g:
+        raise ValueError("potential sampled on another graph")
     best = -1.0
     best_seg: EdgeSegment | None = None
     for e in g.edges:
@@ -146,8 +149,37 @@ def assemble_perturbed(fa: FormAssembly, V: Potential) -> FormAssembly:
 
 
 # ---------------------------------------------------------------------------
-# relative-bound verification
+# the form inequalities, by the exact count
 # ---------------------------------------------------------------------------
+
+
+def _start(C: float, c=0.0) -> float:
+    """``1/2 - C + min c - 1``, below lambda_1(H + c) when C is a coercivity shift of H: q + C||.||^2 >= ||.||^2 / 2."""
+    return 0.5 - C + float(np.min(c)) - 1.0
+
+
+def _lowest_times_L(g: MetricGraph, bc: BoundaryCondition, s: float) -> float:
+    """A lower end of lambda_1 of H with every L_v times s > 0 (:meth:`.SecularSystem.with_L_times`)."""
+    system = compiled(g, bc).with_L_times(s)
+    return lowest_eigenvalue(system, _start(coercivity_constant(system.S, g.u).C))
+
+
+def check_coercivity(g: MetricGraph, bc: BoundaryCondition, const: CoercivityConstant) -> float:
+    """A lower end of min q(f,f) + C||f||^2 - ||f||_{W12}^2 / 2 over unit f in the form domain, which is
+    (lambda_1(H_2L) - 1) / 2 + C with every L_v doubled in H_2L: at most about CLUSTER_RTOL max(1, |lo|, |hi|) / 2
+    below it, [lo, hi] the first bracket of :func:`lowest_eigenvalue`.  Nonnegative for C = coercivity_constant.C."""
+    return 0.5 * (_lowest_times_L(g, bc, 2.0) - 1.0) + const.C
+
+
+def check_boundary_bound(g: MetricGraph, bc: BoundaryCondition, eps: float) -> float:
+    """A lower end of min (4S/eps)||f||^2 + 2 S eps ||f'||^2 - sum_v <L_v f(v), f(v)> over unit f: for S > 0,
+    2 S eps lambda_1(H_{L/(2 S eps)}) + 4S/eps, at most about 2 S eps CLUSTER_RTOL max(1, |lo|, |hi|) below it; for
+    S = 0 every L_v <= 0, so 0, reached where f vanishes at every vertex.  Needs 0 < eps <= u: the trace estimate
+    behind the bound takes windows of length eps inside every edge."""
+    if not (0 < eps <= g.u):
+        raise ValueError(f"eps={eps} must lie in (0, u={g.u}]")
+    S = compiled(g, bc).S
+    return 2.0 * S * eps * _lowest_times_L(g, bc, 1.0 / (2.0 * S * eps)) + 4.0 * S / eps if S > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -160,7 +192,8 @@ class RelativeBoundReport:
 
 
 def check_relative_bound(
-    fa: FormAssembly,
+    g: MetricGraph,
+    bc: BoundaryCondition,
     V: Potential,
     a_values: Sequence[float],
     coercivity_C: float,
@@ -185,21 +218,19 @@ def check_relative_bound(
     ceil(l_e / 2a) equal windows, of length in [a, 2a] as l_e >= u >= a,
     each inside a window of length min(2u, l_e) that M covers.
     """
-    if bad := [a for a in a_values if not 0 < a <= fa.graph.u]:
-        raise ValueError(f"a={bad[0]} must lie in (0, u={fa.graph.u}]")
-    if V.grid != fa.grid:
-        raise ValueError("potential sampled on a different mesh than the assembly")
-    g, M = fa.graph, uniform_l2_norm(fa.graph, V).M
+    if bad := [a for a in a_values if not 0 < a <= g.u]:
+        raise ValueError(f"a={bad[0]} must lie in (0, u={g.u}]")
+    M = uniform_l2_norm(g, V).M
     by_edge = V.squares(min(a_values, default=g.u))  # runs as long as the smallest a
     squares = [by_edge[e.id] for e in g.edges]
-    W, system = np.concatenate([w2 for _, w2 in squares]), compiled(g, fa.bc)
+    W, system = np.concatenate([w2 for _, w2 in squares]), compiled(g, bc)
     pieces = system.cut(tuple(tuple((s[1:-1] / e.length).tolist()) for e, (s, _) in zip(g.edges, squares)))
     reports = []
     for a in a_values:
         C_a, margin = M**2 * (coercivity_C + 4.0 / a), 0.0
         if M > 0:
             c = (coercivity_C + 4.0 / a - W / M**2) / a
-            margin = M**2 * a * lowest_eigenvalue(pieces.shifted(c), 0.5 - coercivity_C + float(np.min(c)) - 1.0)
+            margin = M**2 * a * lowest_eigenvalue(pieces.shifted(c), _start(coercivity_C, c))
         shortest = float(np.min(system.lengths / np.ceil(system.lengths / (2.0 * a))))
         window = 1.0 - 1.0 / (math.sqrt(2.0) * math.tanh(math.sqrt(8.0) * shortest / a))
         reports.append(RelativeBoundReport(a, M, C_a, margin, window))

@@ -22,9 +22,10 @@ p`` around a decoupled energy each edge is cut at the first of CUTS whose
 pieces clear it (:meth:`SecularSystem.split`).  :class:`SecularSystem` owns S, K
 and K^H L K, built once per (g, bc) pair (:func:`compiled`).  D is its only
 matrix in lambda; counts, roots and null vectors read the :meth:`~SecularSystem.scaled` D.
-A system may also be cut (:meth:`~SecularSystem.cut`) and shifted by c_e on
-each edge, which then solves ``-f'' + c_e f = lambda f``: (a, b) and N_D read
-the energy lambda - c_e per edge (:func:`lowest_eigenvalue`).
+A system may also be cut (:meth:`~SecularSystem.cut`), have every L_v
+multiplied by s > 0 (:meth:`~SecularSystem.with_L_times`), and be shifted by
+c_e on each edge, which then solves ``-f'' + c_e f = lambda f``: (a, b) and
+N_D read the energy lambda - c_e per edge (:func:`lowest_eigenvalue`).
 """
 
 from __future__ import annotations
@@ -198,6 +199,13 @@ class SecularSystem:
         out = SecularSystem.__new__(SecularSystem)
         out.S, out.anomaly_vertices = self.S, self.anomaly_vertices
         out._compile(split_graph(self.graph, cuts), self.stars + [joint] * sum(map(len, cuts)), shift)
+        return out
+
+    def with_L_times(self, s: float) -> SecularSystem:
+        """This system with every L_v, and S, times s > 0: the form ``||f'||^2 - s sum_v <L_v f(v), f(v)>``."""
+        out = SecularSystem.__new__(SecularSystem)
+        out.S, out.anomaly_vertices = s * self.S, self.anomaly_vertices
+        out._compile(self.graph, [(ker, ran, s * L) for ker, ran, L in self.stars], self.shift)
         return out
 
     def shifted(self, shift: np.ndarray) -> SecularSystem:

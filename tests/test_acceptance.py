@@ -148,8 +148,7 @@ def test_criterion_04_form_lower_bound():
     for name, g, bc in fixtures:
         S = validate_bc(g, bc)[1]
         const = coercivity_constant(S, g.u)
-        fa = assemble(g, bc, 0.02)
-        margin = check_coercivity(fa, const)
+        margin = check_coercivity(g, bc, const)
         worst = min(worst, margin)
         details.append(f"{name}: S={S:.3g} margin {margin:.2e}")
     report(4, "form + C||f||^2 dominates half the Sobolev norm on all fixtures", worst >= -1e-8, "; ".join(details))
@@ -162,7 +161,7 @@ def test_criterion_05_expansion_numbers():
     h_max = math.pi / 400
     rep = DiscreteSpectralRep.from_secular(g, bc, hits, h_max)
     w = GridFunction.ones(g, h_max)
-    hs = hs_norm_sq(rep, w, 1.0)
+    hs = hs_norm_sq(rep, w, 1.0, inverse_sup=1.0)
     target = (math.pi / math.tanh(math.pi) - 1.0) / 2.0
     hs_ok = target <= hs.total <= target + 1e-2  # the tail is a bound, not an estimate
 
@@ -255,7 +254,7 @@ def test_criterion_08_relative_bound():
         M = uniform_l2_norm(g, V).M
         assert M <= 5.0
         for frac in (0.25, 0.5, 1.0):
-            [rb] = check_relative_bound(fa, V, [frac * g.u], const.C)
+            [rb] = check_relative_bound(g, bc, V, [frac * g.u], const.C)
             worst = min(worst, rb.worst_margin, rb.worst_window_margin)
         details.append(f"{name}: M={M:.3f}")
     es0 = eigensystem(fa, 6)

@@ -439,15 +439,14 @@ def test_random_stars_meet_the_reference_loop(rays, seed, with_potential):
 
 def test_relative_bound_samples_once_for_many_a():
     g, bc = _grid4()
-    fa = assemble(g, bc, 0.05)
     V = parse_potential_expr("well:e05,0.2,0.8,3.0", g, 0.05)
     C = boundary.coercivity_constant(boundary.require_valid_bc(g, bc), g.u).C
     a_values = [frac * g.u for frac in (0.25, 0.5, 1.0)]
-    single = [rb for a in a_values for rb in check_relative_bound(fa, V, [a], C)]
-    many = check_relative_bound(fa, V, a_values, C)
+    single = [rb for a in a_values for rb in check_relative_bound(g, bc, V, [a], C)]
+    many = check_relative_bound(g, bc, V, a_values, C)
     assert many == single  # the same floats, not merely close ones
     with pytest.raises(ValueError):
-        check_relative_bound(fa, V, [0.5, 2.0], C)
+        check_relative_bound(g, bc, V, [0.5, 2.0], C)
 
 
 def test_window_margin_does_not_depend_on_the_mesh():
@@ -457,7 +456,7 @@ def test_window_margin_does_not_depend_on_the_mesh():
     margins = []
     for h in (0.05, 0.02):
         V = parse_potential_expr("well:e05,0.2,0.8,3.0", g, h)
-        margins.append([rb.worst_window_margin for rb in check_relative_bound(assemble(g, bc, h), V, a_values, C)])
+        margins.append([rb.worst_window_margin for rb in check_relative_bound(g, bc, V, a_values, C)])
     assert margins[0] == margins[1]  # the same floats, not merely close ones
 
 

@@ -609,9 +609,9 @@ def _failing_run(tmp_path, kind):
         return "graph.violations", ["validate", "--graph", g, "--bc", b]
     if kind == "spectrum":  # the P1 error at lambda = 121 exceeds the budget 10 h^2 lambda
         return "eigenvalues[10].diff", ["spectrum", "--graph", g, "--bc", b, "--modes", "11", "--mesh", "0.05"]
-    if kind == "potential":  # the P1 pencil loses the shift of V = 1e30 to rounding
+    if kind == "potential":  # with _shift_mutation: the perturbed solve misses the shift of V = 1 by 1e-6
         return "constant_shift_error", [
-            "potential", "--graph", g, "--bc", b, "--potential", "const:1e30", "--modes", "2", "--mesh", "0.05"
+            "potential", "--graph", g, "--bc", b, "--potential", "const:1", "--modes", "2", "--mesh", "0.05"
         ]
     from metricgraph import GridFunction, load_graph, save_function_csv
 
@@ -625,9 +625,11 @@ def _failing_run(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["validate", "spectrum", "expansion", "potential"])
-def test_a_failed_check_prints_one_line(tmp_path, capsys, kind):
+def test_a_failed_check_prints_one_line(tmp_path, capsys, monkeypatch, kind):
     # exit 1 names the failed check on stderr; the report on stdout is unchanged
     key, argv = _failing_run(tmp_path, kind)
+    if kind == "potential":
+        _shift_mutation(monkeypatch, 1.0)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and json.loads(captured.out)
@@ -717,17 +719,47 @@ def test_potential_constant_shift(tmp_path, capsys):
         assert block["worst_margin"] >= -1e-8
 
 
-def test_singular_factor_is_check_failure(tmp_path, capsys):
+def test_singular_factor_is_lowered_and_its_shift_gated_relative_to_c(tmp_path, capsys):
     # V = 1e30 swamps the stiffness, and the first shift of the perturbed
     # solve rounds to a singular pencil: the certificate lowers it, and the
-    # report shows the lost accuracy as a failed constant-shift check, which
-    # stderr names in one line
+    # constant-shift error, far above 1e-8 but a few ulps of c, passes the
+    # gate's rounding bound 1e-8 + 16 max(dim, 4) eps max(|c|, |lambda|)
     g, b = write_interval(tmp_path)
     argv = ["potential", "--graph", g, "--bc", b, "--potential", "const:1e30", "--modes", "2", "--mesh", "0.05"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["constant_shift_error"] > 1e-8
-    assert re.fullmatch(r"check failed: constant_shift_error: \S+ against 1e-08\n", captured.err), captured.err
+    code, report = run_and_parse(capsys, argv)
+    assert code == 0
+    assert 1e-8 < report["constant_shift_error"] < 1e-14 * 1e30  # about 9 ulps of c
+
+
+def _shift_mutation(monkeypatch, c):
+    """Make the perturbed solve (the one with a potential term) miss the shift c by 1e-6 c on its lowest mode."""
+    from dataclasses import replace
+
+    from metricgraph import fem
+
+    solve = fem.eigensystem
+
+    def mutated(fa, k):
+        es = solve(fa, k)
+        if fa.potential_term is None:
+            return es
+        return replace(es, eigenvalues=es.eigenvalues + np.r_[1e-6 * c, np.zeros(k - 1)])
+
+    monkeypatch.setattr(fem, "eigensystem", mutated)
+
+
+@pytest.mark.parametrize("c", [10.0**p for p in range(0, 13, 2)])
+def test_constant_shift_gate_is_relative_to_c(tmp_path, capsys, monkeypatch, c):
+    # the solves are right for every c; the error grows like eps c, which an absolute 1e-8 failed from c = 1e8
+    g, b = write_interval(tmp_path, length=1.0)
+    argv = ["potential", "--graph", g, "--bc", b, "--potential", f"const:{c!r}", "--modes", "3"]
+    code, report = run_and_parse(capsys, argv)
+    assert code == 0, report["constant_shift_error"]
+    if c in (1.0, 1e8):  # a shift missed by 1e-6 c still fails
+        _shift_mutation(monkeypatch, c)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"check failed: constant_shift_error: \S+ against \S+\n", err), err
 
 
 def test_non_finite_m_v_is_input_error(tmp_path, capsys):

@@ -283,7 +283,7 @@ def test_from_fem_groups_multiplicities():
 def test_hs_interval_series():
     g, bc, rep = interval_rep(n_modes=20, h_max=math.pi / 400)
     w = GridFunction.ones(g, rep.h_max)
-    hs = hs_norm_sq(rep, w, 1.0)
+    hs = hs_norm_sq(rep, w, 1.0, inverse_sup=1.0)
     target = (math.pi / math.tanh(math.pi) - 1.0) / 2.0
     assert target <= hs.total <= target + 1e-2  # the tail is a bound, not an estimate
     # partial sums alone match the truncated series tightly
@@ -299,7 +299,7 @@ def test_hs_total_bounds_the_neumann_interval(n_modes):
     hits = eigenvalue_scan(g, bc, -0.5, (n_modes - 0.5) ** 2, num=60 * n_modes)
     assert [h.multiplicity for h in hits] == [1] * n_modes
     rep = DiscreteSpectralRep.from_secular(g, bc, hits, 0.005)
-    hs = hs_norm_sq(rep, GridFunction.ones(g, rep.h_max), 1.0)
+    hs = hs_norm_sq(rep, GridFunction.ones(g, rep.h_max), 1.0, inverse_sup=1.0)
     assert hs.total >= (math.pi / math.tanh(math.pi) + 1.0) / 2.0
 
 
@@ -312,7 +312,7 @@ def test_hs_tail_counts_the_free_vertex_values(n_modes, total):
     hits = eigenvalue_scan(g, uniform_bc(g, "dirichlet"), 0.5, n_modes**2 + 0.5, num=60 * n_modes)
     assert [h.multiplicity for h in hits] == [1] * n_modes
     rep = DiscreteSpectralRep.from_secular(g, uniform_bc(g, "dirichlet"), hits, 0.005)
-    hs = hs_norm_sq(rep, GridFunction.ones(g, rep.h_max), 1.0)
+    hs = hs_norm_sq(rep, GridFunction.ones(g, rep.h_max), 1.0, inverse_sup=1.0)
     assert rep.codim == 0
     assert hs.total >= (math.pi / math.tanh(math.pi) - 1.0) / 2.0
     assert hs.total == pytest.approx(total, abs=5e-4)
@@ -333,22 +333,36 @@ def test_hs_scaling_in_weight():
 def test_hs_monotone_in_shift():
     g, bc, rep = interval_rep(n_modes=6)
     w = GridFunction.ones(g, rep.h_max)
-    totals = [hs_norm_sq(rep, w, C).total for C in (0.5, 1.0, 2.0, 5.0)]
+    totals = [hs_norm_sq(rep, w, C, inverse_sup=1.0).total for C in (0.5, 1.0, 2.0, 5.0)]
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
 def test_hs_kernel_quadrature_cross_check():
     g, bc, rep = interval_rep(n_modes=6, h_max=math.pi / 150)
     w = GridFunction.ones(g, rep.h_max)
-    hs = hs_norm_sq(rep, w, 1.0)
+    hs = hs_norm_sq(rep, w, 1.0, inverse_sup=1.0)
     assert hs_kernel_cross_check(rep, w, 1.0) == pytest.approx(hs.partial, abs=1e-6)
+
+
+def test_hs_takes_the_weight_sup_not_the_grid_max():
+    # the weight is smallest at its base point, here between nodes: the largest nodal 1/w misses sup 1/w,
+    # which would shrink the tail below a bound, so sup 1/w has no grid fallback
+    g, bc, rep = interval_rep(length=3.0, n_modes=5, h_max=0.1)
+    wf = build_weight(g, EdgePoint("e", 1.05), 1.0)
+    w = wf.sample(rep.h_max)
+    grid_max = float(np.max(1.0 / np.abs(w.data)))
+    assert wf.inverse_sup == pytest.approx(0.25, rel=1e-14) and wf.inverse_sup > grid_max + 0.02
+    hs = hs_norm_sq(rep, w, 1.0, inverse_sup=wf.inverse_sup)
+    assert hs.tail == pytest.approx(hs_norm_sq(rep, w, 1.0, inverse_sup=grid_max).tail * (0.25 / grid_max) ** 2)
+    with pytest.raises(TypeError):
+        hs_norm_sq(rep, w, 1.0)
 
 
 def test_hs_rejects_bad_shift():
     g, bc, rep = interval_rep(n_modes=3)
     w = GridFunction.ones(g, rep.h_max)
     with pytest.raises(ValueError):
-        hs_norm_sq(rep, w, -2.0)
+        hs_norm_sq(rep, w, -2.0, inverse_sup=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +511,8 @@ ORACLE_REPS = _oracle_reps()
 @pytest.mark.parametrize("name,rep,C,d", ORACLE_REPS, ids=[c[0] for c in ORACLE_REPS])
 def test_matrix_products_match_per_mode_loops(name, rep, C, d):
     g = rep.graph
-    weight = build_weight(g, VertexPoint(g.vertices[0]), 1.0).sample(rep.h_max)
+    wf = build_weight(g, VertexPoint(g.vertices[0]), 1.0)
+    weight = wf.sample(rep.h_max)
     f = GridFunction.from_callable(
         g, rep.h_max, lambda eid, ts: ts * (g.edge(eid).length - ts) + 0.3j * np.cos(2.0 * ts)
     )
@@ -521,7 +536,7 @@ def test_matrix_products_match_per_mode_loops(name, rep, C, d):
     assert pr.coeff_sq == pytest.approx(coeff_sq, rel=1e-12)
     assert abs(pr.gap - abs(norm_sq - coeff_sq)) <= 1e-12 * norm_sq
 
-    hs = hs_norm_sq(rep, weight, C)
+    hs = hs_norm_sq(rep, weight, C, inverse_sup=wf.inverse_sup)
     terms = []
     for m in rep.modes:
         ratio = {e.id: np.asarray(m.phi.values[e.id]) / np.asarray(weight.values[e.id]).real for e in g.edges}

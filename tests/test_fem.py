@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -259,9 +260,8 @@ def test_p1_count_finds_every_eigenvalue_on_a_fine_grid():
 
 def test_coercivity_margin_s_zero():
     g = star_graph(3)
-    fa = assemble(g, uniform_bc(g, "kirchhoff"), 0.05)
     const = coercivity_constant(0.0, g.u)
-    assert check_coercivity(fa, const) >= -1e-10
+    assert check_coercivity(g, uniform_bc(g, "kirchhoff"), const) >= -1e-10
 
 
 def test_coercivity_margin_attractive_delta():
@@ -274,9 +274,8 @@ def test_coercivity_margin_attractive_delta():
     )
     S = validate_bc(g, bc)[1]
     assert S == pytest.approx(5.0 / 3.0)
-    fa = assemble(g, bc, 0.05)
     const = coercivity_constant(S, g.u)
-    assert check_coercivity(fa, const) >= -1e-10
+    assert check_coercivity(g, bc, const) >= -1e-10
 
 
 def test_coercivity_margin_ground_state():
@@ -287,19 +286,18 @@ def test_coercivity_margin_ground_state():
     const = coercivity_constant(0.0, g.u)
     stiff = float(np.real(x.conj() @ fa.stiffness @ x))
     mass = float(np.real(x.conj() @ fa.mass @ x))
-    margin = fa.form_value(x) + const.C * mass - 0.5 * (mass + stiff)
+    form = float(np.real(x.conj() @ (fa.stiffness - fa.boundary) @ x))
+    margin = form + const.C * mass - 0.5 * (mass + stiff)
     assert margin >= -1e-10
 
 
 @pytest.mark.parametrize("drop", [0.01, 10.0])
 def test_coercivity_check_sees_a_lowered_c(drop):
     # on a Kirchhoff star C = 1/2 is tight at the constants, so C - drop puts
-    # the exact minimum at -drop; at drop = 10 the first shift, -1, lies
-    # inside the spectrum and must be lowered
+    # the exact minimum at -drop
     g = star_graph(3)
-    fa = assemble(g, uniform_bc(g, "kirchhoff"), 0.05)
     const = coercivity_constant(0.0, g.u)
-    margin = check_coercivity(fa, replace(const, C=const.C - drop))
+    margin = check_coercivity(g, uniform_bc(g, "kirchhoff"), replace(const, C=const.C - drop))
     assert margin < 0
     assert margin == pytest.approx(-drop, rel=1e-9)
 
@@ -338,26 +336,28 @@ def _minimum_cases():
 
 @pytest.mark.parametrize("name,g,bc,h", _minimum_cases(), ids=[c[0] for c in _minimum_cases()])
 def test_inequality_checks_are_dense_minima(name, g, bc, h):
-    fa = assemble(g, bc, h)
-    A, R, B, C = (m.toarray() for m in (fa.stiffness, fa.boundary, fa.mass, fa.constraint))
-    const = coercivity_constant(fa.S_bound, g.u)
-
-    def lowest(K):
-        return scipy.linalg.eigh(K, B, eigvals_only=True)[0]
-
-    def check(got, ref):
-        assert abs(got - ref) <= 1e-9 * abs(ref), (got, ref)
-
-    check(check_coercivity(fa, const), lowest((A - R) + const.C * B - 0.5 * (A + B)))
-    S = fa.S_bound
-    check(check_boundary_bound(fa, g.u), lowest((4.0 * S / g.u) * B + 2.0 * S * g.u * A - R))
+    fms = [assemble(g, bc, mesh) for mesh in (h, h / 2)]
+    const = coercivity_constant(fms[0].S_bound, g.u)
+    S = fms[0].S_bound
+    # the exact lower ends lie below the dense P1 minima of their margin forms (P1 lies in the form
+    # domain), by O(h^2)
+    for got, margin in (
+        (check_coercivity(g, bc, const), lambda A, R, B: (A - R) + const.C * B - 0.5 * (A + B)),
+        (check_boundary_bound(g, bc, g.u), lambda A, R, B: (4.0 * S / g.u) * B + 2.0 * S * g.u * A - R),
+    ):
+        gaps = []
+        for fm in fms:
+            A, R, B = (m.toarray() for m in (fm.stiffness, fm.boundary, fm.mass))
+            ref = scipy.linalg.eigh(margin(A, R, B), B, eigvals_only=True)[0]
+            assert got <= ref + 1e-9 * abs(ref), (got, ref)
+            gaps.append(ref - got)
+        assert gaps[0] >= 3.5 * gaps[1], gaps
 
     rng = np.random.default_rng(7)
     V = Potential.from_callable(g, h, lambda eid, ts: rng.uniform(-3.0, 3.0, ts.shape))
-    fms = [assemble(g, bc, mesh) for mesh in (h, h / 2)]
     M = uniform_l2_norm(g, V).M
     for a in (g.u / 4, g.u / 2, g.u):
-        [rb] = check_relative_bound(fa, V, [a], const.C)
+        [rb] = check_relative_bound(g, bc, V, [a], const.C)
         C_a = M**2 * (const.C + 4.0 / a)
         assert (rb.M, rb.C_a) == (M, C_a)
         # the continuum minimum of M^2 a q + C_a ||f||^2 - int W |f|^2 (W on runs as long as a, its
@@ -365,7 +365,7 @@ def test_inequality_checks_are_dense_minima(name, g, bc, h):
         gaps = []
         for fm in fms:
             K, Bm, C_m = (fm.stiffness - fm.boundary).toarray(), fm.mass.toarray(), fm.constraint.toarray()
-            Wm = C_m.conj().T @ _weighted_mass(g, fm.h_max, V.squares(a)) @ C_m
+            Wm = C_m.conj().T @ _weighted_mass(g, fm.grid.h_max, V.squares(a)) @ C_m
             ref = scipy.linalg.eigh(M**2 * a * K + C_a * Bm - Wm, Bm, eigvals_only=True)[0]
             assert rb.worst_margin <= ref + 1e-9 * max(1.0, abs(ref)), (rb.worst_margin, ref)
             gaps.append(ref - rb.worst_margin)
@@ -377,18 +377,74 @@ def test_inequality_checks_are_dense_minima(name, g, bc, h):
         assert abs(rb.worst_window_margin - want) <= 1e-14 * want, (rb.worst_window_margin, want)
 
 
-def test_min_eigenvalue_lowers_past_a_singular_shift():
+def test_lowest_lowers_past_a_singular_shift():
     # at the first shift, -1, K - sigma B is exactly zero: SuperLU's
     # singular factor must lower the shift, not escape
     g = interval_graph(2.0)
     B = assemble(g, uniform_bc(g, "neumann"), 0.1).mass
-    assert fem._min_eigenvalue(-B, B) == pytest.approx(-1.0, rel=1e-12)
+    assert fem._lowest(-B, B, 1, -1.0)[0][0] == pytest.approx(-1.0, rel=1e-12)
+
+
+def test_lowest_lowers_a_start_inside_the_spectrum():
+    # a start above the two lowest eigenvalues fails the pivot certificate and is lowered, so the
+    # lowest pairs still come back, not the ones nearest the start
+    fa = assemble(*_delta_star(), 0.05)
+    M, B = fa.operator_matrix, fa.mass
+    want = scipy.linalg.eigh(M.toarray(), B.toarray(), eigvals_only=True)[:2]
+    assert want[0] < want[1] < 10.0
+    got, _ = fem._lowest(M, B, 2, 10.0)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10), (got, want)
+
+
+def _robin_interval(length, alpha):
+    """Interval of the given length with f'(0) = alpha f(0) (L = [-alpha] at v) and Dirichlet at w."""
+    g = interval_graph(length)
+    return g, BoundaryCondition({"v": preset("delta", g.star("v"), alpha), "w": preset("dirichlet", g.star("w"))})
+
+
+def _robin_ground_state(length, beta):
+    """lambda_1 of -f'' with f'(0) = -beta f(0), f(l) = 0: -k^2 with k coth(k l) = beta when beta l > 1,
+    else w^2 with w cot(w l) = beta, w in (0, pi/l); by bisection at 40 digits, on an increasing f."""
+    mpmath.mp.dps = 40
+    if beta * length > 1:
+        f, b, sign = (lambda k: k * mpmath.coth(k * length) - beta), mpmath.mpf(beta) + 1, -1.0
+    else:
+        f, b, sign = (lambda w: beta - w * mpmath.cot(w * length)), mpmath.pi / length, 1.0
+    a = mpmath.mpf(0)
+    for _ in range(160):
+        m = (a + b) / 2
+        a, b = (m, b) if f(m) < 0 else (a, m)
+    return sign * float(((a + b) / 2) ** 2)
+
+
+@pytest.mark.parametrize(
+    "length,alpha,coth",
+    [(2.0, -3.0, [True] * 3), (1.5, -0.7, [True, True, False]), (1.0, -0.2, [False, True, False])],
+    ids=["l2-a-3", "l1.5-a-0.7", "l1-a-0.2"],
+)
+def test_form_checks_match_robin_closed_forms(length, alpha, coth):
+    # L = -alpha > 0 at v, so S = -alpha, and H_sL is the Robin interval with beta = s S: coercivity reads
+    # s = 2, the boundary bound s = 1 / (2 S eps) at eps = 0.4 and 0.9, on the k coth branch where beta l > 1
+    # (``coth``) and on the w cot branch elsewhere.  Each check is a lower end within its bracket's tolerance,
+    # CLUSTER_RTOL max(1, |lo|, |hi|) times the factor of lambda_1, and never above the closed form
+    g, bc = _robin_interval(length, alpha)
+    S, hi = -alpha, (math.pi / length) ** 2 * (1.0 + 4.0 * secular.POLE_RTOL)
+    const = coercivity_constant(S, g.u)
+    cases = [(2.0, 0.5, const.C - 0.5, check_coercivity(g, bc, const))] + [
+        (1.0 / (2.0 * S * eps), 2.0 * S * eps, 4.0 * S / eps, check_boundary_bound(g, bc, eps)) for eps in (0.4, 0.9)
+    ]
+    assert [s * S * length > 1.0 for s, _, _, _ in cases] == coth
+    for s, factor, offset, got in cases:
+        want = factor * _robin_ground_state(length, s * S) + offset
+        lo = 0.5 - coercivity_constant(s * S, g.u).C - 1.0  # the start of lowest_eigenvalue
+        tol = 2.0 * secular.CLUSTER_RTOL * max(1.0, abs(lo), hi) * factor
+        slack = 1e-15 * max(1.0, abs(want), abs(offset))
+        assert want - tol - slack <= got <= want + slack, (s, got, want, tol)
 
 
 def test_boundary_bound_zero_l():
     g = interval_graph(2.0)
-    fa = assemble(g, uniform_bc(g, "neumann"), 0.05)
-    assert check_boundary_bound(fa, 1.0) >= -1e-12
+    assert check_boundary_bound(g, uniform_bc(g, "neumann"), 1.0) == 0.0
 
 
 def test_boundary_bound_robin_nonpositive_term():
@@ -397,9 +453,8 @@ def test_boundary_bound_robin_nonpositive_term():
     bc = BoundaryCondition(
         {"v": preset("delta", g.star("v"), 2.0), "w": preset("dirichlet", g.star("w"))}
     )
-    fa = assemble(g, bc, 0.05)
-    assert fa.S_bound == 0.0
-    assert check_boundary_bound(fa, 1.0) >= -1e-12
+    assert assemble(g, bc, 0.05).S_bound == 0.0
+    assert check_boundary_bound(g, bc, 1.0) == 0.0
 
 
 def test_boundary_bound_positive_l():
@@ -408,17 +463,15 @@ def test_boundary_bound_positive_l():
         {"v": (np.array([[3.0]], dtype=complex), np.zeros((1, 1), dtype=complex)),
          "w": preset("dirichlet", g.star("w"))}
     )
-    fa = assemble(g, bc, 0.02)
-    assert fa.S_bound == pytest.approx(3.0)
+    assert assemble(g, bc, 0.02).S_bound == pytest.approx(3.0)
     for eps in (0.25, 0.5, 1.0):
-        assert check_boundary_bound(fa, eps) >= -1e-10
+        assert check_boundary_bound(g, bc, eps) >= -1e-10
 
 
 def test_boundary_bound_eps_above_u_rejected():
     g = interval_graph(2.0)
-    fa = assemble(g, uniform_bc(g, "neumann"), 0.1)
     with pytest.raises(ValueError):
-        check_boundary_bound(fa, 1.5)
+        check_boundary_bound(g, uniform_bc(g, "neumann"), 1.5)
 
 
 def test_assemble_rejects_infinite_edges():

@@ -166,6 +166,15 @@ def test_mesh_mismatch_rejected():
         assemble_perturbed(fa, Potential.constant(g, 2 * H, 1.0))
 
 
+def test_potential_on_another_graph_rejected():
+    # the relative bound reads V against g's edges; a V on another graph with the same edge id would give
+    # the M_V and W of that graph
+    g = interval_graph(math.pi)
+    V = Potential.constant(interval_graph(1.5), H, 1.0)
+    with pytest.raises(ValueError, match="another graph"):
+        check_relative_bound(g, uniform_bc(g, "dirichlet"), V, [0.5], 0.5)
+
+
 # ---------------------------------------------------------------------------
 # relative bound
 # ---------------------------------------------------------------------------
@@ -173,8 +182,7 @@ def test_mesh_mismatch_rejected():
 
 def test_relative_bound_zero_potential():
     g = interval_graph(math.pi)
-    fa = assemble(g, uniform_bc(g, "dirichlet"), H)
-    [rb] = check_relative_bound(fa, Potential.constant(g, H, 0.0), [1.0], 0.5)
+    [rb] = check_relative_bound(g, uniform_bc(g, "dirichlet"), Potential.constant(g, H, 0.0), [1.0], 0.5)
     assert rb.M == 0.0 and rb.C_a == 0.0
     assert rb.worst_margin >= -1e-12  # inequality degenerates to 0 <= 0
 
@@ -183,9 +191,8 @@ def test_relative_bound_zero_potential():
 def test_relative_bound_unit_potential(frac):
     g = interval_graph(math.pi)
     bc = uniform_bc(g, "dirichlet")
-    fa = assemble(g, bc, H)
     const = coercivity_constant(0.0, g.u)
-    [rb] = check_relative_bound(fa, Potential.constant(g, H, 1.0), [frac * g.u], const.C)
+    [rb] = check_relative_bound(g, bc, Potential.constant(g, H, 1.0), [frac * g.u], const.C)
     assert rb.worst_margin >= -1e-8
     assert rb.worst_window_margin >= -1e-8
 
@@ -193,11 +200,10 @@ def test_relative_bound_unit_potential(frac):
 def test_relative_bound_rough_potential():
     g = star_graph(3)
     bc = uniform_bc(g, "kirchhoff")
-    fa = assemble(g, bc, H)
     rng = np.random.default_rng(11)
     V = Potential.from_callable(g, H, lambda eid, ts: rng.uniform(-4, 4, ts.shape))
     const = coercivity_constant(0.0, g.u)
-    [rb] = check_relative_bound(fa, V, [g.u], const.C)
+    [rb] = check_relative_bound(g, bc, V, [g.u], const.C)
     assert rb.M <= 5.0
     assert rb.worst_margin >= -1e-8
     assert rb.worst_window_margin >= -1e-8
@@ -230,7 +236,7 @@ def test_relative_bound_ground_state_with_spike():
     x = es.vectors[:, 0].astype(complex)
     const = coercivity_constant(0.0, g.u)
     M = uniform_l2_norm(g, V).M
-    q = fa.form_value(x)
+    q = float(np.real(x.conj() @ (fa.stiffness - fa.boundary) @ x))
     mass = float(np.real(x.conj() @ fa.mass @ x))
     full = fa.constraint @ x
     vf_sq = 0.0
@@ -255,9 +261,8 @@ def test_constant_margin_is_the_closed_form(c):
         (star_graph(3), uniform_bc(star_graph(3), "kirchhoff"), 0.0),
         (interval_graph(math.pi), uniform_bc(interval_graph(math.pi), "dirichlet"), 1.0),
     ):
-        fa = assemble(g, bc, H)
         C = coercivity_constant(0.0, g.u).C
-        for rb in check_relative_bound(fa, Potential.constant(g, H, c), [g.u / 4, g.u / 2, g.u], C):
+        for rb in check_relative_bound(g, bc, Potential.constant(g, H, c), [g.u / 4, g.u / 2, g.u], C):
             want = rb.M**2 * rb.a * lam_1 + rb.C_a - c * c
             assert rb.worst_margin == pytest.approx(want, rel=1e-11, abs=1e-11 * rb.C_a), (rb, want)
 
@@ -312,12 +317,11 @@ def test_well_margin_matches_a_transfer_matrix_root(expr):
     # the margin of a well on a Dirichlet interval is M^2 a lambda_1 for three constant pieces: an
     # independent root of the transfer-matrix end value, with no secular system
     g = interval_graph(2.5)
-    fa = assemble(g, uniform_bc(g, "dirichlet"), H)
     V = parse_potential_expr(expr, g, H)
     t0, t1, depth = (float(x) for x in expr.split(",")[1:])
     assert uniform_l2_norm(g, V).M == pytest.approx(depth * math.sqrt(min(t1 - t0, 2.0 * g.u)), rel=1e-14)
     C = coercivity_constant(0.0, g.u).C
-    for rb in check_relative_bound(fa, V, [g.u / 4, g.u / 2, g.u], C):
+    for rb in check_relative_bound(g, uniform_bc(g, "dirichlet"), V, [g.u / 4, g.u / 2, g.u], C):
         outside, inside = (C + 4.0 / rb.a) / rb.a, (C + 4.0 / rb.a - depth**2 / rb.M**2) / rb.a
         pieces = [(l, c) for l, c in ((t0, outside), (t1 - t0, inside), (2.5 - t1, outside)) if l > 0]
         lam_1 = _transfer_ground_state(pieces, min(outside, inside) - 1.0, outside + (math.pi / 2.5) ** 2 + 1.0)
@@ -326,9 +330,8 @@ def test_well_margin_matches_a_transfer_matrix_root(expr):
 
 def test_relative_bound_invalid_a():
     g = interval_graph(math.pi)
-    fa = assemble(g, uniform_bc(g, "dirichlet"), H)
     with pytest.raises(ValueError):
-        check_relative_bound(fa, Potential.constant(g, H, 1.0), [2.0], 0.5)
+        check_relative_bound(g, uniform_bc(g, "dirichlet"), Potential.constant(g, H, 1.0), [2.0], 0.5)
 
 
 # ---------------------------------------------------------------------------
