@@ -266,8 +266,8 @@ def cmd_potential(args: argparse.Namespace) -> int:
     if float(np.max(V.data) - np.min(V.data)) < 1e-12:
         c = float(V.data[0])
         shift_check = float(np.max(np.abs(es1.eigenvalues - (es0.eigenvalues + c))))
-        # rounding: Q is c B to ~8 roundings an entry (|B| <= 3 B on a cell), a Ritz value a quotient of dim-term sums
-        # each off by dim eps of terms up to 3 max(|c|, |lambda|) (Higham): (6 dim + 32) eps <= 16 max(dim, 4) eps
+        # a rounding model (held for |c| <= 1e14, not near 1e16 on fine meshes: ROADMAP item 23): Q is c B to ~8
+        # roundings each, a Ritz value off by dim eps of terms <= 3 max(|c|, |lambda|): (6 dim + 32) <= 16 max(dim, 4)
         shift_bound = 1e-8 + 16.0 * max(fa.dim, 4) * np.finfo(float).eps * float(np.max(np.abs([c, *es1.eigenvalues])))
 
     pr = potentials.perturbed_eigen_report(g, bc, V, es1)

@@ -1,10 +1,10 @@
 import math
 from dataclasses import replace
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 
 from metricgraph import (
@@ -404,17 +404,12 @@ def _robin_interval(length, alpha):
 
 def _robin_ground_state(length, beta):
     """lambda_1 of -f'' with f'(0) = -beta f(0), f(l) = 0: -k^2 with k coth(k l) = beta when beta l > 1,
-    else w^2 with w cot(w l) = beta, w in (0, pi/l); by bisection at 40 digits, on an increasing f."""
-    mpmath.mp.dps = 40
+    else w^2 with w cot(w l) = beta, w in (0, pi/l); the root of an increasing f by brentq to 4 eps."""
     if beta * length > 1:
-        f, b, sign = (lambda k: k * mpmath.coth(k * length) - beta), mpmath.mpf(beta) + 1, -1.0
+        f, b, sign = (lambda k: k / math.tanh(k * length) - beta), beta + 1.0, -1.0
     else:
-        f, b, sign = (lambda w: beta - w * mpmath.cot(w * length)), mpmath.pi / length, 1.0
-    a = mpmath.mpf(0)
-    for _ in range(160):
-        m = (a + b) / 2
-        a, b = (m, b) if f(m) < 0 else (a, m)
-    return sign * float(((a + b) / 2) ** 2)
+        f, b, sign = (lambda w: beta - w / math.tan(w * length)), math.pi / length, 1.0
+    return sign * scipy.optimize.brentq(f, 1e-8, b, xtol=1e-300, rtol=4 * np.finfo(float).eps) ** 2
 
 
 @pytest.mark.parametrize(
@@ -438,7 +433,7 @@ def test_form_checks_match_robin_closed_forms(length, alpha, coth):
         want = factor * _robin_ground_state(length, s * S) + offset
         lo = 0.5 - coercivity_constant(s * S, g.u).C - 1.0  # the start of lowest_eigenvalue
         tol = 2.0 * secular.CLUSTER_RTOL * max(1.0, abs(lo), hi) * factor
-        slack = 1e-15 * max(1.0, abs(want), abs(offset))
+        slack = 16 * np.finfo(float).eps * max(1.0, abs(want), abs(offset))  # a few ulps of the float64 root
         assert want - tol - slack <= got <= want + slack, (s, got, want, tol)
 
 
